@@ -1,6 +1,6 @@
 """Train the staged base classifier and peek at its internal stages.
 
-A small conv -> bilstm -> attention -> fc network trained with weighted
+A small conv -> one-way LSTM -> attention -> fc network trained with weighted
 cross-entropy and early stopping. Every stage's activations are exposed as a
 named latent record, which is what the corrector consumes downstream.
 """

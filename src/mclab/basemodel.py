@@ -5,8 +5,10 @@ positions with C' features each, run through a single unrolled LSTM cell and
 one attention stage, mean-pooled over positions and classified by a two-layer
 head. Class imbalance is handled by inverse-frequency weights in the loss;
 per-channel input standardization stands in for batch normalization at this
-scale. Intermediate representations from all four stages are exposed as
-latent records for downstream correctors.
+scale. Intermediate representations from all four stages are exposed to
+downstream correctors as one latent matrix (``forward_latents``, which also
+returns the class probabilities of the same pass) or as per-sample latent
+records.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "TrainConfig",
     "TrainingHistory",
     "extract_latents",
+    "forward_latents",
     "load_model",
     "predict_batch",
     "save_model",
@@ -316,44 +319,57 @@ class StagedModel:
         return LatentLayout(LATENT_STAGES, (c_p, d, d, d, self.config.n_classes))
 
 
+def forward_latents(
+    model: StagedModel, data: LabeledDataset | np.ndarray, chunk: int = 256
+) -> tuple[np.ndarray, np.ndarray, LatentLayout]:
+    """One chunked pass: class probabilities, latent matrix and its layout.
+
+    Dropout is disabled and sample order is preserved. Row i of the (n, total)
+    matrix holds sample i's stage blocks in ``model.latent_layout()`` order.
+    """
+    x = data.features if isinstance(data, LabeledDataset) else np.asarray(data)
+    layout = model.latent_layout()
+    n = x.shape[0]
+    probs = np.empty((n, model.config.n_classes))
+    latents = np.empty((n, layout.total))
+    for start in range(0, n, chunk):
+        fwd = model.forward_batch(x[start : start + chunk])
+        rows = slice(start, start + fwd["probs"].shape[0])
+        probs[rows] = fwd["probs"]
+        parts = (
+            fwd["conv_out"].mean(axis=(2, 3)),
+            fwd["hs"][:, -1, :],
+            fwd["pooled"],
+            fwd["fc_out"],
+            fwd["logits"],
+        )
+        for name, part in zip(layout.names, parts):
+            latents[rows, layout.block_slice(name)] = part
+    return probs, latents, layout
+
+
 def predict_batch(
     model: StagedModel, data: LabeledDataset | np.ndarray, chunk: int = 256
 ) -> tuple[np.ndarray, np.ndarray]:
     """Labels (argmax ties break toward the lowest id) and class probabilities."""
-    x = data.features if isinstance(data, LabeledDataset) else np.asarray(data)
-    probs = np.empty((x.shape[0], model.config.n_classes))
-    for start in range(0, x.shape[0], chunk):
-        fwd = model.forward_batch(x[start : start + chunk])
-        probs[start : start + fwd["probs"].shape[0]] = fwd["probs"]
+    probs, _, _ = forward_latents(model, data, chunk)
     return probs.argmax(axis=1), probs
 
 
 def extract_latents(
     model: StagedModel, data: LabeledDataset | np.ndarray, chunk: int = 256
 ) -> list[LatentRecord]:
-    """Latent records for every sample, dropout disabled, order preserved."""
-    x = data.features if isinstance(data, LabeledDataset) else np.asarray(data)
-    layout = model.latent_layout()
-    records: list[LatentRecord] = []
-    for start in range(0, x.shape[0], chunk):
-        fwd = model.forward_batch(x[start : start + chunk])
-        conv_pooled = fwd["conv_out"].mean(axis=(2, 3))
-        lstm_final = fwd["hs"][:, -1, :]
-        attn_pooled = fwd["pooled"]
-        fc = fwd["fc_out"]
-        logits = fwd["logits"]
-        for i in range(conv_pooled.shape[0]):
-            records.append(
-                LatentRecord(
-                    conv_out=conv_pooled[i].copy(),
-                    lstm_out=lstm_final[i].copy(),
-                    attn_out=attn_pooled[i].copy(),
-                    fc_out=fc[i].copy(),
-                    logits=logits[i].copy(),
-                    layout=layout,
-                )
-            )
-    return records
+    """Latent records for every sample, dropout disabled, order preserved.
+
+    The blocks of each record are views of one row of the ``forward_latents``
+    matrix.
+    """
+    _, latents, layout = forward_latents(model, data, chunk)
+    blocks = [layout.block_slice(name) for name in layout.names]
+    return [
+        LatentRecord(**dict(zip(layout.names, (row[b] for b in blocks))), layout=layout)
+        for row in latents
+    ]
 
 
 @dataclass

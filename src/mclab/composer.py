@@ -3,6 +3,11 @@
 The corrected classifier returns the base prediction unless the active policy
 fires, in which case the corrector's verdict (or the NEW_CLASS sentinel)
 replaces it. Raising ``tau`` never increases the number of overrides.
+
+``compose_batch`` makes one forward pass over the batch, which yields both
+the base posteriors and the corrector's latent matrix, and applies the policy
+once over whole arrays (``decide_batch``); ``compose`` runs the same rule on
+a one-row batch.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .basemodel import LatentRecord, StagedModel, extract_latents, predict_batch
+from .basemodel import LatentRecord, StagedModel, forward_latents
 from .core import NEW_CLASS, LabeledDataset
 from .corrector import CorrectorEnsemble
 
@@ -24,6 +29,7 @@ __all__ = [
     "PredictionLog",
     "compose",
     "compose_batch",
+    "decide_batch",
     "read_prediction_log",
     "write_prediction_log",
 ]
@@ -85,37 +91,63 @@ def compose(
 ) -> CorrectedPrediction:
     """Apply the policy to one sample's base posteriors and latent record."""
     corr_probs = ensemble.predict_proba(latent)
-    return _decide(np.asarray(base_probs, dtype=np.float64), corr_probs, policy)
+    base = np.asarray(base_probs, dtype=np.float64).reshape(1, -1)
+    return decide_batch(base, np.reshape(corr_probs, (1, -1)), policy)[0]
 
 
-def _decide(
-    base_probs: np.ndarray, corr_probs: np.ndarray, policy: DecisionPolicy
-) -> CorrectedPrediction:
+def _corrected_labels(
+    base_label: np.ndarray,
+    base_probs: np.ndarray,
+    corr_probs: np.ndarray,
+    policy: DecisionPolicy,
+) -> np.ndarray:
     if policy.kind not in POLICY_KINDS:
         raise ValueError(f"unknown policy kind {policy.kind!r}")
-    base_label = int(np.argmax(base_probs))
-    corr_label = int(np.argmax(corr_probs))
-    corrected = base_label
+    corr_label = corr_probs.argmax(axis=1)
     if policy.kind == "always_corrector":
-        corrected = corr_label
-    elif policy.kind == "threshold_override":
-        if float(base_probs.max()) < policy.base_confidence_floor and float(
-            corr_probs.max()
-        ) >= policy.tau:
-            corrected = corr_label
-    else:  # excluded_only
-        if policy.excluded_label is None:
-            raise ValueError("excluded_only policy needs excluded_label")
-        exc = int(policy.excluded_label)
-        if corr_label == exc and float(corr_probs[exc]) >= policy.tau:
-            corrected = NEW_CLASS if policy.as_new_class else exc
-    return CorrectedPrediction(
-        base_label=base_label,
-        corrected_label=corrected,
-        overridden=corrected != base_label,
-        base_probs=base_probs,
-        corrector_probs=corr_probs,
+        return corr_label
+    if policy.kind == "threshold_override":
+        fire = (base_probs.max(axis=1) < policy.base_confidence_floor) & (
+            corr_probs.max(axis=1) >= policy.tau
+        )
+        return np.where(fire, corr_label, base_label)
+    if policy.excluded_label is None:
+        raise ValueError("excluded_only policy needs excluded_label")
+    exc = int(policy.excluded_label)
+    if not 0 <= exc < corr_probs.shape[1]:
+        raise ValueError(
+            f"excluded_label {exc} is outside the corrector's {corr_probs.shape[1]} classes"
+        )
+    fire = (corr_label == exc) & (corr_probs[:, exc] >= policy.tau)
+    return np.where(fire, NEW_CLASS if policy.as_new_class else exc, base_label)
+
+
+def decide_batch(
+    base_probs: np.ndarray,
+    corr_probs: np.ndarray,
+    policy: DecisionPolicy | None,
+) -> list[CorrectedPrediction]:
+    """Apply the policy to (n, K) base and corrector posteriors, one row per sample.
+
+    The rule runs once over the whole arrays. With ``policy=None`` the base
+    prediction stands everywhere, as in the baseline run, which has no
+    corrector. Each prediction holds row views of the two arrays.
+    """
+    if base_probs.shape[0] != corr_probs.shape[0]:
+        raise ValueError("base and corrector posteriors must have one row per sample")
+    base_label = base_probs.argmax(axis=1)
+    corrected = (
+        base_label
+        if policy is None
+        else _corrected_labels(base_label, base_probs, corr_probs, policy)
     )
+    overridden = corrected != base_label
+    return [
+        CorrectedPrediction(b, c, o, bp, cp)
+        for b, c, o, bp, cp in zip(
+            base_label.tolist(), corrected.tolist(), overridden.tolist(), base_probs, corr_probs
+        )
+    ]
 
 
 def compose_batch(
@@ -124,13 +156,13 @@ def compose_batch(
     policy: DecisionPolicy,
     data: LabeledDataset,
 ) -> list[CorrectedPrediction]:
-    """Corrected predictions for every sample, in dataset order."""
-    _, base_probs = predict_batch(model, data)
-    latents = extract_latents(model, data)
-    corr_probs = ensemble.predict_proba(latents)
-    return [
-        _decide(base_probs[i], corr_probs[i], policy) for i in range(len(data))
-    ]
+    """Corrected predictions for every sample, in dataset order.
+
+    One forward pass gives both the base posteriors and the latent matrix.
+    """
+    base_probs, latents, layout = forward_latents(model, data)
+    corr_probs = ensemble.predict_proba(ensemble.align(latents, layout))
+    return decide_batch(base_probs, corr_probs, policy)
 
 
 @dataclass(frozen=True)
@@ -156,14 +188,23 @@ def write_prediction_log(
     true_arr = np.asarray(true_labels, dtype=np.int64)
     if true_arr.shape != (len(preds),):
         raise ValueError("true labels must align with predictions")
+    base_conf = _row_max([p.base_probs for p in preds])
+    corr_conf = _row_max([p.corrector_probs for p in preds])
     lines = [f"# {PREDS_MAGIC} K={n_classes}",
              "sample_id,true,base,corrected,overridden,base_conf,corr_conf"]
-    for i, p in enumerate(preds):
+    for i, (t, p, bc, cc) in enumerate(zip(true_arr.tolist(), preds, base_conf, corr_conf)):
         lines.append(
-            f"{i},{int(true_arr[i])},{p.base_label},{p.corrected_label},"
-            f"{int(p.overridden)},{p.base_probs.max():.6f},{p.corrector_probs.max():.6f}"
+            f"{i},{t},{p.base_label},{p.corrected_label},"
+            f"{int(p.overridden)},{bc:.6f},{cc:.6f}"
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+def _row_max(rows: list[np.ndarray]) -> list[float]:
+    """Per-row maxima of equal-length probability rows, as one reduction."""
+    if not rows:
+        return []
+    return np.stack(rows).max(axis=1).tolist()
 
 
 def read_prediction_log(path: str | Path, n_classes: int | None = None) -> PredictionLog:

@@ -237,9 +237,12 @@ class CorrectorEnsemble:
                 )
             return x
         records: Sequence[LatentRecord] = latents
-        matrix, layout = stack_latents(records)
+        return self.align(*stack_latents(records))
+
+    def align(self, matrix: np.ndarray, layout: LatentLayout) -> np.ndarray:
+        """Reorder the stage blocks of ``matrix`` (in ``layout``) to the fitted order."""
         if self.layout is not None and layout != self.layout:
-            matrix = _reorder_blocks(matrix, layout, self.layout)
+            return _reorder_blocks(matrix, layout, self.layout)
         return matrix
 
     def raw_margins(self, latents) -> np.ndarray:

@@ -46,9 +46,9 @@ from .basemodel import (
     train,
 )
 from .composer import (
-    CorrectedPrediction,
     DecisionPolicy,
     compose_batch,
+    decide_batch,
     read_prediction_log,
     write_prediction_log,
 )
@@ -598,17 +598,7 @@ def run_single(
             preds = compose_batch(model, ensemble, policy, test_set)
         else:
             _, base_probs = predict_batch(model, test_set)
-            zero = np.zeros(k)
-            preds = [
-                CorrectedPrediction(
-                    base_label=int(np.argmax(base_probs[i])),
-                    corrected_label=int(np.argmax(base_probs[i])),
-                    overridden=False,
-                    base_probs=base_probs[i],
-                    corrector_probs=zero,
-                )
-                for i in range(len(test_set))
-            ]
+            preds = decide_batch(base_probs, np.zeros_like(base_probs), None)
     except Exception as exc:
         raise StageError("compose", str(exc)) from exc
 
@@ -841,7 +831,11 @@ def render_report(sweep: SweepResult) -> None:
 
 
 def load_sweep(root: str | Path) -> SweepResult:
-    """Rebuild a SweepResult from persisted run artifacts (for re-rendering)."""
+    """Rebuild a SweepResult from persisted run artifacts (for re-rendering).
+
+    Each ``preds.csv`` is checked against its sha256 in ``manifest.json``
+    before it is read; a mismatch raises ``StageError`` naming the file.
+    """
     root = Path(root)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
@@ -852,7 +846,13 @@ def load_sweep(root: str | Path) -> SweepResult:
 
     def rebuild(tag: str, excluded: int | None) -> RunResult:
         run_dir = root / tag
-        log = read_prediction_log(run_dir / "preds.csv")
+        preds_path = run_dir / "preds.csv"
+        want = manifest.get("runs", {}).get(tag, {}).get("preds.csv")
+        if want is None:
+            raise StageError("report", f"manifest lists no sha256 for {preds_path}")
+        if hashlib.sha256(preds_path.read_bytes()).hexdigest() != want:
+            raise StageError("report", f"{preds_path} does not match its sha256 in the manifest")
+        log = read_prediction_log(preds_path)
         paired = PairedPredictions.from_log(log)
         report = evaluate(paired)
         return RunResult(

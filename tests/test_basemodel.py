@@ -19,6 +19,7 @@ from mclab.basemodel import (
     StagedModel,
     TrainConfig,
     extract_latents,
+    forward_latents,
     load_model,
     predict_batch,
     save_model,
@@ -400,6 +401,32 @@ class TestLatents:
         fwd = model.forward_batch(x)
         for i, r in enumerate(recs):
             np.testing.assert_allclose(r.logits, fwd["logits"][i], atol=1e-12)
+
+    def test_forward_latents_equals_the_two_pass_path(self):
+        # 300 rows cross the 256-row chunk boundary
+        model = StagedModel(SMALL, seed=10)
+        x = np.random.default_rng(10).standard_normal((300, 1, 8, 8))
+        probs, matrix, layout = forward_latents(model, x, chunk=256)
+        _, want_probs = predict_batch(model, x)
+        want_matrix, want_layout = stack_latents(extract_latents(model, x))
+        assert np.array_equal(probs, want_probs)
+        assert np.array_equal(matrix, want_matrix)
+        chunks = [model.forward_batch(x[:256]), model.forward_batch(x[256:])]
+        assert np.array_equal(probs, np.concatenate([c["probs"] for c in chunks]))
+        assert np.array_equal(matrix[:, layout.block_slice("conv_out")],
+                              np.concatenate([c["conv_out"].mean(axis=(2, 3)) for c in chunks]))
+        assert layout == want_layout == model.latent_layout()
+        assert matrix.shape == (300, layout.total)
+
+    def test_forward_latents_blocks_hold_stage_outputs(self):
+        model = StagedModel(SMALL, seed=11)
+        x = np.random.default_rng(11).standard_normal((5, 1, 8, 8))
+        probs, matrix, layout = forward_latents(model, x)
+        fwd = model.forward_batch(x)
+        assert np.array_equal(probs, fwd["probs"])
+        assert np.array_equal(matrix[:, layout.block_slice("logits")], fwd["logits"])
+        assert np.array_equal(matrix[:, layout.block_slice("fc_out")], fwd["fc_out"])
+        assert np.array_equal(matrix[:, layout.block_slice("attn_out")], fwd["pooled"])
 
     def test_stack_rejects_empty_list(self):
         with pytest.raises(ValueError, match="no latent"):

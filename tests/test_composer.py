@@ -4,6 +4,8 @@ base prediction, the sentinel branch, and the prediction log format.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from mclab.basemodel import (
     StagedModel,
     extract_latents,
     predict_batch,
+    stack_latents,
 )
 from mclab.composer import (
     NEW_CLASS,
@@ -22,11 +25,12 @@ from mclab.composer import (
     DecisionPolicy,
     compose,
     compose_batch,
+    decide_batch,
     read_prediction_log,
     write_prediction_log,
 )
 from mclab.core import make_label_space
-from mclab.corrector import CorrectorEnsemble, GbdtConfig, fit
+from mclab.corrector import CorrectorEnsemble, GbdtConfig, _reorder_blocks, fit
 
 
 def stub_ensemble(probs) -> CorrectorEnsemble:
@@ -155,6 +159,11 @@ class TestDecision:
         with pytest.raises(ValueError, match="excluded_label"):
             decide([0.6, 0.4], [0.4, 0.6], p)
 
+    def test_out_of_range_excluded_label_raises(self):
+        p = DecisionPolicy(kind="excluded_only", excluded_label=5)
+        with pytest.raises(ValueError, match="outside"):
+            decide([0.6, 0.3, 0.1], [0.3, 0.3, 0.4], p)
+
     def test_unknown_kind_raises_at_decision_time(self):
         p = DecisionPolicy(kind="oracle")
         with pytest.raises(ValueError, match="kind"):
@@ -174,20 +183,84 @@ class TestDecision:
             assert out.overridden == (out.corrected_label != out.base_label)
 
 
+def reference_label(base, corr, policy) -> int:
+    """The policy written out for one sample with scalar Python logic."""
+    base_label = int(np.argmax(base))
+    corr_label = int(np.argmax(corr))
+    if policy.kind == "always_corrector":
+        return corr_label
+    if policy.kind == "threshold_override":
+        fire = float(base.max()) < policy.base_confidence_floor and float(corr.max()) >= policy.tau
+        return corr_label if fire else base_label
+    exc = policy.excluded_label
+    if corr_label == exc and float(corr[exc]) >= policy.tau:
+        return NEW_CLASS if policy.as_new_class else exc
+    return base_label
+
+
+POLICIES = [
+    DecisionPolicy(kind="always_corrector"),
+    DecisionPolicy(kind="threshold_override", tau=0.3),
+    DecisionPolicy(kind="excluded_only", tau=0.3, excluded_label=1),
+    DecisionPolicy(kind="excluded_only", tau=0.3, excluded_label=1, as_new_class=True),
+]
+
+
 class TestComposeBatch:
-    def test_matches_per_sample_recomputation(self, small_world):
+    @pytest.mark.parametrize("policy", POLICIES,
+                             ids=["always", "threshold", "excluded", "new_class"])
+    def test_matches_per_sample_recomputation(self, small_world, policy):
         model, data, latents = small_world
         ens = fit(latents, data.labels, GbdtConfig(n_rounds=5))
-        policy = DecisionPolicy(kind="threshold_override", tau=0.3)
         batch = compose_batch(model, ens, policy, data)
         assert len(batch) == len(data)
 
         _, base_probs = predict_batch(model, data)
+        corr_probs = ens.predict_proba(stack_latents(extract_latents(model, data))[0])
+        assert sum(p.overridden for p in batch) > 0  # the policy fires somewhere
         for i, out in enumerate(batch):
+            assert np.array_equal(out.base_probs, base_probs[i])
+            assert np.array_equal(out.corrector_probs, corr_probs[i])
+            want = reference_label(base_probs[i], corr_probs[i], policy)
+            assert out.base_label == int(np.argmax(base_probs[i]))
+            assert out.corrected_label == want
+            assert out.overridden == (want != out.base_label)
             solo = compose(base_probs[i], latents[i], ens, policy)
             assert solo.base_label == out.base_label
             assert solo.corrected_label == out.corrected_label
             assert solo.overridden == out.overridden
+
+    def test_reorders_blocks_of_an_ensemble_fit_in_another_order(self, small_world):
+        model, data, latents = small_world
+        matrix, layout = stack_latents(latents)
+        order = LatentLayout(tuple(reversed(layout.names)), tuple(reversed(layout.sizes)))
+        ens = fit(_reorder_blocks(matrix, layout, order), data.labels, GbdtConfig(n_rounds=5))
+        ens = replace(ens, layout=order)
+        policy = DecisionPolicy(kind="always_corrector")
+        batch = compose_batch(model, ens, policy, data)
+
+        # the records path reorders each stacked record to the fitted order
+        corr_probs = ens.predict_proba(extract_latents(model, data))
+        assert not np.array_equal(corr_probs, ens.predict_proba(matrix))  # order matters
+        for i, out in enumerate(batch):
+            assert np.array_equal(out.corrector_probs, corr_probs[i])
+            assert out.corrected_label == int(np.argmax(corr_probs[i]))
+
+    def test_foreign_layout_raises_like_the_records_path(self, small_world):
+        model, data, latents = small_world
+        ens = fit(latents, data.labels, GbdtConfig(n_rounds=2))
+        foreign = LatentLayout(("a", "b", "c", "d", "e"), ens.layout.sizes)
+        ens = replace(ens, layout=foreign)
+        with pytest.raises(ValueError, match="latent layout stages"):
+            ens.predict_proba(latents)
+        with pytest.raises(ValueError, match="latent layout stages"):
+            compose_batch(model, ens, DecisionPolicy(kind="always_corrector"), data)
+
+    def test_no_policy_keeps_every_base_label(self):
+        base = np.random.default_rng(24).dirichlet(np.ones(3), size=6)
+        preds = decide_batch(base, np.zeros_like(base), None)
+        assert [p.corrected_label for p in preds] == base.argmax(axis=1).tolist()
+        assert not any(p.overridden for p in preds)
 
     def test_corrector_mirroring_base_never_overrides(self, small_world):
         model, data, latents = small_world
@@ -269,6 +342,15 @@ class TestPredictionLog:
         np.testing.assert_allclose(
             log.corr_conf, [p.corrector_probs.max() for p in preds], atol=5e-7
         )
+
+    def test_confidence_columns_are_per_row_maxima(self, tmp_path):
+        preds, true = self.make_preds(n=30)
+        path = tmp_path / "preds.csv"
+        write_prediction_log(preds, true, 3, path)
+        rows = path.read_text().splitlines()[2:]
+        for row, p in zip(rows, preds):
+            assert row.split(",")[5:] == [f"{p.base_probs.max():.6f}",
+                                          f"{p.corrector_probs.max():.6f}"]
 
     def test_sentinel_survives_round_trip(self, tmp_path):
         preds, true = self.make_preds()

@@ -363,6 +363,27 @@ class TestSweep:
                 assert ma == mb
             assert a.aggregate == b.aggregate
 
+    def test_reload_rejects_a_flipped_byte(self, mini_sweep, tmp_path):
+        _, sweep = mini_sweep
+        copy = tmp_path / "copy"
+        shutil.copytree(sweep.root, copy)
+        load_sweep(copy)  # the intact copy verifies
+        target = copy / "excl_1" / "preds.csv"
+        blob = bytearray(target.read_bytes())
+        blob[-3] ^= 1  # a digit of the last corr_conf
+        target.write_bytes(bytes(blob))
+        with pytest.raises(StageError, match=r"excl_1/preds\.csv") as err:
+            load_sweep(copy)
+        assert err.value.stage == "report"
+        assert "sha256" in str(err.value)
+
+        manifest_path = copy / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["runs"]["excl_0"]["preds.csv"]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(StageError, match=r"no sha256 for .*excl_0/preds\.csv"):
+            load_sweep(copy)
+
     def test_reload_needs_manifest(self, tmp_path):
         with pytest.raises(StageError, match="manifest"):
             load_sweep(tmp_path)
