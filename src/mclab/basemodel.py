@@ -99,7 +99,7 @@ class TrainConfig:
     max_epochs: int = 60
     patience: int = 10
     dropout_p: float = 0.5
-    seed: int = 0
+    seed: int | None = 0  # None: not yet resolved; train() rejects it
 
     def validate(self) -> None:
         if self.learning_rate < 0:
@@ -412,6 +412,8 @@ def train(
     checkpoint epoch, the history flags it and a warning is logged.
     """
     config.validate()
+    if config.seed is None:
+        raise ValueError("TrainConfig.seed is None: resolve it before training")
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (model.config.n_classes,) or np.any(weights < 0):
         raise ValueError("weights must be a non-negative length-K vector")

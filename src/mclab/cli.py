@@ -1,10 +1,11 @@
 """Command-line front end.
 
-One JSON config document drives everything; every field has a default, so an
-empty document is a complete (toy-scale) experiment. Dotted --set overrides
-are type-checked against the same schema. Exit codes: 0 success, 1 invalid
-configuration or arguments (the message names the field), 2 runtime failure
-(the message names the pipeline stage).
+One JSON config document drives everything. Its schema is the
+``harness.ExperimentConfig`` dataclass tree: the defaults, the dotted paths
+that --set accepts and the type checks all come from those dataclasses, and
+every field has a default, so an empty document is a complete experiment.
+Exit codes: 0 success, 1 invalid configuration or arguments (the message
+names the field), 2 runtime failure (the message names the pipeline stage).
 """
 
 from __future__ import annotations

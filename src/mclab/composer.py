@@ -24,6 +24,7 @@ from .corrector import CorrectorEnsemble
 
 __all__ = [
     "NEW_CLASS",
+    "POLICY_KINDS",
     "CorrectedPrediction",
     "DecisionPolicy",
     "PredictionLog",

@@ -47,7 +47,7 @@ class GbdtConfig:
     min_child_weight: float = 1.0
     lambda_l2: float = 1.0
     subsample: float = 1.0
-    seed: int = 0
+    seed: int | None = 0  # None: not yet resolved; fit() rejects it
 
     def validate(self) -> None:
         if self.n_rounds < 1:
@@ -309,6 +309,8 @@ def fit(
     recorded per round and is non-increasing.
     """
     config.validate()
+    if config.seed is None:
+        raise ValueError("GbdtConfig.seed is None: resolve it before fitting")
     layout: LatentLayout | None = None
     if isinstance(latents, np.ndarray):
         x = np.asarray(latents, dtype=np.float64)

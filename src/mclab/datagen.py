@@ -28,15 +28,13 @@ __all__ = [
     "ClusterSpec",
     "SequenceImageSpec",
     "DatasetFormatError",
+    "ProfileConfig",
     "default_profile",
     "generate_gaussian",
     "generate_toy_images",
     "load_dataset",
     "save_dataset",
 ]
-
-DEFAULT_PROPORTIONS = (0.389, 0.209, 0.161, 0.106, 0.057, 0.057, 0.023)
-DEFAULT_NAMES = ("Happiness", "Neutral", "Sadness", "Surprise", "Disgust", "Anger", "Fear")
 
 _HEADER_PREFIX = "mclab-dataset v1"
 
@@ -108,42 +106,54 @@ class SequenceImageSpec:
             raise ValueError("channels must be >= 1")
 
 
-def default_profile(
-    dim: int = 64,
-    separation: float = 6.0,
-    covariance_scale: float = 1.0,
-    proportions: Sequence[float] = DEFAULT_PROPORTIONS,
-    names: Sequence[str] = DEFAULT_NAMES,
-    close_pair: tuple[int, int] = (3, 6),
-    close_distance: float = 4.0,
-) -> ClusterSpec:
-    """Heavy-tailed default profile with one deliberately similar class pair.
+@dataclass(frozen=True)
+class ProfileConfig:
+    """Parameters of the heavy-tailed default profile.
 
     Class means sit on scaled coordinate axes (pairwise distance
     sqrt(2)*separation) except that the second member of ``close_pair`` is
     moved to ``close_distance`` away from the first, emulating two classes
-    that are genuinely hard to tell apart.
+    that are genuinely hard to tell apart. ``proportions`` are normalized to
+    sum to 1.
     """
-    props = np.asarray(proportions, dtype=np.float64)
-    props = props / props.sum()
-    k = props.size
-    if dim < k:
-        raise ValueError("dim must be at least the number of classes")
-    means = np.zeros((k, dim), dtype=np.float64)
-    for i in range(k):
-        means[i, i] = separation
-    a, b = close_pair
-    if not (0 <= a < k and 0 <= b < k) or a == b:
-        raise ValueError("close_pair must name two distinct classes")
-    # place b near a, offset along b's own axis
-    means[b] = means[a]
-    means[b, b] = close_distance
-    return ClusterSpec(
-        means=means,
-        covariance_scale=np.full(k, float(covariance_scale)),
-        proportions=props,
-        names=tuple(names)[:k],
+
+    proportions: tuple[float, ...] = (0.389, 0.209, 0.161, 0.106, 0.057, 0.057, 0.023)
+    names: tuple[str, ...] = (
+        "Happiness", "Neutral", "Sadness", "Surprise", "Disgust", "Anger", "Fear",
     )
+    dim: int = 64
+    separation: float = 6.0
+    covariance_scale: float = 1.0
+    close_pair: tuple[int, int] = (3, 6)
+    close_distance: float = 4.0
+
+    def to_cluster_spec(self) -> ClusterSpec:
+        props = np.asarray(self.proportions, dtype=np.float64)
+        props = props / props.sum()
+        k = props.size
+        if self.dim < k:
+            raise ValueError("dim must be at least the number of classes")
+        means = np.zeros((k, self.dim), dtype=np.float64)
+        for i in range(k):
+            means[i, i] = self.separation
+        a, b = self.close_pair
+        if not (0 <= a < k and 0 <= b < k) or a == b:
+            raise ValueError("close_pair must name two distinct classes")
+        # place b near a, offset along b's own axis
+        means[b] = means[a]
+        means[b, b] = self.close_distance
+        return ClusterSpec(
+            means=means,
+            covariance_scale=np.full(k, float(self.covariance_scale)),
+            proportions=props,
+            names=tuple(self.names)[:k],
+        )
+
+
+def default_profile(**params) -> ClusterSpec:
+    """The cluster spec of ``ProfileConfig(**params)``; keywords override its
+    defaults (the seven-class emotion-style profile)."""
+    return ProfileConfig(**params).to_cluster_spec()
 
 
 def _class_counts(proportions: np.ndarray, n_total: int, k: int) -> np.ndarray:

@@ -28,9 +28,11 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from types import NoneType, UnionType
+from typing import Any, Mapping, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -46,6 +48,7 @@ from .basemodel import (
     train,
 )
 from .composer import (
+    POLICY_KINDS,
     DecisionPolicy,
     compose_batch,
     decide_batch,
@@ -65,9 +68,8 @@ from .core import (
 from .corrector import GbdtConfig, save_ensemble
 from .corrector import fit as fit_corrector
 from .datagen import (
-    ClusterSpec,
+    ProfileConfig,
     SequenceImageSpec,
-    default_profile,
     generate_gaussian,
     generate_toy_images,
     load_dataset,
@@ -78,7 +80,6 @@ __all__ = [
     "ConfigError",
     "DatasetConfig",
     "ExperimentConfig",
-    "ProfileConfig",
     "RunResult",
     "SplitConfig",
     "StageError",
@@ -120,30 +121,6 @@ class StageError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ProfileConfig:
-    proportions: tuple[float, ...] = (0.389, 0.209, 0.161, 0.106, 0.057, 0.057, 0.023)
-    names: tuple[str, ...] = (
-        "Happiness", "Neutral", "Sadness", "Surprise", "Disgust", "Anger", "Fear",
-    )
-    dim: int = 64
-    separation: float = 6.0
-    covariance_scale: float = 1.0
-    close_pair: tuple[int, int] = (3, 6)
-    close_distance: float = 4.0
-
-    def to_cluster_spec(self) -> ClusterSpec:
-        return default_profile(
-            dim=self.dim,
-            separation=self.separation,
-            covariance_scale=self.covariance_scale,
-            proportions=self.proportions,
-            names=self.names,
-            close_pair=self.close_pair,
-            close_distance=self.close_distance,
-        )
-
-
-@dataclass(frozen=True)
 class DatasetConfig:
     source: str = "generated"  # generated | file
     path: str | None = None
@@ -160,125 +137,145 @@ class SplitConfig:
     seed: int | None = None  # None: derived from the master seed
 
 
+# set per run by run_single, never part of the config document
+_RUN_TIME_FIELD = "policy.excluded_label"
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The whole experiment; its fields, types and defaults are the schema of
+    the config document. An empty ``name`` becomes ``sweep_seed<seed>``; the
+    stage seeds ``split.seed``, ``train.seed`` and ``gbdt.seed`` default to
+    None, meaning derived per run from the master ``seed``."""
+
     name: str = ""
     seed: int = 0
     output_dir: str = "runs"
     dataset: DatasetConfig = DatasetConfig()
     split: SplitConfig = SplitConfig()
     model: ModelConfig = ModelConfig()
-    train: TrainConfig = TrainConfig()
-    train_seed: int | None = None
-    gbdt: GbdtConfig = GbdtConfig()
-    gbdt_seed: int | None = None
+    train: TrainConfig = TrainConfig(seed=None)
+    gbdt: GbdtConfig = GbdtConfig(seed=None)
     policy: DecisionPolicy = DecisionPolicy()
     excluded_class: int | None = None
 
+    def __post_init__(self) -> None:
+        if not self.name:
+            object.__setattr__(self, "name", f"sweep_seed{self.seed}")
+
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "dataset": {
-                "source": self.dataset.source,
-                "path": self.dataset.path,
-                "kind": self.dataset.kind,
-                "n_total": self.dataset.n_total,
-                "profile": {
-                    "proportions": list(self.dataset.profile.proportions),
-                    "names": list(self.dataset.profile.names),
-                    "dim": self.dataset.profile.dim,
-                    "separation": self.dataset.profile.separation,
-                    "covariance_scale": self.dataset.profile.covariance_scale,
-                    "close_pair": list(self.dataset.profile.close_pair),
-                    "close_distance": self.dataset.profile.close_distance,
-                },
-                "image": {"side": self.dataset.image.side,
-                          "channels": self.dataset.image.channels},
-            },
-            "split": {
-                "fractions": list(self.split.fractions),
-                "stratified": self.split.stratified,
-                "seed": self.split.seed,
-            },
-            "model": {
-                "input_shape": list(self.model.input_shape),
-                "conv_channels": list(self.model.conv_channels),
-                "n_heads": self.model.n_heads,
-                "n_classes": self.model.n_classes,
-            },
-            "train": {
-                "learning_rate": self.train.learning_rate,
-                "batch_size": self.train.batch_size,
-                "max_epochs": self.train.max_epochs,
-                "patience": self.train.patience,
-                "dropout_p": self.train.dropout_p,
-                "seed": self.train_seed,
-            },
-            "gbdt": {
-                "n_rounds": self.gbdt.n_rounds,
-                "max_depth": self.gbdt.max_depth,
-                "learning_rate": self.gbdt.learning_rate,
-                "min_child_weight": self.gbdt.min_child_weight,
-                "lambda_l2": self.gbdt.lambda_l2,
-                "subsample": self.gbdt.subsample,
-                "seed": self.gbdt_seed,
-            },
-            "policy": {
-                "kind": self.policy.kind,
-                "tau": self.policy.tau,
-                "base_confidence_floor": self.policy.base_confidence_floor,
-                "as_new_class": self.policy.as_new_class,
-            },
-            "excluded_class": self.excluded_class,
-        }
+        """The config document, as plain JSON values."""
+        doc = json.loads(json.dumps(asdict(self)))
+        section, key = _RUN_TIME_FIELD.split(".")
+        del doc[section][key]
+        return doc
 
 
 def default_config_dict() -> dict:
-    return ExperimentConfig(name="sweep_seed0").to_dict()
+    return ExperimentConfig().to_dict()
 
 
-def _expect(doc: Mapping, path: str, key: str, kinds: tuple, allow_none: bool = False):
-    full = f"{path}.{key}" if path else key
-    value = doc[key]
-    if value is None:
-        if allow_none:
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _value(hint: Any, value: Any, path: str) -> Any:
+    """Check one scalar, ``T | None`` or tuple value against its annotation;
+    ints widen to float where a float is expected, and floats must be finite."""
+    if get_origin(hint) is UnionType:
+        if value is None:
             return None
-        raise ConfigError(full, "must not be null")
-    if bool in kinds and not isinstance(value, bool) and isinstance(value, (int, float)):
-        raise ConfigError(full, "expected a boolean")
-    if isinstance(value, bool) and bool not in kinds:
-        raise ConfigError(full, "expected a number" if float in kinds or int in kinds
-                          else "unexpected boolean")
-    if float in kinds and isinstance(value, int):
+        (hint,) = [arg for arg in get_args(hint) if arg is not NoneType]
+    elif value is None:
+        raise ConfigError(path, "must not be null")
+    if get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(path, "expected a list")
+        kinds = get_args(hint)
+        if kinds[-1] is Ellipsis:
+            kinds = kinds[:1] * len(value)
+        elif len(kinds) != len(value):
+            raise ConfigError(path, f"expected {len(kinds)} items")
+        return tuple(_value(kind, item, path) for kind, item in zip(kinds, value))
+    if hint is float and type(value) is int:
         value = float(value)
-    if not isinstance(value, kinds):
-        raise ConfigError(full, f"expected {'/'.join(k.__name__ for k in kinds)}")
+    if isinstance(value, bool) != (hint is bool) or not isinstance(value, hint):
+        raise ConfigError(path, f"expected {hint.__name__}")
+    if hint is float and not math.isfinite(value):
+        raise ConfigError(path, "must be finite")
     return value
 
 
-def _check_unknown(doc: Mapping, path: str, known: Sequence[str]) -> None:
+def _build(cls: type, doc: Any, path: str, default: Any = None) -> Any:
+    """Check ``doc`` against dataclass ``cls`` and construct it.
+
+    Unknown keys are rejected. Missing keys keep their value in ``default``
+    (the class defaults when None); nested dataclasses start from the
+    parent's value. A ``__post_init__`` check failing becomes a ConfigError
+    at ``path``.
+    """
+    if not isinstance(doc, Mapping):
+        raise ConfigError(path, "expected an object")
+    names = [f.name for f in fields(cls) if _join(path, f.name) != _RUN_TIME_FIELD]
     for key in doc:
-        if key not in known:
-            full = f"{path}.{key}" if path else key
-            raise ConfigError(full, "unknown field")
+        if key not in names:
+            raise ConfigError(_join(path, key), "unknown field")
+    hints = get_type_hints(cls)
+    base = cls() if default is None else default
+    values = {}
+    for name in names:
+        if is_dataclass(hints[name]):
+            values[name] = _build(
+                hints[name], doc.get(name, {}), _join(path, name), getattr(base, name)
+            )
+        elif name in doc:
+            values[name] = _value(hints[name], doc[name], _join(path, name))
+    try:
+        return cls(**values) if default is None else replace(default, **values)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
 
 
-def _merge(defaults: dict, override: Mapping, path: str = "") -> dict:
-    _check_unknown(override, path, list(defaults))
-    out = {}
-    for key, base in defaults.items():
-        full = f"{path}.{key}" if path else key
-        if key not in override:
-            out[key] = base
-        elif isinstance(base, dict):
-            if not isinstance(override[key], Mapping):
-                raise ConfigError(full, "expected an object")
-            out[key] = _merge(base, override[key], full)
-        else:
-            out[key] = override[key]
-    return out
+def _check(config: ExperimentConfig) -> None:
+    """The rules the field types do not carry, each raised at its field."""
+    for path, seed in (("seed", config.seed), ("split.seed", config.split.seed),
+                       ("train.seed", config.train.seed), ("gbdt.seed", config.gbdt.seed)):
+        if seed is not None and not 0 <= seed < 2**64:
+            raise ConfigError(path, "must be a 64-bit non-negative integer")
+    d = config.dataset
+    if d.source not in ("generated", "file"):
+        raise ConfigError("dataset.source", "must be 'generated' or 'file'")
+    if d.source == "file" and not d.path:
+        raise ConfigError("dataset.path", "required when source is 'file'")
+    if d.kind not in ("gaussian", "images"):
+        raise ConfigError("dataset.kind", "must be 'gaussian' or 'images'")
+    if any(v <= 0 for v in d.profile.proportions):
+        raise ConfigError("dataset.profile.proportions", "must be positive")
+    if len(d.profile.names) != len(d.profile.proportions):
+        raise ConfigError("dataset.profile.names", "must match proportions length")
+    fractions = config.split.fractions
+    if any(f <= 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
+        raise ConfigError("split.fractions", "must be positive and sum to 1")
+    for path, check in (("dataset.profile", d.profile.to_cluster_spec),
+                        ("model", config.model.validate),
+                        ("train", config.train.validate),
+                        ("gbdt", config.gbdt.validate)):
+        try:
+            check()
+        except ValueError as exc:
+            raise ConfigError(path, str(exc)) from None
+    k = len(d.profile.proportions)
+    if d.source == "generated" and config.model.n_classes != k:
+        raise ConfigError("model.n_classes", f"profile defines {k} classes")
+    policy = config.policy
+    if policy.kind not in POLICY_KINDS:
+        raise ConfigError("policy.kind", f"unknown kind {policy.kind!r}")
+    for key in ("tau", "base_confidence_floor"):
+        if not 0.0 <= getattr(policy, key) <= 1.0:
+            raise ConfigError(f"policy.{key}", "must be in [0, 1]")
+    excluded = config.excluded_class
+    if excluded is not None and not 0 <= excluded < config.model.n_classes:
+        raise ConfigError("excluded_class", f"must be in [0, {config.model.n_classes})")
 
 
 def normalize_config(document: Mapping | None) -> ExperimentConfig:
@@ -288,147 +285,11 @@ def normalize_config(document: Mapping | None) -> ExperimentConfig:
     manifest (the config sits under its "config" key) for replayability.
     """
     doc = dict(document or {})
-    if "config" in doc and isinstance(doc.get("config"), Mapping) and "seed" not in doc:
+    if isinstance(doc.get("config"), Mapping) and "seed" not in doc:
         doc = dict(doc["config"])  # manifest replay
-    merged = _merge(default_config_dict(), doc)
-
-    seed = _expect(merged, "", "seed", (int,))
-    if not 0 <= seed < 2**64:
-        raise ConfigError("seed", "must be a 64-bit non-negative integer")
-    name = merged["name"] or f"sweep_seed{seed}"
-    if not isinstance(name, str):
-        raise ConfigError("name", "expected a string")
-    output_dir = _expect(merged, "", "output_dir", (str,))
-
-    d = merged["dataset"]
-    source = _expect(d, "dataset", "source", (str,))
-    if source not in ("generated", "file"):
-        raise ConfigError("dataset.source", "must be 'generated' or 'file'")
-    path = _expect(d, "dataset", "path", (str,), allow_none=True)
-    if source == "file" and not path:
-        raise ConfigError("dataset.path", "required when source is 'file'")
-    kind = _expect(d, "dataset", "kind", (str,))
-    if kind not in ("gaussian", "images"):
-        raise ConfigError("dataset.kind", "must be 'gaussian' or 'images'")
-    n_total = _expect(d, "dataset", "n_total", (int,))
-    p = d["profile"]
-    proportions = tuple(
-        float(v) for v in _expect(p, "dataset.profile", "proportions", (list, tuple))
-    )
-    if any(v <= 0 for v in proportions):
-        raise ConfigError("dataset.profile.proportions", "must be positive")
-    names = tuple(str(v) for v in _expect(p, "dataset.profile", "names", (list, tuple)))
-    if len(names) != len(proportions):
-        raise ConfigError("dataset.profile.names", "must match proportions length")
-    dim = _expect(p, "dataset.profile", "dim", (int,))
-    separation = _expect(p, "dataset.profile", "separation", (float,))
-    cov = _expect(p, "dataset.profile", "covariance_scale", (float,))
-    if cov < 0:
-        raise ConfigError("dataset.profile.covariance_scale", "must be >= 0")
-    close_pair = tuple(
-        int(v) for v in _expect(p, "dataset.profile", "close_pair", (list, tuple))
-    )
-    if len(close_pair) != 2:
-        raise ConfigError("dataset.profile.close_pair", "must name two classes")
-    close_distance = _expect(p, "dataset.profile", "close_distance", (float,))
-    img = d["image"]
-    side = _expect(img, "dataset.image", "side", (int,))
-    channels = _expect(img, "dataset.image", "channels", (int,))
-    profile = ProfileConfig(
-        proportions=proportions, names=names, dim=dim, separation=separation,
-        covariance_scale=cov, close_pair=close_pair, close_distance=close_distance,
-    )
-    dataset = DatasetConfig(
-        source=source, path=path, kind=kind, n_total=n_total,
-        profile=profile, image=SequenceImageSpec(side=side, channels=channels),
-    )
-    k = len(proportions)
-
-    s = merged["split"]
-    fractions = tuple(
-        float(v) for v in _expect(s, "split", "fractions", (list, tuple))
-    )
-    if len(fractions) != 3:
-        raise ConfigError("split.fractions", "must be three fractions")
-    if any(f <= 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
-        raise ConfigError("split.fractions", "must be positive and sum to 1")
-    stratified = _expect(s, "split", "stratified", (bool,))
-    split_seed = _expect(s, "split", "seed", (int,), allow_none=True)
-    split = SplitConfig(fractions=fractions, stratified=stratified, seed=split_seed)
-
-    m = merged["model"]
-    input_shape = tuple(int(v) for v in _expect(m, "model", "input_shape", (list, tuple)))
-    conv_channels = tuple(
-        int(v) for v in _expect(m, "model", "conv_channels", (list, tuple))
-    )
-    n_heads = _expect(m, "model", "n_heads", (int,))
-    n_classes = _expect(m, "model", "n_classes", (int,))
-    model = ModelConfig(
-        input_shape=input_shape, conv_channels=conv_channels,
-        n_heads=n_heads, n_classes=n_classes,
-    )
-    try:
-        model.validate()
-    except ValueError as exc:
-        raise ConfigError("model", str(exc)) from None
-    if dataset.source == "generated" and model.n_classes != k:
-        raise ConfigError("model.n_classes", f"profile defines {k} classes")
-
-    t = merged["train"]
-    train_cfg = TrainConfig(
-        learning_rate=_expect(t, "train", "learning_rate", (float,)),
-        batch_size=_expect(t, "train", "batch_size", (int,)),
-        max_epochs=_expect(t, "train", "max_epochs", (int,)),
-        patience=_expect(t, "train", "patience", (int,)),
-        dropout_p=_expect(t, "train", "dropout_p", (float,)),
-        seed=0,
-    )
-    try:
-        train_cfg.validate()
-    except ValueError as exc:
-        raise ConfigError("train", str(exc)) from None
-    train_seed = _expect(t, "train", "seed", (int,), allow_none=True)
-
-    g = merged["gbdt"]
-    gbdt_cfg = GbdtConfig(
-        n_rounds=_expect(g, "gbdt", "n_rounds", (int,)),
-        max_depth=_expect(g, "gbdt", "max_depth", (int,)),
-        learning_rate=_expect(g, "gbdt", "learning_rate", (float,)),
-        min_child_weight=_expect(g, "gbdt", "min_child_weight", (float,)),
-        lambda_l2=_expect(g, "gbdt", "lambda_l2", (float,)),
-        subsample=_expect(g, "gbdt", "subsample", (float,)),
-        seed=0,
-    )
-    try:
-        gbdt_cfg.validate()
-    except ValueError as exc:
-        raise ConfigError("gbdt", str(exc)) from None
-    gbdt_seed = _expect(g, "gbdt", "seed", (int,), allow_none=True)
-
-    pol = merged["policy"]
-    pol_kind = _expect(pol, "policy", "kind", (str,))
-    tau = _expect(pol, "policy", "tau", (float,))
-    if not 0.0 <= tau <= 1.0:
-        raise ConfigError("policy.tau", "must be in [0, 1]")
-    floor = _expect(pol, "policy", "base_confidence_floor", (float,))
-    if not 0.0 <= floor <= 1.0:
-        raise ConfigError("policy.base_confidence_floor", "must be in [0, 1]")
-    as_new = _expect(pol, "policy", "as_new_class", (bool,))
-    policy = DecisionPolicy(
-        kind=pol_kind, tau=tau, base_confidence_floor=floor, as_new_class=as_new,
-    )
-    if policy.kind not in ("always_corrector", "threshold_override", "excluded_only"):
-        raise ConfigError("policy.kind", f"unknown kind {policy.kind!r}")
-
-    excluded = _expect(merged, "", "excluded_class", (int,), allow_none=True)
-    if excluded is not None and not 0 <= excluded < model.n_classes:
-        raise ConfigError("excluded_class", f"must be in [0, {model.n_classes})")
-
-    return ExperimentConfig(
-        name=name, seed=seed, output_dir=output_dir, dataset=dataset, split=split,
-        model=model, train=train_cfg, train_seed=train_seed, gbdt=gbdt_cfg,
-        gbdt_seed=gbdt_seed, policy=policy, excluded_class=excluded,
-    )
+    config = _build(ExperimentConfig, doc, "")
+    _check(config)
+    return config
 
 
 def config_sha256(config: ExperimentConfig) -> str:
@@ -542,8 +403,8 @@ def run_single(
         init_rng = Rng.from_seed(config.seed).derive("run", run_word, "init")
         model = StagedModel(config.model, rng=init_rng, seed=config.seed)
         seed = (
-            config.train_seed
-            if config.train_seed is not None
+            config.train.seed
+            if config.train.seed is not None
             else derived_seed(config.seed, "run", run_word, "train")
         )
         model, history = train(
@@ -577,8 +438,8 @@ def run_single(
             raise StageError("latents", str(exc)) from exc
         try:
             seed = (
-                config.gbdt_seed
-                if config.gbdt_seed is not None
+                config.gbdt.seed
+                if config.gbdt.seed is not None
                 else derived_seed(config.seed, "run", run_word, "gbdt")
             )
             ensemble = fit_corrector(

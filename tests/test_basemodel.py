@@ -314,6 +314,11 @@ class TestTrain:
         with pytest.raises(ValueError, match="length-K"):
             train(model, two_class_data, two_class_data, np.ones(5), TrainConfig())
 
+    def test_rejects_unresolved_seed(self, two_class_data):
+        model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 1, 2), seed=0)
+        with pytest.raises(ValueError, match="seed is None"):
+            train(model, two_class_data, two_class_data, np.ones(2), TrainConfig(seed=None))
+
     def test_history_csv_shape(self, trained_two_class):
         _, history, _ = trained_two_class
         lines = history.to_csv().strip().split("\n")

@@ -75,6 +75,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             GbdtConfig(**kwargs).validate()
 
+    def test_fit_rejects_unresolved_seed(self):
+        with pytest.raises(ValueError, match="seed is None"):
+            fit(np.eye(4), [0, 1, 0, 1], GbdtConfig(n_rounds=1, seed=None))
+
 
 class TestSplitGain:
     def test_hand_computed_symmetric_case(self):

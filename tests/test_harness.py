@@ -13,8 +13,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mclab.composer import DecisionPolicy
+from mclab.composer import POLICY_KINDS, DecisionPolicy
 from mclab.core import split_dataset
 from mclab.corrector import load_ensemble
 from mclab.harness import (
@@ -56,6 +58,58 @@ def mini_config(out_dir: str, **kwargs) -> ExperimentConfig:
     return normalize_config(mini_doc(out_dir, **kwargs))
 
 
+def _section(**keys) -> st.SearchStrategy:
+    return st.fixed_dictionaries({}, optional=keys)
+
+
+SEEDS = st.integers(0, 2**64 - 1)
+UNIT = st.floats(0.0, 1.0) | st.integers(0, 1)
+# valid overrides of the default (seven-class) document; ints stand in for
+# floats where the schema widens them
+VALID_OVERRIDES = _section(
+    name=st.text("ab_0", max_size=6),
+    seed=SEEDS,
+    output_dir=st.text("ab/", min_size=1, max_size=6),
+    dataset=_section(
+        kind=st.sampled_from(["gaussian", "images"]),
+        n_total=st.integers(70, 10**6),
+        profile=_section(
+            dim=st.integers(7, 128),
+            separation=st.floats(0.0, 50.0) | st.integers(0, 50),
+            covariance_scale=st.floats(0.0, 5.0),
+            close_pair=st.sampled_from([[3, 6], [0, 1], [6, 2]]),
+            close_distance=st.floats(0.0, 10.0),
+        ),
+        image=_section(side=st.integers(2, 64), channels=st.integers(1, 4)),
+    ),
+    split=_section(stratified=st.booleans(), seed=st.none() | SEEDS),
+    train=_section(
+        learning_rate=st.floats(0.0, 1.0),
+        batch_size=st.integers(1, 512),
+        max_epochs=st.integers(1, 100),
+        patience=st.integers(0, 20),
+        dropout_p=st.floats(0.0, 0.99),
+        seed=st.none() | SEEDS,
+    ),
+    gbdt=_section(
+        n_rounds=st.integers(1, 500),
+        max_depth=st.integers(1, 8),
+        learning_rate=st.floats(0.0, 1.0, exclude_min=True) | st.just(1),
+        min_child_weight=st.floats(0.0, 10.0),
+        lambda_l2=st.floats(0.0, 10.0),
+        subsample=st.floats(0.0, 1.0, exclude_min=True),
+        seed=st.none() | SEEDS,
+    ),
+    policy=_section(
+        kind=st.sampled_from(POLICY_KINDS),
+        tau=UNIT,
+        base_confidence_floor=UNIT,
+        as_new_class=st.booleans(),
+    ),
+    excluded_class=st.none() | st.integers(0, 6),
+)
+
+
 def tree_files(root: Path) -> list[Path]:
     return sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
 
@@ -73,6 +127,7 @@ class TestNormalizeConfig:
     def test_empty_document_gives_full_defaults(self):
         cfg = normalize_config({})
         assert cfg == ExperimentConfig(name="sweep_seed0")
+        assert cfg == ExperimentConfig()
         assert cfg.model.n_classes == 7
         assert len(cfg.dataset.profile.proportions) == 7
         assert cfg.dataset.n_total == 7000
@@ -83,6 +138,29 @@ class TestNormalizeConfig:
 
     def test_default_dict_round_trips(self):
         assert normalize_config(default_config_dict()).to_dict() == default_config_dict()
+
+    @settings(max_examples=60, deadline=None)
+    @given(doc=VALID_OVERRIDES)
+    def test_valid_documents_round_trip(self, doc):
+        cfg = normalize_config(doc)
+        assert normalize_config(cfg.to_dict()) == cfg
+
+    def test_config_bytes_are_pinned(self):
+        # the input is pure JSON, so these digests hold on every host
+        assert config_sha256(normalize_config({})) == (
+            "11907b70cdb375df588f8c5e978952b3e494d26f48f8f974246132548a1ab4de"
+        )
+        assert config_sha256(mini_config("runs")) == (
+            "523babbf0d385a66df0f5ebf6d12cbb8d495b334fc77563b503ac4b962adb93c"
+        )
+
+    def test_readme_default_block_is_the_default_config(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+            encoding="utf-8"
+        )
+        after = readme.split("The full default config", 1)[1]
+        block = after.split("```json\n", 1)[1].split("```", 1)[0]
+        assert json.loads(block) == default_config_dict()
 
     def test_manifest_document_is_accepted(self, tmp_path):
         cfg = mini_config(str(tmp_path))
@@ -110,6 +188,16 @@ class TestNormalizeConfig:
             ({"train": {"learning_rate": -0.5}}, "train"),
             ({"mystery": 1}, "mystery"),
             ({"dataset": {"profile": {"shape": "round"}}}, "dataset.profile.shape"),
+            ({"model": {"conv_channels": [2.7, 4, 8]}}, "model.conv_channels"),
+            ({"dataset": {"profile": {"proportions": ["a", 1, 1]}}},
+             "dataset.profile.proportions"),
+            ({"dataset": {"image": {"side": 1}}}, "dataset.image"),
+            ({"dataset": {"profile": {"close_pair": [1, 1]}}}, "dataset.profile"),
+            ({"split": {"seed": -3}}, "split.seed"),
+            ({"train": {"seed": -3}}, "train.seed"),
+            ({"gbdt": {"seed": 2**64}}, "gbdt.seed"),
+            ({"dataset": {"profile": {"covariance_scale": float("nan")}}},
+             "dataset.profile.covariance_scale"),
         ],
     )
     def test_rejections_name_the_field(self, tmp_path, patch, path):
@@ -135,7 +223,7 @@ class TestNormalizeConfig:
         doc["gbdt"]["seed"] = None
         cfg = normalize_config(doc)
         assert cfg.split.seed is None
-        assert cfg.train_seed is None and cfg.gbdt_seed is None
+        assert cfg.train.seed is None and cfg.gbdt.seed is None
 
     def test_config_digest_tracks_content(self, tmp_path):
         a = mini_config(str(tmp_path))
