@@ -319,8 +319,12 @@ class StagedModel:
         return LatentLayout(LATENT_STAGES, (c_p, d, d, d, self.config.n_classes))
 
 
+# rows per forward_batch call in the batched passes below
+FORWARD_CHUNK = 256
+
+
 def forward_latents(
-    model: StagedModel, data: LabeledDataset | np.ndarray, chunk: int = 256
+    model: StagedModel, data: LabeledDataset | np.ndarray, chunk: int = FORWARD_CHUNK
 ) -> tuple[np.ndarray, np.ndarray, LatentLayout]:
     """One chunked pass: class probabilities, latent matrix and its layout.
 
@@ -349,7 +353,7 @@ def forward_latents(
 
 
 def predict_batch(
-    model: StagedModel, data: LabeledDataset | np.ndarray, chunk: int = 256
+    model: StagedModel, data: LabeledDataset | np.ndarray, chunk: int = FORWARD_CHUNK
 ) -> tuple[np.ndarray, np.ndarray]:
     """Labels (argmax ties break toward the lowest id) and class probabilities."""
     probs, _, _ = forward_latents(model, data, chunk)
@@ -357,7 +361,7 @@ def predict_batch(
 
 
 def extract_latents(
-    model: StagedModel, data: LabeledDataset | np.ndarray, chunk: int = 256
+    model: StagedModel, data: LabeledDataset | np.ndarray, chunk: int = FORWARD_CHUNK
 ) -> list[LatentRecord]:
     """Latent records for every sample, dropout disabled, order preserved.
 

@@ -4,10 +4,10 @@ The corrected classifier returns the base prediction unless the active policy
 fires, in which case the corrector's verdict (or the NEW_CLASS sentinel)
 replaces it. Raising ``tau`` never increases the number of overrides.
 
-``compose_batch`` makes one forward pass over the batch, which yields both
-the base posteriors and the corrector's latent matrix, and applies the policy
-once over whole arrays (``decide_batch``); ``compose`` runs the same rule on
-a one-row batch.
+``compose_batch`` streams the batch in row blocks: one forward pass per
+block yields both the base posteriors and the corrector's latent rows, and
+the policy runs once over the whole posterior arrays (``decide_batch``);
+``compose`` runs the same rule on a one-row batch.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .basemodel import LatentRecord, StagedModel, forward_latents
+from .basemodel import FORWARD_CHUNK, LatentRecord, StagedModel, forward_latents
 from .core import NEW_CLASS, LabeledDataset
 from .corrector import CorrectorEnsemble
 
@@ -38,6 +38,11 @@ __all__ = [
 POLICY_KINDS = ("always_corrector", "threshold_override", "excluded_only")
 
 PREDS_MAGIC = "mclab-preds v1"
+
+# compose_batch streams rows in blocks of this size. It is a multiple of the
+# forward chunk, so every block splits into the chunks one pass over the
+# whole batch would make.
+STREAM_BLOCK = 16 * FORWARD_CHUNK
 
 
 @dataclass(frozen=True)
@@ -64,13 +69,21 @@ class DecisionPolicy:
     excluded_label: int | None = None
     as_new_class: bool = False
 
-    def validate(self) -> None:
+    def field_problems(self) -> list[tuple[str, str]]:
+        """(field, message) for each field out of its range. The run-time
+        ``excluded_label`` is left to ``validate``."""
+        problems = []
         if self.kind not in POLICY_KINDS:
-            raise ValueError(f"unknown policy kind {self.kind!r}")
-        if not 0.0 <= self.tau <= 1.0:
-            raise ValueError("tau must be in [0, 1]")
-        if not 0.0 <= self.base_confidence_floor <= 1.0:
-            raise ValueError("base_confidence_floor must be in [0, 1]")
+            problems.append(("kind", f"must be one of {', '.join(POLICY_KINDS)}, "
+                                     f"not {self.kind!r}"))
+        for key in ("tau", "base_confidence_floor"):
+            if not 0.0 <= getattr(self, key) <= 1.0:
+                problems.append((key, "must be in [0, 1]"))
+        return problems
+
+    def validate(self) -> None:
+        for key, message in self.field_problems():
+            raise ValueError(f"{key} {message}")
         if self.kind == "excluded_only" and self.excluded_label is None:
             raise ValueError("excluded_only policy needs excluded_label")
 
@@ -159,10 +172,19 @@ def compose_batch(
 ) -> list[CorrectedPrediction]:
     """Corrected predictions for every sample, in dataset order.
 
-    One forward pass gives both the base posteriors and the latent matrix.
+    Rows are streamed in blocks of ``STREAM_BLOCK``. One forward pass per
+    block gives its base posteriors and latent rows, the corrector scores
+    those rows, and both posteriors fill preallocated (n, K) arrays, so the
+    latent matrix of the whole batch is never built. The policy then runs
+    once over the two arrays.
     """
-    base_probs, latents, layout = forward_latents(model, data)
-    corr_probs = ensemble.predict_proba(ensemble.align(latents, layout))
+    n = len(data)
+    base_probs = np.empty((n, model.config.n_classes))
+    corr_probs = np.empty((n, ensemble.n_classes))
+    for start in range(0, n, STREAM_BLOCK):
+        rows = slice(start, start + STREAM_BLOCK)
+        base_probs[rows], latents, layout = forward_latents(model, data.features[rows])
+        corr_probs[rows] = ensemble.predict_proba(ensemble.align(latents, layout))
     return decide_batch(base_probs, corr_probs, policy)
 
 

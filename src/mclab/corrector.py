@@ -11,14 +11,27 @@ with ties broken toward the lower feature index, then the lower threshold.
 Leaf values are -G/(H+lambda) * learning_rate. Thresholds are the left
 neighbor's feature value with an ``x <= t`` routing rule, so partitions are
 exact on float data.
+
+Evaluation packs the trees into flat arrays and scores them as leaf
+bitmasks, after QuickScorer (Lucchese et al., SIGIR 2015). A tree's leaves
+are numbered left to right, and each split node carries a word whose set
+bits are the leaves of its left subtree. A row for which ``x <= t`` is false
+at a node cannot reach those leaves; OR-ing the words of all such nodes of a
+tree marks every leaf the row cannot reach, and the lowest unmarked bit is
+its exit leaf. NaN compares false, so a NaN feature goes right at every
+split. Words are uint8 to uint64, the narrowest that holds a tree's leaves;
+a tree with more than 64 leaves spans several words. Leaf values are added
+round by round, in the order ``fit`` adds them, so the margins are
+bit-identical to walking each tree row by row.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -29,14 +42,20 @@ from .stages import softmax
 __all__ = [
     "CorrectorEnsemble",
     "GbdtConfig",
+    "PackedForest",
     "Tree",
     "fit",
     "load_ensemble",
+    "pack_trees",
     "save_ensemble",
     "split_gain",
 ]
 
 GBDT_MAGIC = "mclab-gbdt v1"
+
+# One evaluation block's (split nodes, rows) scratch holds about this many
+# elements; the block's row count follows from the forest's split count.
+EVAL_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -107,22 +126,135 @@ class Tree:
     def n_nodes(self) -> int:
         return len(self.feature)
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        feature = np.asarray(self.feature)
-        threshold = np.asarray(self.threshold)
-        left = np.asarray(self.left)
-        right = np.asarray(self.right)
-        value = np.asarray(self.value)
-        node = np.zeros(x.shape[0], dtype=np.int64)
-        while True:
-            feat = feature[node]
-            live = feat >= 0
-            if not live.any():
-                break
-            rows = np.nonzero(live)[0]
-            goes_left = x[rows, feat[rows]] <= threshold[node[rows]]
-            node[rows] = np.where(goes_left, left[node[rows]], right[node[rows]])
-        return value[node]
+
+def _leaf_order(tree: Tree) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """The tree's leaves left to right, and (node, lo, mid) per split node:
+    its left subtree holds leaves lo..mid-1 and its right subtree starts at mid."""
+    before: dict[int, int] = {}  # node -> leaves left of its subtree
+    leaves: list[int] = []
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        before[node] = len(leaves)
+        if tree.feature[node] < 0:
+            leaves.append(node)
+        else:
+            stack += (tree.right[node], tree.left[node])
+    splits = [(n, lo, before[tree.right[n]]) for n, lo in before.items() if tree.feature[n] >= 0]
+    return leaves, splits
+
+
+@dataclass(frozen=True)
+class PackedForest:
+    """Trees as flat arrays for leaf-bitmask evaluation (see the module notes).
+
+    A word covers up to ``bits`` consecutive leaves of one tree. Node rows
+    come in layers: layer j holds the j-th node of every word that has more
+    than j. Words sit in slots sorted by node count, so the words a layer
+    touches are always a prefix of the slots.
+    """
+
+    feature: np.ndarray  # (S,) split feature of each node row
+    threshold: np.ndarray  # (S,)
+    left_leaves: np.ndarray  # (S,) word: the node's left-subtree leaves
+    layers: tuple[int, ...]  # node rows per layer
+    slot_word: np.ndarray  # (W,) word held by each slot
+    slot_leaf: np.ndarray  # (W,) flat leaf index of bit 0 of the slot's word
+    tree_first_word: np.ndarray | None  # (T,); None when every tree fits one word
+    values: np.ndarray  # leaf values: trees in order, leaves left to right
+    n_trees: int
+
+    @property
+    def bits(self) -> int:
+        return 8 * self.left_leaves.dtype.itemsize
+
+    def leaf_values(self, x: np.ndarray) -> np.ndarray:
+        """(n_trees, rows): the value of the leaf each row of ``x`` reaches."""
+        goes_right = ~(np.ascontiguousarray(x.T)[self.feature] <= self.threshold[:, None])
+        lost_words = self.left_leaves[:, None] * goes_right
+        lost = np.zeros((self.slot_word.size, x.shape[0]), self.left_leaves.dtype)
+        start = 0
+        for count in self.layers:
+            np.bitwise_or(lost[:count], lost_words[start : start + count], out=lost[:count])
+            start += count
+        # the exit leaf is the lowest bit not lost: count the trailing ones
+        exit_bit = np.bitwise_count(lost & ~(lost + 1))
+        leaf = self.slot_leaf[:, None] + exit_bit
+        if self.tree_first_word is not None:
+            leaf[exit_bit == self.bits] = self.values.size  # every leaf of the word lost
+        by_word = np.empty_like(leaf)
+        by_word[self.slot_word] = leaf
+        if self.tree_first_word is not None:
+            by_word = np.minimum.reduceat(by_word, self.tree_first_word, axis=0)
+        return self.values[by_word]
+
+
+def pack_trees(trees: Sequence[Tree]) -> PackedForest:
+    """Flatten ``trees`` (in order) into one ``PackedForest``."""
+    shapes = [_leaf_order(tree) for tree in trees]
+    widest = max((len(leaves) for leaves, _ in shapes), default=1)
+    dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                 if widest <= 8 * np.dtype(t).itemsize or t is np.uint64)
+    bits = 8 * np.dtype(dtype).itemsize
+    words: list[list[tuple[int, float, int]]] = []  # per word: (feature, threshold, bits)
+    word_leaf: list[int] = []
+    tree_first_word: list[int] = []
+    values: list[float] = []
+    for tree, (leaves, splits) in zip(trees, shapes):
+        first = len(words)
+        tree_first_word.append(first)
+        for w in range(0, len(leaves), bits):
+            word_leaf.append(len(values) + w)
+            words.append([])
+        values.extend(tree.value[leaf] for leaf in leaves)
+        for node, lo, mid in splits:
+            for w in range(lo // bits, (mid - 1) // bits + 1):
+                a, b = max(lo - w * bits, 0), min(mid - w * bits, bits)
+                words[first + w].append(
+                    (tree.feature[node], tree.threshold[node], ((1 << (b - a)) - 1) << a)
+                )
+    counts = np.array([len(nodes) for nodes in words], dtype=np.intp)
+    slot_word = np.argsort(-counts, kind="stable")
+    layers, rows = [], []
+    for j in range(int(counts.max(initial=0))):
+        live = int(np.count_nonzero(counts > j))
+        layers.append(live)
+        rows.extend(words[w][j] for w in slot_word[:live])
+    feature, threshold, left_leaves = zip(*rows) if rows else ((), (), ())
+    return PackedForest(
+        feature=np.array(feature, dtype=np.intp),
+        threshold=np.array(threshold, dtype=np.float64),
+        left_leaves=np.array(left_leaves, dtype=dtype),
+        layers=tuple(layers),
+        slot_word=slot_word,
+        slot_leaf=np.array(word_leaf, dtype=np.intp)[slot_word],
+        tree_first_word=(None if len(words) == len(trees)
+                         else np.array(tree_first_word, dtype=np.intp)),
+        values=np.array(values, dtype=np.float64),
+        n_trees=len(trees),
+    )
+
+
+def _add_leaf_values(forest: PackedForest, x: np.ndarray, margins: np.ndarray) -> None:
+    """Add the forest's leaf values for the rows of ``x`` to ``margins`` (n, K).
+
+    The trees are round-major, K per round. Each round's values are added
+    after the round before, as ``fit`` adds them one round at a time, so the
+    sums are bit-identical to adding one tree at a time. Rows go in blocks
+    whose scratch stays near ``EVAL_BLOCK_ELEMENTS``.
+    """
+    k = margins.shape[1]
+    if forest.n_trees % k:
+        raise ValueError(f"{forest.n_trees} trees do not split into rounds of {k} classes")
+    if forest.n_trees == 0:
+        return
+    rows = max(1, EVAL_BLOCK_ELEMENTS // max(1, forest.feature.size))
+    for start in range(0, x.shape[0], rows):
+        block = slice(start, start + rows)
+        vals = forest.leaf_values(x[block])
+        vals = vals.reshape(-1, k, vals.shape[1])
+        vals[0] += margins[block].T
+        margins[block] = np.add.accumulate(vals, axis=0)[-1].T
 
 
 def _presort(x: np.ndarray) -> np.ndarray:
@@ -245,12 +377,15 @@ class CorrectorEnsemble:
             return _reorder_blocks(matrix, layout, self.layout)
         return matrix
 
+    @cached_property
+    def packed(self) -> PackedForest:
+        """Every tree, packed once on first use; ``trees`` must not change after."""
+        return pack_trees([tree for round_trees in self.trees for tree in round_trees])
+
     def raw_margins(self, latents) -> np.ndarray:
         x = self._coerce(latents)
         margins = np.tile(self.base_score, (x.shape[0], 1))
-        for round_trees in self.trees:
-            for cls, tree in enumerate(round_trees):
-                margins[:, cls] += tree.predict(x)
+        _add_leaf_values(self.packed, x, margins)
         return margins
 
     def predict_proba(self, latents) -> np.ndarray:
@@ -351,13 +486,13 @@ def fit(
             sorted_root = order[mask[order]].reshape(order.shape[0], m)
         else:
             sorted_root = order
-        round_trees = []
-        for cls in range(k):
-            tree = _build_tree(
-                xt, grad[:, cls], hess[:, cls], sorted_root, config, importance
-            )
-            margins[:, cls] += tree.predict(x)
-            round_trees.append(tree)
+        # gradients are fixed at the start of a round, so one update after
+        # its K trees gives the margins of K single-tree updates
+        round_trees = [
+            _build_tree(xt, grad[:, cls], hess[:, cls], sorted_root, config, importance)
+            for cls in range(k)
+        ]
+        _add_leaf_values(pack_trees(round_trees), x, margins)
         trees.append(round_trees)
         probs = softmax(margins, axis=-1)
         curve.append(_log_loss(probs, labels))
@@ -414,65 +549,139 @@ def save_ensemble(ensemble: CorrectorEnsemble, path: str | Path) -> None:
 
 
 def load_ensemble(path: str | Path) -> CorrectorEnsemble:
-    text = Path(path).read_text(encoding="ascii").splitlines()
-    if not text or text[0] != GBDT_MAGIC:
+    """Read a checkpoint written by ``save_ensemble``.
+
+    A truncated or malformed file raises ValueError naming the path and the
+    line. Besides the syntax it checks what evaluation relies on: one
+    base score per class, one importance per feature, n_rounds x n_classes
+    trees, and node tables that form a binary tree over the ensemble's
+    features (children come after their parent, every node but the root
+    has exactly one parent, and leaves have children -1,-1).
+    """
+    try:
+        lines = Path(path).read_text(encoding="ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not ASCII text (byte {exc.start})") from None
+    if not lines or lines[0] != GBDT_MAGIC:
         raise ValueError(f"not an ensemble checkpoint: {path}")
+    at = 0  # index of the line being read
 
-    def kv(line: str) -> dict[str, str]:
-        return dict(part.split("=", 1) for part in line.split())
+    def fail(message: str) -> NoReturn:
+        raise ValueError(f"{path}: line {at + 1}: {message}")
 
-    head1 = kv(text[1])
-    head2 = kv(text[2])
+    def read(prefix: str = "") -> str:
+        nonlocal at
+        at += 1
+        if at >= len(lines):
+            fail("file ends early")
+        if not lines[at].startswith(prefix):
+            fail(f"expected {prefix!r}")
+        return lines[at][len(prefix):]
+
+    def number(kind: type, text: str):
+        try:
+            return kind(text)
+        except ValueError:
+            fail(f"{text!r} is not {'an int' if kind is int else 'a float'}")
+
+    def fields(kinds: dict[str, type]) -> dict:
+        pairs = dict(part.partition("=")[::2] for part in read().split())
+        if sorted(pairs) != sorted(kinds):
+            fail(f"expected the fields {', '.join(kinds)}")
+        return {key: number(kind, pairs[key]) for key, kind in kinds.items()}
+
+    def floats(prefix: str, count: int) -> np.ndarray:
+        values = [number(float, v) for v in read(prefix).split(",")]
+        if len(values) != count:
+            fail(f"{prefix[:-1]} has {len(values)} values, expected {count}")
+        return np.array(values)
+
+    def read_tree(n_nodes: int, n_features: int) -> Tree:
+        nonlocal at
+        if not 1 <= n_nodes < len(lines) - at:
+            fail(f"nodes={n_nodes} does not fit the rest of the file")
+        first = at + 1
+        parent = [-1] * n_nodes
+        tree = Tree()
+        for j in range(n_nodes):
+            cells = read().split(",")
+            if len(cells) != 6 or number(int, cells[0]) != j:
+                fail(f"malformed node: expected 6 fields starting with {j}")
+            feat, left, right = (number(int, cells[c]) for c in (1, 3, 4))
+            if feat == -1:
+                if (left, right) != (-1, -1):
+                    fail("a leaf must have children -1,-1")
+            elif not 0 <= feat < n_features:
+                fail(f"split feature {feat} is outside [0, {n_features})")
+            else:
+                for child in (left, right):
+                    if not j < child < n_nodes:
+                        fail(f"child {child} is outside ({j}, {n_nodes})")
+                    if parent[child] >= 0:
+                        fail(f"node {child} already has parent {parent[child]}")
+                    parent[child] = j
+            tree.feature.append(feat)
+            tree.threshold.append(number(float, cells[2]))
+            tree.left.append(left)
+            tree.right.append(right)
+            tree.value.append(number(float, cells[5]))
+        for j in range(1, n_nodes):
+            if parent[j] < 0:
+                at = first + j
+                fail(f"node {j} has no parent")
+        return tree
+
+    head = fields({"n_classes": int, "n_features": int, "n_rounds": int, "max_depth": int})
+    n_classes, n_features = head["n_classes"], head["n_features"]
+    if n_classes < 2 or n_features < 1:
+        fail("need n_classes >= 2 and n_features >= 1")
     config = GbdtConfig(
-        n_rounds=int(head1["n_rounds"]),
-        max_depth=int(head1["max_depth"]),
-        learning_rate=float(head2["learning_rate"]),
-        min_child_weight=float(head2["min_child_weight"]),
-        lambda_l2=float(head2["lambda_l2"]),
-        subsample=float(head2["subsample"]),
-        seed=int(head2["seed"]),
+        n_rounds=head["n_rounds"],
+        max_depth=head["max_depth"],
+        **fields({"learning_rate": float, "min_child_weight": float, "lambda_l2": float,
+                  "subsample": float, "seed": int}),
     )
-    n_classes = int(head1["n_classes"])
-    n_features = int(head1["n_features"])
-    base = np.array([float(v) for v in text[3].removeprefix("base_score=").split(",")])
-    layout_field = text[4].removeprefix("layout=")
+    try:
+        config.validate()
+    except ValueError as exc:
+        fail(str(exc))
+    base = floats("base_score=", n_classes)
+    layout_field = read("layout=")
     layout = None
     if layout_field != "none":
         names, sizes = [], []
         for part in layout_field.split(","):
-            name, size = part.rsplit(":", 1)
+            name, _, size = part.rpartition(":")
             names.append(name)
-            sizes.append(int(size))
-        layout = LatentLayout(tuple(names), tuple(sizes))
-    importance = np.array(
-        [float(v) for v in text[5].removeprefix("importance=").split(",")]
-    )
-    curve = [float(v) for v in text[6].removeprefix("loss_curve=").split(",")]
+            sizes.append(number(int, size))
+        try:
+            layout = LatentLayout(tuple(names), tuple(sizes))
+        except ValueError as exc:
+            fail(str(exc))
+        if layout.total != n_features:
+            fail(f"layout covers {layout.total} features, expected {n_features}")
+    importance = floats("importance=", n_features)
+    curve = floats("loss_curve=", config.n_rounds + 1).tolist()
 
+    tree_re = re.compile(r"tree round=(\d+) class=(\d+) nodes=(\d+)")
     trees: list[list[Tree]] = []
-    i = 7
-    tree_re = re.compile(r"^tree round=(\d+) class=(\d+) nodes=(\d+)$")
-    while i < len(text) and text[i] != "end":
-        m = tree_re.match(text[i])
-        if not m:
-            raise ValueError(f"malformed tree header at line {i + 1}")
-        r, cls, n_nodes = int(m.group(1)), int(m.group(2)), int(m.group(3))
-        if r == len(trees):
-            trees.append([])
-        if r != len(trees) - 1 or cls != len(trees[-1]):
-            raise ValueError(f"trees out of order at line {i + 1}")
-        tree = Tree()
-        for j in range(n_nodes):
-            cells = text[i + 1 + j].split(",")
-            if len(cells) != 6 or int(cells[0]) != j:
-                raise ValueError(f"malformed node at line {i + 2 + j}")
-            tree.feature.append(int(cells[1]))
-            tree.threshold.append(float(cells[2]))
-            tree.left.append(int(cells[3]))
-            tree.right.append(int(cells[4]))
-            tree.value.append(float(cells[5]))
-        trees[-1].append(tree)
-        i += 1 + n_nodes
+    for r in range(config.n_rounds):
+        trees.append([])
+        for cls in range(n_classes):
+            if read() == "end":
+                fail(f"{r * n_classes + cls} trees, expected {config.n_rounds} rounds "
+                     f"x {n_classes} classes")
+            m = tree_re.fullmatch(lines[at])
+            if not m:
+                fail("malformed tree header")
+            if (int(m[1]), int(m[2])) != (r, cls):
+                fail(f"trees out of order: expected round={r} class={cls}")
+            trees[-1].append(read_tree(int(m[3]), n_features))
+    if read() != "end":
+        fail(f"expected 'end' after {config.n_rounds} rounds x {n_classes} classes of trees")
+    if at + 1 < len(lines):
+        at += 1
+        fail("content after 'end'")
 
     return CorrectorEnsemble(
         config=config,

@@ -29,10 +29,13 @@ __all__ = [
     "SequenceImageSpec",
     "DatasetFormatError",
     "ProfileConfig",
+    "check_gaussian_scale",
+    "check_n_total",
     "default_profile",
     "generate_gaussian",
     "generate_toy_images",
     "load_dataset",
+    "patch_positions",
     "save_dataset",
 ]
 
@@ -156,16 +159,26 @@ def default_profile(**params) -> ClusterSpec:
     return ProfileConfig(**params).to_cluster_spec()
 
 
-def _class_counts(proportions: np.ndarray, n_total: int, k: int) -> np.ndarray:
+def check_n_total(n_total: int, k: int) -> None:
+    """Both generators need at least 10 samples per class."""
     if n_total < 10 * k:
         raise ValueError(f"n_total must be >= {10 * k} for a {k}-class profile")
+
+
+def check_gaussian_scale(covariance_scale) -> None:
+    """The Gaussian generator needs a positive noise scale for every class."""
+    if np.any(np.asarray(covariance_scale) <= 0):
+        raise ValueError("gaussian generation needs covariance_scale > 0")
+
+
+def _class_counts(proportions: np.ndarray, n_total: int, k: int) -> np.ndarray:
+    check_n_total(n_total, k)
     return largest_remainder(proportions * n_total, n_total)
 
 
 def generate_gaussian(cluster: ClusterSpec, n_total: int, rng: Rng) -> LabeledDataset:
     """Sample isotropic Gaussian clusters with largest-remainder class counts."""
-    if np.any(cluster.covariance_scale <= 0):
-        raise ValueError("gaussian generation needs covariance_scale > 0")
+    check_gaussian_scale(cluster.covariance_scale)
     counts = _class_counts(cluster.proportions, n_total, cluster.n_classes)
     gen = rng.derive("gaussian").generator()
     blocks = []
@@ -180,7 +193,7 @@ def generate_gaussian(cluster: ClusterSpec, n_total: int, rng: Rng) -> LabeledDa
     return LabeledDataset(features[perm], label_arr[perm], make_label_space(cluster.names))
 
 
-def _patch_positions(k: int, side: int) -> list[tuple[int, int]]:
+def patch_positions(k: int, side: int) -> list[tuple[int, int]]:
     """Deterministic, well-spread 2x2 patch anchors for up to side^2/4 classes."""
     anchors = []
     step = max(2, (side - 1) // max(1, int(np.ceil(np.sqrt(k)))))
@@ -203,7 +216,7 @@ def generate_toy_images(
     """
     k = cluster.n_classes
     counts = _class_counts(cluster.proportions, n_total, k)
-    anchors = _patch_positions(k, spec.side)
+    anchors = patch_positions(k, spec.side)
     gen = rng.derive("images").generator()
     shape = (spec.channels, spec.side, spec.side)
     blocks = []

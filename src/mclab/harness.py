@@ -30,6 +30,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from functools import partial
 from pathlib import Path
 from types import NoneType, UnionType
 from typing import Any, Mapping, get_args, get_origin, get_type_hints
@@ -48,7 +49,6 @@ from .basemodel import (
     train,
 )
 from .composer import (
-    POLICY_KINDS,
     DecisionPolicy,
     compose_batch,
     decide_batch,
@@ -70,9 +70,12 @@ from .corrector import fit as fit_corrector
 from .datagen import (
     ProfileConfig,
     SequenceImageSpec,
+    check_gaussian_scale,
+    check_n_total,
     generate_gaussian,
     generate_toy_images,
     load_dataset,
+    patch_positions,
 )
 from .metrics import EvalReport, PairedPredictions, evaluate, report_to_csv
 
@@ -256,23 +259,28 @@ def _check(config: ExperimentConfig) -> None:
     fractions = config.split.fractions
     if any(f <= 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigError("split.fractions", "must be positive and sum to 1")
-    for path, check in (("dataset.profile", d.profile.to_cluster_spec),
-                        ("model", config.model.validate),
-                        ("train", config.train.validate),
-                        ("gbdt", config.gbdt.validate)):
+    k = len(d.profile.proportions)
+    checks = [("dataset.profile", d.profile.to_cluster_spec),
+              ("model", config.model.validate),
+              ("train", config.train.validate),
+              ("gbdt", config.gbdt.validate)]
+    if d.source == "generated":
+        # what the generator would reject, caught before any stage runs
+        checks.append(("dataset.n_total", partial(check_n_total, d.n_total, k)))
+        if d.kind == "images":
+            checks.append(("dataset.image.side", partial(patch_positions, k, d.image.side)))
+        else:
+            checks.append(("dataset.profile.covariance_scale",
+                           partial(check_gaussian_scale, d.profile.covariance_scale)))
+    for path, check in checks:
         try:
             check()
         except ValueError as exc:
             raise ConfigError(path, str(exc)) from None
-    k = len(d.profile.proportions)
     if d.source == "generated" and config.model.n_classes != k:
         raise ConfigError("model.n_classes", f"profile defines {k} classes")
-    policy = config.policy
-    if policy.kind not in POLICY_KINDS:
-        raise ConfigError("policy.kind", f"unknown kind {policy.kind!r}")
-    for key in ("tau", "base_confidence_floor"):
-        if not 0.0 <= getattr(policy, key) <= 1.0:
-            raise ConfigError(f"policy.{key}", "must be in [0, 1]")
+    for key, message in config.policy.field_problems():
+        raise ConfigError(f"policy.{key}", message)
     excluded = config.excluded_class
     if excluded is not None and not 0 <= excluded < config.model.n_classes:
         raise ConfigError("excluded_class", f"must be in [0, {config.model.n_classes})")

@@ -84,6 +84,11 @@ class TestExitCodes:
         assert code == 1
         assert "policy.tau" in capsys.readouterr().err
 
+        # the seven-class default profile needs n_total >= 70
+        code = main(["train", "--set", "dataset.n_total=50"])
+        assert code == 1
+        assert "dataset.n_total: n_total must be >= 70" in capsys.readouterr().err
+
     def test_runtime_failure_is_exit_2(self, tmp_path, capsys):
         path = write_doc(tmp_path, mini_doc(str(tmp_path / "runs")))
         code = main(["train", "--config", path, "--set", "dataset.profile.dim=32"])

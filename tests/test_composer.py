@@ -16,11 +16,13 @@ from mclab.basemodel import (
     ModelConfig,
     StagedModel,
     extract_latents,
+    forward_latents,
     predict_batch,
     stack_latents,
 )
 from mclab.composer import (
     NEW_CLASS,
+    STREAM_BLOCK,
     CorrectedPrediction,
     DecisionPolicy,
     compose,
@@ -86,8 +88,14 @@ class TestPolicyValidation:
     @pytest.mark.parametrize("field,value", [("tau", -0.1), ("tau", 1.5),
                                              ("base_confidence_floor", 2.0)])
     def test_rejects_out_of_range(self, field, value):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=field):
             DecisionPolicy(kind="always_corrector", **{field: value}).validate()
+
+    def test_field_problems_name_each_field_but_not_the_run_time_label(self):
+        bad = DecisionPolicy(kind="vote", tau=1.5, base_confidence_floor=-0.1)
+        assert [key for key, _ in bad.field_problems()] == [
+            "kind", "tau", "base_confidence_floor"]
+        assert DecisionPolicy().field_problems() == []  # excluded_label unset
 
 
 class TestDecision:
@@ -255,6 +263,24 @@ class TestComposeBatch:
             ens.predict_proba(latents)
         with pytest.raises(ValueError, match="latent layout stages"):
             compose_batch(model, ens, DecisionPolicy(kind="always_corrector"), data)
+
+    def test_streamed_blocks_equal_one_unstreamed_pass(self, small_world):
+        model, data, latents = small_world
+        ens = fit(latents, data.labels, GbdtConfig(n_rounds=5))
+        n = 2 * STREAM_BLOCK + 300
+        gen = np.random.default_rng(26)
+        big = LabeledDataset(gen.standard_normal((n, 64)).astype(np.float32),
+                             gen.integers(0, 3, size=n), data.label_space)
+        policy = POLICIES[2]
+        base_probs, matrix, layout = forward_latents(model, big)
+        corr_probs = ens.predict_proba(ens.align(matrix, layout))
+        want = decide_batch(base_probs, corr_probs, policy)
+        got = compose_batch(model, ens, policy, big)
+        assert [(p.base_label, p.corrected_label, p.overridden) for p in got] == [
+            (p.base_label, p.corrected_label, p.overridden) for p in want]
+        assert sum(p.overridden for p in got) > 0
+        assert np.array_equal(np.stack([p.base_probs for p in got]), base_probs)
+        assert np.array_equal(np.stack([p.corrector_probs for p in got]), corr_probs)
 
     def test_no_policy_keeps_every_base_label(self):
         base = np.random.default_rng(24).dirichlet(np.ones(3), size=6)

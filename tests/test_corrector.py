@@ -1,17 +1,24 @@
 """Boosted-tree corrector checks: gain arithmetic, fitting behavior,
 determinism, importance bookkeeping, and the text checkpoint format.
 
-Hand-computable cases are derived in comments; the ensemble prediction is
-cross-checked by an independent per-sample tree walk.
+Hand-computable cases are derived in comments; the packed leaf-bitmask
+evaluation is cross-checked bit for bit by an independent per-row tree walk,
+and fit against checkpoints pinned before evaluation was packed.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mclab.corrector as corrector_module
 from mclab.basemodel import LatentLayout, LatentRecord
 from mclab.corrector import (
     CorrectorEnsemble,
@@ -22,8 +29,25 @@ from mclab.corrector import (
     save_ensemble,
     split_gain,
 )
+from reference_fixture import host_fingerprint
 
 LAYOUT = LatentLayout(("conv_out", "lstm_out", "attn_out", "fc_out", "logits"), (4, 4, 4, 4, 2))
+
+
+def walk_margins(ens: CorrectorEnsemble, x: np.ndarray) -> np.ndarray:
+    """Reference margins: each row walks each tree node by node with the
+    ``x <= t`` rule (NaN compares false and goes right), and the leaf values
+    are added tree by tree in fitting order."""
+    out = np.tile(ens.base_score, (x.shape[0], 1))
+    for i, row in enumerate(x):
+        for round_trees in ens.trees:
+            for cls, tree in enumerate(round_trees):
+                node = 0
+                while tree.feature[node] >= 0:
+                    goes_left = row[tree.feature[node]] <= tree.threshold[node]
+                    node = tree.left[node] if goes_left else tree.right[node]
+                out[i, cls] += tree.value[node]
+    return out
 
 
 def xor_dataset(n_per: int = 100, seed: int = 0, noise: float = 0.3):
@@ -226,23 +250,7 @@ class TestPredict:
     def test_margins_match_independent_tree_walk(self):
         x, y = xor_dataset(n_per=30, seed=10)
         ens = fit(x, y, GbdtConfig(n_rounds=8))
-
-        def walk(tree: Tree, row: np.ndarray) -> float:
-            node = 0
-            while tree.feature[node] >= 0:
-                if row[tree.feature[node]] <= tree.threshold[node]:
-                    node = tree.left[node]
-                else:
-                    node = tree.right[node]
-            return tree.value[node]
-
-        margins = ens.raw_margins(x)
-        for i in range(0, x.shape[0], 7):
-            for cls in range(2):
-                total = ens.base_score[cls] + sum(
-                    walk(r[cls], x[i]) for r in ens.trees
-                )
-                assert margins[i, cls] == pytest.approx(total, abs=1e-12)
+        assert np.array_equal(ens.raw_margins(x), walk_margins(ens, x))
 
     def test_single_record_returns_vector(self):
         records, labels = make_records(80, seed=11)
@@ -290,6 +298,142 @@ class TestPredict:
         ]
         with pytest.raises(ValueError, match="layout stages"):
             ens.predict_proba(alien)
+
+
+FIVE = LatentLayout(("conv_out", "lstm_out", "attn_out", "fc_out", "logits"), (1, 1, 1, 1, 1))
+# thresholds with ties and duplicates, and the infinities
+CUTS = (-np.inf, -1.0, 0.0, 0.0, 0.5, 1.0, np.inf)
+# inputs on and between the thresholds, the infinities and NaN
+INPUTS = (-np.inf, -1.5, -1.0, -0.25, 0.0, 0.5, 0.75, 1.0, 2.0, np.inf, np.nan)
+
+
+def random_tree(gen: np.random.Generator, max_depth: int, p_split: float,
+                breadth_first: bool) -> Tree:
+    """A tree grown by coin flips over 5 features, numbered depth first as
+    fit numbers nodes, or breadth first; both keep children after parents."""
+    tree = Tree()
+
+    def grow(depth: int) -> int:
+        if depth < max_depth and gen.random() < p_split:
+            node = tree.add_split(int(gen.integers(5)), float(gen.choice(CUTS)))
+            tree.left[node] = grow(depth + 1)
+            tree.right[node] = grow(depth + 1)
+            return node
+        return tree.add_leaf(gen.standard_normal())
+
+    grow(0)
+    if not breadth_first:
+        return tree
+    order, queue = [], [0]
+    while queue:
+        node = queue.pop(0)
+        order.append(node)
+        if tree.feature[node] >= 0:
+            queue += (tree.left[node], tree.right[node])
+    new_id = {old: new for new, old in enumerate(order)} | {-1: -1}
+    out = Tree()
+    for old in order:
+        out.feature.append(tree.feature[old])
+        out.threshold.append(tree.threshold[old])
+        out.left.append(new_id[tree.left[old]])
+        out.right.append(new_id[tree.right[old]])
+        out.value.append(tree.value[old])
+    return out
+
+
+class TestPackedEvaluation:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        max_depth=st.integers(1, 7),
+        p_split=st.sampled_from([0.0, 0.6, 0.9, 1.0]),
+        rounds=st.integers(0, 3),
+        k=st.integers(2, 3),
+        breadth_first=st.booleans(),
+        budget=st.sampled_from([1, 7, 1 << 16]),
+        rows=st.lists(
+            st.lists(st.sampled_from(INPUTS) | st.floats(-3, 3), min_size=5, max_size=5),
+            min_size=1, max_size=30,
+        ),
+    )
+    def test_margins_equal_a_tree_walk_bit_for_bit(
+        self, seed, max_depth, p_split, rounds, k, breadth_first, budget, rows
+    ):
+        gen = np.random.default_rng(seed)
+        trees = [[random_tree(gen, max_depth, p_split, breadth_first) for _ in range(k)]
+                 for _ in range(rounds)]
+        ens = CorrectorEnsemble(
+            config=GbdtConfig(max_depth=max_depth), n_classes=k, n_features=5,
+            base_score=gen.standard_normal(k), trees=trees, layout=FIVE,
+            feature_importance_=np.zeros(5), loss_curve=[],
+        )
+        x = np.array(rows)
+        want = walk_margins(ens, x)
+        # a small budget splits the rows into many evaluation blocks
+        with patch.object(corrector_module, "EVAL_BLOCK_ELEMENTS", budget):
+            assert np.array_equal(ens.raw_margins(x), want)
+        record = LatentRecord(**{name: x[0, i:i + 1] for i, name in enumerate(FIVE.names)},
+                              layout=FIVE)
+        assert np.array_equal(ens.raw_margins(record), want[:1])
+
+        # the narrowest word that holds the widest tree; past 64 leaves, several
+        widest = max((t.feature.count(-1) for r in trees for t in r), default=1)
+        bits = next(b for b in (8, 16, 32, 64) if widest <= b or b == 64)
+        assert ens.packed.bits == bits
+        assert (ens.packed.tree_first_word is not None) == (widest > 64)
+
+    def test_every_word_width_is_reached(self):
+        gen = np.random.default_rng(0)
+        for depth, bits in ((1, 8), (3, 8), (4, 16), (5, 32), (6, 64), (7, 64)):
+            single_leaf = Tree()
+            single_leaf.add_leaf(0.5)
+            ens = CorrectorEnsemble(
+                config=GbdtConfig(max_depth=depth), n_classes=2, n_features=5,
+                base_score=np.zeros(2),
+                trees=[[random_tree(gen, depth, 1.0, False), single_leaf]],
+                layout=None, feature_importance_=np.zeros(5), loss_curve=[],
+            )
+            assert ens.packed.bits == bits
+            x = gen.choice(INPUTS, size=(64, 5))
+            assert np.array_equal(ens.raw_margins(x), walk_margins(ens, x))
+
+
+def pinned_data(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact eighths in [-1.5, 1.5] (many ties) and labels mixing row order
+    with two of the features."""
+    gen = np.random.default_rng(2024)
+    x = gen.integers(-12, 13, size=(n, 5)) / 8.0
+    y = (np.arange(n) * 7 + (x[:, 0] > 0) * 2 + (x[:, 1] > 0.5)) % 3
+    return x, y
+
+
+PINNED = json.loads((Path(__file__).parent / "fixtures" / "gbdt_pinned.json").read_text())
+
+
+class TestPinnedFit:
+    """fit writes the checkpoints it wrote before evaluation was packed."""
+
+    @pytest.mark.parametrize("case,n,config", [
+        ("a", 90, GbdtConfig(n_rounds=4, max_depth=3, subsample=0.8, seed=5,
+                             min_child_weight=0.5)),
+        ("b", 240, GbdtConfig(n_rounds=2, max_depth=7, min_child_weight=0.05,
+                              lambda_l2=0.5)),
+    ])
+    def test_checkpoint_matches_the_pinned_file(self, tmp_path, case, n, config):
+        pinned = Path(__file__).parent / "fixtures" / PINNED["files"][case]
+        x, y = pinned_data(n)
+        save_ensemble(fit(x, y, config), tmp_path / "corrector.txt")
+        if host_fingerprint() == PINNED["host"]:
+            assert (tmp_path / "corrector.txt").read_bytes() == pinned.read_bytes()
+            return
+        # another numpy build may round exp differently: same trees, close floats
+        got, want = load_ensemble(tmp_path / "corrector.txt"), load_ensemble(pinned)
+        for got_round, want_round in zip(got.trees, want.trees, strict=True):
+            for g, w in zip(got_round, want_round, strict=True):
+                assert (g.feature, g.threshold, g.left, g.right) == (
+                    w.feature, w.threshold, w.left, w.right)
+                np.testing.assert_allclose(g.value, w.value, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(got.loss_curve, want.loss_curve, rtol=1e-9)
 
 
 class TestFeatureImportance:
@@ -362,3 +506,75 @@ class TestCheckpoint:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="malformed tree header"):
             load_ensemble(path)
+
+
+def _tree_at(lines: list[str], nth: int = 0) -> int:
+    """Index of the nth tree header line."""
+    return [i for i, line in enumerate(lines) if line.startswith("tree ")][nth]
+
+
+def _set_cell(lines: list[str], row: int, cell: int, value: str) -> list[str]:
+    cells = lines[row].split(",")
+    cells[cell] = value
+    return lines[:row] + [",".join(cells)] + lines[row + 1:]
+
+
+def _root(lines: list[str]) -> int:
+    """Index of the line of node 0 of the first tree."""
+    return _tree_at(lines) + 1
+
+
+# edits of a 2-round, 2-class checkpoint whose first tree splits at its root,
+# with the 0-based index of the line each must be rejected at, and the message
+MALFORMED = {
+    "truncated_header": (lambda ls: ls[:3], lambda ls: 3, "file ends early"),
+    "truncated_tree": (lambda ls: ls[:_root(ls) + 1], _tree_at, "nodes=.* does not fit"),
+    "truncated_between_trees": (lambda ls: ls[:_tree_at(ls, 3)], lambda ls: _tree_at(ls, 3),
+                                "file ends early"),
+    "child_out_of_range": (lambda ls: _set_cell(ls, _root(ls), 3, "99"), _root,
+                           "child 99 is outside"),
+    "child_before_parent": (lambda ls: _set_cell(ls, _root(ls), 4, "0"), _root,
+                            "child 0 is outside"),
+    "feature_out_of_range": (lambda ls: _set_cell(ls, _root(ls), 1, "2"), _root,
+                             r"split feature 2 is outside \[0, 2\)"),
+    "leaf_with_children": (lambda ls: _set_cell(ls, len(ls) - 2, 3, "1"), lambda ls: len(ls) - 2,
+                           "a leaf must have children -1,-1"),
+    "shared_child": (lambda ls: _set_cell(ls, _root(ls), 4, ls[_root(ls)].split(",")[3]), _root,
+                     "already has parent"),
+    "missing_tree": (lambda ls: ls[:_tree_at(ls, 3)] + ["end"], lambda ls: _tree_at(ls, 3),
+                     r"3 trees, expected 2 rounds x 2 classes"),
+    "extra_tree": (lambda ls: ls[:-1] + ls[_tree_at(ls, 3):], lambda ls: len(ls) - 1,
+                   "expected 'end'"),
+    "content_after_end": (lambda ls: ls + ["end"], len, "content after 'end'"),
+    "base_score_length": (lambda ls: ls[:3] + ["base_score=0.0"] + ls[4:], lambda ls: 3,
+                          "base_score has 1 values, expected 2"),
+    "importance_length": (lambda ls: ls[:5] + ["importance=1.0,2.0,3.0"] + ls[6:],
+                          lambda ls: 5, "importance has 3 values, expected 2"),
+    "bad_number": (lambda ls: _set_cell(ls, _root(ls), 2, "half"), _root,
+                   "'half' is not a float"),
+}
+
+
+class TestCheckpointRejections:
+    @pytest.fixture(scope="class")
+    def lines(self, tmp_path_factory):
+        x, y = xor_dataset(n_per=20, seed=21)
+        ens = fit(x, y, GbdtConfig(n_rounds=2, max_depth=2))
+        assert ens.trees[0][0].feature[0] >= 0
+        path = tmp_path_factory.mktemp("ckpt") / "c.txt"
+        save_ensemble(ens, path)
+        return path.read_text().splitlines()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_error_names_path_and_line(self, tmp_path, lines, case):
+        edit, at, message = MALFORMED[case]
+        path = tmp_path / "c.txt"
+        path.write_text("\n".join(edit(list(lines))) + "\n")
+        with pytest.raises(ValueError, match=message) as err:
+            load_ensemble(path)
+        assert str(err.value).startswith(f"{path}: line {at(lines) + 1}: ")
+
+    def test_unedited_checkpoint_loads(self, tmp_path, lines):
+        path = tmp_path / "c.txt"
+        path.write_text("\n".join(lines) + "\n")
+        assert len(load_ensemble(path).trees) == 2

@@ -66,6 +66,14 @@ SEEDS = st.integers(0, 2**64 - 1)
 UNIT = st.floats(0.0, 1.0) | st.integers(0, 1)
 # valid overrides of the default (seven-class) document; ints stand in for
 # floats where the schema widens them
+def _generable(dataset: dict) -> bool:
+    """The generators' limits for the seven-class default profile: images need
+    side >= 6 to place seven class patches, Gaussian noise a positive scale."""
+    if dataset.get("kind") == "images":
+        return dataset.get("image", {}).get("side", 8) >= 6
+    return dataset.get("profile", {}).get("covariance_scale", 1.0) > 0
+
+
 VALID_OVERRIDES = _section(
     name=st.text("ab_0", max_size=6),
     seed=SEEDS,
@@ -81,7 +89,7 @@ VALID_OVERRIDES = _section(
             close_distance=st.floats(0.0, 10.0),
         ),
         image=_section(side=st.integers(2, 64), channels=st.integers(1, 4)),
-    ),
+    ).filter(_generable),
     split=_section(stratified=st.booleans(), seed=st.none() | SEEDS),
     train=_section(
         learning_rate=st.floats(0.0, 1.0),
@@ -197,6 +205,12 @@ class TestNormalizeConfig:
             ({"train": {"seed": -3}}, "train.seed"),
             ({"gbdt": {"seed": 2**64}}, "gbdt.seed"),
             ({"dataset": {"profile": {"covariance_scale": float("nan")}}},
+             "dataset.profile.covariance_scale"),
+            ({"policy": {"base_confidence_floor": -0.5}}, "policy.base_confidence_floor"),
+            # what the generator would reject (the mini profile has 3 classes)
+            ({"dataset": {"kind": "images", "image": {"side": 2}}}, "dataset.image.side"),
+            ({"dataset": {"n_total": 29}}, "dataset.n_total"),
+            ({"dataset": {"profile": {"covariance_scale": 0.0}}},
              "dataset.profile.covariance_scale"),
         ],
     )
