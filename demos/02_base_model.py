@@ -1,8 +1,9 @@
 """Train the staged base classifier and peek at its internal stages.
 
 A small conv -> one-way LSTM -> attention -> fc network trained with weighted
-cross-entropy and early stopping. Every stage's activations are exposed as a
-named latent record, which is what the corrector consumes downstream.
+cross-entropy and early stopping. Every stage's activations are exposed as
+one latent matrix whose column blocks are named by stage, which is what the
+corrector consumes downstream.
 """
 
 import tempfile
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from mclab.basemodel import (
-    ModelConfig, StagedModel, TrainConfig, extract_latents, load_model,
+    ModelConfig, StagedModel, TrainConfig, forward_latents, load_model,
     predict_batch, save_model, train,
 )
 from mclab.core import (
@@ -53,13 +54,12 @@ def main() -> None:
     print(f"\ntest accuracy {acc:.3f}, "
           f"mean top-class confidence {probs.max(axis=1).mean():.3f}")
 
-    records = extract_latents(model, test_set.features[:1])
-    rec = records[0]
-    print("\nlatent record for one sample:")
-    for name, size in zip(rec.layout.names, rec.layout.sizes):
-        block = getattr(rec, name)
+    _, latents, layout = forward_latents(model, test_set)
+    print(f"\nlatent matrix of the test split, {latents.shape[0]} rows, by stage block:")
+    for name, size in zip(layout.names, layout.sizes):
+        block = latents[:, layout.block_slice(name)]
         print(f"  {name:<10} width {size:>4}  |mean| {np.abs(block).mean():.4f}")
-    print(f"  concatenated width {rec.concat().size}")
+    print(f"  concatenated width {layout.total}")
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.bin"

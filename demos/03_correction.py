@@ -10,7 +10,7 @@ kinds trade coverage against caution in different ways.
 import numpy as np
 
 from mclab.basemodel import (
-    ModelConfig, StagedModel, TrainConfig, extract_latents, train,
+    ModelConfig, StagedModel, TrainConfig, forward_latents, train,
 )
 from mclab.composer import NEW_CLASS, DecisionPolicy, compose_batch
 from mclab.core import (
@@ -23,16 +23,14 @@ EXCLUDED = 2
 
 
 def summarize(tag, preds, true_labels):
-    base = np.array([p.base_label for p in preds])
-    final = np.array([p.corrected_label for p in preds])
-    overridden = np.array([p.overridden for p in preds])
+    base, final = preds.base_labels, preds.corrected_labels
     acc_base = float(np.mean(base == true_labels))
     acc_final = float(np.mean(final == true_labels))
     hits = int(np.sum(final[true_labels == EXCLUDED] == EXCLUDED))
     total = int(np.sum(true_labels == EXCLUDED))
     flagged = int(np.sum(final == NEW_CLASS))
     extra = f", flagged-as-new {flagged}" if flagged else ""
-    print(f"  {tag:<28} overrides {int(overridden.sum()):>3}  "
+    print(f"  {tag:<28} overrides {int(preds.overridden.sum()):>3}  "
           f"accuracy {acc_base:.3f} -> {acc_final:.3f}  "
           f"excluded-class recall {hits}/{total}{extra}")
 
@@ -68,9 +66,9 @@ def main() -> None:
     print(f"base model val accuracy {history.best_val_acc:.3f} on the slice "
           f"without class {EXCLUDED} (it can never say '{EXCLUDED}')")
 
-    records = extract_latents(model, correct_set)
-    ensemble = fit(records, correct_set.labels,
-                   GbdtConfig(n_rounds=20, max_depth=3, seed=7), n_classes=3)
+    _, latents, layout = forward_latents(model, correct_set)
+    ensemble = fit(latents, correct_set.labels,
+                   GbdtConfig(n_rounds=20, max_depth=3, seed=7), n_classes=3, layout=layout)
     print(f"corrector: {len(ensemble.trees)} trees, "
           f"final train loss {ensemble.loss_curve[-1]:.4f}")
 

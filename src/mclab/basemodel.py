@@ -6,9 +6,11 @@ one attention stage, mean-pooled over positions and classified by a two-layer
 head. Class imbalance is handled by inverse-frequency weights in the loss;
 per-channel input standardization stands in for batch normalization at this
 scale. Intermediate representations from all four stages are exposed to
-downstream correctors as one latent matrix (``forward_latents``, which also
-returns the class probabilities of the same pass) or as per-sample latent
-records.
+downstream correctors as one (n, total) latent matrix plus the
+``LatentLayout`` that names its column blocks (``forward_latents``, which
+also returns the class probabilities of the same pass). ``extract_latents``,
+``stack_latents`` and ``LatentRecord`` are per-sample views of that matrix
+for callers outside the package; the package itself uses the matrix.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -114,7 +116,7 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class LatentLayout:
-    """Ordered stage blocks of the concatenated latent vector."""
+    """Ordered stage blocks of the columns of a latent matrix."""
 
     names: tuple[str, ...]
     sizes: tuple[int, ...]
@@ -505,26 +507,57 @@ def save_model(model: StagedModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> StagedModel:
+    """Read a checkpoint written by ``save_model``.
+
+    A malformed file raises ValueError naming the path: a header that does
+    not parse or has no newline, a block list that names an unknown block,
+    names one twice or leaves one out, a block shape other than the model's,
+    or a float32 payload shorter or longer than the blocks.
+    """
     raw = Path(path).read_bytes()
-    first = raw.index(b"\n")
-    if raw[:first].decode("ascii") != MODEL_MAGIC:
+
+    def fail(message: str) -> NoReturn:
+        raise ValueError(f"{path}: {message}")
+
+    first = raw.find(b"\n")
+    if first < 0 or raw[:first] != MODEL_MAGIC.encode("ascii"):
         raise ValueError(f"not a model checkpoint: {path}")
-    second = raw.index(b"\n", first + 1)
-    header = json.loads(raw[first + 1 : second].decode("ascii"))
-    cfg = ModelConfig(
-        input_shape=tuple(header["config"]["input_shape"]),
-        conv_channels=tuple(header["config"]["conv_channels"]),
-        n_heads=int(header["config"]["n_heads"]),
-        n_classes=int(header["config"]["n_classes"]),
-    )
-    model = StagedModel(cfg, seed=int(header["seed"]))
-    offset = second + 1
+    second = raw.find(b"\n", first + 1)
+    if second < 0:
+        fail("header line has no newline")
+    try:
+        header = json.loads(raw[first + 1 : second].decode("ascii"))
+        cfg = ModelConfig(
+            input_shape=tuple(header["config"]["input_shape"]),
+            conv_channels=tuple(header["config"]["conv_channels"]),
+            n_heads=int(header["config"]["n_heads"]),
+            n_classes=int(header["config"]["n_classes"]),
+        )
+        model = StagedModel(cfg, seed=int(header["seed"]))
+        blocks = [(name, tuple(shape)) for name, shape in header["blocks"]]
+    except (ValueError, KeyError, TypeError) as exc:
+        fail(f"malformed header: {exc}")
     arrays = dict(model.buffers() + model.params())
-    for name, shape in header["blocks"]:
-        count = int(np.prod(shape)) if shape else 1
-        block = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-        offset += 4 * count
+    names = [name for name, _ in blocks]
+    for name in names:
         if name not in arrays:
-            raise ValueError(f"unknown block {name!r} in checkpoint")
-        arrays[name][...] = block.reshape(shape).astype(np.float64)
+            fail(f"unknown block {name!r}")
+        if names.count(name) > 1:
+            fail(f"block {name!r} appears {names.count(name)} times")
+    missing = [name for name in arrays if name not in names]
+    if missing:
+        fail(f"missing blocks {', '.join(missing)}")
+    offset = second + 1
+    for name, shape in blocks:
+        arr = arrays[name]
+        if shape != arr.shape:
+            fail(f"block {name!r} has shape {list(shape)}, the model's is {list(arr.shape)}")
+        end = offset + 4 * arr.size
+        if end > len(raw):
+            fail(f"file ends inside block {name!r}: {len(raw)} bytes, {end} needed")
+        block = np.frombuffer(raw, dtype="<f4", count=arr.size, offset=offset)
+        arr[...] = block.reshape(arr.shape)
+        offset = end
+    if offset != len(raw):
+        fail(f"{len(raw) - offset} bytes after the last block")
     return model

@@ -6,19 +6,21 @@ replaces it. Raising ``tau`` never increases the number of overrides.
 
 ``compose_batch`` streams the batch in row blocks: one forward pass per
 block yields both the base posteriors and the corrector's latent rows, and
-the policy runs once over the whole posterior arrays (``decide_batch``);
-``compose`` runs the same rule on a one-row batch.
+the policy runs once over the whole posterior arrays (``decide_batch``).
+Both return ``Predictions``, one array per column; iterating it yields one
+``CorrectedPrediction`` row per sample, built on demand.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
-from .basemodel import FORWARD_CHUNK, LatentRecord, StagedModel, forward_latents
+from .basemodel import FORWARD_CHUNK, StagedModel, forward_latents
 from .core import NEW_CLASS, LabeledDataset
 from .corrector import CorrectorEnsemble
 
@@ -28,7 +30,7 @@ __all__ = [
     "CorrectedPrediction",
     "DecisionPolicy",
     "PredictionLog",
-    "compose",
+    "Predictions",
     "compose_batch",
     "decide_batch",
     "read_prediction_log",
@@ -38,6 +40,9 @@ __all__ = [
 POLICY_KINDS = ("always_corrector", "threshold_override", "excluded_only")
 
 PREDS_MAGIC = "mclab-preds v1"
+LOG_COLUMNS = "sample_id,true,base,corrected,overridden,base_conf,corr_conf"
+_LOG_HEADER = re.compile(rf"# {re.escape(PREDS_MAGIC)} K=([1-9][0-9]*)")
+_CELL_KINDS = (int,) * 5 + (float,) * 2
 
 # compose_batch streams rows in blocks of this size. It is a multiple of the
 # forward chunk, so every block splits into the chunks one pass over the
@@ -88,8 +93,9 @@ class DecisionPolicy:
             raise ValueError("excluded_only policy needs excluded_label")
 
 
-@dataclass(frozen=True)
-class CorrectedPrediction:
+class CorrectedPrediction(NamedTuple):
+    """One sample's row of ``Predictions``."""
+
     base_label: int
     corrected_label: int  # may be NEW_CLASS (-1)
     overridden: bool
@@ -97,16 +103,32 @@ class CorrectedPrediction:
     corrector_probs: np.ndarray
 
 
-def compose(
-    base_probs: np.ndarray,
-    latent: LatentRecord,
-    ensemble: CorrectorEnsemble,
-    policy: DecisionPolicy,
-) -> CorrectedPrediction:
-    """Apply the policy to one sample's base posteriors and latent record."""
-    corr_probs = ensemble.predict_proba(latent)
-    base = np.asarray(base_probs, dtype=np.float64).reshape(1, -1)
-    return decide_batch(base, np.reshape(corr_probs, (1, -1)), policy)[0]
+@dataclass(frozen=True)
+class Predictions:
+    """Corrected predictions for n samples, one array per column.
+
+    ``len`` is n, and iterating yields one ``CorrectedPrediction`` per
+    sample, in order, built as it is reached.
+    """
+
+    base_labels: np.ndarray  # (n,) int
+    corrected_labels: np.ndarray  # (n,) int, NEW_CLASS where the policy flags a new class
+    overridden: np.ndarray  # (n,) bool
+    base_probs: np.ndarray  # (n, K)
+    corrector_probs: np.ndarray  # (n, K')
+
+    def __len__(self) -> int:
+        return self.base_labels.size
+
+    def __iter__(self) -> Iterator[CorrectedPrediction]:
+        return map(
+            CorrectedPrediction,
+            self.base_labels.tolist(),
+            self.corrected_labels.tolist(),
+            self.overridden.tolist(),
+            self.base_probs,
+            self.corrector_probs,
+        )
 
 
 def _corrected_labels(
@@ -140,12 +162,12 @@ def decide_batch(
     base_probs: np.ndarray,
     corr_probs: np.ndarray,
     policy: DecisionPolicy | None,
-) -> list[CorrectedPrediction]:
+) -> Predictions:
     """Apply the policy to (n, K) base and corrector posteriors, one row per sample.
 
     The rule runs once over the whole arrays. With ``policy=None`` the base
     prediction stands everywhere, as in the baseline run, which has no
-    corrector. Each prediction holds row views of the two arrays.
+    corrector. The result holds the two posterior arrays themselves.
     """
     if base_probs.shape[0] != corr_probs.shape[0]:
         raise ValueError("base and corrector posteriors must have one row per sample")
@@ -155,13 +177,7 @@ def decide_batch(
         if policy is None
         else _corrected_labels(base_label, base_probs, corr_probs, policy)
     )
-    overridden = corrected != base_label
-    return [
-        CorrectedPrediction(b, c, o, bp, cp)
-        for b, c, o, bp, cp in zip(
-            base_label.tolist(), corrected.tolist(), overridden.tolist(), base_probs, corr_probs
-        )
-    ]
+    return Predictions(base_label, corrected, corrected != base_label, base_probs, corr_probs)
 
 
 def compose_batch(
@@ -169,7 +185,7 @@ def compose_batch(
     ensemble: CorrectorEnsemble,
     policy: DecisionPolicy,
     data: LabeledDataset,
-) -> list[CorrectedPrediction]:
+) -> Predictions:
     """Corrected predictions for every sample, in dataset order.
 
     Rows are streamed in blocks of ``STREAM_BLOCK``. One forward pass per
@@ -202,7 +218,7 @@ class PredictionLog:
 
 
 def write_prediction_log(
-    preds: Sequence[CorrectedPrediction],
+    preds: Predictions,
     true_labels: np.ndarray | Sequence[int],
     n_classes: int,
     path: str | Path,
@@ -211,48 +227,68 @@ def write_prediction_log(
     true_arr = np.asarray(true_labels, dtype=np.int64)
     if true_arr.shape != (len(preds),):
         raise ValueError("true labels must align with predictions")
-    base_conf = _row_max([p.base_probs for p in preds])
-    corr_conf = _row_max([p.corrector_probs for p in preds])
-    lines = [f"# {PREDS_MAGIC} K={n_classes}",
-             "sample_id,true,base,corrected,overridden,base_conf,corr_conf"]
-    for i, (t, p, bc, cc) in enumerate(zip(true_arr.tolist(), preds, base_conf, corr_conf)):
-        lines.append(
-            f"{i},{t},{p.base_label},{p.corrected_label},"
-            f"{int(p.overridden)},{bc:.6f},{cc:.6f}"
-        )
+    columns = zip(true_arr.tolist(), preds.base_labels.tolist(), preds.corrected_labels.tolist(),
+                  preds.overridden.astype(np.int64).tolist(),
+                  preds.base_probs.max(axis=1).tolist(), preds.corrector_probs.max(axis=1).tolist())
+    lines = [f"# {PREDS_MAGIC} K={n_classes}", LOG_COLUMNS]
+    for i, (t, b, c, o, bc, cc) in enumerate(columns):
+        lines.append(f"{i},{t},{b},{c},{o},{bc:.6f},{cc:.6f}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def _row_max(rows: list[np.ndarray]) -> list[float]:
-    """Per-row maxima of equal-length probability rows, as one reduction."""
-    if not rows:
-        return []
-    return np.stack(rows).max(axis=1).tolist()
-
-
 def read_prediction_log(path: str | Path, n_classes: int | None = None) -> PredictionLog:
+    """Read a log written by ``write_prediction_log``.
+
+    The ``# mclab-preds v1 K=<classes>`` line is optional; without it (and
+    without ``n_classes``) K is one more than the largest label. A malformed
+    file raises ValueError naming the path and the line: a bad K= line, a
+    missing column header, no rows, a row without exactly 7 cells, a
+    sample_id other than the row's index, a cell that does not parse, or an
+    overridden flag other than 0 or 1.
+    """
     lines = Path(path).read_text(encoding="ascii").splitlines()
+    at = 0  # index of the line being read
+
+    def fail(message: str) -> NoReturn:
+        raise ValueError(f"{path}: line {at + 1}: {message}")
+
     if not lines:
-        raise ValueError(f"empty prediction log: {path}")
-    start = 0
+        fail("empty prediction log")
     k = n_classes
     if lines[0].startswith("#"):
-        head = lines[0].lstrip("# ").strip()
-        if not head.startswith(PREDS_MAGIC):
-            raise ValueError(f"unrecognized prediction log header: {lines[0]!r}")
+        head = _LOG_HEADER.fullmatch(lines[0])
+        if head is None:
+            fail(f"unrecognized prediction log header {lines[0]!r}, "
+                 f"expected '# {PREDS_MAGIC} K=<classes>'")
         if k is None:
-            k = int(head.rsplit("K=", 1)[1])
-        start = 1
-    if lines[start] != "sample_id,true,base,corrected,overridden,base_conf,corr_conf":
-        raise ValueError("prediction log missing column header")
-    rows = [line.split(",") for line in lines[start + 1 :] if line.strip()]
-    cols = list(zip(*rows)) if rows else [[]] * 7
-    true_arr = np.asarray([int(v) for v in cols[1]], dtype=np.int64)
-    base = np.asarray([int(v) for v in cols[2]], dtype=np.int64)
-    corrected = np.asarray([int(v) for v in cols[3]], dtype=np.int64)
-    overridden = np.asarray([int(v) for v in cols[4]], dtype=bool)
-    base_conf = np.asarray([float(v) for v in cols[5]])
-    corr_conf = np.asarray([float(v) for v in cols[6]])
+            k = int(head[1])
+        at = 1
+    if at == len(lines) or lines[at] != LOG_COLUMNS:
+        fail("prediction log missing column header")
+    if at + 1 == len(lines):
+        fail("no prediction rows after the column header")
+    names = LOG_COLUMNS.split(",")
+
+    def number(kind: type, name: str, text: str):
+        try:
+            return kind(text)
+        except ValueError:
+            fail(f"{name} {text!r} is not {'an int' if kind is int else 'a float'}")
+
+    rows = []
+    for at in range(at + 1, len(lines)):
+        cells = lines[at].split(",")
+        if len(cells) != len(names):
+            fail(f"expected {len(names)} cells, found {len(cells)}")
+        row = [number(kind, name, cell) for kind, name, cell in zip(_CELL_KINDS, names, cells)]
+        if row[0] != len(rows):
+            fail(f"sample_id {row[0]}, expected {len(rows)}")
+        if row[4] not in (0, 1):
+            fail(f"overridden {row[4]}, expected 0 or 1")
+        rows.append(row)
+    cols = list(zip(*rows))
+    true_arr, base, corrected = (np.array(col, dtype=np.int64) for col in cols[1:4])
     if k is None:
-        k = int(max(true_arr.max(initial=0), base.max(initial=0), corrected.max(initial=0))) + 1
-    return PredictionLog(true_arr, base, corrected, overridden, base_conf, corr_conf, int(k))
+        k = int(max(true_arr.max(), base.max(), corrected.max())) + 1
+    return PredictionLog(true_arr, base, corrected, np.array(cols[4], dtype=bool),
+                         np.array(cols[5]), np.array(cols[6]), int(k))

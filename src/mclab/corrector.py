@@ -1,4 +1,4 @@
-"""Gradient-boosted decision trees over latent vectors, written from scratch.
+"""Gradient-boosted decision trees over latent matrices, written from scratch.
 
 One-vs-all softmax boosting with Newton (second-order) leaf estimates: each
 round fits K regression trees to the class gradients g_i = p_i - y_i with
@@ -35,7 +35,7 @@ from typing import NoReturn, Sequence
 
 import numpy as np
 
-from .basemodel import LatentLayout, LatentRecord, stack_latents
+from .basemodel import LatentLayout
 from .core import Rng
 from .stages import softmax
 
@@ -345,7 +345,7 @@ def _build_tree(
 
 @dataclass
 class CorrectorEnsemble:
-    """Fitted boosted-tree classifier over concatenated latent vectors."""
+    """Fitted boosted-tree classifier over the rows of a latent matrix."""
 
     config: GbdtConfig
     n_classes: int
@@ -355,21 +355,6 @@ class CorrectorEnsemble:
     layout: LatentLayout | None
     feature_importance_: np.ndarray  # (n_features,) accumulated split gain
     loss_curve: list[float]  # train log-loss, index 0 = before round 1
-
-    def _coerce(self, latents) -> np.ndarray:
-        if isinstance(latents, LatentRecord):
-            return self._coerce([latents])
-        if isinstance(latents, np.ndarray):
-            x = np.asarray(latents, dtype=np.float64)
-            if x.ndim == 1:
-                x = x[None, :]
-            if x.shape[1] != self.n_features:
-                raise ValueError(
-                    f"latent width {x.shape[1]} != fitted width {self.n_features}"
-                )
-            return x
-        records: Sequence[LatentRecord] = latents
-        return self.align(*stack_latents(records))
 
     def align(self, matrix: np.ndarray, layout: LatentLayout) -> np.ndarray:
         """Reorder the stage blocks of ``matrix`` (in ``layout``) to the fitted order."""
@@ -382,18 +367,20 @@ class CorrectorEnsemble:
         """Every tree, packed once on first use; ``trees`` must not change after."""
         return pack_trees([tree for round_trees in self.trees for tree in round_trees])
 
-    def raw_margins(self, latents) -> np.ndarray:
-        x = self._coerce(latents)
+    def raw_margins(self, x: np.ndarray) -> np.ndarray:
+        """(n, K) margins for the rows of the (n, n_features) matrix ``x``."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2:
+            raise ValueError(f"expected a 2-D latent matrix, got shape {x.shape}")
+        if x.shape[1] != self.n_features:
+            raise ValueError(f"latent width {x.shape[1]} != fitted width {self.n_features}")
         margins = np.tile(self.base_score, (x.shape[0], 1))
         _add_leaf_values(self.packed, x, margins)
         return margins
 
-    def predict_proba(self, latents) -> np.ndarray:
-        """Class posteriors; rows sum to 1."""
-        probs = softmax(self.raw_margins(latents), axis=-1)
-        if isinstance(latents, LatentRecord):
-            return probs[0]
-        return probs
+    def predict_proba(self, x: np.ndarray) -> np.ndarray:
+        """(n, K) class posteriors for the rows of ``x``; rows sum to 1."""
+        return softmax(self.raw_margins(x), axis=-1)
 
     def feature_importance(self) -> np.ndarray:
         """Total split gain accumulated per feature during fitting."""
@@ -432,28 +419,30 @@ def _log_loss(probs: np.ndarray, labels: np.ndarray) -> float:
 
 
 def fit(
-    latents,
+    x: np.ndarray,
     labels: np.ndarray | Sequence[int],
     config: GbdtConfig = GbdtConfig(),
     n_classes: int | None = None,
+    layout: LatentLayout | None = None,
 ) -> CorrectorEnsemble:
-    """Fit the boosted ensemble on latent records (or a plain matrix).
+    """Fit the boosted ensemble on the (n, d) latent matrix ``x``.
 
-    ``n_classes`` defaults to max(labels)+1; pass it explicitly when the
-    label space is wider than the observed labels. Training log-loss is
-    recorded per round and is non-increasing.
+    ``layout`` names the stage blocks of the columns, as ``forward_latents``
+    returns it; the ensemble keeps it to reorder the blocks of later inputs
+    (``align``) and writes it to its checkpoint. ``n_classes`` defaults to
+    max(labels)+1; pass it explicitly when the label space is wider than the
+    observed labels. Training log-loss is recorded per round and is
+    non-increasing.
     """
     config.validate()
     if config.seed is None:
         raise ValueError("GbdtConfig.seed is None: resolve it before fitting")
-    layout: LatentLayout | None = None
-    if isinstance(latents, np.ndarray):
-        x = np.asarray(latents, dtype=np.float64)
-    else:
-        x, layout = stack_latents(list(latents))
+    x = np.asarray(x, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("empty input")
+    if layout is not None and layout.total != x.shape[1]:
+        raise ValueError(f"layout covers {layout.total} columns, the matrix has {x.shape[1]}")
     if labels.shape != (x.shape[0],):
         raise ValueError("labels must align with latents")
     k = int(n_classes) if n_classes is not None else int(labels.max()) + 1

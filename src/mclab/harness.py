@@ -43,7 +43,7 @@ from .basemodel import (
     StagedModel,
     TrainConfig,
     TrainingHistory,
-    extract_latents,
+    forward_latents,
     predict_batch,
     save_model,
     train,
@@ -441,7 +441,7 @@ def run_single(
     ensemble = None
     if excluded is not None:
         try:
-            records = extract_latents(model, correct_set)
+            _, latents, layout = forward_latents(model, correct_set)
         except Exception as exc:
             raise StageError("latents", str(exc)) from exc
         try:
@@ -451,10 +451,11 @@ def run_single(
                 else derived_seed(config.seed, "run", run_word, "gbdt")
             )
             ensemble = fit_corrector(
-                records,
+                latents,
                 correct_set.labels,
                 replace(config.gbdt, seed=seed),
                 n_classes=k,
+                layout=layout,
             )
         except Exception as exc:
             raise StageError("corrector", str(exc)) from exc
@@ -472,12 +473,7 @@ def run_single(
         raise StageError("compose", str(exc)) from exc
 
     try:
-        paired = PairedPredictions(
-            test_set.labels,
-            np.array([p.base_label for p in preds], dtype=np.int64),
-            np.array([p.corrected_label for p in preds], dtype=np.int64),
-            k,
-        )
+        paired = PairedPredictions(test_set.labels, preds.base_labels, preds.corrected_labels, k)
         report = evaluate(paired)
     except Exception as exc:
         raise StageError("metrics", str(exc)) from exc

@@ -221,13 +221,15 @@ def _weighted(values: list[float | None], counts: Sequence[int], n: int) -> floa
 def aggregate(
     per_class_metrics: Sequence[ClassMetrics],
     class_counts: Sequence[int],
-    epsilon: float = EPSILON_DEFAULT,
+    correct_base: int,
+    correct_corrected: int,
 ) -> AggregateMetrics:
     """Averages over classes plus accuracy-derived summary numbers.
 
     Macro means skip undefined classes; the weighted variant is
-    sum_i (N_i / N) * metric_i over defined classes. Raises when a field is
-    undefined for every class.
+    sum_i (N_i / N) * metric_i over defined classes. The accuracies are the
+    integer counts of correct base and corrected predictions over
+    N = sum(class_counts). Raises when a field is undefined for every class.
     """
     if len(per_class_metrics) != len(class_counts):
         raise ValueError("need one count per class")
@@ -242,17 +244,8 @@ def aggregate(
         if all(v is None for v in column(name)):
             raise ValueError(f"metric {name!r} is undefined for every class")
 
-    # tpr was produced as correct/count, so round() recovers the exact integer
-    correct_base = sum(
-        int(round((m.tpr_base or 0.0) * n_i))
-        for m, n_i in zip(per_class_metrics, class_counts)
-    )
-    correct_corr = sum(
-        int(round((m.tpr_corrected or 0.0) * n_i))
-        for m, n_i in zip(per_class_metrics, class_counts)
-    )
     acc_base = correct_base / n
-    acc_corr = correct_corr / n
+    acc_corr = correct_corrected / n
     power = acc_corr / acc_base if acc_base > 0 else None
     return AggregateMetrics(
         retention_macro=_macro(column("retention")),
@@ -273,7 +266,9 @@ def evaluate(preds: PairedPredictions, epsilon: float = EPSILON_DEFAULT) -> Eval
     """Full per-class and aggregate report for one prediction pair."""
     table = tuple(per_class(preds, i, epsilon) for i in range(preds.n_classes))
     counts = tuple(m.count for m in table)
-    agg = aggregate(table, counts, epsilon)
+    t = preds.true_labels
+    agg = aggregate(table, counts, int(np.sum(preds.base_labels == t)),
+                    int(np.sum(preds.corrected_labels == t)))
     new_rate = float(np.mean(preds.corrected_labels == NEW_CLASS))
     return EvalReport(
         per_class=table,
@@ -297,11 +292,14 @@ def brute_force_oracle(
     c = [int(v) for v in preds.corrected_labels]
     n = len(t)
     table = []
+    correct_base = correct_corr = 0
     for i in range(preds.n_classes):
         j_set = {j for j in range(n) if t[j] == i}
         a_set = {j for j in j_set if b[j] == i}
         b_set = {j for j in j_set if c[j] == i}
         n_i = len(j_set)
+        correct_base += len(a_set)
+        correct_corr += len(b_set)
         fp_b = len({j for j in range(n) if t[j] != i and b[j] == i})
         fp_c = len({j for j in range(n) if t[j] != i and c[j] == i})
         neg = n - n_i
@@ -327,7 +325,7 @@ def brute_force_oracle(
             )
         )
     counts = tuple(m.count for m in table)
-    agg = aggregate(table, counts, epsilon)
+    agg = aggregate(table, counts, correct_base, correct_corr)
     new_rate = sum(1 for v in c if v == NEW_CLASS) / n
     return EvalReport(
         per_class=tuple(table),

@@ -8,6 +8,7 @@ oracle as the stage tests.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -479,3 +480,64 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint\nat all\n")
         with pytest.raises(ValueError, match="not a model checkpoint"):
             load_model(path)
+
+
+def _edit_header(raw: bytes, edit) -> bytes:
+    """The checkpoint with ``edit`` applied to its parsed JSON header."""
+    magic, header, payload = raw.split(b"\n", 2)
+    doc = json.loads(header)
+    edit(doc)
+    return magic + b"\n" + json.dumps(doc).encode("ascii") + b"\n" + payload
+
+
+def _blocks(edit):
+    return lambda raw: _edit_header(raw, lambda doc: edit(doc["blocks"]))
+
+
+def _rename_first(blocks):
+    blocks[0][0] = "input_median"
+
+
+def _repeat_first(blocks):
+    blocks[1][0] = blocks[0][0]  # input_mean and input_std share a shape
+
+
+def _widen_first(blocks):
+    blocks[0][1] = [blocks[0][1][0] + 1]
+
+
+# edits of a saved checkpoint, and the message each must be rejected with
+MALFORMED_MODELS = {
+    "header_without_newline": (lambda raw: raw[:raw.index(b"\n", raw.index(b"\n") + 1)],
+                               "header line has no newline"),
+    "header_not_json": (lambda raw: raw.replace(b'"blocks"', b"'blocks'", 1), "malformed header"),
+    "unknown_block": (_blocks(_rename_first), "unknown block 'input_median'"),
+    "duplicate_block": (_blocks(_repeat_first), "block 'input_mean' appears 2 times"),
+    "missing_block": (_blocks(lambda blocks: blocks.pop()), r"missing blocks head\.b2"),
+    "wrong_shape": (_blocks(_widen_first),
+                    r"block 'input_mean' has shape \[2\], the model's is \[1\]"),
+    "short_buffer": (lambda raw: raw[:-4], r"file ends inside block 'head\.b2'"),
+    "trailing_bytes": (lambda raw: raw + b"\0" * 4, "4 bytes after the last block"),
+}
+
+
+class TestCheckpointRejections:
+    @pytest.fixture(scope="class")
+    def raw(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("model") / "model.bin"
+        save_model(StagedModel(SMALL, seed=12), path)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+    def test_error_names_the_path(self, tmp_path, raw, case):
+        edit, message = MALFORMED_MODELS[case]
+        path = tmp_path / "model.bin"
+        path.write_bytes(edit(raw))
+        with pytest.raises(ValueError, match=message) as err:
+            load_model(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    def test_unedited_checkpoint_loads(self, tmp_path, raw):
+        path = tmp_path / "model.bin"
+        path.write_bytes(raw)
+        assert load_model(path).config == SMALL

@@ -163,6 +163,16 @@ class TestCorrectEval:
         assert main(["eval", "--preds", "/nope/preds.csv"]) == 2
         assert "prediction log" in capsys.readouterr().err
 
+    def test_eval_malformed_log_is_runtime_error_naming_the_file(self, cli_run, tmp_path,
+                                                                 capsys):
+        _, run_dir = cli_run
+        lines = (run_dir / "preds.csv").read_text().splitlines()
+        bad = tmp_path / "truncated.csv"
+        bad.write_text("\n".join(lines[:-1] + [lines[-1][:4]]) + "\n")
+        assert main(["eval", "--preds", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: line {len(lines)}: expected 7 cells" in err
+
 
 @pytest.fixture(scope="module")
 def cli_sweep(tmp_path_factory):

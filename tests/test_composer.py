@@ -12,27 +12,24 @@ import pytest
 from mclab.basemodel import (
     LabeledDataset,
     LatentLayout,
-    LatentRecord,
     ModelConfig,
     StagedModel,
-    extract_latents,
     forward_latents,
     predict_batch,
-    stack_latents,
 )
 from mclab.composer import (
     NEW_CLASS,
     STREAM_BLOCK,
     CorrectedPrediction,
     DecisionPolicy,
-    compose,
+    Predictions,
     compose_batch,
     decide_batch,
     read_prediction_log,
     write_prediction_log,
 )
 from mclab.core import make_label_space
-from mclab.corrector import CorrectorEnsemble, GbdtConfig, _reorder_blocks, fit
+from mclab.corrector import CorrectorEnsemble, GbdtConfig, fit
 
 
 def stub_ensemble(probs) -> CorrectorEnsemble:
@@ -49,30 +46,25 @@ def stub_ensemble(probs) -> CorrectorEnsemble:
     )
 
 
-def dummy_record() -> "LatentRecord":
-    layout = LatentLayout(("conv_out", "lstm_out", "attn_out", "fc_out", "logits"),
-                          (1, 1, 1, 1, 1))
-    z = np.zeros(1)
-    return LatentRecord(conv_out=z, lstm_out=z, attn_out=z, fc_out=z, logits=z,
-                        layout=layout)
-
-
 def decide(base_probs, corr_probs, policy) -> CorrectedPrediction:
-    return compose(
-        np.asarray(base_probs), dummy_record(), stub_ensemble(corr_probs), policy
-    )
+    """The policy on one sample: a one-row batch, with the corrector's
+    posterior passed through the stub ensemble."""
+    corr = stub_ensemble(corr_probs).predict_proba(np.zeros((1, 4)))
+    (row,) = decide_batch(np.asarray(base_probs, dtype=np.float64)[None], corr, policy)
+    return row
 
 
 @pytest.fixture(scope="module")
 def small_world():
-    """Random-init 3-class model, 40 random samples, and their latents."""
+    """Random-init 3-class model, 40 random samples, their latent matrix and
+    its layout."""
     gen = np.random.default_rng(21)
     feats = gen.standard_normal((40, 64)).astype(np.float32)
     labels = gen.integers(0, 3, size=40)
     data = LabeledDataset(feats, labels, make_label_space(("A", "B", "C")))
     model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 1, 3), seed=6)
-    latents = extract_latents(model, data)
-    return model, data, latents
+    _, latents, layout = forward_latents(model, data)
+    return model, data, latents, layout
 
 
 class TestPolicyValidation:
@@ -218,13 +210,13 @@ class TestComposeBatch:
     @pytest.mark.parametrize("policy", POLICIES,
                              ids=["always", "threshold", "excluded", "new_class"])
     def test_matches_per_sample_recomputation(self, small_world, policy):
-        model, data, latents = small_world
-        ens = fit(latents, data.labels, GbdtConfig(n_rounds=5))
+        model, data, latents, layout = small_world
+        ens = fit(latents, data.labels, GbdtConfig(n_rounds=5), layout=layout)
         batch = compose_batch(model, ens, policy, data)
         assert len(batch) == len(data)
 
         _, base_probs = predict_batch(model, data)
-        corr_probs = ens.predict_proba(stack_latents(extract_latents(model, data))[0])
+        corr_probs = ens.predict_proba(latents)
         assert sum(p.overridden for p in batch) > 0  # the policy fires somewhere
         for i, out in enumerate(batch):
             assert np.array_equal(out.base_probs, base_probs[i])
@@ -233,40 +225,40 @@ class TestComposeBatch:
             assert out.base_label == int(np.argmax(base_probs[i]))
             assert out.corrected_label == want
             assert out.overridden == (want != out.base_label)
-            solo = compose(base_probs[i], latents[i], ens, policy)
-            assert solo.base_label == out.base_label
-            assert solo.corrected_label == out.corrected_label
-            assert solo.overridden == out.overridden
+            assert (out.base_label, out.corrected_label, out.overridden) == (
+                batch.base_labels[i], batch.corrected_labels[i], batch.overridden[i])
+            assert isinstance(out, CorrectedPrediction) and type(out.base_label) is int
 
     def test_reorders_blocks_of_an_ensemble_fit_in_another_order(self, small_world):
-        model, data, latents = small_world
-        matrix, layout = stack_latents(latents)
+        model, data, matrix, layout = small_world
         order = LatentLayout(tuple(reversed(layout.names)), tuple(reversed(layout.sizes)))
-        ens = fit(_reorder_blocks(matrix, layout, order), data.labels, GbdtConfig(n_rounds=5))
-        ens = replace(ens, layout=order)
+        reordered = np.concatenate(
+            [matrix[:, layout.block_slice(name)] for name in order.names], axis=1)
+        ens = fit(reordered, data.labels, GbdtConfig(n_rounds=5), layout=order)
         policy = DecisionPolicy(kind="always_corrector")
         batch = compose_batch(model, ens, policy, data)
 
-        # the records path reorders each stacked record to the fitted order
-        corr_probs = ens.predict_proba(extract_latents(model, data))
+        # compose_batch hands the corrector the blocks in the fitted order
+        corr_probs = ens.predict_proba(reordered)
         assert not np.array_equal(corr_probs, ens.predict_proba(matrix))  # order matters
         for i, out in enumerate(batch):
             assert np.array_equal(out.corrector_probs, corr_probs[i])
             assert out.corrected_label == int(np.argmax(corr_probs[i]))
 
     def test_foreign_layout_raises_like_the_records_path(self, small_world):
-        model, data, latents = small_world
-        ens = fit(latents, data.labels, GbdtConfig(n_rounds=2))
+        # compose_batch fails as align does on a matrix with foreign stage names
+        model, data, latents, layout = small_world
+        ens = fit(latents, data.labels, GbdtConfig(n_rounds=2), layout=layout)
         foreign = LatentLayout(("a", "b", "c", "d", "e"), ens.layout.sizes)
         ens = replace(ens, layout=foreign)
         with pytest.raises(ValueError, match="latent layout stages"):
-            ens.predict_proba(latents)
+            ens.align(latents, layout)
         with pytest.raises(ValueError, match="latent layout stages"):
             compose_batch(model, ens, DecisionPolicy(kind="always_corrector"), data)
 
     def test_streamed_blocks_equal_one_unstreamed_pass(self, small_world):
-        model, data, latents = small_world
-        ens = fit(latents, data.labels, GbdtConfig(n_rounds=5))
+        model, data, latents, layout = small_world
+        ens = fit(latents, data.labels, GbdtConfig(n_rounds=5), layout=layout)
         n = 2 * STREAM_BLOCK + 300
         gen = np.random.default_rng(26)
         big = LabeledDataset(gen.standard_normal((n, 64)).astype(np.float32),
@@ -276,11 +268,12 @@ class TestComposeBatch:
         corr_probs = ens.predict_proba(ens.align(matrix, layout))
         want = decide_batch(base_probs, corr_probs, policy)
         got = compose_batch(model, ens, policy, big)
-        assert [(p.base_label, p.corrected_label, p.overridden) for p in got] == [
-            (p.base_label, p.corrected_label, p.overridden) for p in want]
-        assert sum(p.overridden for p in got) > 0
-        assert np.array_equal(np.stack([p.base_probs for p in got]), base_probs)
-        assert np.array_equal(np.stack([p.corrector_probs for p in got]), corr_probs)
+        for name in ("base_labels", "corrected_labels", "overridden", "base_probs",
+                     "corrector_probs"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.overridden.sum() > 0
+        assert np.array_equal(got.base_probs, base_probs)
+        assert np.array_equal(got.corrector_probs, corr_probs)
 
     def test_no_policy_keeps_every_base_label(self):
         base = np.random.default_rng(24).dirichlet(np.ones(3), size=6)
@@ -289,10 +282,10 @@ class TestComposeBatch:
         assert not any(p.overridden for p in preds)
 
     def test_corrector_mirroring_base_never_overrides(self, small_world):
-        model, data, latents = small_world
+        model, data, latents, layout = small_world
         base_labels, _ = predict_batch(model, data)
         # teach the corrector to reproduce the base verdicts exactly
-        ens = fit(latents, base_labels, GbdtConfig(n_rounds=30), n_classes=3)
+        ens = fit(latents, base_labels, GbdtConfig(n_rounds=30), n_classes=3, layout=layout)
         corr_labels = ens.predict_proba(latents).argmax(axis=1)
         assert np.array_equal(corr_labels, base_labels)
         batch = compose_batch(
@@ -301,8 +294,8 @@ class TestComposeBatch:
         assert sum(p.overridden for p in batch) == 0
 
     def test_unreachable_tau_reduces_to_base(self, small_world):
-        model, data, latents = small_world
-        ens = fit(latents, data.labels, GbdtConfig(n_rounds=10))
+        model, data, latents, layout = small_world
+        ens = fit(latents, data.labels, GbdtConfig(n_rounds=10), layout=layout)
         policy = DecisionPolicy(kind="excluded_only", tau=2.0, excluded_label=1)
         batch = compose_batch(model, ens, policy, data)
         base_labels, _ = predict_batch(model, data)
@@ -310,8 +303,8 @@ class TestComposeBatch:
         assert np.array_equal([p.corrected_label for p in batch], base_labels)
 
     def test_raising_tau_never_adds_overrides(self, small_world):
-        model, data, latents = small_world
-        ens = fit(latents, data.labels, GbdtConfig(n_rounds=10))
+        model, data, latents, layout = small_world
+        ens = fit(latents, data.labels, GbdtConfig(n_rounds=10), layout=layout)
         counts = []
         for tau in np.linspace(0.0, 1.0, 11):
             policy = DecisionPolicy(kind="excluded_only", tau=float(tau),
@@ -325,21 +318,13 @@ class TestComposeBatch:
 class TestPredictionLog:
     def make_preds(self, n=12, k=3, seed=23, with_sentinel=True):
         gen = np.random.default_rng(seed)
-        preds = []
-        for i in range(n):
-            base = gen.dirichlet(np.ones(k))
-            corr = gen.dirichlet(np.ones(k))
-            base_label = int(base.argmax())
-            corrected = base_label
-            if with_sentinel and i == 0:
-                corrected = NEW_CLASS
-            elif i % 3 == 0:
-                corrected = int(corr.argmax())
-            preds.append(CorrectedPrediction(
-                base_label=base_label, corrected_label=corrected,
-                overridden=corrected != base_label,
-                base_probs=base, corrector_probs=corr,
-            ))
+        base = gen.dirichlet(np.ones(k), size=n)
+        corr = gen.dirichlet(np.ones(k), size=n)
+        base_labels = base.argmax(axis=1)
+        corrected = np.where(np.arange(n) % 3 == 0, corr.argmax(axis=1), base_labels)
+        if with_sentinel:
+            corrected[0] = NEW_CLASS
+        preds = Predictions(base_labels, corrected, corrected != base_labels, base, corr)
         true = gen.integers(0, k, size=n)
         return preds, true
 
@@ -414,3 +399,50 @@ class TestPredictionLog:
         log = read_prediction_log(path)
         assert log.n_classes == 5
         assert read_prediction_log(path, n_classes=7).n_classes == 7
+
+
+def _set_cell(lines: list[str], row: int, cell: int, value: str) -> list[str]:
+    cells = lines[row].split(",")
+    cells[cell] = value
+    return lines[:row] + [",".join(cells)] + lines[row + 1:]
+
+
+# edits of a 4-row log, with the 0-based index of the line each must be
+# rejected at, and the message
+MALFORMED_LOGS = {
+    "header_only": (lambda ls: ls[:1], 1, "missing column header"),
+    "no_rows": (lambda ls: ls[:2], 1, "no prediction rows"),
+    "truncated_row": (lambda ls: ls[:-1] + [ls[-1][:5]], 5, "expected 7 cells, found 3"),
+    "extra_field": (lambda ls: _set_cell(ls, 3, 6, "0.5,0.5"), 3, "expected 7 cells, found 8"),
+    "bad_k": (lambda ls: ["# mclab-preds v1 K=three"] + ls[1:], 0, "K=<classes>"),
+    "zero_k": (lambda ls: ["# mclab-preds v1 K=0"] + ls[1:], 0, "K=<classes>"),
+    "sample_id_gap": (lambda ls: _set_cell(ls, 4, 0, "3"), 4, "sample_id 3, expected 2"),
+    "bad_int": (lambda ls: _set_cell(ls, 2, 2, "x"), 2, "base 'x' is not an int"),
+    "bad_float": (lambda ls: _set_cell(ls, 3, 5, "high"), 3, "base_conf 'high' is not a float"),
+    "overridden_flag": (lambda ls: _set_cell(ls, 2, 4, "2"), 2, "overridden 2, expected 0 or 1"),
+    "empty": (lambda ls: [], 0, "empty prediction log"),
+}
+
+
+class TestPredictionLogRejections:
+    @pytest.fixture(scope="class")
+    def lines(self, tmp_path_factory):
+        preds, true = TestPredictionLog().make_preds(n=4)
+        path = tmp_path_factory.mktemp("log") / "preds.csv"
+        write_prediction_log(preds, true, 3, path)
+        return path.read_text().splitlines()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_LOGS))
+    def test_error_names_path_and_line(self, tmp_path, lines, case):
+        edit, at, message = MALFORMED_LOGS[case]
+        path = tmp_path / "preds.csv"
+        edited = edit(list(lines))
+        path.write_text("\n".join(edited) + "\n" if edited else "")
+        with pytest.raises(ValueError, match=message) as err:
+            read_prediction_log(path)
+        assert str(err.value).startswith(f"{path}: line {at + 1}: ")
+
+    def test_unedited_log_loads(self, tmp_path, lines):
+        path = tmp_path / "preds.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert read_prediction_log(path).true_labels.size == 4

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mclab.corrector as corrector_module
-from mclab.basemodel import LatentLayout, LatentRecord
+from mclab.basemodel import LatentLayout
 from mclab.corrector import (
     CorrectorEnsemble,
     GbdtConfig,
@@ -63,19 +63,15 @@ def xor_dataset(n_per: int = 100, seed: int = 0, noise: float = 0.3):
     return x[perm], y[perm]
 
 
-def make_records(n: int, seed: int, informative: str = "attn_out", shift: float = 3.0):
-    """Latent records where only one stage block separates the two classes."""
+def make_latents(n: int, seed: int, informative: str = "attn_out", shift: float = 3.0):
+    """A latent matrix in ``LAYOUT`` where only one stage block separates the
+    two classes, and its labels."""
     gen = np.random.default_rng(seed)
     labels = gen.integers(0, 2, size=n)
-    records = []
-    for i in range(n):
-        blocks = {
-            name: gen.standard_normal(size)
-            for name, size in zip(LAYOUT.names, LAYOUT.sizes)
-        }
-        blocks[informative] = blocks[informative] * 0.1 + labels[i] * shift
-        records.append(LatentRecord(layout=LAYOUT, **blocks))
-    return records, labels
+    x = gen.standard_normal((n, LAYOUT.total))
+    block = LAYOUT.block_slice(informative)
+    x[:, block] = x[:, block] * 0.1 + labels[:, None] * shift
+    return x, labels
 
 
 class TestConfig:
@@ -252,11 +248,13 @@ class TestPredict:
         ens = fit(x, y, GbdtConfig(n_rounds=8))
         assert np.array_equal(ens.raw_margins(x), walk_margins(ens, x))
 
-    def test_single_record_returns_vector(self):
-        records, labels = make_records(80, seed=11)
-        ens = fit(records, labels, GbdtConfig(n_rounds=5))
-        probs = ens.predict_proba(records[0])
-        assert probs.shape == (2,)
+    def test_rejects_a_single_row_vector(self):
+        x, labels = make_latents(80, seed=11)
+        ens = fit(x, labels, GbdtConfig(n_rounds=5), layout=LAYOUT)
+        with pytest.raises(ValueError, match="2-D latent matrix"):
+            ens.predict_proba(x[0])
+        probs = ens.predict_proba(x[:1])
+        assert probs.shape == (1, 2)
         assert float(probs.sum()) == pytest.approx(1.0, abs=1e-9)
 
     def test_rejects_wrong_width(self):
@@ -266,38 +264,30 @@ class TestPredict:
             ens.predict_proba(np.zeros((3, 5)))
 
     def test_block_permutation_with_consistent_layout_is_invariant(self):
-        records, labels = make_records(80, seed=13)
-        ens = fit(records, labels, GbdtConfig(n_rounds=5))
-        probs_std = ens.predict_proba(records)
+        x, labels = make_latents(80, seed=13)
+        ens = fit(x, labels, GbdtConfig(n_rounds=5), layout=LAYOUT)
+        probs_std = ens.predict_proba(x)
 
         permuted_layout = LatentLayout(
             ("lstm_out", "conv_out", "attn_out", "fc_out", "logits"), (4, 4, 4, 4, 2)
         )
-        # swap the numbers held by the first two fields and declare the swap
-        # in the layout: the concatenated matrix is block-permuted while the
-        # descriptor stays consistent with it
-        permuted = [
-            LatentRecord(
-                conv_out=r.lstm_out, lstm_out=r.conv_out, attn_out=r.attn_out,
-                fc_out=r.fc_out, logits=r.logits, layout=permuted_layout,
-            )
-            for r in records
-        ]
-        np.testing.assert_array_equal(ens.predict_proba(permuted), probs_std)
+        # swap the first two blocks and declare the swap in the layout: the
+        # matrix is block-permuted while the descriptor stays consistent with it
+        permuted = np.concatenate([x[:, 4:8], x[:, 0:4], x[:, 8:]], axis=1)
+        np.testing.assert_array_equal(
+            ens.predict_proba(ens.align(permuted, permuted_layout)), probs_std)
 
     def test_rejects_foreign_layout_names(self):
-        records, labels = make_records(80, seed=14)
-        ens = fit(records, labels, GbdtConfig(n_rounds=2))
+        x, labels = make_latents(80, seed=14)
+        ens = fit(x, labels, GbdtConfig(n_rounds=2), layout=LAYOUT)
         alien_layout = LatentLayout(("a", "b", "c", "d", "e"), (4, 4, 4, 4, 2))
-        alien = [
-            LatentRecord(
-                conv_out=r.conv_out, lstm_out=r.lstm_out, attn_out=r.attn_out,
-                fc_out=r.fc_out, logits=r.logits, layout=alien_layout,
-            )
-            for r in records[:3]
-        ]
         with pytest.raises(ValueError, match="layout stages"):
-            ens.predict_proba(alien)
+            ens.align(x[:3], alien_layout)
+
+    def test_fit_rejects_a_layout_of_another_width(self):
+        x, labels = make_latents(20, seed=15)
+        with pytest.raises(ValueError, match="layout covers 18 columns, the matrix has 17"):
+            fit(x[:, :-1], labels, GbdtConfig(n_rounds=1), layout=LAYOUT)
 
 
 FIVE = LatentLayout(("conv_out", "lstm_out", "attn_out", "fc_out", "logits"), (1, 1, 1, 1, 1))
@@ -372,9 +362,7 @@ class TestPackedEvaluation:
         # a small budget splits the rows into many evaluation blocks
         with patch.object(corrector_module, "EVAL_BLOCK_ELEMENTS", budget):
             assert np.array_equal(ens.raw_margins(x), want)
-        record = LatentRecord(**{name: x[0, i:i + 1] for i, name in enumerate(FIVE.names)},
-                              layout=FIVE)
-        assert np.array_equal(ens.raw_margins(record), want[:1])
+        assert np.array_equal(ens.raw_margins(x[:1]), want[:1])
 
         # the narrowest word that holds the widest tree; past 64 leaves, several
         widest = max((t.feature.count(-1) for r in trees for t in r), default=1)
@@ -456,8 +444,8 @@ class TestFeatureImportance:
         assert ens.total_gain > 0
 
     def test_informative_block_dominates_gain(self):
-        records, labels = make_records(300, seed=17, informative="attn_out")
-        ens = fit(records, labels, GbdtConfig(n_rounds=20, max_depth=3))
+        x, labels = make_latents(300, seed=17, informative="attn_out")
+        ens = fit(x, labels, GbdtConfig(n_rounds=20, max_depth=3), layout=LAYOUT)
         imp = ens.feature_importance()
         block = ens.layout.block_slice("attn_out")
         assert float(imp[block].sum()) >= 0.8 * float(imp.sum())
@@ -465,8 +453,8 @@ class TestFeatureImportance:
 
 class TestCheckpoint:
     def test_round_trip_preserves_predictions_exactly(self, tmp_path):
-        records, labels = make_records(120, seed=18)
-        ens = fit(records, labels, GbdtConfig(n_rounds=5, max_depth=3))
+        x, labels = make_latents(120, seed=18)
+        ens = fit(x, labels, GbdtConfig(n_rounds=5, max_depth=3), layout=LAYOUT)
         path = tmp_path / "corrector.txt"
         save_ensemble(ens, path)
         loaded = load_ensemble(path)

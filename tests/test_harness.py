@@ -31,6 +31,10 @@ from mclab.harness import (
     run_sweep,
 )
 import mclab.harness as harness_mod
+from reference_fixture import host_fingerprint
+
+PINNED_SWEEP = json.loads(
+    (Path(__file__).parent / "fixtures" / "mini_sweep_pinned.json").read_text())
 
 
 def mini_doc(out_dir: str, name: str = "mini", seed: int = 11) -> dict:
@@ -379,6 +383,18 @@ class TestSweep:
             assert (root / f"{tag}.txt").is_file()
         assert (root / "manifest.json").is_file()
         assert set(sweep.runs) == {0, 1, 2}
+
+    def test_tree_matches_the_pinned_digests(self, mini_sweep):
+        _, sweep = mini_sweep
+        got = {
+            path.relative_to(sweep.root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(sweep.root.rglob("*"))
+            if path.is_file() and path.name != "manifest.json"
+        }
+        if host_fingerprint() == PINNED_SWEEP["host"]:
+            assert got == PINNED_SWEEP["files"]
+        else:  # training rounds differently on another numpy build or CPU
+            assert sorted(got) == sorted(PINNED_SWEEP["files"])
 
     def test_diagonal_is_the_excluded_class_row(self, mini_sweep):
         _, sweep = mini_sweep

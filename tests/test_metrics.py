@@ -202,7 +202,7 @@ class TestAggregate:
 
     def test_all_ones_average_to_one(self):
         rows = [self.mk(i, 10, 1.0) for i in range(3)]
-        agg = aggregate(rows, [10, 10, 10])
+        agg = aggregate(rows, [10, 10, 10], 15, 15)
         assert agg.retention_macro == 1.0
         assert agg.retention_weighted == pytest.approx(1.0, abs=1e-12)
 
@@ -216,16 +216,24 @@ class TestAggregate:
         assert agg.accuracy_corrected == pytest.approx(0.45, abs=1e-12)
         assert agg.power == pytest.approx(0.9, abs=1e-12)
 
+    def test_accuracies_are_the_correct_counts_over_n(self):
+        # the counts alone set the accuracies, whatever the per-class rates
+        rows = [self.mk(i, 10, 1.0) for i in range(3)]
+        agg = aggregate(rows, [10, 10, 10], 21, 14)
+        assert agg.accuracy_base == 21 / 30
+        assert agg.accuracy_corrected == 14 / 30
+        assert agg.power == (14 / 30) / (21 / 30)
+
     def test_undefined_classes_are_skipped(self):
         rows = [self.mk(0, 10, 1.0), self.mk(1, 30, None, harm=None), self.mk(2, 10, 0.5)]
-        agg = aggregate(rows, [10, 30, 10])
+        agg = aggregate(rows, [10, 30, 10], 25, 25)
         assert agg.retention_macro == pytest.approx(0.75)
         # weighted sum runs over defined classes with N_i / N weights
         assert agg.retention_weighted == pytest.approx((10 * 1.0 + 10 * 0.5) / 50)
 
     def test_weighted_uses_frequency(self):
         rows = [self.mk(0, 90, 1.0), self.mk(1, 10, 0.0)]
-        agg = aggregate(rows, [90, 10])
+        agg = aggregate(rows, [90, 10], 50, 50)
         assert agg.retention_macro == pytest.approx(0.5)
         assert agg.retention_weighted == pytest.approx(0.9)
 
@@ -236,13 +244,13 @@ class TestAggregate:
 
     def test_count_mismatch_raises(self):
         with pytest.raises(ValueError, match="one count per class"):
-            aggregate([self.mk(0, 5, 1.0)], [5, 5])
+            aggregate([self.mk(0, 5, 1.0)], [5, 5], 5, 5)
 
     def test_published_column_mean_disagrees_with_printed_average(self):
         # column 1 of the retention table: the arithmetic mean of the printed
         # per-class cells is ~0.979, not the printed average 0.973
         rows = [self.mk(i, 10, float(REF_RETENTION[i, 0])) for i in range(7)]
-        agg = aggregate(rows, [10] * 7)
+        agg = aggregate(rows, [10] * 7, 35, 35)
         assert agg.retention_macro == pytest.approx(0.97885714285, abs=1e-9)
         assert abs(agg.retention_macro - REF_AVG_RETENTION[0]) > 0.004
 
