@@ -74,6 +74,8 @@ class ModelConfig:
             h, w = h // 2, w // 2
             if h < 1 or w < 1:
                 raise ValueError("input too small: pooling collapses below 1x1")
+        if self.n_heads < 1:
+            raise ValueError("n_heads must be >= 1")
         if self.width % self.n_heads != 0:
             raise ValueError("conv_channels[-1] must be divisible by n_heads")
 

@@ -23,6 +23,7 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     StageError,
+    _stage,
     build_dataset,
     default_config_dict,
     load_sweep,
@@ -145,15 +146,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     config = load_config(args.config, args.set)
-    try:
+    with _stage("data"):
         data = build_dataset(config)
         out = args.out or str(Path(config.output_dir) / config.name / "dataset.csv")
         Path(out).parent.mkdir(parents=True, exist_ok=True)
         save_dataset(data, out)
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("data", str(exc)) from exc
     counts = ", ".join(str(int(c)) for c in data.class_counts)
     print(f"wrote {len(data)} samples ({counts}) to {out}")
     return 0

@@ -241,17 +241,24 @@ def read_prediction_log(path: str | Path, n_classes: int | None = None) -> Predi
 
     The ``# mclab-preds v1 K=<classes>`` line is optional; without it (and
     without ``n_classes``) K is one more than the largest label. A malformed
-    file raises ValueError naming the path and the line: a bad K= line, a
-    missing column header, no rows, a row without exactly 7 cells, a
-    sample_id other than the row's index, a cell that does not parse, or an
-    overridden flag other than 0 or 1.
+    file raises ValueError naming the path and the line: a non-ASCII byte, a
+    bad K= line, a missing column header, no rows, a row without exactly 7
+    cells, a sample_id other than the row's index, a cell that does not
+    parse, an overridden flag other than 0 or 1, or a label out of range
+    (true and base in [0, K), corrected in [0, K) or NEW_CLASS; only the
+    lower bounds when K is unknown).
     """
-    lines = Path(path).read_text(encoding="ascii").splitlines()
+    raw = Path(path).read_bytes()
     at = 0  # index of the line being read
 
     def fail(message: str) -> NoReturn:
         raise ValueError(f"{path}: line {at + 1}: {message}")
 
+    try:
+        lines = raw.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        at = raw.count(b"\n", 0, exc.start)
+        fail(f"non-ASCII byte 0x{raw[exc.start]:02x} at offset {exc.start}")
     if not lines:
         fail("empty prediction log")
     k = n_classes
@@ -285,6 +292,9 @@ def read_prediction_log(path: str | Path, n_classes: int | None = None) -> Predi
             fail(f"sample_id {row[0]}, expected {len(rows)}")
         if row[4] not in (0, 1):
             fail(f"overridden {row[4]}, expected 0 or 1")
+        for name, label, low in zip(("true", "base", "corrected"), row[1:4], (0, 0, NEW_CLASS)):
+            if label < low or k is not None and label >= k:
+                fail(f"{name} {label} outside [{low}, {'K' if k is None else k})")
         rows.append(row)
     cols = list(zip(*rows))
     true_arr, base, corrected = (np.array(col, dtype=np.int64) for col in cols[1:4])

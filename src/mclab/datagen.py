@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -288,28 +288,39 @@ def load_dataset(
     """Read a dataset file written by save_dataset (or any conforming file).
 
     Display names are not part of the format; pass ``names`` to attach them,
-    otherwise class1..K placeholders are used.
+    otherwise class1..K placeholders are used. A malformed file raises
+    DatasetFormatError starting with the path: a bad header (line 1), a text
+    row with the wrong field count, an unparsable cell or a label outside
+    [0, K) (data row r is line r + 2), a binary payload that is not a whole
+    number of rows, or a binary label that is not an integer in [0, K).
     """
     path = Path(path)
     if binary is None:
         binary = path.suffix == ".bin"
+
+    def fail(message: str) -> NoReturn:
+        raise DatasetFormatError(f"{path}: {message}")
+
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii", errors="replace")
-        k, dim = _parse_header(header)
+        header = fh.readline()
         payload = fh.read()
+    try:
+        k, dim = _parse_header(header.decode("ascii", errors="replace"))
+    except DatasetFormatError as exc:
+        fail(f"line 1: {exc}")
     if binary:
         row_bytes = 4 * (dim + 1)
         if len(payload) % row_bytes != 0:
-            raise DatasetFormatError(
-                f"binary payload is {len(payload)} bytes, not a multiple of {row_bytes}"
-            )
+            fail(f"binary payload is {len(payload)} bytes, not a multiple of {row_bytes}")
         rows = np.frombuffer(payload, dtype="<f4").reshape(-1, dim + 1)
         labels_f = rows[:, 0]
-        labels = labels_f.astype(np.int64)
+        with np.errstate(invalid="ignore"):
+            labels = labels_f.astype(np.int64)
         bad = np.nonzero((labels_f != labels) | (labels < 0) | (labels >= k))[0]
         if bad.size:
-            raise DatasetFormatError(f"row {int(bad[0])}: label {float(labels_f[bad[0]])} "
-                                     f"is not an integer in [0, {k})")
+            r = int(bad[0])
+            fail(f"row {r} (offset {len(header) + r * row_bytes}): label "
+                 f"{float(labels_f[r])} is not an integer in [0, {k})")
         features = rows[:, 1:].astype(np.float32)
     else:
         text = payload.decode("ascii", errors="replace")
@@ -318,18 +329,17 @@ def load_dataset(
         for row_no, line in enumerate(text.splitlines()):
             if not line.strip():
                 continue
+            where = f"line {row_no + 2}: row {row_no}"
             cells = line.split(",")
             if len(cells) != dim + 1:
-                raise DatasetFormatError(
-                    f"row {row_no}: expected {dim + 1} fields, got {len(cells)}"
-                )
+                fail(f"{where}: expected {dim + 1} fields, got {len(cells)}")
             try:
                 lab = int(cells[0])
                 feat = np.array([float(v) for v in cells[1:]], dtype=np.float32)
-            except ValueError as exc:
-                raise DatasetFormatError(f"row {row_no}: unparseable value") from exc
+            except ValueError:
+                fail(f"{where}: unparseable value")
             if lab < 0 or lab >= k:
-                raise DatasetFormatError(f"row {row_no}: label {lab} is not in [0, {k})")
+                fail(f"{where}: label {lab} is not in [0, {k})")
             labels_list.append(lab)
             feats_list.append(feat)
         labels = np.asarray(labels_list, dtype=np.int64)
@@ -338,5 +348,5 @@ def load_dataset(
         )
     space = make_label_space(tuple(names) if names is not None else default_names(k))
     if len(space) != k:
-        raise ValueError("names length must match header K")
+        raise ValueError(f"{path}: {len(space)} names for the header's K={k}")
     return LabeledDataset(features, labels, space)

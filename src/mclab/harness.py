@@ -29,11 +29,12 @@ import concurrent.futures
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from functools import partial
 from pathlib import Path
 from types import NoneType, UnionType
-from typing import Any, Mapping, get_args, get_origin, get_type_hints
+from typing import Any, Iterator, Mapping, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -60,6 +61,7 @@ from .core import (
     Rng,
     SplitSpec,
     class_weights,
+    default_names,
     derived_seed,
     exclude_class,
     split_dataset,
@@ -308,17 +310,38 @@ def config_sha256(config: ExperimentConfig) -> str:
 # ---- pipeline ----
 
 
+@contextmanager
+def _stage(name: str) -> Iterator[None]:
+    """Run a block as pipeline stage ``name``: a StageError passes through
+    unchanged, any other exception is re-raised as ``StageError(name, ...)``."""
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(name, str(exc)) from exc
+
+
 @dataclass
 class RunResult:
     excluded: int | None
     run_dir: str
     report: EvalReport | None
     history: TrainingHistory
-    val_accuracy: float
+
+    @property
+    def val_accuracy(self) -> float:
+        """Best validation accuracy of the base model (NaN when reloaded)."""
+        return self.history.best_val_acc
 
 
 def _dir_tag(excluded: int | None) -> str:
     return "excl_none" if excluded is None else f"excl_{excluded}"
+
+
+def _seed(config: ExperimentConfig, pinned: int | None, *path: str) -> int:
+    """A stage seed: the pinned value if set, else derived from the master seed."""
+    return pinned if pinned is not None else derived_seed(config.seed, *path)
 
 
 def build_dataset(config: ExperimentConfig) -> LabeledDataset:
@@ -349,27 +372,23 @@ def build_dataset(config: ExperimentConfig) -> LabeledDataset:
 
 
 def _split_spec(config: ExperimentConfig) -> SplitSpec:
-    seed = (
-        config.split.seed
-        if config.split.seed is not None
-        else derived_seed(config.seed, "split")
-    )
-    return SplitSpec(
-        fractions=config.split.fractions, seed=seed, stratified=config.split.stratified
-    )
+    split = config.split
+    return SplitSpec(fractions=split.fractions, seed=_seed(config, split.seed, "split"),
+                     stratified=split.stratified)
 
 
 def run_single(
     config: ExperimentConfig,
     excluded: int | None | str = "config",
-    persist: bool = True,
     base_only: bool = False,
 ) -> RunResult:
     """One exclusion run (or the no-exclusion baseline when excluded is None).
 
-    With ``base_only`` the pipeline stops after base-model training: no
-    corrector, no composition, no metrics; only model.bin and history.csv
-    are persisted.
+    Each stage's failure raises StageError naming it. The run directory gets
+    model.bin and history.csv, plus corrector.txt (exclusion runs),
+    preds.csv and metrics.csv. With ``base_only`` the pipeline stops after
+    base-model training: no corrector, composition or metrics, so only
+    model.bin and history.csv are written.
     """
     if excluded == "config":
         excluded = config.excluded_class
@@ -378,128 +397,63 @@ def run_single(
         raise StageError("exclude", f"excluded class {excluded} outside [0, {k})")
     run_word = "baseline" if excluded is None else f"class{int(excluded)}"
 
-    try:
+    with _stage("data"):
         data = build_dataset(config)
-    except Exception as exc:
-        raise StageError("data", str(exc)) from exc
-
-    try:
+    with _stage("split"):
         spec = _split_spec(config)
         train_set, correct_set, test_set = split_dataset(data, spec)
         fit_set, val_set = validation_slice(train_set, spec.seed)
-    except Exception as exc:
-        raise StageError("split", str(exc)) from exc
-
-    try:
+    with _stage("exclude"):
         if excluded is not None:
             excluded = int(excluded)
-            if int(np.sum(correct_set.labels == excluded)) == 0:
+            if not np.any(correct_set.labels == excluded):
                 raise ValueError(
                     f"correct split contains no samples of excluded class {excluded}"
                 )
             fit_set = exclude_class(fit_set, excluded)
             val_set = exclude_class(val_set, excluded)
-            weights = class_weights(fit_set, excluded={excluded})
-        else:
-            weights = class_weights(fit_set)
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("exclude", str(exc)) from exc
-
-    try:
+        weights = class_weights(fit_set, excluded=() if excluded is None else (excluded,))
+    with _stage("train"):
         init_rng = Rng.from_seed(config.seed).derive("run", run_word, "init")
         model = StagedModel(config.model, rng=init_rng, seed=config.seed)
-        seed = (
-            config.train.seed
-            if config.train.seed is not None
-            else derived_seed(config.seed, "run", run_word, "train")
-        )
-        model, history = train(
-            model, fit_set, val_set, weights, replace(config.train, seed=seed)
-        )
-    except Exception as exc:
-        raise StageError("train", str(exc)) from exc
+        train_config = replace(config.train,
+                               seed=_seed(config, config.train.seed, "run", run_word, "train"))
+        model, history = train(model, fit_set, val_set, weights, train_config)
 
-    if base_only:
-        run_dir = Path(config.output_dir) / config.name / _dir_tag(excluded)
-        if persist:
-            try:
-                run_dir.mkdir(parents=True, exist_ok=True)
-                save_model(model, run_dir / "model.bin")
-                history.write(run_dir / "history.csv")
-            except Exception as exc:
-                raise StageError("persist", str(exc)) from exc
-        return RunResult(
-            excluded=excluded,
-            run_dir=str(run_dir),
-            report=None,
-            history=history,
-            val_accuracy=history.best_val_acc,
-        )
-
-    ensemble = None
-    if excluded is not None:
-        try:
-            _, latents, layout = forward_latents(model, correct_set)
-        except Exception as exc:
-            raise StageError("latents", str(exc)) from exc
-        try:
-            seed = (
-                config.gbdt.seed
-                if config.gbdt.seed is not None
-                else derived_seed(config.seed, "run", run_word, "gbdt")
-            )
-            ensemble = fit_corrector(
-                latents,
-                correct_set.labels,
-                replace(config.gbdt, seed=seed),
-                n_classes=k,
-                layout=layout,
-            )
-        except Exception as exc:
-            raise StageError("corrector", str(exc)) from exc
-
-    try:
-        if ensemble is not None:
-            policy = config.policy
-            if policy.kind == "excluded_only":
-                policy = replace(policy, excluded_label=excluded)
-            preds = compose_batch(model, ensemble, policy, test_set)
-        else:
-            _, base_probs = predict_batch(model, test_set)
-            preds = decide_batch(base_probs, np.zeros_like(base_probs), None)
-    except Exception as exc:
-        raise StageError("compose", str(exc)) from exc
-
-    try:
-        paired = PairedPredictions(test_set.labels, preds.base_labels, preds.corrected_labels, k)
-        report = evaluate(paired)
-    except Exception as exc:
-        raise StageError("metrics", str(exc)) from exc
+    ensemble = report = None
+    if not base_only:
+        if excluded is not None:
+            with _stage("latents"):
+                _, latents, layout = forward_latents(model, correct_set)
+            with _stage("corrector"):
+                gbdt = replace(config.gbdt,
+                               seed=_seed(config, config.gbdt.seed, "run", run_word, "gbdt"))
+                ensemble = fit_corrector(latents, correct_set.labels, gbdt, n_classes=k,
+                                         layout=layout)
+        with _stage("compose"):
+            if ensemble is None:
+                _, base_probs = predict_batch(model, test_set)
+                preds = decide_batch(base_probs, np.zeros_like(base_probs), None)
+            else:
+                policy = config.policy
+                if policy.kind == "excluded_only":
+                    policy = replace(policy, excluded_label=excluded)
+                preds = compose_batch(model, ensemble, policy, test_set)
+        with _stage("metrics"):
+            report = evaluate(PairedPredictions(
+                test_set.labels, preds.base_labels, preds.corrected_labels, k))
 
     run_dir = Path(config.output_dir) / config.name / _dir_tag(excluded)
-    if persist:
-        try:
-            run_dir.mkdir(parents=True, exist_ok=True)
-            save_model(model, run_dir / "model.bin")
-            if ensemble is not None:
-                save_ensemble(ensemble, run_dir / "corrector.txt")
+    with _stage("persist"):
+        run_dir.mkdir(parents=True, exist_ok=True)
+        save_model(model, run_dir / "model.bin")
+        if ensemble is not None:
+            save_ensemble(ensemble, run_dir / "corrector.txt")
+        if report is not None:
             write_prediction_log(preds, test_set.labels, k, run_dir / "preds.csv")
             (run_dir / "metrics.csv").write_text(report_to_csv(report), encoding="ascii")
-            history.write(run_dir / "history.csv")
-        except StageError:
-            raise
-        except Exception as exc:
-            raise StageError("persist", str(exc)) from exc
-
-    return RunResult(
-        excluded=excluded,
-        run_dir=str(run_dir),
-        report=report,
-        history=history,
-        val_accuracy=history.best_val_acc,
-    )
+        history.write(run_dir / "history.csv")
+    return RunResult(excluded, str(run_dir), report, history)
 
 
 @dataclass
@@ -549,147 +503,102 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepResult:
 
 # ---- report rendering ----
 
-
-def _fmt(v: float | None) -> str:
-    return "" if v is None else f"{v:.6f}"
-
-
-def _table3(sweep: SweepResult, k: int) -> tuple[str, str]:
-    header = "metric,label," + ",".join(str(c + 1) for c in range(k))
-    csv_lines = [header]
-    names = [l.display_name for l in _label_space(sweep)]
-    text_blocks = []
-    for metric in ("retention", "harm"):
-        cells: list[list[float | None]] = []
-        for i in range(k):
-            cells.append(
-                [getattr(sweep.runs[c].report.per_class[i], metric) for c in range(k)]
-            )
-        for i in range(k):
-            csv_lines.append(
-                f"{metric},{i + 1}," + ",".join(_fmt(v) for v in cells[i])
-            )
-        averages = []
-        for c in range(k):
-            defined = [cells[i][c] for i in range(k) if cells[i][c] is not None]
-            averages.append(sum(defined) / len(defined) if defined else None)
-        csv_lines.append(f"{metric},Average," + ",".join(_fmt(v) for v in averages))
-
-        width = 9
-        lines = [f"{metric.capitalize()} (rows: true class, columns: corrector)"]
-        head = " ".join(f"{c + 1:>{width}}" for c in range(k))
-        lines.append(f"{'label':>12} {head}")
-        for i in range(k):
-            row = []
-            for c in range(k):
-                cell = "" if cells[i][c] is None else f"{cells[i][c]:.3f}"
-                if c == i and cell:
-                    cell += "*"  # the corrected class itself
-                row.append(f"{cell:>{width}}")
-            lines.append(f"{i + 1}:{names[i]:<10.10} " + " ".join(row))
-        lines.append(
-            f"{'Average':>12} "
-            + " ".join(f"{('' if v is None else f'{v:.3f}'):>{width}}" for v in averages)
-        )
-        text_blocks.append("\n".join(lines))
-    return "\n".join(csv_lines) + "\n", "\n\n".join(text_blocks) + "\n"
+# a table row: CSV label, text label, cells (None: undefined), and the cell
+# the text marks with '*' (None: no mark)
+Row = tuple[str, str, list[float | None], int | None]
 
 
-def _table4(sweep: SweepResult, k: int) -> tuple[str, str]:
-    csv_lines = ["corrector,delta_fpr_macro,gain_excluded"]
-    text_lines = [f"{'corrector':>12} {'dFPR_macro':>12} {'gain_excl':>12}"]
-    names = [l.display_name for l in _label_space(sweep)]
-    for c in range(k):
-        report = sweep.runs[c].report
-        dfpr = report.aggregate.delta_fpr_macro
-        gain = report.per_class[c].gain
-        csv_lines.append(f"{c + 1},{_fmt(dfpr)},{_fmt(gain)}")
-        text_lines.append(
-            f"{str(c + 1) + ':' + names[c]:>12.12} "
-            f"{('' if dfpr is None else f'{dfpr:.3f}'):>12} "
-            f"{('' if gain is None else f'{gain:.3f}'):>12}"
-        )
-    return "\n".join(csv_lines) + "\n", "\n".join(text_lines) + "\n"
-
-
-def _table5(sweep: SweepResult, k: int) -> tuple[str, str]:
-    header = "label,no_correction," + ",".join(str(c + 1) for c in range(k)) + ",power"
-    csv_lines = [header]
-    names = [l.display_name for l in _label_space(sweep)]
-    width = 9
-    text_lines = [
-        f"{'label':>12} {'no_corr':>{width}} "
-        + " ".join(f"{c + 1:>{width}}" for c in range(k))
-        + f" {'P':>{width}}"
-    ]
-    for i in range(k):
-        base_acc = sweep.baseline.report.per_class[i].tpr_base
-        row = [sweep.runs[c].report.per_class[i].tpr_corrected for c in range(k)]
-        diag = row[i]
-        power = (
-            diag / base_acc
-            if diag is not None and base_acc is not None and base_acc > 0
-            else None
-        )
-        csv_lines.append(
-            f"{i + 1},{_fmt(base_acc)},"
-            + ",".join(_fmt(v) for v in row)
-            + f",{_fmt(power)}"
-        )
-        cells = " ".join(
-            f"{('' if v is None else f'{v:.3f}') + ('*' if c == i else ''):>{width}}"
-            for c, v in enumerate(row)
-        )
-        text_lines.append(
-            f"{i + 1}:{names[i]:<10.10} "
-            f"{('' if base_acc is None else f'{base_acc:.3f}'):>{width}} "
-            + cells
-            + f" {('' if power is None else f'{power:.3f}'):>{width}}"
-        )
-    return "\n".join(csv_lines) + "\n", "\n".join(text_lines) + "\n"
-
-
-def _label_space(sweep: SweepResult):
-    from .core import make_label_space
-
+def _label_space(sweep: SweepResult) -> tuple[str, ...]:
     names = sweep.config.dataset.profile.names
     k = sweep.config.model.n_classes
     if sweep.config.dataset.source == "file" or len(names) != k:
-        from .core import default_names
+        return default_names(k)
+    return tuple(names)
 
-        return make_label_space(default_names(k))
-    return make_label_space(names)
+
+def _report_tables(sweep: SweepResult) -> Iterator[tuple]:
+    """Tables 3-5 as (tag, CSV header, text heads, column width, blocks); a
+    block is a text title (or None) and its rows."""
+    k = sweep.config.model.n_classes
+    names = _label_space(sweep)
+    runs = [sweep.runs[c].report for c in range(k)]
+    cols = [str(c + 1) for c in range(k)]
+    labels = [f"{i + 1}:{names[i]:<10.10}" for i in range(k)]
+
+    blocks = []
+    for metric in ("retention", "harm"):
+        grid = [[getattr(runs[c].per_class[i], metric) for c in range(k)] for i in range(k)]
+        # the corrected class itself is marked where its cell is defined
+        rows: list[Row] = [(f"{metric},{i + 1}", labels[i], grid[i],
+                            i if grid[i][i] is not None else None) for i in range(k)]
+        defined = [[v for v in column if v is not None] for column in zip(*grid)]
+        averages = [sum(d) / len(d) if d else None for d in defined]
+        rows.append((f"{metric},Average", f"{'Average':>12}", averages, None))
+        blocks.append((f"{metric.capitalize()} (rows: true class, columns: corrector)", rows))
+    yield "table3", "metric,label," + ",".join(cols), ["label", *cols], 9, blocks
+
+    rows = [(cols[c], f"{cols[c] + ':' + names[c]:>12.12}",
+             [runs[c].aggregate.delta_fpr_macro, runs[c].per_class[c].gain], None)
+            for c in range(k)]
+    yield ("table4", "corrector,delta_fpr_macro,gain_excluded",
+           ["corrector", "dFPR_macro", "gain_excl"], 12, [(None, rows)])
+
+    rows = []
+    for i in range(k):
+        base = sweep.baseline.report.per_class[i].tpr_base
+        accs = [runs[c].per_class[i].tpr_corrected for c in range(k)]
+        power = accs[i] / base if accs[i] is not None and base else None
+        rows.append((cols[i], labels[i], [base, *accs, power], 1 + i))  # diagonal always marked
+    yield ("table5", "label,no_correction," + ",".join(cols) + ",power",
+           ["label", "no_corr", *cols, "P"], 9, [(None, rows)])
+
+
+def _write_table(root: Path, tag: str, csv_header: str, heads: list[str], width: int,
+                 blocks: list[tuple[str | None, list[Row]]]) -> None:
+    """Write one table as ``<tag>.csv`` ({:.6f} cells) and ``<tag>.txt``
+    ({:.3f} cells right-aligned to ``width``, blocks apart by a blank line)."""
+
+    def cell(v: float | None, fmt: str) -> str:
+        return "" if v is None else fmt.format(v)
+
+    csv_lines, texts = [csv_header], []
+    for title, rows in blocks:
+        lines = [] if title is None else [title]
+        lines.append(f"{heads[0]:>12} " + " ".join(f"{h:>{width}}" for h in heads[1:]))
+        for csv_label, label, values, marked in rows:
+            csv_lines.append(csv_label + "," + ",".join(cell(v, "{:.6f}") for v in values))
+            cells = [cell(v, "{:.3f}") + "*" * (c == marked) for c, v in enumerate(values)]
+            lines.append(label + " " + " ".join(f"{s:>{width}}" for s in cells))
+        texts.append("\n".join(lines))
+    (root / f"{tag}.csv").write_text("\n".join(csv_lines) + "\n", encoding="ascii")
+    (root / f"{tag}.txt").write_text("\n\n".join(texts) + "\n", encoding="ascii")
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def render_report(sweep: SweepResult) -> None:
     """Write table3/4/5 CSV + text and the manifest under the sweep root."""
     root = sweep.root
     root.mkdir(parents=True, exist_ok=True)
-    k = sweep.config.model.n_classes
-    for tag, builder in (("table3", _table3), ("table4", _table4), ("table5", _table5)):
-        csv_text, txt_text = builder(sweep, k)
-        (root / f"{tag}.csv").write_text(csv_text, encoding="ascii")
-        (root / f"{tag}.txt").write_text(txt_text, encoding="ascii")
-
-    manifest: dict[str, Any] = {
+    tables = list(_report_tables(sweep))
+    for table in tables:
+        _write_table(root, *table)
+    runs = {}
+    for result in [sweep.baseline] + [sweep.runs[c] for c in sorted(sweep.runs)]:
+        run_dir = Path(result.run_dir)
+        runs[run_dir.name] = {p.name: _sha256(p) for p in sorted(run_dir.iterdir()) if p.is_file()}
+    manifest = {
         "artifact": "mclab-sweep v1",
         "package_version": __version__,
         "master_seed": sweep.config.seed,
         "config": sweep.config.to_dict(),
         "config_sha256": config_sha256(sweep.config),
-        "runs": {},
-        "tables": {},
+        "runs": runs,
+        "tables": {tag + ext: _sha256(root / (tag + ext))
+                   for tag, *_ in tables for ext in (".csv", ".txt")},
     }
-    for result in [sweep.baseline] + [sweep.runs[c] for c in sorted(sweep.runs)]:
-        run_dir = Path(result.run_dir)
-        files = {}
-        for f in sorted(p.name for p in run_dir.iterdir() if p.is_file()):
-            files[f] = hashlib.sha256((run_dir / f).read_bytes()).hexdigest()
-        manifest["runs"][run_dir.name] = files
-    for tag in ("table3", "table4", "table5"):
-        for ext in (".csv", ".txt"):
-            path = root / (tag + ext)
-            manifest["tables"][tag + ext] = hashlib.sha256(path.read_bytes()).hexdigest()
     (root / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="ascii"
     )
@@ -707,27 +616,18 @@ def load_sweep(root: str | Path) -> SweepResult:
         raise StageError("report", f"no manifest.json under {root}")
     manifest = json.loads(manifest_path.read_text(encoding="ascii"))
     config = normalize_config(manifest["config"])
-    k = config.model.n_classes
 
-    def rebuild(tag: str, excluded: int | None) -> RunResult:
-        run_dir = root / tag
+    def rebuild(excluded: int | None) -> RunResult:
+        run_dir = root / _dir_tag(excluded)
         preds_path = run_dir / "preds.csv"
-        want = manifest.get("runs", {}).get(tag, {}).get("preds.csv")
+        want = manifest.get("runs", {}).get(run_dir.name, {}).get("preds.csv")
         if want is None:
             raise StageError("report", f"manifest lists no sha256 for {preds_path}")
-        if hashlib.sha256(preds_path.read_bytes()).hexdigest() != want:
+        if _sha256(preds_path) != want:
             raise StageError("report", f"{preds_path} does not match its sha256 in the manifest")
-        log = read_prediction_log(preds_path)
-        paired = PairedPredictions.from_log(log)
-        report = evaluate(paired)
-        return RunResult(
-            excluded=excluded,
-            run_dir=str(run_dir),
-            report=report,
-            history=TrainingHistory(),
-            val_accuracy=float("nan"),
-        )
+        report = evaluate(PairedPredictions.from_log(read_prediction_log(preds_path)))
+        return RunResult(excluded, str(run_dir), report, TrainingHistory())
 
-    baseline = rebuild("excl_none", None)
-    runs = {c: rebuild(f"excl_{c}", c) for c in range(k)}
+    baseline = rebuild(None)
+    runs = {c: rebuild(c) for c in range(config.model.n_classes)}
     return SweepResult(config=config, baseline=baseline, runs=runs)

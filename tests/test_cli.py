@@ -173,6 +173,20 @@ class TestCorrectEval:
         err = capsys.readouterr().err
         assert f"{bad}: line {len(lines)}: expected 7 cells" in err
 
+    @pytest.mark.parametrize("cell,message", [("9", "true 9 outside [0, 3)"),
+                                              ("1\u00b9", "non-ASCII byte")])
+    def test_eval_bad_label_or_byte_names_the_file(self, cli_run, tmp_path, capsys,
+                                                     cell, message):
+        _, run_dir = cli_run
+        lines = (run_dir / "preds.csv").read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[1] = cell
+        bad = tmp_path / "edited.csv"
+        bad.write_text("\n".join(lines[:2] + [",".join(cells)] + lines[3:]) + "\n",
+                       encoding="utf-8")
+        assert main(["eval", "--preds", str(bad)]) == 2
+        assert f"{bad}: line 3: {message}" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def cli_sweep(tmp_path_factory):

@@ -421,6 +421,11 @@ MALFORMED_LOGS = {
     "bad_float": (lambda ls: _set_cell(ls, 3, 5, "high"), 3, "base_conf 'high' is not a float"),
     "overridden_flag": (lambda ls: _set_cell(ls, 2, 4, "2"), 2, "overridden 2, expected 0 or 1"),
     "empty": (lambda ls: [], 0, "empty prediction log"),
+    "true_out_of_range": (lambda ls: _set_cell(ls, 3, 1, "3"), 3, r"true 3 outside \[0, 3\)"),
+    "base_negative": (lambda ls: _set_cell(ls, 2, 2, "-1"), 2, r"base -1 outside \[0, 3\)"),
+    "corrected_below_sentinel": (lambda ls: _set_cell(ls, 5, 3, "-2"), 5,
+                                 r"corrected -2 outside \[-1, 3\)"),
+    "non_ascii": (lambda ls: _set_cell(ls, 4, 6, "0.5\u00e9"), 4, "non-ASCII byte 0xc3"),
 }
 
 
@@ -437,7 +442,7 @@ class TestPredictionLogRejections:
         edit, at, message = MALFORMED_LOGS[case]
         path = tmp_path / "preds.csv"
         edited = edit(list(lines))
-        path.write_text("\n".join(edited) + "\n" if edited else "")
+        path.write_text("\n".join(edited) + "\n" if edited else "", encoding="utf-8")
         with pytest.raises(ValueError, match=message) as err:
             read_prediction_log(path)
         assert str(err.value).startswith(f"{path}: line {at + 1}: ")

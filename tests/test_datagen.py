@@ -217,3 +217,59 @@ class TestDatasetFiles:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DatasetFormatError, match="row 4"):
             load_dataset(path)
+
+
+def _set_text_cell(raw: bytes, line: int, cell: int, value: str) -> bytes:
+    lines = raw.decode("ascii").split("\n")
+    cells = lines[line].split(",")
+    cells[cell] = value
+    lines[line] = ",".join(cells)
+    return "\n".join(lines).encode("ascii")
+
+
+def _set_binary_label(raw: bytes, row: int, label: float) -> bytes:
+    start = raw.index(b"\n") + 1 + row * 4 * 3  # dim 2: label plus two features
+    return raw[:start] + np.array([label], dtype="<f4").tobytes() + raw[start + 4:]
+
+
+# edits of a saved 2-dim, 2-class dataset: the file suffix, the edit, and the
+# message each must be rejected with after the path
+MALFORMED_DATASETS = {
+    "bad_header": (".csv", lambda raw: b"mclab dataset" + raw[raw.index(b","):],
+                   "line 1: malformed header line"),
+    "wrong_field_count": (".csv", lambda raw: _set_text_cell(raw, 3, 2, "0.5,0.5"),
+                          "line 4: row 2: expected 3 fields, got 4"),
+    "unparsable_cell": (".csv", lambda raw: _set_text_cell(raw, 5, 1, "one"),
+                        "line 6: row 4: unparseable value"),
+    "label_out_of_range": (".csv", lambda raw: _set_text_cell(raw, 2, 0, "2"),
+                           r"line 3: row 1: label 2 is not in \[0, 2\)"),
+    "partial_binary_row": (".bin", lambda raw: raw[:-5],
+                           "binary payload is 235 bytes, not a multiple of 12"),
+    "fractional_binary_label": (".bin", lambda raw: _set_binary_label(raw, 3, 0.5),
+                                r"row 3 \(offset \d+\): label 0.5 is not an integer in \[0, 2\)"),
+}
+
+
+class TestDatasetRejections:
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        data = generate_gaussian(two_cluster_spec(dim=2), 20, Rng.from_seed(0))
+        root = tmp_path_factory.mktemp("dataset")
+        for suffix in (".csv", ".bin"):
+            save_dataset(data, root / f"d{suffix}")
+        return {suffix: (root / f"d{suffix}").read_bytes() for suffix in (".csv", ".bin")}
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_DATASETS))
+    def test_error_names_the_path(self, tmp_path, saved, case):
+        suffix, edit, message = MALFORMED_DATASETS[case]
+        path = tmp_path / f"d{suffix}"
+        path.write_bytes(edit(saved[suffix]))
+        with pytest.raises(DatasetFormatError, match=message) as err:
+            load_dataset(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("suffix", [".csv", ".bin"])
+    def test_unedited_dataset_loads(self, tmp_path, saved, suffix):
+        path = tmp_path / f"d{suffix}"
+        path.write_bytes(saved[suffix])
+        assert len(load_dataset(path)) == 20

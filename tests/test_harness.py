@@ -16,20 +16,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mclab.basemodel import TrainingHistory
 from mclab.composer import POLICY_KINDS, DecisionPolicy
-from mclab.core import split_dataset
+from mclab.core import NEW_CLASS, split_dataset
 from mclab.corrector import load_ensemble
 from mclab.harness import (
     ConfigError,
     ExperimentConfig,
+    RunResult,
     StageError,
+    SweepResult,
     config_sha256,
     default_config_dict,
     load_sweep,
     normalize_config,
+    render_report,
     run_single,
     run_sweep,
 )
+from mclab.metrics import PairedPredictions, evaluate
 import mclab.harness as harness_mod
 from reference_fixture import host_fingerprint
 
@@ -216,6 +221,7 @@ class TestNormalizeConfig:
             ({"dataset": {"n_total": 29}}, "dataset.n_total"),
             ({"dataset": {"profile": {"covariance_scale": 0.0}}},
              "dataset.profile.covariance_scale"),
+            ({"model": {"n_heads": 0}}, "model"),
         ],
     )
     def test_rejections_name_the_field(self, tmp_path, patch, path):
@@ -307,7 +313,7 @@ class TestRunSingle:
             output_dir=str(tmp_path / "runs"),
             policy=DecisionPolicy(kind="excluded_only", tau=2.0),
         )
-        result = run_single(off, excluded=1, persist=False)
+        result = run_single(off, excluded=1)
         for m in result.report.per_class:
             assert m.tpr_corrected == m.tpr_base
             assert m.retention in (None, 1.0)
@@ -332,7 +338,7 @@ class TestRunSingle:
             return real(model, fit_set, val_set, weights, config)
 
         monkeypatch.setattr(harness_mod, "train", spy)
-        run_single(cfg, excluded=1, persist=False, base_only=True)
+        run_single(cfg, excluded=1, base_only=True)
         data = harness_mod.build_dataset(cfg)
         train_set, correct_set, test_set = split_dataset(
             data, harness_mod._split_spec(cfg)
@@ -349,17 +355,43 @@ class TestRunSingle:
         assert not val & rows(test_set)
         assert 1 not in seen["val"].labels and 1 not in seen["fit"].labels
 
-    def test_errors_carry_their_stage(self, tmp_path):
+    @pytest.mark.parametrize("stage,callee", [
+        ("data", "build_dataset"),
+        ("split", "split_dataset"),
+        ("exclude", "exclude_class"),
+        ("train", "train"),
+        ("latents", "forward_latents"),
+        ("corrector", "fit_corrector"),
+        ("compose", "compose_batch"),
+        ("metrics", "evaluate"),
+        ("persist", "save_model"),
+    ])
+    def test_errors_carry_their_stage(self, tmp_path, monkeypatch, stage, callee):
+        doc = mini_doc(str(tmp_path / "runs"))
+        doc["train"]["max_epochs"] = 1
+        doc["gbdt"]["n_rounds"] = 1
+        cause = RuntimeError("synthetic failure")
+
+        def fail(*args, **kwargs):
+            raise cause
+
+        monkeypatch.setattr(harness_mod, callee, fail)
+        with pytest.raises(StageError, match="synthetic failure") as err:
+            run_single(normalize_config(doc), excluded=1)
+        assert err.value.stage == stage
+        assert err.value.__cause__ is cause
+
+    def test_invalid_inputs_carry_their_stage(self, tmp_path):
         doc = mini_doc(str(tmp_path))
         doc["dataset"]["profile"]["dim"] = 32  # model expects 64 inputs
         cfg = normalize_config(doc)
         with pytest.raises(StageError) as err:
-            run_single(cfg, excluded=0, persist=False)
+            run_single(cfg, excluded=0)
         assert err.value.stage == "data"
 
         good = mini_config(str(tmp_path))
         with pytest.raises(StageError) as err:
-            run_single(good, excluded=7, persist=False)
+            run_single(good, excluded=7)
         assert err.value.stage == "exclude"
 
 
@@ -541,3 +573,79 @@ class TestSweep:
         for tag in ("excl_none", "excl_0", "excl_1"):
             assert (root / tag / "history.csv").is_file(), tag
         assert not (root / "table3.csv").exists()
+
+
+# a hand-made 11-class sweep: class 4 has no test samples, the base model
+# never gets class 9 right, and exclusion runs keep a quarter of the excluded
+# class's base hits, so some diagonal cells are defined and some are not
+HAND_K, HAND_EMPTY, HAND_ALWAYS_WRONG = 11, 4, 9
+HAND_NAMES = ["Happiness", "Neutral", "Sadness", "Surprise_and_more", "Disgust", "Anger",
+              "Fear", "Contempt", "Awe", "Boredom", "Confusion"]
+# sha256 of the tables render_report wrote for the hand-made sweep at the
+# commit before the report renderer was rewritten; pure integer counts and
+# exact ratios, so these hold on every host
+PINNED_TABLES = {
+    "table3.csv": "7986d96ffa1beb76a2b117624261b2e63a936cc5639e51f553d5e5e5009025f5",
+    "table3.txt": "afd492753d1c9a4a7c81c97641f70151c64a1421a03c9a7b3adb03670b274d4f",
+    "table4.csv": "7c495ea22bfa5a4e81b5e7f183e15bac5b3374577c50c815c47f893c3dc45d66",
+    "table4.txt": "083c1b025dc6d5eadef2df04f0713eb7f810c95fb8be1c848da7221d19309a4a",
+    "table5.csv": "be04a6b0a6e1e89dd46543b5bd1cbc1dd8acbe5d56e304bdfbfd3507945457a0",
+    "table5.txt": "b8866277e0cf66cc87609f3b58fd30e17663dcc34f08ef0e54523f2ecbfe12e7",
+}
+
+
+def hand_report(excluded: int | None):
+    k = HAND_K
+    true = np.concatenate([np.full(3 + i % 4, i) for i in range(k) if i != HAND_EMPTY])
+    j = np.arange(true.size)
+    base = np.where((j % 3 == 0) | (true == HAND_ALWAYS_WRONG), (true + 1) % k, true)
+    corrected = base
+    if excluded is not None:
+        base = np.where((base == excluded) & (j % 4 != 1), (excluded + 2) % k, base)
+        corrected = np.where((true == excluded) & (j % 2 == 0), excluded, base)
+        corrected = np.where(j % 7 == 5, (true + 3) % k, corrected)
+        corrected = np.where(j % 11 == 10, NEW_CLASS, corrected)
+    return evaluate(PairedPredictions(true, base, corrected, k))
+
+
+def hand_sweep(out_dir: Path) -> SweepResult:
+    config = normalize_config({
+        "name": "hand",
+        "output_dir": str(out_dir),
+        "dataset": {"profile": {"proportions": [1.0] * HAND_K, "names": HAND_NAMES}},
+        "model": {"n_classes": HAND_K},
+    })
+
+    def result(excluded: int | None) -> RunResult:
+        run_dir = out_dir / "hand" / ("excl_none" if excluded is None else f"excl_{excluded}")
+        run_dir.mkdir(parents=True)
+        return RunResult(excluded, str(run_dir), hand_report(excluded), TrainingHistory())
+
+    return SweepResult(config, result(None), {c: result(c) for c in range(HAND_K)})
+
+
+class TestReportTables:
+    def test_table_bytes_are_pinned(self, tmp_path):
+        sweep = hand_sweep(tmp_path)
+        render_report(sweep)
+        got = {name: hashlib.sha256((sweep.root / name).read_bytes()).hexdigest()
+               for name in PINNED_TABLES}
+        assert got == PINNED_TABLES
+
+    def test_hand_sweep_covers_the_table_quirks(self, tmp_path):
+        sweep = hand_sweep(tmp_path)
+        render_report(sweep)
+        table3 = (sweep.root / "table3.txt").read_text().splitlines()
+        table5 = (sweep.root / "table5.txt").read_text().splitlines()
+        assert "1.000*" in table3[2] and "*" not in table3[4]  # defined / undefined diagonal
+        assert table5[5].split() == ["5:Disgust", "*"]  # no test samples of class 5
+        assert table5[10].startswith("10:Boredom    ")  # a 13-character label
+        assert "4:Surprise_a" in (sweep.root / "table4.txt").read_text()
+
+    def test_val_accuracy_reads_the_history(self, tmp_path):
+        history = TrainingHistory(best_val_acc=0.75)
+        result = RunResult(None, str(tmp_path), None, history)
+        assert result.val_accuracy == 0.75
+        assert np.isnan(RunResult(None, str(tmp_path), None, TrainingHistory()).val_accuracy)
+        with pytest.raises(AttributeError):
+            result.val_accuracy = 0.5
