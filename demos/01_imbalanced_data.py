@@ -22,9 +22,8 @@ def main() -> None:
     print(f"{'class':<12}{'count':>7}{'share':>9}{'weight':>9}")
     weights = class_weights(data)
     counts = data.class_counts
-    for label in data.label_space:
-        i = label.id
-        print(f"{i}:{label.display_name:<10}{counts[i]:>7}"
+    for i, name in enumerate(data.names):
+        print(f"{i}:{name:<10}{counts[i]:>7}"
               f"{counts[i] / data.labels.size:>9.3f}{weights[i]:>9.2f}")
     print()
     print("inverse-frequency weights give every class equal pull on the")

@@ -244,12 +244,14 @@ class StagedModel:
     def forward_batch(
         self,
         x: np.ndarray,
-        training: bool = False,
         dropout_p: float = 0.0,
         gen: np.random.Generator | None = None,
-        dropout_mask: np.ndarray | None = None,
     ) -> dict:
-        """Run the full pipeline; returns probs, logits, latents and caches."""
+        """Run the full pipeline; returns probs, logits, latents and caches.
+
+        With ``dropout_p > 0`` a dropout mask on the head's hidden layer is
+        drawn from ``gen``; at 0 the pass is deterministic (inference).
+        """
         x = self._standardize(self._reshape(np.asarray(x, dtype=np.float64)))
         b_n = x.shape[0]
         conv_out, conv_cache = self.conv.forward(x)
@@ -260,9 +262,10 @@ class StagedModel:
         hs, lstm_cache = self.lstm.forward(seq)
         attn_out, attn_cache = self.attn.forward(hs)
         pooled = attn_out.mean(axis=1)
-        if training and dropout_p > 0.0 and dropout_mask is None:
+        dropout_mask = None
+        if dropout_p > 0.0:
             if gen is None:
-                raise ValueError("training with dropout needs a generator")
+                raise ValueError("dropout needs a generator")
             keep = gen.random((b_n, self.config.width)) >= dropout_p
             dropout_mask = keep / (1.0 - dropout_p)
         logits, head_cache = self.head.forward(pooled, dropout_mask)
@@ -286,12 +289,9 @@ class StagedModel:
         weights: np.ndarray,
         dropout_p: float = 0.0,
         gen: np.random.Generator | None = None,
-        dropout_mask: np.ndarray | None = None,
     ) -> tuple[float, dict[str, np.ndarray]]:
         """Mean weighted cross-entropy over the batch plus analytic gradients."""
-        fwd = self.forward_batch(
-            x, training=True, dropout_p=dropout_p, gen=gen, dropout_mask=dropout_mask
-        )
+        fwd = self.forward_batch(x, dropout_p=dropout_p, gen=gen)
         probs = fwd["probs"]
         b_n = probs.shape[0]
         labels = np.asarray(labels, dtype=np.int64)
@@ -328,7 +328,7 @@ FORWARD_CHUNK = 256
 
 
 def forward_latents(
-    model: StagedModel, data: LabeledDataset | np.ndarray, chunk: int = FORWARD_CHUNK
+    model: StagedModel, data: LabeledDataset | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, LatentLayout]:
     """One chunked pass: class probabilities, latent matrix and its layout.
 
@@ -340,8 +340,8 @@ def forward_latents(
     n = x.shape[0]
     probs = np.empty((n, model.config.n_classes))
     latents = np.empty((n, layout.total))
-    for start in range(0, n, chunk):
-        fwd = model.forward_batch(x[start : start + chunk])
+    for start in range(0, n, FORWARD_CHUNK):
+        fwd = model.forward_batch(x[start : start + FORWARD_CHUNK])
         rows = slice(start, start + fwd["probs"].shape[0])
         probs[rows] = fwd["probs"]
         parts = (
@@ -357,22 +357,22 @@ def forward_latents(
 
 
 def predict_batch(
-    model: StagedModel, data: LabeledDataset | np.ndarray, chunk: int = FORWARD_CHUNK
+    model: StagedModel, data: LabeledDataset | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Labels (argmax ties break toward the lowest id) and class probabilities."""
-    probs, _, _ = forward_latents(model, data, chunk)
+    probs, _, _ = forward_latents(model, data)
     return probs.argmax(axis=1), probs
 
 
 def extract_latents(
-    model: StagedModel, data: LabeledDataset | np.ndarray, chunk: int = FORWARD_CHUNK
+    model: StagedModel, data: LabeledDataset | np.ndarray
 ) -> list[LatentRecord]:
     """Latent records for every sample, dropout disabled, order preserved.
 
     The blocks of each record are views of one row of the ``forward_latents``
     matrix.
     """
-    _, latents, layout = forward_latents(model, data, chunk)
+    _, latents, layout = forward_latents(model, data)
     blocks = [layout.block_slice(name) for name in layout.names]
     return [
         LatentRecord(**dict(zip(layout.names, (row[b] for b in blocks))), layout=layout)

@@ -158,7 +158,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     config = load_config(args.config, args.set)
-    result = run_single(config, base_only=True)
+    result = run_single(config, config.excluded_class, base_only=True)
     history = result.history
     print(
         f"trained {len(history.rows)} epochs, best val_acc "
@@ -172,7 +172,7 @@ def _cmd_correct(args: argparse.Namespace) -> int:
     config = load_config(args.config, args.set)
     if config.excluded_class is None:
         raise ConfigError("excluded_class", "required for the correct command")
-    result = run_single(config)
+    result = run_single(config, config.excluded_class)
     agg = result.report.aggregate
     ret = "n/a" if agg.retention_macro is None else f"{agg.retention_macro:.4f}"
     print(

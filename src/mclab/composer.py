@@ -236,17 +236,16 @@ def write_prediction_log(
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def read_prediction_log(path: str | Path, n_classes: int | None = None) -> PredictionLog:
+def read_prediction_log(path: str | Path) -> PredictionLog:
     """Read a log written by ``write_prediction_log``.
 
-    The ``# mclab-preds v1 K=<classes>`` line is optional; without it (and
-    without ``n_classes``) K is one more than the largest label. A malformed
-    file raises ValueError naming the path and the line: a non-ASCII byte, a
-    bad K= line, a missing column header, no rows, a row without exactly 7
-    cells, a sample_id other than the row's index, a cell that does not
-    parse, an overridden flag other than 0 or 1, or a label out of range
-    (true and base in [0, K), corrected in [0, K) or NEW_CLASS; only the
-    lower bounds when K is unknown).
+    The first line must be ``# mclab-preds v1 K=<classes>``. A malformed file
+    raises ValueError naming the path and the line: a non-ASCII byte, a
+    missing or bad K= line, a missing column header, no rows, a row without
+    exactly 7 cells, a sample_id other than the row's index, a cell that does
+    not parse, an overridden flag other than 0 or 1, or a label out of range
+    (true and base in [0, K), corrected in [0, K) or NEW_CLASS). Each row is
+    checked as it is read, before any array is built.
     """
     raw = Path(path).read_bytes()
     at = 0  # index of the line being read
@@ -261,15 +260,11 @@ def read_prediction_log(path: str | Path, n_classes: int | None = None) -> Predi
         fail(f"non-ASCII byte 0x{raw[exc.start]:02x} at offset {exc.start}")
     if not lines:
         fail("empty prediction log")
-    k = n_classes
-    if lines[0].startswith("#"):
-        head = _LOG_HEADER.fullmatch(lines[0])
-        if head is None:
-            fail(f"unrecognized prediction log header {lines[0]!r}, "
-                 f"expected '# {PREDS_MAGIC} K=<classes>'")
-        if k is None:
-            k = int(head[1])
-        at = 1
+    head = _LOG_HEADER.fullmatch(lines[0])
+    if head is None:
+        fail(f"prediction log header {lines[0]!r} is not '# {PREDS_MAGIC} K=<classes>'")
+    k = int(head[1])
+    at = 1
     if at == len(lines) or lines[at] != LOG_COLUMNS:
         fail("prediction log missing column header")
     if at + 1 == len(lines):
@@ -293,12 +288,10 @@ def read_prediction_log(path: str | Path, n_classes: int | None = None) -> Predi
         if row[4] not in (0, 1):
             fail(f"overridden {row[4]}, expected 0 or 1")
         for name, label, low in zip(("true", "base", "corrected"), row[1:4], (0, 0, NEW_CLASS)):
-            if label < low or k is not None and label >= k:
-                fail(f"{name} {label} outside [{low}, {'K' if k is None else k})")
+            if not low <= label < k:
+                fail(f"{name} {label} outside [{low}, {k})")
         rows.append(row)
     cols = list(zip(*rows))
     true_arr, base, corrected = (np.array(col, dtype=np.int64) for col in cols[1:4])
-    if k is None:
-        k = int(max(true_arr.max(), base.max(), corrected.max())) + 1
     return PredictionLog(true_arr, base, corrected, np.array(cols[4], dtype=bool),
-                         np.array(cols[5]), np.array(cols[6]), int(k))
+                         np.array(cols[5]), np.array(cols[6]), k)

@@ -1,4 +1,4 @@
-"""Core domain types: label spaces, datasets, deterministic RNG, three-way splits.
+"""Core domain types: datasets, deterministic RNG, three-way splits.
 
 Labels are dense 0-based integers internally and rendered 1-based in every
 human-facing report. All randomness flows through ``Rng``, a descriptor around
@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "NEW_CLASS",
-    "ClassLabel",
     "LabeledDataset",
     "Rng",
     "SplitSpec",
@@ -24,7 +23,6 @@ __all__ = [
     "datasets_equal",
     "exclude_class",
     "largest_remainder",
-    "make_label_space",
     "split_dataset",
     "validation_slice",
 ]
@@ -33,46 +31,22 @@ __all__ = [
 NEW_CLASS = -1
 
 
-@dataclass(frozen=True)
-class ClassLabel:
-    """A class in a dense 0-based label space."""
-
-    id: int
-    display_name: str
-
-    def __post_init__(self) -> None:
-        if self.id < 0:
-            raise ValueError(f"label id must be >= 0, got {self.id}")
-        if not self.display_name:
-            raise ValueError("display_name must be non-empty")
-
-    def render(self) -> str:
-        # reports are 1-based
-        return f"{self.id + 1}:{self.display_name}"
-
-
-def make_label_space(names: Sequence[str]) -> tuple[ClassLabel, ...]:
-    """Build a dense label space from display names (ids follow list order)."""
-    if len(set(names)) != len(names):
-        raise ValueError("display names must be unique")
-    return tuple(ClassLabel(i, str(n)) for i, n in enumerate(names))
-
-
 def default_names(k: int) -> tuple[str, ...]:
     return tuple(f"class{i + 1}" for i in range(k))
 
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Immutable feature/label arrays plus their label space.
+    """Immutable feature/label arrays plus the names of their K classes.
 
     features: float32 array of shape (n, *feature_shape)
     labels:   int64 array of shape (n,), values in [0, K)
+    names:    K distinct non-empty display names; class i is names[i]
     """
 
     features: np.ndarray
     labels: np.ndarray
-    label_space: tuple[ClassLabel, ...]
+    names: tuple[str, ...]
 
     def __post_init__(self) -> None:
         feats = np.asarray(self.features, dtype=np.float32)
@@ -86,25 +60,28 @@ class LabeledDataset:
             raise ValueError("features must have shape (n, *feature_shape)")
         if labs.ndim != 1 or labs.shape[0] != feats.shape[0]:
             raise ValueError("labels must be a vector aligned with features")
-        k = len(self.label_space)
+        names = tuple(str(n) for n in self.names)
+        k = len(names)
         if k == 0:
-            raise ValueError("label space must be non-empty")
-        if tuple(l.id for l in self.label_space) != tuple(range(k)):
-            raise ValueError("label space ids must be dense and ordered")
+            raise ValueError("need at least one class name")
+        if not all(names):
+            raise ValueError("class names must be non-empty")
+        if len(set(names)) != k:
+            raise ValueError("class names must be unique")
         if labs.size and (labs.min() < 0 or labs.max() >= k):
             raise ValueError(f"labels must lie in [0, {k})")
         feats.flags.writeable = False
         labs.flags.writeable = False
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labs)
-        object.__setattr__(self, "label_space", tuple(self.label_space))
+        object.__setattr__(self, "names", names)
 
     def __len__(self) -> int:
         return int(self.labels.shape[0])
 
     @property
     def n_classes(self) -> int:
-        return len(self.label_space)
+        return len(self.names)
 
     @property
     def feature_shape(self) -> tuple[int, ...]:
@@ -115,24 +92,15 @@ class LabeledDataset:
         """Per-class sample counts, length K."""
         return np.bincount(self.labels, minlength=self.n_classes)
 
-    def sample(self, i: int) -> tuple[np.ndarray, ClassLabel]:
-        return self.features[i], self.label_space[int(self.labels[i])]
-
-    def subset(self, indices: Iterable[int] | np.ndarray) -> "LabeledDataset":
-        idx = np.asarray(list(indices) if not isinstance(indices, np.ndarray) else indices,
-                         dtype=np.int64)
-        return LabeledDataset(self.features[idx], self.labels[idx], self.label_space)
+    def subset(self, indices: np.ndarray) -> "LabeledDataset":
+        idx = np.asarray(indices, dtype=np.int64)
+        return LabeledDataset(self.features[idx], self.labels[idx], self.names)
 
 
-def datasets_equal(a: LabeledDataset, b: LabeledDataset, compare_names: bool = False) -> bool:
-    """Exact equality of shape, labels and features (names optional)."""
-    if a.n_classes != b.n_classes or a.feature_shape != b.feature_shape or len(a) != len(b):
+def datasets_equal(a: LabeledDataset, b: LabeledDataset) -> bool:
+    """Exact equality of class names, shape, labels and features."""
+    if a.names != b.names or a.feature_shape != b.feature_shape or len(a) != len(b):
         return False
-    if compare_names:
-        if tuple(l.display_name for l in a.label_space) != tuple(
-            l.display_name for l in b.label_space
-        ):
-            return False
     return bool(np.array_equal(a.labels, b.labels) and np.array_equal(a.features, b.features))
 
 
@@ -352,33 +320,31 @@ def validation_slice(
         fit = LabeledDataset(
             np.concatenate([fit.features, data.features[alone]]),
             np.concatenate([fit.labels, data.labels[alone]]),
-            data.label_space,
+            data.names,
         )
     return fit, val
 
 
-def exclude_class(data: LabeledDataset, excluded: ClassLabel | int) -> LabeledDataset:
+def exclude_class(data: LabeledDataset, excluded: int) -> LabeledDataset:
     """Drop every sample of one class; other samples keep their order.
 
-    The label space is unchanged, so downstream components still see K classes.
+    The class names are unchanged, so downstream components still see K classes.
     """
-    cls = excluded.id if isinstance(excluded, ClassLabel) else int(excluded)
+    cls = int(excluded)
     if cls < 0 or cls >= data.n_classes:
         raise ValueError(f"unknown class id {cls} for a {data.n_classes}-class dataset")
     keep = np.nonzero(data.labels != cls)[0]
     return data.subset(keep)
 
 
-def class_weights(
-    data: LabeledDataset, excluded: Iterable[ClassLabel | int] = ()
-) -> np.ndarray:
+def class_weights(data: LabeledDataset, excluded: Iterable[int] = ()) -> np.ndarray:
     """Inverse-frequency weights w_i = N / n_i (float64, length K).
 
     N counts only samples of non-excluded classes, so masking a class and
     deleting its samples yield identical weights. Excluded classes get 0;
     any other empty class is an error.
     """
-    excl = {e.id if isinstance(e, ClassLabel) else int(e) for e in excluded}
+    excl = {int(e) for e in excluded}
     for cls in excl:
         if cls < 0 or cls >= data.n_classes:
             raise ValueError(f"unknown excluded class id {cls}")

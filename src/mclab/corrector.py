@@ -357,9 +357,11 @@ class CorrectorEnsemble:
     loss_curve: list[float]  # train log-loss, index 0 = before round 1
 
     def align(self, matrix: np.ndarray, layout: LatentLayout) -> np.ndarray:
-        """Reorder the stage blocks of ``matrix`` (in ``layout``) to the fitted order."""
+        """``matrix`` itself, after checking that its stage blocks (``layout``)
+        are the ones the ensemble was fitted on."""
         if self.layout is not None and layout != self.layout:
-            return _reorder_blocks(matrix, layout, self.layout)
+            raise ValueError(f"latent layout stages {_blocks(layout)} != fitted "
+                             f"{_blocks(self.layout)}")
         return matrix
 
     @cached_property
@@ -391,20 +393,8 @@ class CorrectorEnsemble:
         return float(self.feature_importance_.sum())
 
 
-def _reorder_blocks(
-    matrix: np.ndarray, have: LatentLayout, want: LatentLayout
-) -> np.ndarray:
-    """Permute stage blocks of ``matrix`` from layout ``have`` to ``want``."""
-    if sorted(have.names) != sorted(want.names):
-        raise ValueError(f"latent layout stages {have.names} != fitted {want.names}")
-    cols = []
-    for name, size in zip(want.names, want.sizes):
-        sl = have.block_slice(name)
-        if sl.stop - sl.start != size:
-            raise ValueError(f"latent block {name!r} has size {sl.stop - sl.start}, "
-                             f"fitted expects {size}")
-        cols.append(matrix[:, sl])
-    return np.concatenate(cols, axis=1)
+def _blocks(layout: LatentLayout) -> str:
+    return ",".join(f"{name}:{size}" for name, size in zip(layout.names, layout.sizes))
 
 
 def _one_hot(labels: np.ndarray, k: int) -> np.ndarray:
@@ -428,7 +418,7 @@ def fit(
     """Fit the boosted ensemble on the (n, d) latent matrix ``x``.
 
     ``layout`` names the stage blocks of the columns, as ``forward_latents``
-    returns it; the ensemble keeps it to reorder the blocks of later inputs
+    returns it; the ensemble keeps it to check the blocks of later inputs
     (``align``) and writes it to its checkpoint. ``n_classes`` defaults to
     max(labels)+1; pass it explicitly when the label space is wider than the
     observed labels. Training log-loss is recorded per round and is
@@ -515,10 +505,7 @@ def save_ensemble(ensemble: CorrectorEnsemble, path: str | Path) -> None:
     )
     lines.append("base_score=" + ",".join(repr(float(v)) for v in ensemble.base_score))
     if ensemble.layout is not None:
-        lines.append(
-            "layout="
-            + ",".join(f"{n}:{s}" for n, s in zip(ensemble.layout.names, ensemble.layout.sizes))
-        )
+        lines.append("layout=" + _blocks(ensemble.layout))
     else:
         lines.append("layout=none")
     lines.append(

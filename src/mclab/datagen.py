@@ -12,17 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NoReturn, Sequence
+from typing import NoReturn
 
 import numpy as np
 
-from .core import (
-    LabeledDataset,
-    Rng,
-    default_names,
-    largest_remainder,
-    make_label_space,
-)
+from .core import LabeledDataset, Rng, default_names, largest_remainder
 
 __all__ = [
     "ClusterSpec",
@@ -190,7 +184,7 @@ def generate_gaussian(cluster: ClusterSpec, n_total: int, rng: Rng) -> LabeledDa
     features = np.concatenate(blocks).astype(np.float32)
     label_arr = np.concatenate(labels)
     perm = gen.permutation(n_total)
-    return LabeledDataset(features[perm], label_arr[perm], make_label_space(cluster.names))
+    return LabeledDataset(features[perm], label_arr[perm], cluster.names)
 
 
 def patch_positions(k: int, side: int) -> list[tuple[int, int]]:
@@ -232,7 +226,7 @@ def generate_toy_images(
     features = np.concatenate(blocks).astype(np.float32)
     label_arr = np.concatenate(labels)
     perm = gen.permutation(n_total)
-    return LabeledDataset(features[perm], label_arr[perm], make_label_space(cluster.names))
+    return LabeledDataset(features[perm], label_arr[perm], cluster.names)
 
 
 class DatasetFormatError(ValueError):
@@ -257,16 +251,14 @@ def _parse_header(line: str) -> tuple[int, int]:
     return k, dim
 
 
-def save_dataset(data: LabeledDataset, path: str | Path, binary: bool | None = None) -> None:
-    """Write a dataset file; ``.bin`` paths (or binary=True) use the
-    little-endian float32 row encoding, anything else CSV rows."""
+def save_dataset(data: LabeledDataset, path: str | Path) -> None:
+    """Write a dataset file; ``.bin`` paths use the little-endian float32 row
+    encoding, anything else CSV rows. Class names are not written."""
     path = Path(path)
-    if binary is None:
-        binary = path.suffix == ".bin"
     flat = data.features.reshape(len(data), -1)
     dim = flat.shape[1]
     header = _header_line(data.n_classes, dim)
-    if binary:
+    if path.suffix == ".bin":
         rows = np.empty((len(data), dim + 1), dtype="<f4")
         rows[:, 0] = data.labels
         rows[:, 1:] = flat
@@ -280,23 +272,17 @@ def save_dataset(data: LabeledDataset, path: str | Path, binary: bool | None = N
                 fh.write(str(int(lab)) + "," + ",".join(repr(float(v)) for v in feat) + "\n")
 
 
-def load_dataset(
-    path: str | Path,
-    binary: bool | None = None,
-    names: Sequence[str] | None = None,
-) -> LabeledDataset:
+def load_dataset(path: str | Path) -> LabeledDataset:
     """Read a dataset file written by save_dataset (or any conforming file).
 
-    Display names are not part of the format; pass ``names`` to attach them,
-    otherwise class1..K placeholders are used. A malformed file raises
-    DatasetFormatError starting with the path: a bad header (line 1), a text
-    row with the wrong field count, an unparsable cell or a label outside
+    A ``.bin`` path holds binary rows, anything else CSV rows. Class names are
+    not part of the format; the dataset gets the class1..K placeholders of
+    ``default_names``. A malformed file raises DatasetFormatError starting
+    with the path: a bad header (line 1), a text row with the wrong field count, an unparsable cell or a label outside
     [0, K) (data row r is line r + 2), a binary payload that is not a whole
     number of rows, or a binary label that is not an integer in [0, K).
     """
     path = Path(path)
-    if binary is None:
-        binary = path.suffix == ".bin"
 
     def fail(message: str) -> NoReturn:
         raise DatasetFormatError(f"{path}: {message}")
@@ -308,7 +294,7 @@ def load_dataset(
         k, dim = _parse_header(header.decode("ascii", errors="replace"))
     except DatasetFormatError as exc:
         fail(f"line 1: {exc}")
-    if binary:
+    if path.suffix == ".bin":
         row_bytes = 4 * (dim + 1)
         if len(payload) % row_bytes != 0:
             fail(f"binary payload is {len(payload)} bytes, not a multiple of {row_bytes}")
@@ -346,7 +332,4 @@ def load_dataset(
         features = (
             np.stack(feats_list) if feats_list else np.empty((0, dim), dtype=np.float32)
         )
-    space = make_label_space(tuple(names) if names is not None else default_names(k))
-    if len(space) != k:
-        raise ValueError(f"{path}: {len(space)} names for the header's K={k}")
-    return LabeledDataset(features, labels, space)
+    return LabeledDataset(features, labels, default_names(k))

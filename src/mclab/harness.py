@@ -379,7 +379,7 @@ def _split_spec(config: ExperimentConfig) -> SplitSpec:
 
 def run_single(
     config: ExperimentConfig,
-    excluded: int | None | str = "config",
+    excluded: int | None,
     base_only: bool = False,
 ) -> RunResult:
     """One exclusion run (or the no-exclusion baseline when excluded is None).
@@ -390,12 +390,10 @@ def run_single(
     base-model training: no corrector, composition or metrics, so only
     model.bin and history.csv are written.
     """
-    if excluded == "config":
-        excluded = config.excluded_class
     k = config.model.n_classes
-    if excluded is not None and not 0 <= int(excluded) < k:
+    if excluded is not None and not 0 <= excluded < k:
         raise StageError("exclude", f"excluded class {excluded} outside [0, {k})")
-    run_word = "baseline" if excluded is None else f"class{int(excluded)}"
+    run_word = "baseline" if excluded is None else f"class{excluded}"
 
     with _stage("data"):
         data = build_dataset(config)
@@ -405,7 +403,6 @@ def run_single(
         fit_set, val_set = validation_slice(train_set, spec.seed)
     with _stage("exclude"):
         if excluded is not None:
-            excluded = int(excluded)
             if not np.any(correct_set.labels == excluded):
                 raise ValueError(
                     f"correct split contains no samples of excluded class {excluded}"

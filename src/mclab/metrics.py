@@ -155,9 +155,7 @@ def accuracy(true_labels: np.ndarray, predicted: np.ndarray) -> float:
     return float(np.mean(p == t))
 
 
-def per_class(
-    preds: PairedPredictions, label: int, epsilon: float = EPSILON_DEFAULT
-) -> ClassMetrics:
+def per_class(preds: PairedPredictions, label: int) -> ClassMetrics:
     """Metrics for one class via integer set cardinalities."""
     i = int(label)
     if i < 0 or i >= preds.n_classes:
@@ -176,7 +174,7 @@ def per_class(
     tpr_base = a / n_i if n_i > 0 else None
     tpr_corr = bb / n_i if n_i > 0 else None
     delta = tpr_corr - tpr_base if n_i > 0 else None
-    ratio = tpr_corr / (tpr_base + epsilon) if n_i > 0 else None
+    ratio = tpr_corr / (tpr_base + EPSILON_DEFAULT) if n_i > 0 else None
     retention = both / a if a > 0 else None
     harm = (a - both) / a if a > 0 else None
     gain = (bb - both) / (n_i - a) if n_i - a > 0 else None
@@ -262,9 +260,9 @@ def aggregate(
     )
 
 
-def evaluate(preds: PairedPredictions, epsilon: float = EPSILON_DEFAULT) -> EvalReport:
+def evaluate(preds: PairedPredictions) -> EvalReport:
     """Full per-class and aggregate report for one prediction pair."""
-    table = tuple(per_class(preds, i, epsilon) for i in range(preds.n_classes))
+    table = tuple(per_class(preds, i) for i in range(preds.n_classes))
     counts = tuple(m.count for m in table)
     t = preds.true_labels
     agg = aggregate(table, counts, int(np.sum(preds.base_labels == t)),
@@ -279,9 +277,7 @@ def evaluate(preds: PairedPredictions, epsilon: float = EPSILON_DEFAULT) -> Eval
     )
 
 
-def brute_force_oracle(
-    preds: PairedPredictions, epsilon: float = EPSILON_DEFAULT
-) -> EvalReport:
+def brute_force_oracle(preds: PairedPredictions) -> EvalReport:
     """Reference implementation: every metric from materialized index sets.
 
     Pure-Python nested loops and set algebra; used by tests to pin the fast
@@ -314,7 +310,7 @@ def brute_force_oracle(
                 tpr_base=tpr_base,
                 tpr_corrected=tpr_corr,
                 delta=tpr_corr - tpr_base if n_i > 0 else None,
-                ratio=tpr_corr / (tpr_base + epsilon) if n_i > 0 else None,
+                ratio=tpr_corr / (tpr_base + EPSILON_DEFAULT) if n_i > 0 else None,
                 retention=len(a_set & b_set) / len(a_set) if a_set else None,
                 harm=len(a_set - b_set) / len(a_set) if a_set else None,
                 gain=len(b_set - a_set) / len(j_set - a_set) if j_set - a_set else None,
@@ -360,15 +356,13 @@ def report_to_csv(report: EvalReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_to_text(report: EvalReport, names: Sequence[str] | None = None) -> str:
-    """Aligned table for terminals; blank cells mark undefined ratios."""
+def report_to_text(report: EvalReport) -> str:
+    """Aligned table for terminals (1-based labels); blank cells mark
+    undefined ratios."""
     headers = ["class", "n"] + list(RATE_FIELDS)
     rows = []
     for m in report.per_class:
-        name = f"{m.label + 1}"
-        if names is not None:
-            name += f":{names[m.label]}"
-        row = [name, str(m.count)]
+        row = [str(m.label + 1), str(m.count)]
         row += [_cell(getattr(m, f), "{:.3f}") for f in RATE_FIELDS]
         rows.append(row)
     widths = [max(len(h), *(len(r[j]) for r in rows)) for j, h in enumerate(headers)]

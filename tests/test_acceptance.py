@@ -19,7 +19,7 @@ import pytest
 
 from mclab.basemodel import StagedModel
 from mclab.composer import DecisionPolicy, read_prediction_log
-from mclab.core import LabeledDataset, class_weights, make_label_space
+from mclab.core import LabeledDataset, class_weights
 from mclab.corrector import GbdtConfig, fit
 from mclab.harness import normalize_config, run_single, run_sweep
 from mclab.metrics import (
@@ -97,8 +97,7 @@ def test_criterion_2_class_weight_reproduction():
              "Neutral")
     labels = np.repeat(np.arange(7), counts)
     data = LabeledDataset(
-        np.zeros((labels.size, 1), dtype=np.float32), labels,
-        make_label_space(names),
+        np.zeros((labels.size, 1), dtype=np.float32), labels, names,
     )
     w = class_weights(data)
     elapsed = time.perf_counter() - t0

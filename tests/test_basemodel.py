@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from mclab import basemodel
 from mclab.basemodel import (
     LatentLayout,
     ModelConfig,
@@ -28,7 +29,7 @@ from mclab.basemodel import (
     train,
     weighted_ce_loss,
 )
-from mclab.core import LabeledDataset, Rng, SplitSpec, class_weights, make_label_space, split_dataset
+from mclab.core import LabeledDataset, Rng, SplitSpec, class_weights, split_dataset
 from mclab.datagen import default_profile, generate_gaussian
 
 from test_stages import TOL, central_diff, max_rel_err
@@ -48,9 +49,7 @@ def blob_dataset(n_per: int, centers: np.ndarray, seed: int, scale: float = 0.5)
     labels = np.repeat(np.arange(k), n_per)
     perm = gen.permutation(k * n_per)
     names = tuple(chr(ord("A") + i) for i in range(k))
-    return LabeledDataset(
-        feats[perm].astype(np.float32), labels[perm], make_label_space(names)
-    )
+    return LabeledDataset(feats[perm].astype(np.float32), labels[perm], names)
 
 
 @pytest.fixture(scope="module")
@@ -345,21 +344,24 @@ class TestPredictBatch:
         np.testing.assert_array_equal(labels, np.zeros(5, dtype=np.int64))
         np.testing.assert_array_equal(probs, np.full((5, 3), 1.0 / 3.0))
 
-    def test_matches_per_sample_brute_force(self):
+    def test_matches_per_sample_brute_force(self, monkeypatch):
+        monkeypatch.setattr(basemodel, "FORWARD_CHUNK", 7)
         model = StagedModel(SMALL, seed=6)
         gen = np.random.default_rng(6)
         x = gen.standard_normal((50, 1, 8, 8))
-        labels, probs = predict_batch(model, x, chunk=7)
+        labels, probs = predict_batch(model, x)
         for i in range(50):
             fwd = model.forward_batch(x[i : i + 1])
             np.testing.assert_allclose(probs[i], fwd["probs"][0], atol=1e-12)
             assert labels[i] == int(np.argmax(fwd["probs"][0]))
 
-    def test_chunk_size_does_not_change_results(self):
+    def test_chunk_size_does_not_change_results(self, monkeypatch):
         model = StagedModel(SMALL, seed=7)
         x = np.random.default_rng(7).standard_normal((23, 1, 8, 8))
-        l1, p1 = predict_batch(model, x, chunk=5)
-        l2, p2 = predict_batch(model, x, chunk=1000)
+        monkeypatch.setattr(basemodel, "FORWARD_CHUNK", 5)
+        l1, p1 = predict_batch(model, x)
+        monkeypatch.setattr(basemodel, "FORWARD_CHUNK", 1000)
+        l2, p2 = predict_batch(model, x)
         np.testing.assert_array_equal(l1, l2)
         np.testing.assert_array_equal(p1, p2)
 
@@ -412,7 +414,7 @@ class TestLatents:
         # 300 rows cross the 256-row chunk boundary
         model = StagedModel(SMALL, seed=10)
         x = np.random.default_rng(10).standard_normal((300, 1, 8, 8))
-        probs, matrix, layout = forward_latents(model, x, chunk=256)
+        probs, matrix, layout = forward_latents(model, x)
         _, want_probs = predict_batch(model, x)
         want_matrix, want_layout = stack_latents(extract_latents(model, x))
         assert np.array_equal(probs, want_probs)

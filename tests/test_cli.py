@@ -186,6 +186,11 @@ class TestCorrectEval:
                        encoding="utf-8")
         assert main(["eval", "--preds", str(bad)]) == 2
         assert f"{bad}: line 3: {message}" in capsys.readouterr().err
+        # a log must state K on its first line; one without it is rejected there
+        no_k = tmp_path / "no_k.csv"
+        no_k.write_text("\n".join(lines[1:]) + "\n", encoding="ascii")
+        assert main(["eval", "--preds", str(no_k)]) == 2
+        assert f"{no_k}: line 1: prediction log header" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

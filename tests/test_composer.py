@@ -4,6 +4,7 @@ base prediction, the sentinel branch, and the prediction log format.
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +29,6 @@ from mclab.composer import (
     read_prediction_log,
     write_prediction_log,
 )
-from mclab.core import make_label_space
 from mclab.corrector import CorrectorEnsemble, GbdtConfig, fit
 
 
@@ -61,7 +61,7 @@ def small_world():
     gen = np.random.default_rng(21)
     feats = gen.standard_normal((40, 64)).astype(np.float32)
     labels = gen.integers(0, 3, size=40)
-    data = LabeledDataset(feats, labels, make_label_space(("A", "B", "C")))
+    data = LabeledDataset(feats, labels, ("A", "B", "C"))
     model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 1, 3), seed=6)
     _, latents, layout = forward_latents(model, data)
     return model, data, latents, layout
@@ -229,21 +229,20 @@ class TestComposeBatch:
                 batch.base_labels[i], batch.corrected_labels[i], batch.overridden[i])
             assert isinstance(out, CorrectedPrediction) and type(out.base_label) is int
 
-    def test_reorders_blocks_of_an_ensemble_fit_in_another_order(self, small_world):
+    def test_rejects_an_ensemble_fit_in_another_block_order(self, small_world):
         model, data, matrix, layout = small_world
         order = LatentLayout(tuple(reversed(layout.names)), tuple(reversed(layout.sizes)))
         reordered = np.concatenate(
             [matrix[:, layout.block_slice(name)] for name in order.names], axis=1)
         ens = fit(reordered, data.labels, GbdtConfig(n_rounds=5), layout=order)
-        policy = DecisionPolicy(kind="always_corrector")
-        batch = compose_batch(model, ens, policy, data)
 
-        # compose_batch hands the corrector the blocks in the fitted order
-        corr_probs = ens.predict_proba(reordered)
-        assert not np.array_equal(corr_probs, ens.predict_proba(matrix))  # order matters
-        for i, out in enumerate(batch):
-            assert np.array_equal(out.corrector_probs, corr_probs[i])
-            assert out.corrected_label == int(np.argmax(corr_probs[i]))
+        def blocks(lay):
+            return ",".join(f"{n}:{s}" for n, s in zip(lay.names, lay.sizes))
+
+        # the message names the layout given and the fitted one, in their orders
+        message = re.escape(f"latent layout stages {blocks(layout)} != fitted {blocks(order)}")
+        with pytest.raises(ValueError, match=message):
+            compose_batch(model, ens, DecisionPolicy(kind="always_corrector"), data)
 
     def test_foreign_layout_raises_like_the_records_path(self, small_world):
         # compose_batch fails as align does on a matrix with foreign stage names
@@ -262,7 +261,7 @@ class TestComposeBatch:
         n = 2 * STREAM_BLOCK + 300
         gen = np.random.default_rng(26)
         big = LabeledDataset(gen.standard_normal((n, 64)).astype(np.float32),
-                             gen.integers(0, 3, size=n), data.label_space)
+                             gen.integers(0, 3, size=n), data.names)
         policy = POLICIES[2]
         base_probs, matrix, layout = forward_latents(model, big)
         corr_probs = ens.predict_proba(ens.align(matrix, layout))
@@ -389,17 +388,6 @@ class TestPredictionLog:
         with pytest.raises(ValueError, match="column header"):
             read_prediction_log(noheader)
 
-    def test_headerless_file_infers_class_count(self, tmp_path):
-        path = tmp_path / "plain.csv"
-        path.write_text(
-            "sample_id,true,base,corrected,overridden,base_conf,corr_conf\n"
-            "0,4,4,4,0,0.900000,0.500000\n"
-            "1,2,0,2,1,0.400000,0.800000\n"
-        )
-        log = read_prediction_log(path)
-        assert log.n_classes == 5
-        assert read_prediction_log(path, n_classes=7).n_classes == 7
-
 
 def _set_cell(lines: list[str], row: int, cell: int, value: str) -> list[str]:
     cells = lines[row].split(",")
@@ -426,6 +414,9 @@ MALFORMED_LOGS = {
     "corrected_below_sentinel": (lambda ls: _set_cell(ls, 5, 3, "-2"), 5,
                                  r"corrected -2 outside \[-1, 3\)"),
     "non_ascii": (lambda ls: _set_cell(ls, 4, 6, "0.5\u00e9"), 4, "non-ASCII byte 0xc3"),
+    "no_k_line": (lambda ls: ls[1:], 0, "K=<classes>"),
+    "huge_label": (lambda ls: _set_cell(ls, 3, 1, "1" * 20), 3,
+                   r"true 1{20} outside \[0, 3\)"),
 }
 
 

@@ -1,4 +1,4 @@
-"""Label spaces, dataset container, RNG streams, splitting, weights."""
+"""Class names, dataset container, RNG streams, splitting, weights."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mclab.core import (
-    ClassLabel,
     LabeledDataset,
     Rng,
     SplitSpec,
@@ -16,7 +15,6 @@ from mclab.core import (
     derived_seed,
     exclude_class,
     largest_remainder,
-    make_label_space,
     split_dataset,
     validation_slice,
 )
@@ -36,28 +34,10 @@ def make_dataset(counts, dim=3):
     feats = np.zeros((n, dim), dtype=np.float32)
     feats[:, 0] = labels
     feats[:, 1] = np.arange(n)
-    space = make_label_space(default_names(len(counts)))
-    return LabeledDataset(feats, labels, space)
+    return LabeledDataset(feats, labels, default_names(len(counts)))
 
 
 class TestLabelSpace:
-    def test_render_is_one_based(self):
-        assert ClassLabel(0, "Happiness").render() == "1:Happiness"
-        assert ClassLabel(6, "Fear").render() == "7:Fear"
-
-    def test_make_label_space_ids_follow_order(self):
-        space = make_label_space(["a", "b", "c"])
-        assert [l.id for l in space] == [0, 1, 2]
-        assert [l.display_name for l in space] == ["a", "b", "c"]
-
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(ValueError):
-            make_label_space(["a", "a"])
-
-    def test_negative_id_rejected(self):
-        with pytest.raises(ValueError):
-            ClassLabel(-1, "x")
-
     def test_default_names(self):
         assert default_names(3) == ("class1", "class2", "class3")
 
@@ -66,7 +46,7 @@ class TestLabeledDataset:
     def test_arrays_frozen_without_touching_caller(self):
         feats = np.zeros((4, 2), dtype=np.float32)
         labels = np.zeros(4, dtype=np.int64)
-        data = LabeledDataset(feats, labels, make_label_space(["a"]))
+        data = LabeledDataset(feats, labels, ("a",))
         assert not data.features.flags.writeable
         assert not data.labels.flags.writeable
         assert feats.flags.writeable  # caller's array untouched
@@ -78,8 +58,20 @@ class TestLabeledDataset:
             LabeledDataset(
                 np.zeros((2, 1), dtype=np.float32),
                 np.array([0, 3], dtype=np.int64),
-                make_label_space(["a", "b"]),
+                ("a", "b"),
             )
+
+    @pytest.mark.parametrize("names, message", [
+        (("a", ""), "non-empty"),
+        (("a", "b", "a"), "unique"),
+    ], ids=["empty", "repeated"])
+    def test_bad_names_rejected(self, names, message):
+        with pytest.raises(ValueError, match=message):
+            LabeledDataset(np.zeros((2, 1), dtype=np.float32), np.array([0, 1]), names)
+
+    def test_names_are_a_tuple_of_str(self):
+        data = LabeledDataset(np.zeros((1, 1), dtype=np.float32), np.array([1]), ["a", "b"])
+        assert data.names == ("a", "b") and data.n_classes == 2
 
     def test_class_counts(self):
         data = make_dataset((3, 0, 2))
@@ -87,9 +79,15 @@ class TestLabeledDataset:
 
     def test_subset_preserves_order(self):
         data = make_dataset((5, 5))
-        sub = data.subset([7, 2, 4])
+        sub = data.subset(np.array([7, 2, 4]))
         assert sub.features[:, 1].tolist() == [7.0, 2.0, 4.0]
         assert len(sub) == 3
+
+    def test_datasets_differing_only_in_names_are_not_equal(self):
+        data = make_dataset((4, 3))
+        renamed = LabeledDataset(data.features, data.labels, ("x", "y"))
+        assert datasets_equal(data, LabeledDataset(data.features, data.labels, data.names))
+        assert not datasets_equal(data, renamed)
 
 
 class TestRng:
@@ -261,17 +259,12 @@ class TestExcludeClass:
         kept = exclude_class(data, 1)
         assert len(kept) == 7669 - 166 == 7503
         assert int(np.sum(kept.labels == 1)) == 0
-        assert kept.n_classes == data.n_classes  # label space unchanged
+        assert kept.names == data.names  # K unchanged
 
     def test_order_is_stable(self):
         data = make_dataset((4, 3, 5))
         kept = exclude_class(data, 1)
         assert np.all(np.diff(kept.features[:, 1]) > 0)
-
-    def test_accepts_class_label(self):
-        data = make_dataset((4, 3))
-        kept = exclude_class(data, ClassLabel(0, "a"))
-        assert int(np.sum(kept.labels == 0)) == 0
 
     def test_unknown_class_rejected(self):
         data = make_dataset((4, 3))

@@ -263,19 +263,20 @@ class TestPredict:
         with pytest.raises(ValueError, match="latent width"):
             ens.predict_proba(np.zeros((3, 5)))
 
-    def test_block_permutation_with_consistent_layout_is_invariant(self):
+    def test_rejects_a_block_permuted_layout(self):
         x, labels = make_latents(80, seed=13)
         ens = fit(x, labels, GbdtConfig(n_rounds=5), layout=LAYOUT)
-        probs_std = ens.predict_proba(x)
-
         permuted_layout = LatentLayout(
             ("lstm_out", "conv_out", "attn_out", "fc_out", "logits"), (4, 4, 4, 4, 2)
         )
-        # swap the first two blocks and declare the swap in the layout: the
-        # matrix is block-permuted while the descriptor stays consistent with it
+        # the first two blocks swapped, and the swap declared in the layout:
+        # the same stages in another order are still a foreign layout
         permuted = np.concatenate([x[:, 4:8], x[:, 0:4], x[:, 8:]], axis=1)
-        np.testing.assert_array_equal(
-            ens.predict_proba(ens.align(permuted, permuted_layout)), probs_std)
+        with pytest.raises(ValueError) as err:
+            ens.align(permuted, permuted_layout)
+        assert str(err.value) == (
+            "latent layout stages lstm_out:4,conv_out:4,attn_out:4,fc_out:4,logits:2 "
+            "!= fitted conv_out:4,lstm_out:4,attn_out:4,fc_out:4,logits:2")
 
     def test_rejects_foreign_layout_names(self):
         x, labels = make_latents(80, seed=14)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mclab.core import Rng, datasets_equal
+from mclab.core import Rng, datasets_equal, default_names
 from mclab.corrector import GbdtConfig
 from mclab.corrector import fit as fit_gbdt
 from mclab.datagen import (
@@ -158,8 +158,8 @@ class TestDatasetFiles:
         data = generate_gaussian(two_cluster_spec(), 100, Rng.from_seed(2))
         path = tmp_path / "toy.csv"
         save_dataset(data, path)
-        back = load_dataset(path, names=("a", "b"))
-        assert back.n_classes == 2 and len(back) == 100
+        back = load_dataset(path)
+        assert back.names == default_names(2) and len(back) == 100
         assert np.array_equal(back.labels, data.labels)
         assert np.allclose(back.features, data.features, atol=1e-6)
 

@@ -561,7 +561,7 @@ class TestSweep:
         cfg = mini_config(str(tmp_path / "runs"), name="partial")
         real = harness_mod.run_single
 
-        def flaky(config, excluded="config", **kwargs):
+        def flaky(config, excluded, **kwargs):
             if excluded == 2:
                 raise StageError("corrector", "synthetic failure")
             return real(config, excluded=excluded, **kwargs)

@@ -362,7 +362,7 @@ class TestProperties:
     def test_epsilon_perturbs_ratio_by_bounded_amount(self, preds):
         eps = EPSILON_DEFAULT
         for i in range(preds.n_classes):
-            m = per_class(preds, i, eps)
+            m = per_class(preds, i)
             if m.tpr_base and m.ratio is not None:
                 exact = m.tpr_corrected / m.tpr_base
                 assert abs(m.ratio - exact) <= eps * m.ratio / m.tpr_base + 1e-15
@@ -393,8 +393,11 @@ class TestRendering:
         assert row[names.index("harm")] == ""
         assert row[names.index("gain")] != ""
 
-    def test_text_table_carries_names_and_summary(self):
+    def test_text_table_carries_labels_and_summary(self):
         p = triple([0, 1, 1], [0, 1, 0], [0, 1, 1], 2)
-        text = report_to_text(evaluate(p), names=("Anger", "Fear"))
-        assert "1:Anger" in text and "2:Fear" in text
-        assert "macro:" in text and "P=" in text
+        lines = report_to_text(evaluate(p)).splitlines()
+        assert lines[0].split()[:2] == ["class", "n"]
+        assert [line.split()[:2] for line in lines[1:3]] == [["1", "1"], ["2", "2"]]
+        assert lines[3] == ""
+        assert lines[4].startswith("macro: retention=")
+        assert lines[5].startswith("accuracy: base=0.667 corrected=1.000 P=1.500")
