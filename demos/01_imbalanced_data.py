@@ -8,11 +8,11 @@ cluster centers that the classifier will tend to confuse.
 import numpy as np
 
 from mclab.core import Rng, SplitSpec, class_weights, split_dataset
-from mclab.datagen import default_profile, generate_gaussian
+from mclab.datagen import ProfileConfig, generate_gaussian
 
 
 def main() -> None:
-    spec = default_profile(dim=64)
+    spec = ProfileConfig(dim=64).to_cluster_spec()
     rng = Rng.from_seed(0).derive("data")
     data = generate_gaussian(spec, 7000, rng)
 

@@ -18,14 +18,14 @@ from mclab.basemodel import (
 from mclab.core import (
     Rng, SplitSpec, class_weights, split_dataset, validation_slice,
 )
-from mclab.datagen import default_profile, generate_gaussian
+from mclab.datagen import ProfileConfig, generate_gaussian
 
 
 def main() -> None:
-    spec = default_profile(
+    spec = ProfileConfig(
         dim=64, proportions=(0.5, 0.3, 0.2), names=("A", "B", "C"),
         close_pair=(0, 2), close_distance=6.0,
-    )
+    ).to_cluster_spec()
     data = generate_gaussian(spec, 900, Rng.from_seed(3).derive("data"))
     train_set, _, test_set = split_dataset(data, SplitSpec(seed=3))
     # early stopping validates on a slice of the train split; the test split

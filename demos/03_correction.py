@@ -17,7 +17,7 @@ from mclab.core import (
     Rng, SplitSpec, class_weights, exclude_class, split_dataset, validation_slice,
 )
 from mclab.corrector import GbdtConfig, fit
-from mclab.datagen import default_profile, generate_gaussian
+from mclab.datagen import ProfileConfig, generate_gaussian
 
 EXCLUDED = 2
 
@@ -36,10 +36,10 @@ def summarize(tag, preds, true_labels):
 
 
 def main() -> None:
-    spec = default_profile(
+    spec = ProfileConfig(
         dim=64, proportions=(0.5, 0.3, 0.2), names=("A", "B", "C"),
         close_pair=(0, 2), close_distance=6.0,
-    )
+    ).to_cluster_spec()
     data = generate_gaussian(spec, 1200, Rng.from_seed(7).derive("data"))
     train_set, correct_set, test_set = split_dataset(data, SplitSpec(seed=7))
 

@@ -388,7 +388,6 @@ class TrainingHistory:
     best_epoch: int = 0
     best_val_acc: float = float("nan")
     stopped_early: bool = False
-    checkpoint_loss_rose: bool = False
 
     def to_csv(self) -> str:
         lines = ["epoch,train_loss,val_acc"]
@@ -417,7 +416,7 @@ def train(
     Zero-weight (masked) samples are dropped before shuffling, so masking a
     class is bit-identical to deleting its samples. The best-validation
     parameters are restored before returning; if train loss rose at the
-    checkpoint epoch, the history flags it and a warning is logged.
+    checkpoint epoch, a warning is logged.
     """
     config.validate()
     if config.seed is None:
@@ -476,7 +475,6 @@ def train(
         prev_loss = history.rows[best_epoch - 2][1]
         at_best = history.rows[best_epoch - 1][1]
         if at_best > prev_loss:
-            history.checkpoint_loss_rose = True
             logger.warning(
                 "train loss rose at checkpoint epoch %d (%.6f -> %.6f)",
                 best_epoch, prev_loss, at_best,

@@ -32,7 +32,7 @@ from .harness import (
     run_single,
     run_sweep,
 )
-from .metrics import PairedPredictions, evaluate, report_to_csv, report_to_text
+from .metrics import evaluate, report_to_csv, report_to_text
 
 __all__ = ["main", "build_parser", "load_config"]
 
@@ -185,8 +185,7 @@ def _cmd_correct(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     try:
-        log = read_prediction_log(args.preds)
-        report = evaluate(PairedPredictions.from_log(log))
+        report = evaluate(read_prediction_log(args.preds))
     except FileNotFoundError:
         raise StageError("metrics", f"no such prediction log: {args.preds}") from None
     except ValueError as exc:

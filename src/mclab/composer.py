@@ -21,15 +21,15 @@ from typing import Iterator, NamedTuple, NoReturn, Sequence
 import numpy as np
 
 from .basemodel import FORWARD_CHUNK, StagedModel, forward_latents
-from .core import NEW_CLASS, LabeledDataset
+from .core import MAX_CLASSES, NEW_CLASS, LabeledDataset
 from .corrector import CorrectorEnsemble
+from .metrics import PairedPredictions
 
 __all__ = [
     "NEW_CLASS",
     "POLICY_KINDS",
     "CorrectedPrediction",
     "DecisionPolicy",
-    "PredictionLog",
     "Predictions",
     "compose_batch",
     "decide_batch",
@@ -64,8 +64,9 @@ class DecisionPolicy:
                          ``as_new_class`` the override emits the NEW_CLASS
                          sentinel instead of the label itself.
 
-    ``validate`` enforces tau in [0, 1]; the field itself accepts tau > 1 so
-    a deliberately unreachable threshold (policy off) stays constructible.
+    ``field_problems`` states the ranges (tau in [0, 1]); the fields
+    themselves accept tau > 1, so a deliberately unreachable threshold
+    (policy off) stays constructible.
     """
 
     kind: str = "excluded_only"
@@ -76,7 +77,7 @@ class DecisionPolicy:
 
     def field_problems(self) -> list[tuple[str, str]]:
         """(field, message) for each field out of its range. The run-time
-        ``excluded_label`` is left to ``validate``."""
+        ``excluded_label`` is checked when the policy is applied."""
         problems = []
         if self.kind not in POLICY_KINDS:
             problems.append(("kind", f"must be one of {', '.join(POLICY_KINDS)}, "
@@ -85,12 +86,6 @@ class DecisionPolicy:
             if not 0.0 <= getattr(self, key) <= 1.0:
                 problems.append((key, "must be in [0, 1]"))
         return problems
-
-    def validate(self) -> None:
-        for key, message in self.field_problems():
-            raise ValueError(f"{key} {message}")
-        if self.kind == "excluded_only" and self.excluded_label is None:
-            raise ValueError("excluded_only policy needs excluded_label")
 
 
 class CorrectedPrediction(NamedTuple):
@@ -204,19 +199,6 @@ def compose_batch(
     return decide_batch(base_probs, corr_probs, policy)
 
 
-@dataclass(frozen=True)
-class PredictionLog:
-    """Columnar view of a prediction log file."""
-
-    true_labels: np.ndarray
-    base_labels: np.ndarray
-    corrected_labels: np.ndarray
-    overridden: np.ndarray
-    base_conf: np.ndarray
-    corr_conf: np.ndarray
-    n_classes: int
-
-
 def write_prediction_log(
     preds: Predictions,
     true_labels: np.ndarray | Sequence[int],
@@ -236,16 +218,18 @@ def write_prediction_log(
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def read_prediction_log(path: str | Path) -> PredictionLog:
-    """Read a log written by ``write_prediction_log``.
+def read_prediction_log(path: str | Path) -> PairedPredictions:
+    """The true, base and corrected labels of a log written by
+    ``write_prediction_log``, over the K classes its first line states.
 
-    The first line must be ``# mclab-preds v1 K=<classes>``. A malformed file
-    raises ValueError naming the path and the line: a non-ASCII byte, a
-    missing or bad K= line, a missing column header, no rows, a row without
-    exactly 7 cells, a sample_id other than the row's index, a cell that does
-    not parse, an overridden flag other than 0 or 1, or a label out of range
-    (true and base in [0, K), corrected in [0, K) or NEW_CLASS). Each row is
-    checked as it is read, before any array is built.
+    The first line must be ``# mclab-preds v1 K=<classes>``, with K at most
+    ``MAX_CLASSES``. A malformed file raises ValueError naming the path and
+    the line: a non-ASCII byte, a missing, bad or too large K= line, a
+    missing column header, no rows, a row without exactly 7 cells, a
+    sample_id other than the row's index, a cell that does not parse, an
+    overridden flag other than 0 or 1, or a label out of range (true and
+    base in [0, K), corrected in [0, K) or NEW_CLASS). Each row is checked
+    as it is read, before any array is built.
     """
     raw = Path(path).read_bytes()
     at = 0  # index of the line being read
@@ -263,6 +247,8 @@ def read_prediction_log(path: str | Path) -> PredictionLog:
     head = _LOG_HEADER.fullmatch(lines[0])
     if head is None:
         fail(f"prediction log header {lines[0]!r} is not '# {PREDS_MAGIC} K=<classes>'")
+    if len(head[1]) > len(str(MAX_CLASSES)) or int(head[1]) > MAX_CLASSES:
+        fail(f"K={head[1]} exceeds the ceiling of {MAX_CLASSES} classes")
     k = int(head[1])
     at = 1
     if at == len(lines) or lines[at] != LOG_COLUMNS:
@@ -290,8 +276,6 @@ def read_prediction_log(path: str | Path) -> PredictionLog:
         for name, label, low in zip(("true", "base", "corrected"), row[1:4], (0, 0, NEW_CLASS)):
             if not low <= label < k:
                 fail(f"{name} {label} outside [{low}, {k})")
-        rows.append(row)
-    cols = list(zip(*rows))
-    true_arr, base, corrected = (np.array(col, dtype=np.int64) for col in cols[1:4])
-    return PredictionLog(true_arr, base, corrected, np.array(cols[4], dtype=bool),
-                         np.array(cols[5]), np.array(cols[6]), k)
+        rows.append(row[1:4])
+    true_arr, base, corrected = np.array(rows, dtype=np.int64).T
+    return PairedPredictions(true_arr, base, corrected, k)

@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = [
+    "MAX_CLASSES",
     "NEW_CLASS",
     "LabeledDataset",
     "Rng",
@@ -29,6 +30,11 @@ __all__ = [
 
 # Sentinel prediction for "none of the known classes"; never a valid true label.
 NEW_CLASS = -1
+
+# The most classes a file may declare. Readers and metrics do work for every
+# declared class, named by a row or not, so without a ceiling one corrupt
+# header line could cost gigabytes or minutes. The paper's tables have seven.
+MAX_CLASSES = 1 << 16
 
 
 def default_names(k: int) -> tuple[str, ...]:
@@ -174,11 +180,15 @@ def largest_remainder(ideals: np.ndarray | Sequence[float], total: int) -> np.nd
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Three-way split fractions (train, correct, test) plus seed and strategy."""
+    """Three-way split fractions (train, correct, test), strategy and seed.
+
+    A None seed is not yet resolved (the config's default, derived per run
+    from the master seed); ``split_dataset`` rejects it.
+    """
 
     fractions: tuple[float, float, float] = (0.5, 0.25, 0.25)
-    seed: int = 0
     stratified: bool = True
+    seed: int | None = 0
 
     def validate(self) -> None:
         if len(self.fractions) < 2:
@@ -255,6 +265,8 @@ def split_dataset(
     each part preserves the original sample order.
     """
     spec.validate()
+    if spec.seed is None:
+        raise ValueError("SplitSpec.seed is None: resolve it before splitting")
     n = len(data)
     s = len(spec.fractions)
     if n == 0:

@@ -54,7 +54,8 @@ __all__ = [
 GBDT_MAGIC = "mclab-gbdt v1"
 
 # One evaluation block's (split nodes, rows) scratch holds about this many
-# elements; the block's row count follows from the forest's split count.
+# elements; the block's row count follows from the forest's split count, but
+# is at least 32, below which per-block overhead dominates.
 EVAL_BLOCK_ELEMENTS = 1 << 16
 
 
@@ -241,14 +242,14 @@ def _add_leaf_values(forest: PackedForest, x: np.ndarray, margins: np.ndarray) -
     The trees are round-major, K per round. Each round's values are added
     after the round before, as ``fit`` adds them one round at a time, so the
     sums are bit-identical to adding one tree at a time. Rows go in blocks
-    whose scratch stays near ``EVAL_BLOCK_ELEMENTS``.
+    whose scratch stays near ``EVAL_BLOCK_ELEMENTS`` (at least 32 rows).
     """
     k = margins.shape[1]
     if forest.n_trees % k:
         raise ValueError(f"{forest.n_trees} trees do not split into rounds of {k} classes")
     if forest.n_trees == 0:
         return
-    rows = max(1, EVAL_BLOCK_ELEMENTS // max(1, forest.feature.size))
+    rows = max(32, EVAL_BLOCK_ELEMENTS // max(1, forest.feature.size))
     for start in range(0, x.shape[0], rows):
         block = slice(start, start + rows)
         vals = forest.leaf_values(x[block])
@@ -383,14 +384,6 @@ class CorrectorEnsemble:
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """(n, K) class posteriors for the rows of ``x``; rows sum to 1."""
         return softmax(self.raw_margins(x), axis=-1)
-
-    def feature_importance(self) -> np.ndarray:
-        """Total split gain accumulated per feature during fitting."""
-        return self.feature_importance_.copy()
-
-    @property
-    def total_gain(self) -> float:
-        return float(self.feature_importance_.sum())
 
 
 def _blocks(layout: LatentLayout) -> str:

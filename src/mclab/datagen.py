@@ -16,7 +16,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .core import LabeledDataset, Rng, default_names, largest_remainder
+from .core import MAX_CLASSES, LabeledDataset, Rng, default_names, largest_remainder
 
 __all__ = [
     "ClusterSpec",
@@ -25,7 +25,6 @@ __all__ = [
     "ProfileConfig",
     "check_gaussian_scale",
     "check_n_total",
-    "default_profile",
     "generate_gaussian",
     "generate_toy_images",
     "load_dataset",
@@ -147,12 +146,6 @@ class ProfileConfig:
         )
 
 
-def default_profile(**params) -> ClusterSpec:
-    """The cluster spec of ``ProfileConfig(**params)``; keywords override its
-    defaults (the seven-class emotion-style profile)."""
-    return ProfileConfig(**params).to_cluster_spec()
-
-
 def check_n_total(n_total: int, k: int) -> None:
     """Both generators need at least 10 samples per class."""
     if n_total < 10 * k:
@@ -248,6 +241,8 @@ def _parse_header(line: str) -> tuple[int, int]:
         raise DatasetFormatError(f"malformed header line: {line.strip()!r}") from exc
     if k < 1 or dim < 1:
         raise DatasetFormatError(f"header K and dim must be positive: {line.strip()!r}")
+    if k > MAX_CLASSES:
+        raise DatasetFormatError(f"header K={k} exceeds the ceiling of {MAX_CLASSES} classes")
     return k, dim
 
 
@@ -278,7 +273,8 @@ def load_dataset(path: str | Path) -> LabeledDataset:
     A ``.bin`` path holds binary rows, anything else CSV rows. Class names are
     not part of the format; the dataset gets the class1..K placeholders of
     ``default_names``. A malformed file raises DatasetFormatError starting
-    with the path: a bad header (line 1), a text row with the wrong field count, an unparsable cell or a label outside
+    with the path: a bad header or K above ``MAX_CLASSES`` (line 1), a text
+    row with the wrong field count, an unparsable cell or a label outside
     [0, K) (data row r is line r + 2), a binary payload that is not a whole
     number of rows, or a binary label that is not an integer in [0, K).
     """

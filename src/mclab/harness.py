@@ -79,14 +79,13 @@ from .datagen import (
     load_dataset,
     patch_positions,
 )
-from .metrics import EvalReport, PairedPredictions, evaluate, report_to_csv
+from .metrics import EvalReport, PairedPredictions, _cell, evaluate, report_to_csv
 
 __all__ = [
     "ConfigError",
     "DatasetConfig",
     "ExperimentConfig",
     "RunResult",
-    "SplitConfig",
     "StageError",
     "SweepResult",
     "default_config_dict",
@@ -135,13 +134,6 @@ class DatasetConfig:
     image: SequenceImageSpec = SequenceImageSpec()
 
 
-@dataclass(frozen=True)
-class SplitConfig:
-    fractions: tuple[float, float, float] = (0.5, 0.25, 0.25)
-    stratified: bool = True
-    seed: int | None = None  # None: derived from the master seed
-
-
 # set per run by run_single, never part of the config document
 _RUN_TIME_FIELD = "policy.excluded_label"
 
@@ -157,7 +149,7 @@ class ExperimentConfig:
     seed: int = 0
     output_dir: str = "runs"
     dataset: DatasetConfig = DatasetConfig()
-    split: SplitConfig = SplitConfig()
+    split: SplitSpec = SplitSpec(seed=None)
     model: ModelConfig = ModelConfig()
     train: TrainConfig = TrainConfig(seed=None)
     gbdt: GbdtConfig = GbdtConfig(seed=None)
@@ -258,11 +250,9 @@ def _check(config: ExperimentConfig) -> None:
         raise ConfigError("dataset.profile.proportions", "must be positive")
     if len(d.profile.names) != len(d.profile.proportions):
         raise ConfigError("dataset.profile.names", "must match proportions length")
-    fractions = config.split.fractions
-    if any(f <= 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
-        raise ConfigError("split.fractions", "must be positive and sum to 1")
     k = len(d.profile.proportions)
-    checks = [("dataset.profile", d.profile.to_cluster_spec),
+    checks = [("split.fractions", config.split.validate),
+              ("dataset.profile", d.profile.to_cluster_spec),
               ("model", config.model.validate),
               ("train", config.train.validate),
               ("gbdt", config.gbdt.validate)]
@@ -371,12 +361,6 @@ def build_dataset(config: ExperimentConfig) -> LabeledDataset:
     return data
 
 
-def _split_spec(config: ExperimentConfig) -> SplitSpec:
-    split = config.split
-    return SplitSpec(fractions=split.fractions, seed=_seed(config, split.seed, "split"),
-                     stratified=split.stratified)
-
-
 def run_single(
     config: ExperimentConfig,
     excluded: int | None,
@@ -398,7 +382,7 @@ def run_single(
     with _stage("data"):
         data = build_dataset(config)
     with _stage("split"):
-        spec = _split_spec(config)
+        spec = replace(config.split, seed=_seed(config, config.split.seed, "split"))
         train_set, correct_set, test_set = split_dataset(data, spec)
         fit_set, val_set = validation_slice(train_set, spec.seed)
     with _stage("exclude"):
@@ -464,11 +448,6 @@ class SweepResult:
         return Path(self.config.output_dir) / self.config.name
 
 
-def _sweep_entry(payload: tuple[ExperimentConfig, int | None]) -> RunResult:
-    config, excluded = payload
-    return run_single(config, excluded=excluded)
-
-
 def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepResult:
     """Run the baseline plus every exclusion, then render the report tables."""
     k = config.model.n_classes
@@ -479,9 +458,7 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepResult:
             results[entry] = run_single(config, excluded=entry)
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                pool.submit(_sweep_entry, (config, entry)): entry for entry in entries
-            }
+            futures = {pool.submit(run_single, config, entry): entry for entry in entries}
             try:
                 for fut in concurrent.futures.as_completed(futures):
                     results[futures[fut]] = fut.result()
@@ -554,17 +531,13 @@ def _write_table(root: Path, tag: str, csv_header: str, heads: list[str], width:
                  blocks: list[tuple[str | None, list[Row]]]) -> None:
     """Write one table as ``<tag>.csv`` ({:.6f} cells) and ``<tag>.txt``
     ({:.3f} cells right-aligned to ``width``, blocks apart by a blank line)."""
-
-    def cell(v: float | None, fmt: str) -> str:
-        return "" if v is None else fmt.format(v)
-
     csv_lines, texts = [csv_header], []
     for title, rows in blocks:
         lines = [] if title is None else [title]
         lines.append(f"{heads[0]:>12} " + " ".join(f"{h:>{width}}" for h in heads[1:]))
         for csv_label, label, values, marked in rows:
-            csv_lines.append(csv_label + "," + ",".join(cell(v, "{:.6f}") for v in values))
-            cells = [cell(v, "{:.3f}") + "*" * (c == marked) for c, v in enumerate(values)]
+            csv_lines.append(csv_label + "," + ",".join(_cell(v) for v in values))
+            cells = [_cell(v, "{:.3f}") + "*" * (c == marked) for c, v in enumerate(values)]
             lines.append(label + " " + " ".join(f"{s:>{width}}" for s in cells))
         texts.append("\n".join(lines))
     (root / f"{tag}.csv").write_text("\n".join(csv_lines) + "\n", encoding="ascii")
@@ -622,7 +595,7 @@ def load_sweep(root: str | Path) -> SweepResult:
             raise StageError("report", f"manifest lists no sha256 for {preds_path}")
         if _sha256(preds_path) != want:
             raise StageError("report", f"{preds_path} does not match its sha256 in the manifest")
-        report = evaluate(PairedPredictions.from_log(read_prediction_log(preds_path)))
+        report = evaluate(read_prediction_log(preds_path))
         return RunResult(excluded, str(run_dir), report, TrainingHistory())
 
     baseline = rebuild(None)

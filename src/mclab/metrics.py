@@ -12,9 +12,9 @@ B_i = {j in J_i : corrected_j = i}:
     spill     = fpr_corr             delta_fpr = fpr_corr - fpr_base
 
 Ratios with empty denominators are undefined: the field is None (never NaN)
-and the class is skipped by macro averages. NEW_CLASS predictions (-1) count
-as incorrect for every true class, spill toward no class, and are tallied in
-the report's new_class_rate.
+and the class is skipped by macro averages; an average with no defined class
+is None too. NEW_CLASS predictions (-1) count as incorrect for every true
+class, spill toward no class, and are tallied in the report's new_class_rate.
 """
 
 from __future__ import annotations
@@ -32,11 +32,9 @@ __all__ = [
     "ClassMetrics",
     "EvalReport",
     "PairedPredictions",
-    "accuracy",
     "aggregate",
     "brute_force_oracle",
     "evaluate",
-    "per_class",
     "report_to_csv",
     "report_to_text",
 ]
@@ -97,6 +95,8 @@ class PairedPredictions:
 
     @classmethod
     def from_log(cls, log) -> "PairedPredictions":
+        """The labels of ``log``. ``read_prediction_log`` already returns a
+        ``PairedPredictions``; ``perfbench/workloads.py`` still calls this."""
         return cls(log.true_labels, log.base_labels, log.corrected_labels, log.n_classes)
 
 
@@ -146,58 +146,6 @@ class EvalReport:
     new_class_rate: float
 
 
-def accuracy(true_labels: np.ndarray, predicted: np.ndarray) -> float:
-    """Share of exact label matches (NEW_CLASS never matches a true label)."""
-    t = np.asarray(true_labels)
-    p = np.asarray(predicted)
-    if t.shape != p.shape or t.size == 0:
-        raise ValueError("need aligned non-empty label vectors")
-    return float(np.mean(p == t))
-
-
-def per_class(preds: PairedPredictions, label: int) -> ClassMetrics:
-    """Metrics for one class via integer set cardinalities."""
-    i = int(label)
-    if i < 0 or i >= preds.n_classes:
-        raise ValueError(f"label {i} outside [0, {preds.n_classes})")
-    t, b, c = preds.true_labels, preds.base_labels, preds.corrected_labels
-    n = preds.n
-    in_class = t == i
-    n_i = int(in_class.sum())
-    a = int((in_class & (b == i)).sum())
-    bb = int((in_class & (c == i)).sum())
-    both = int((in_class & (b == i) & (c == i)).sum())
-    fp_base = int((~in_class & (b == i)).sum())
-    fp_corr = int((~in_class & (c == i)).sum())
-    neg = n - n_i
-
-    tpr_base = a / n_i if n_i > 0 else None
-    tpr_corr = bb / n_i if n_i > 0 else None
-    delta = tpr_corr - tpr_base if n_i > 0 else None
-    ratio = tpr_corr / (tpr_base + EPSILON_DEFAULT) if n_i > 0 else None
-    retention = both / a if a > 0 else None
-    harm = (a - both) / a if a > 0 else None
-    gain = (bb - both) / (n_i - a) if n_i - a > 0 else None
-    fpr_base = fp_base / neg if neg > 0 else None
-    fpr_corr = fp_corr / neg if neg > 0 else None
-    delta_fpr = fpr_corr - fpr_base if neg > 0 else None
-    return ClassMetrics(
-        label=i,
-        count=n_i,
-        tpr_base=tpr_base,
-        tpr_corrected=tpr_corr,
-        delta=delta,
-        ratio=ratio,
-        retention=retention,
-        harm=harm,
-        gain=gain,
-        fpr_base=fpr_base,
-        fpr_corrected=fpr_corr,
-        delta_fpr=delta_fpr,
-        spill=fpr_corr,
-    )
-
-
 def _macro(values: list[float | None]) -> float | None:
     defined = [v for v in values if v is not None]
     if not defined:
@@ -227,7 +175,7 @@ def aggregate(
     Macro means skip undefined classes; the weighted variant is
     sum_i (N_i / N) * metric_i over defined classes. The accuracies are the
     integer counts of correct base and corrected predictions over
-    N = sum(class_counts). Raises when a field is undefined for every class.
+    N = sum(class_counts). A mean over no defined class is None.
     """
     if len(per_class_metrics) != len(class_counts):
         raise ValueError("need one count per class")
@@ -237,10 +185,6 @@ def aggregate(
 
     def column(name: str) -> list[float | None]:
         return [getattr(m, name) for m in per_class_metrics]
-
-    for name in ("retention", "harm", "gain", "delta_fpr"):
-        if all(v is None for v in column(name)):
-            raise ValueError(f"metric {name!r} is undefined for every class")
 
     acc_base = correct_base / n
     acc_corr = correct_corrected / n
@@ -261,19 +205,52 @@ def aggregate(
 
 
 def evaluate(preds: PairedPredictions) -> EvalReport:
-    """Full per-class and aggregate report for one prediction pair."""
-    table = tuple(per_class(preds, i) for i in range(preds.n_classes))
-    counts = tuple(m.count for m in table)
-    t = preds.true_labels
-    agg = aggregate(table, counts, int(np.sum(preds.base_labels == t)),
-                    int(np.sum(preds.corrected_labels == t)))
-    new_rate = float(np.mean(preds.corrected_labels == NEW_CLASS))
+    """Full per-class and aggregate report for one prediction pair.
+
+    One pass over the rows gives every class's set sizes as ``bincount``
+    vectors: N_i, |A_i|, |B_i|, |A_i & B_i|, and how often the base and the
+    corrected predictions name i (NEW_CLASS names no class). The rates come
+    from those Python ints, so they equal ``brute_force_oracle``'s exactly.
+    """
+    t, b, c = preds.true_labels, preds.base_labels, preds.corrected_labels
+    k, n = preds.n_classes, preds.n
+
+    def count(labels: np.ndarray) -> list[int]:
+        return np.bincount(labels, minlength=k).tolist()
+
+    hit_b, hit_c = b == t, c == t
+    counts = count(t)
+    in_a, in_b, in_ab = count(t[hit_b]), count(t[hit_c]), count(t[hit_b & hit_c])
+    named_b, named_c = count(b), count(c[c != NEW_CLASS])
+    table = []
+    for i, (n_i, a, bb, ab) in enumerate(zip(counts, in_a, in_b, in_ab)):
+        neg = n - n_i
+        tpr_base = a / n_i if n_i > 0 else None
+        tpr_corr = bb / n_i if n_i > 0 else None
+        fpr_base = (named_b[i] - a) / neg if neg > 0 else None
+        fpr_corr = (named_c[i] - bb) / neg if neg > 0 else None
+        table.append(ClassMetrics(
+            label=i,
+            count=n_i,
+            tpr_base=tpr_base,
+            tpr_corrected=tpr_corr,
+            delta=tpr_corr - tpr_base if n_i > 0 else None,
+            ratio=tpr_corr / (tpr_base + EPSILON_DEFAULT) if n_i > 0 else None,
+            retention=ab / a if a > 0 else None,
+            harm=(a - ab) / a if a > 0 else None,
+            gain=(bb - ab) / (n_i - a) if n_i - a > 0 else None,
+            fpr_base=fpr_base,
+            fpr_corrected=fpr_corr,
+            delta_fpr=fpr_corr - fpr_base if neg > 0 else None,
+            spill=fpr_corr,
+        ))
+    agg = aggregate(table, counts, sum(in_a), sum(in_b))
     return EvalReport(
-        per_class=table,
+        per_class=tuple(table),
         aggregate=agg,
-        n=preds.n,
-        class_counts=counts,
-        new_class_rate=new_rate,
+        n=n,
+        class_counts=tuple(counts),
+        new_class_rate=float(np.mean(c == NEW_CLASS)),
     )
 
 

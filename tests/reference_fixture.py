@@ -20,12 +20,13 @@ import json
 import platform
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from mclab.core import LabeledDataset, split_dataset
-from mclab.harness import _split_spec, build_dataset, normalize_config, run_sweep
+from mclab.core import LabeledDataset, derived_seed, split_dataset
+from mclab.harness import build_dataset, normalize_config, run_sweep
 
 FIXTURE = Path(__file__).parent / "fixtures" / "reference_toy.json"
 SPLIT_PARTS = ("train", "correct", "test")
@@ -78,7 +79,7 @@ def dataset_sha256(data: LabeledDataset) -> str:
 def stage_checksums(config) -> dict:
     """Checksums of the stages that do no float rounding that varies by host."""
     data = build_dataset(config)
-    parts = split_dataset(data, _split_spec(config))
+    parts = split_dataset(data, replace(config.split, seed=derived_seed(config.seed, "split")))
     return {
         "dataset": dataset_sha256(data),
         "split": {name: dataset_sha256(p) for name, p in zip(SPLIT_PARTS, parts)},

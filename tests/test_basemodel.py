@@ -30,7 +30,7 @@ from mclab.basemodel import (
     weighted_ce_loss,
 )
 from mclab.core import LabeledDataset, Rng, SplitSpec, class_weights, split_dataset
-from mclab.datagen import default_profile, generate_gaussian
+from mclab.datagen import ProfileConfig, generate_gaussian
 
 from test_stages import TOL, central_diff, max_rel_err
 
@@ -278,7 +278,7 @@ class TestTrain:
         assert not history.stopped_early
 
     def test_seven_class_toy_reaches_high_validation_accuracy(self):
-        data = generate_gaussian(default_profile(), 1000, Rng.from_seed(0))
+        data = generate_gaussian(ProfileConfig().to_cluster_spec(), 1000, Rng.from_seed(0))
         tr, val, _ = split_dataset(data, SplitSpec(fractions=(0.7, 0.15, 0.15), seed=0))
         model = StagedModel(ModelConfig(), seed=0)
         _, history = train(model, tr, val, class_weights(tr), TrainConfig())

@@ -192,6 +192,18 @@ class TestCorrectEval:
         assert main(["eval", "--preds", str(no_k)]) == 2
         assert f"{no_k}: line 1: prediction log header" in capsys.readouterr().err
 
+    def test_eval_of_a_perfect_log_leaves_undefined_averages_blank(self, tmp_path, capsys):
+        # every prediction right: no class has a gain, and the report says so
+        log = tmp_path / "perfect.csv"
+        log.write_text("# mclab-preds v1 K=2\n"
+                       "sample_id,true,base,corrected,overridden,base_conf,corr_conf\n"
+                       "0,0,0,0,0,0.900000,0.800000\n1,1,1,1,0,0.900000,0.800000\n")
+        out = tmp_path / "metrics.csv"
+        assert main(["eval", "--preds", str(log), "--out", str(out)]) == 0
+        capsys.readouterr()
+        lines = out.read_text().splitlines()
+        assert "gain_macro," in lines and "accuracy_base,1.000000" in lines
+
 
 @pytest.fixture(scope="module")
 def cli_sweep(tmp_path_factory):

@@ -29,6 +29,7 @@ from mclab.composer import (
     read_prediction_log,
     write_prediction_log,
 )
+from mclab.core import MAX_CLASSES
 from mclab.corrector import CorrectorEnsemble, GbdtConfig, fit
 
 
@@ -68,20 +69,29 @@ def small_world():
 
 
 class TestPolicyValidation:
+    """Field ranges are checked by ``field_problems`` (the config); the kind
+    and the run-time label again when the policy is applied."""
+
+    def apply(self, policy: DecisionPolicy) -> Predictions:
+        probs = np.full((1, 3), 1 / 3)
+        return decide_batch(probs, probs, policy)
+
     def test_defaults_need_excluded_label(self):
         with pytest.raises(ValueError, match="excluded_label"):
-            DecisionPolicy().validate()
-        DecisionPolicy(excluded_label=2).validate()
+            self.apply(DecisionPolicy())
+        self.apply(DecisionPolicy(excluded_label=2))
 
     def test_rejects_unknown_kind(self):
+        policy = DecisionPolicy(kind="majority_vote")
+        assert [key for key, _ in policy.field_problems()] == ["kind"]
         with pytest.raises(ValueError, match="kind"):
-            DecisionPolicy(kind="majority_vote").validate()
+            self.apply(policy)
 
     @pytest.mark.parametrize("field,value", [("tau", -0.1), ("tau", 1.5),
                                              ("base_confidence_floor", 2.0)])
     def test_rejects_out_of_range(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            DecisionPolicy(kind="always_corrector", **{field: value}).validate()
+        policy = DecisionPolicy(kind="always_corrector", **{field: value})
+        assert policy.field_problems() == [(field, "must be in [0, 1]")]
 
     def test_field_problems_name_each_field_but_not_the_run_time_label(self):
         bad = DecisionPolicy(kind="vote", tau=1.5, base_confidence_floor=-0.1)
@@ -345,13 +355,8 @@ class TestPredictionLog:
         np.testing.assert_array_equal(
             log.corrected_labels, [p.corrected_label for p in preds]
         )
-        np.testing.assert_array_equal(log.overridden, [p.overridden for p in preds])
-        np.testing.assert_allclose(
-            log.base_conf, [p.base_probs.max() for p in preds], atol=5e-7
-        )
-        np.testing.assert_allclose(
-            log.corr_conf, [p.corrector_probs.max() for p in preds], atol=5e-7
-        )
+        rows = text.splitlines()[2:]
+        assert [row.split(",")[4] for row in rows] == [str(int(p.overridden)) for p in preds]
 
     def test_confidence_columns_are_per_row_maxima(self, tmp_path):
         preds, true = self.make_preds(n=30)
@@ -417,6 +422,10 @@ MALFORMED_LOGS = {
     "no_k_line": (lambda ls: ls[1:], 0, "K=<classes>"),
     "huge_label": (lambda ls: _set_cell(ls, 3, 1, "1" * 20), 3,
                    r"true 1{20} outside \[0, 3\)"),
+    "huge_k": (lambda ls: ["# mclab-preds v1 K=300000000"] + ls[1:], 0,
+               "K=300000000 exceeds the ceiling of 65536 classes"),
+    "huge_k_digits": (lambda ls: ["# mclab-preds v1 K=" + "9" * 5000] + ls[1:], 0,
+                      "exceeds the ceiling of 65536 classes"),
 }
 
 
@@ -442,3 +451,8 @@ class TestPredictionLogRejections:
         path = tmp_path / "preds.csv"
         path.write_text("\n".join(lines) + "\n")
         assert read_prediction_log(path).true_labels.size == 4
+
+    def test_k_at_the_ceiling_loads(self, tmp_path, lines):
+        path = tmp_path / "preds.csv"
+        path.write_text("\n".join([f"# mclab-preds v1 K={MAX_CLASSES}"] + lines[1:]) + "\n")
+        assert read_prediction_log(path).n_classes == MAX_CLASSES

@@ -198,6 +198,11 @@ class TestSplitDataset:
         with pytest.raises(ValueError):
             SplitSpec(fractions=(0.5, 0.3, 0.3), seed=0).validate()
 
+    def test_unresolved_seed_rejected(self):
+        data = make_dataset((20, 10, 12))
+        with pytest.raises(ValueError, match="seed is None"):
+            split_dataset(data, SplitSpec(seed=None))
+
     def test_non_stratified_sizes_still_exact(self):
         data = make_dataset(CORPUS_COUNTS)
         tr, co, te = split_dataset(data, SplitSpec(seed=0, stratified=False))

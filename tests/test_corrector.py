@@ -23,6 +23,7 @@ from mclab.basemodel import LatentLayout
 from mclab.corrector import (
     CorrectorEnsemble,
     GbdtConfig,
+    PackedForest,
     Tree,
     fit,
     load_ensemble,
@@ -175,7 +176,7 @@ class TestFit:
         for round_trees in ens.trees:
             for tree in round_trees:
                 assert tree.n_nodes == 1
-        assert ens.total_gain == 0.0
+        assert not ens.feature_importance_.any()
 
     def test_equal_gain_prefers_lower_feature_index(self):
         # identical columns tie at every candidate split
@@ -344,7 +345,7 @@ class TestPackedEvaluation:
         budget=st.sampled_from([1, 7, 1 << 16]),
         rows=st.lists(
             st.lists(st.sampled_from(INPUTS) | st.floats(-3, 3), min_size=5, max_size=5),
-            min_size=1, max_size=30,
+            min_size=1, max_size=70,
         ),
     )
     def test_margins_equal_a_tree_walk_bit_for_bit(
@@ -360,7 +361,7 @@ class TestPackedEvaluation:
         )
         x = np.array(rows)
         want = walk_margins(ens, x)
-        # a small budget splits the rows into many evaluation blocks
+        # a small budget splits the rows into blocks of the 32-row floor
         with patch.object(corrector_module, "EVAL_BLOCK_ELEMENTS", budget):
             assert np.array_equal(ens.raw_margins(x), want)
         assert np.array_equal(ens.raw_margins(x[:1]), want[:1])
@@ -370,6 +371,34 @@ class TestPackedEvaluation:
         bits = next(b for b in (8, 16, 32, 64) if widest <= b or b == 64)
         assert ens.packed.bits == bits
         assert (ens.packed.tree_first_word is not None) == (widest > 64)
+
+    def test_margins_are_bit_identical_across_block_sizes(self):
+        gen = np.random.default_rng(3)
+        trees = [[random_tree(gen, 4, 0.9, False) for _ in range(3)] for _ in range(30)]
+        ens = CorrectorEnsemble(
+            config=GbdtConfig(max_depth=4), n_classes=3, n_features=5,
+            base_score=gen.standard_normal(3), trees=trees, layout=FIVE,
+            feature_importance_=np.zeros(5), loss_curve=[],
+        )
+        x = np.where(gen.random((500, 5)) < 0.5, gen.choice(INPUTS, size=(500, 5)),
+                     gen.uniform(-3, 3, size=(500, 5)))
+        splits = ens.packed.feature.size
+        real = PackedForest.leaf_values
+        margins, blocks = [], []
+
+        def spy(packed, rows):
+            blocks[-1].append(rows.shape[0])
+            return real(packed, rows)
+
+        # the 32-row floor, 45 rows a block, one block
+        for budget in (1, 45 * splits, 1 << 40):
+            blocks.append([])
+            with patch.object(corrector_module, "EVAL_BLOCK_ELEMENTS", budget), \
+                    patch.object(PackedForest, "leaf_values", spy):
+                margins.append(ens.raw_margins(x))
+        assert blocks == [[32] * 15 + [20], [45] * 11 + [5], [500]]
+        want = walk_margins(ens, x)
+        assert all(np.array_equal(m, want) for m in margins)
 
     def test_every_word_width_is_reached(self):
         gen = np.random.default_rng(0)
@@ -432,22 +461,22 @@ class TestFeatureImportance:
         x = np.column_stack([np.zeros(60), f, np.zeros(60)])
         y = (f > 0).astype(int)
         ens = fit(x, y, GbdtConfig(n_rounds=1, max_depth=1))
-        imp = ens.feature_importance()
+        imp = ens.feature_importance_
         assert imp[1] > 0
         assert imp[0] == imp[2] == 0.0
 
-    def test_importance_sums_to_total_gain(self):
+    def test_importance_is_positive_exactly_on_split_features(self):
         x, y = xor_dataset(seed=16)
         ens = fit(x, y, GbdtConfig(n_rounds=10))
-        imp = ens.feature_importance()
-        assert np.all(imp >= 0)
-        assert float(imp.sum()) == pytest.approx(ens.total_gain, rel=1e-12)
-        assert ens.total_gain > 0
+        split_on = {f for r in ens.trees for tree in r for f in tree.feature if f >= 0}
+        assert np.all(ens.feature_importance_ >= 0)
+        assert set(np.nonzero(ens.feature_importance_)[0].tolist()) == split_on
+        assert split_on
 
     def test_informative_block_dominates_gain(self):
         x, labels = make_latents(300, seed=17, informative="attn_out")
         ens = fit(x, labels, GbdtConfig(n_rounds=20, max_depth=3), layout=LAYOUT)
-        imp = ens.feature_importance()
+        imp = ens.feature_importance_
         block = ens.layout.block_slice("attn_out")
         assert float(imp[block].sum()) >= 0.8 * float(imp.sum())
 

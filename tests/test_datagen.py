@@ -9,13 +9,17 @@ from mclab.corrector import fit as fit_gbdt
 from mclab.datagen import (
     ClusterSpec,
     DatasetFormatError,
+    ProfileConfig,
     SequenceImageSpec,
-    default_profile,
     generate_gaussian,
     generate_toy_images,
     load_dataset,
     save_dataset,
 )
+
+
+# the seven-class emotion-style profile of the default config
+DEFAULT_PROFILE = ProfileConfig().to_cluster_spec()
 
 
 def two_cluster_spec(dim=4, dist=8.0, scale=1.0):
@@ -33,12 +37,13 @@ class TestClusterSpec:
     def test_default_profile_normalizes_percent_roundings(self):
         # the source percentages sum to 100.2; the default profile stores
         # them renormalized so the sum-to-1 invariant holds
-        spec = default_profile()
+        spec = DEFAULT_PROFILE
         assert spec.proportions.sum() == pytest.approx(1.0, abs=1e-12)
         assert spec.means.shape == (7, 64)
 
     def test_close_pair_distance(self):
-        spec = default_profile(separation=6.0, close_pair=(3, 6), close_distance=4.0)
+        profile = ProfileConfig(separation=6.0, close_pair=(3, 6), close_distance=4.0)
+        spec = profile.to_cluster_spec()
         d36 = np.linalg.norm(spec.means[3] - spec.means[6])
         assert d36 == pytest.approx(4.0)
         # every other pair is far apart
@@ -70,7 +75,7 @@ class TestGenerateGaussian:
     def test_default_profile_counts_10000(self):
         # largest remainder on the renormalized profile; every class lands
         # within 8 of the nominal percent-times-n reading
-        data = generate_gaussian(default_profile(), 10000, Rng.from_seed(0))
+        data = generate_gaussian(DEFAULT_PROFILE, 10000, Rng.from_seed(0))
         counts = data.class_counts.tolist()
         assert counts == [3882, 2086, 1607, 1058, 569, 569, 229]
         assert sum(counts) == 10000
@@ -78,7 +83,7 @@ class TestGenerateGaussian:
         assert all(abs(c - m) <= 8 for c, m in zip(counts, nominal))
 
     def test_default_profile_counts_7000(self):
-        data = generate_gaussian(default_profile(), 7000, Rng.from_seed(1))
+        data = generate_gaussian(DEFAULT_PROFILE, 7000, Rng.from_seed(1))
         assert data.class_counts.tolist() == [2718, 1460, 1125, 740, 398, 398, 161]
 
     def test_even_split(self):
@@ -90,7 +95,7 @@ class TestGenerateGaussian:
         # sits within 3 sigma / sqrt(n_i) of its spec mean per coordinate
         # (with 448 coordinates a random seed occasionally grazes 3 sigma,
         # so the seed is pinned; worst observed ratio here is 0.93)
-        spec = default_profile()
+        spec = DEFAULT_PROFILE
         data = generate_gaussian(spec, 10000, Rng.from_seed(11))
         x = np.asarray(data.features, dtype=np.float64)
         for c in range(7):
@@ -101,15 +106,15 @@ class TestGenerateGaussian:
             assert np.linalg.norm(err) <= bound * np.sqrt(x.shape[1])
 
     def test_deterministic_under_seed(self):
-        a = generate_gaussian(default_profile(), 500, Rng.from_seed(3))
-        b = generate_gaussian(default_profile(), 500, Rng.from_seed(3))
+        a = generate_gaussian(DEFAULT_PROFILE, 500, Rng.from_seed(3))
+        b = generate_gaussian(DEFAULT_PROFILE, 500, Rng.from_seed(3))
         assert datasets_equal(a, b)
-        c = generate_gaussian(default_profile(), 500, Rng.from_seed(4))
+        c = generate_gaussian(DEFAULT_PROFILE, 500, Rng.from_seed(4))
         assert not datasets_equal(a, c)
 
     def test_too_small_n_rejected(self):
         with pytest.raises(ValueError):
-            generate_gaussian(default_profile(), 69, Rng.from_seed(0))
+            generate_gaussian(DEFAULT_PROFILE, 69, Rng.from_seed(0))
 
     def test_zero_scale_rejected_for_gaussian(self):
         spec = two_cluster_spec(scale=0.0)
@@ -120,13 +125,13 @@ class TestGenerateGaussian:
 class TestGenerateToyImages:
     def test_shape_contract(self):
         data = generate_toy_images(
-            SequenceImageSpec(), default_profile(), 700, Rng.from_seed(0)
+            SequenceImageSpec(), DEFAULT_PROFILE, 700, Rng.from_seed(0)
         )
         assert len(data) == 700
         assert data.feature_shape == (1, 8, 8)
 
     def test_zero_noise_images_identical_per_class(self):
-        spec = default_profile(covariance_scale=0.0)
+        spec = ProfileConfig(covariance_scale=0.0).to_cluster_spec()
         data = generate_toy_images(
             SequenceImageSpec(), spec, 140, Rng.from_seed(0)
         )
@@ -138,7 +143,7 @@ class TestGenerateToyImages:
     def test_patterns_are_gbdt_separable(self):
         # the corrector module doubles as the separability oracle
         data = generate_toy_images(
-            SequenceImageSpec(), default_profile(), 700, Rng.from_seed(5)
+            SequenceImageSpec(), DEFAULT_PROFILE, 700, Rng.from_seed(5)
         )
         flat = np.asarray(data.features, dtype=np.float64).reshape(len(data), -1)
         ens = fit_gbdt(
@@ -182,7 +187,7 @@ class TestDatasetFiles:
 
     def test_image_dataset_round_trip_restores_shape(self, tmp_path):
         data = generate_toy_images(
-            SequenceImageSpec(), default_profile(), 140, Rng.from_seed(1)
+            SequenceImageSpec(), DEFAULT_PROFILE, 140, Rng.from_seed(1)
         )
         save_dataset(data, tmp_path / "img.bin")
         back = load_dataset(tmp_path / "img.bin")
@@ -237,6 +242,8 @@ def _set_binary_label(raw: bytes, row: int, label: float) -> bytes:
 MALFORMED_DATASETS = {
     "bad_header": (".csv", lambda raw: b"mclab dataset" + raw[raw.index(b","):],
                    "line 1: malformed header line"),
+    "huge_k": (".bin", lambda raw: raw.replace(b"K=2,", b"K=2000000,", 1),
+               "line 1: header K=2000000 exceeds the ceiling of 65536 classes"),
     "wrong_field_count": (".csv", lambda raw: _set_text_cell(raw, 3, 2, "0.5,0.5"),
                           "line 4: row 2: expected 3 fields, got 4"),
     "unparsable_cell": (".csv", lambda raw: _set_text_cell(raw, 5, 1, "one"),

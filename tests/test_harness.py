@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from mclab.basemodel import TrainingHistory
 from mclab.composer import POLICY_KINDS, DecisionPolicy
-from mclab.core import NEW_CLASS, split_dataset
+from mclab.core import NEW_CLASS, derived_seed, split_dataset
 from mclab.corrector import load_ensemble
 from mclab.harness import (
     ConfigError,
@@ -341,7 +341,7 @@ class TestRunSingle:
         run_single(cfg, excluded=1, base_only=True)
         data = harness_mod.build_dataset(cfg)
         train_set, correct_set, test_set = split_dataset(
-            data, harness_mod._split_spec(cfg)
+            data, replace(cfg.split, seed=derived_seed(cfg.seed, "split"))
         )
 
         def rows(d):
@@ -393,6 +393,23 @@ class TestRunSingle:
         with pytest.raises(StageError) as err:
             run_single(good, excluded=7)
         assert err.value.stage == "exclude"
+
+    def test_perfect_baseline_completes(self, tmp_path):
+        # near noise-free images: the base model is right on every test
+        # sample, so no class has a gain and the gain averages are None
+        cfg = normalize_config({
+            "output_dir": str(tmp_path),
+            "dataset": {"kind": "images", "n_total": 700,
+                        "profile": {"covariance_scale": 0.05}},
+            "train": {"max_epochs": 30},
+        })
+        result = run_single(cfg, None)
+        agg = result.report.aggregate
+        assert agg.accuracy_base == agg.accuracy_corrected == 1.0
+        assert all(m.gain is None for m in result.report.per_class)
+        assert agg.gain_macro is None and agg.gain_weighted is None
+        lines = (Path(result.run_dir) / "metrics.csv").read_text().splitlines()
+        assert "gain_macro," in lines and "gain_weighted," in lines
 
 
 @pytest.fixture(scope="module")

@@ -18,11 +18,9 @@ from mclab.metrics import (
     EPSILON_DEFAULT,
     ClassMetrics,
     PairedPredictions,
-    accuracy,
     aggregate,
     brute_force_oracle,
     evaluate,
-    per_class,
     report_to_csv,
     report_to_text,
 )
@@ -106,21 +104,26 @@ class TestPairedPredictions:
 
 
 class TestAccuracy:
+    """The report's accuracies are shares of exact label matches."""
+
+    def accuracy(self, true, predicted) -> float:
+        return evaluate(triple(true, true, predicted, 5)).aggregate.accuracy_corrected
+
     def test_identical_is_one(self):
-        assert accuracy([1, 2, 3], [1, 2, 3]) == 1.0
+        assert self.accuracy([1, 2, 3], [1, 2, 3]) == 1.0
 
     def test_disjoint_is_zero(self):
-        assert accuracy([1, 2, 3], [2, 3, 1]) == 0.0
+        assert self.accuracy([1, 2, 3], [2, 3, 1]) == 0.0
 
     def test_hand_count(self):
-        assert accuracy([1, 2, 3, 4], [1, 2, 0, 0]) == 0.5
+        assert self.accuracy([1, 2, 3, 4], [1, 2, 0, 0]) == 0.5
 
     def test_sentinel_never_matches(self):
-        assert accuracy([0, 1], [NEW_CLASS, 1]) == 0.5
+        assert self.accuracy([0, 1], [NEW_CLASS, 1]) == 0.5
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            accuracy([], [])
+            self.accuracy([], [])
 
 
 class TestPerClass:
@@ -130,7 +133,7 @@ class TestPerClass:
         true = [0] * 10
         base = [0] * 6 + [1] * 4
         corr = [0] * 5 + [1] + [0, 0] + [1, 1]
-        m = per_class(triple(true, base, corr, 2), 0)
+        m = evaluate(triple(true, base, corr, 2)).per_class[0]
         assert m.count == 10
         assert m.tpr_base == pytest.approx(0.6, abs=1e-12)
         assert m.tpr_corrected == pytest.approx(0.7, abs=1e-12)
@@ -143,7 +146,7 @@ class TestPerClass:
     def test_identity_corrector(self):
         true = [0, 0, 0, 1, 1]
         base = [0, 0, 1, 1, 0]
-        m = per_class(triple(true, base, base, 2), 0)
+        m = evaluate(triple(true, base, base, 2)).per_class[0]
         assert m.retention == 1.0
         assert m.harm == 0.0
         assert m.delta == 0.0
@@ -154,12 +157,12 @@ class TestPerClass:
         true = [0] * 500
         base = [0] * 500
         corr = [0] * 449 + [1] * 51
-        m = per_class(triple(true + [1], base + [1], corr + [1], 2), 0)
+        m = evaluate(triple(true + [1], base + [1], corr + [1], 2)).per_class[0]
         assert m.retention == pytest.approx(0.898, abs=1e-12)
         assert m.harm == pytest.approx(0.102, abs=1e-12)
 
     def test_zero_count_class_is_undefined(self):
-        m = per_class(triple([0, 0], [0, 1], [0, 1], 3), 2)
+        m = evaluate(triple([0, 0], [0, 1], [0, 1], 3)).per_class[2]
         assert m.count == 0
         for f in ("tpr_base", "tpr_corrected", "delta", "ratio", "retention",
                   "harm", "gain"):
@@ -167,27 +170,22 @@ class TestPerClass:
         assert m.fpr_base is not None  # complement still populated
 
     def test_no_base_correct_leaves_retention_undefined(self):
-        m = per_class(triple([0, 0, 1], [1, 1, 1], [0, 1, 1], 2), 0)
+        m = evaluate(triple([0, 0, 1], [1, 1, 1], [0, 1, 1], 2)).per_class[0]
         assert m.retention is None and m.harm is None
         assert m.gain == pytest.approx(0.5)
 
     def test_single_class_population_has_no_fpr(self):
-        m = per_class(triple([0, 0], [0, 0], [0, 0], 1), 0)
+        m = evaluate(triple([0, 0], [0, 0], [0, 0], 1)).per_class[0]
         assert m.fpr_base is None and m.fpr_corrected is None
         assert m.delta_fpr is None and m.spill is None
 
     def test_sentinel_counts_against_true_class_and_spills_nowhere(self):
         p = triple([0, 0, 1, 1], [0, 0, 1, 0], [0, NEW_CLASS, 1, 1], 2)
-        m0 = per_class(p, 0)
-        m1 = per_class(p, 1)
+        m0, m1 = evaluate(p).per_class
         assert m0.tpr_corrected == 0.5
         assert m0.harm == 0.5
         assert m1.fpr_corrected == 0.0  # the sentinel is not class 1
         assert evaluate(p).new_class_rate == 0.25
-
-    def test_out_of_range_label_raises(self):
-        with pytest.raises(ValueError, match="outside"):
-            per_class(triple([0], [0], [0], 2), 5)
 
 
 class TestAggregate:
@@ -237,10 +235,13 @@ class TestAggregate:
         assert agg.retention_macro == pytest.approx(0.5)
         assert agg.retention_weighted == pytest.approx(0.9)
 
-    def test_all_undefined_field_raises(self):
+    def test_all_undefined_field_is_none(self):
         p = triple([0, 0, 1], [1, 1, 0], [0, 1, 1], 2)  # base never correct
-        with pytest.raises(ValueError, match="retention"):
-            evaluate(p)
+        agg = evaluate(p).aggregate
+        assert agg.retention_macro is None and agg.retention_weighted is None
+        assert agg.harm_macro is None and agg.harm_weighted is None
+        assert agg.gain_macro is not None
+        assert agg.accuracy_base == 0.0 and agg.power is None
 
     def test_count_mismatch_raises(self):
         with pytest.raises(ValueError, match="one count per class"):
@@ -295,15 +296,13 @@ class TestOracleEquality:
 
     def test_single_sample_log(self):
         p = triple([0], [0], [0], 2)
-        m = per_class(p, 0)
+        rep = evaluate(p)
         for f in ("tpr_base", "tpr_corrected", "retention", "harm"):
-            assert getattr(m, f) in (0.0, 1.0)
-        # gain is undefined for every class here, so both report paths must
-        # refuse to aggregate, in the same way
-        with pytest.raises(ValueError, match="gain"):
-            evaluate(p)
-        with pytest.raises(ValueError, match="gain"):
-            brute_force_oracle(p)
+            assert getattr(rep.per_class[0], f) in (0.0, 1.0)
+        # gain is undefined for every class here: both report paths give
+        # the same None gain averages
+        assert rep.aggregate.gain_macro is None and rep.aggregate.gain_weighted is None
+        self.assert_reports_identical(rep, brute_force_oracle(p))
 
     def test_two_sample_log(self):
         p = triple([0, 1], [0, 0], [0, 1], 2)
@@ -339,8 +338,7 @@ class TestProperties:
     @settings(max_examples=150, deadline=None)
     @given(prediction_triples())
     def test_retention_harm_complement_and_ranges(self, preds):
-        for i in range(preds.n_classes):
-            m = per_class(preds, i)
+        for m in evaluate(preds).per_class:
             assert m.spill == m.fpr_corrected
             if m.retention is not None:
                 assert m.harm is not None
@@ -361,8 +359,7 @@ class TestProperties:
     @given(prediction_triples())
     def test_epsilon_perturbs_ratio_by_bounded_amount(self, preds):
         eps = EPSILON_DEFAULT
-        for i in range(preds.n_classes):
-            m = per_class(preds, i)
+        for m in evaluate(preds).per_class:
             if m.tpr_base and m.ratio is not None:
                 exact = m.tpr_corrected / m.tpr_base
                 assert abs(m.ratio - exact) <= eps * m.ratio / m.tpr_base + 1e-15
