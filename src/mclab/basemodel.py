@@ -18,13 +18,14 @@ from __future__ import annotations
 import io
 import json
 import logging
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import NoReturn, Sequence
+from typing import NoReturn, Sequence, get_type_hints
 
 import numpy as np
 
-from .core import LabeledDataset, Rng
+from .core import MAX_CLASSES, LabeledDataset, Rng, _value
 from .stages import AttentionStage, ConvStage, HeadStage, LstmStage, softmax
 
 __all__ = [
@@ -344,15 +345,9 @@ def forward_latents(
         fwd = model.forward_batch(x[start : start + FORWARD_CHUNK])
         rows = slice(start, start + fwd["probs"].shape[0])
         probs[rows] = fwd["probs"]
-        parts = (
-            fwd["conv_out"].mean(axis=(2, 3)),
-            fwd["hs"][:, -1, :],
-            fwd["pooled"],
-            fwd["fc_out"],
-            fwd["logits"],
-        )
-        for name, part in zip(layout.names, parts):
-            latents[rows, layout.block_slice(name)] = part
+        # the stage blocks, in LATENT_STAGES order
+        latents[rows] = np.concatenate([fwd["conv_out"].mean(axis=(2, 3)), fwd["hs"][:, -1, :],
+                                        fwd["pooled"], fwd["fc_out"], fwd["logits"]], axis=1)
     return probs, latents, layout
 
 
@@ -489,12 +484,7 @@ def save_model(model: StagedModel, path: str | Path) -> None:
     """Versioned binary checkpoint: text header, then float32 blocks."""
     blocks = model.buffers() + model.params()
     header = {
-        "config": {
-            "input_shape": list(model.config.input_shape),
-            "conv_channels": list(model.config.conv_channels),
-            "n_heads": model.config.n_heads,
-            "n_classes": model.config.n_classes,
-        },
+        "config": asdict(model.config),
         "seed": model.seed,
         "blocks": [[name, list(arr.shape)] for name, arr in blocks],
     }
@@ -506,13 +496,31 @@ def save_model(model: StagedModel, path: str | Path) -> None:
     Path(path).write_bytes(buf.getvalue())
 
 
+def _block_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """The (name, shape) of every checkpoint block of a ``config`` model, in
+    ``buffers() + params()`` order, without building the model."""
+    c0, d, k = config.input_shape[0], config.width, config.n_classes
+    shapes = [("input_mean", (c0,)), ("input_std", (c0,))]
+    for i, (ci, co) in enumerate(zip((c0,) + config.conv_channels, config.conv_channels)):
+        shapes += [(f"conv{i}.w", (co, ci, 3, 3)), (f"conv{i}.b", (co,))]
+    shapes += [("lstm.wx", (d, 4 * d)), ("lstm.wh", (d, 4 * d)), ("lstm.b", (4 * d,))]
+    shapes += [(f"attn.{kind}{x}", (d, d) if kind == "w" else (d,))
+               for x in "qkvo" for kind in "wb"]
+    return shapes + [("head.w1", (d, d)), ("head.b1", (d,)),
+                     ("head.w2", (d, k)), ("head.b2", (k,))]
+
+
 def load_model(path: str | Path) -> StagedModel:
     """Read a checkpoint written by ``save_model``.
 
     A malformed file raises ValueError naming the path: a header that does
-    not parse or has no newline, a block list that names an unknown block,
-    names one twice or leaves one out, a block shape other than the model's,
-    or a float32 payload shorter or longer than the blocks.
+    not parse or has no newline, a config field that is missing or of the
+    wrong type, an invalid config or more than ``MAX_CLASSES`` classes, a
+    seed that is not a non-negative integer, a block list that names an
+    unknown block, names one twice or leaves one out, a block shape other
+    than the model's, or a float32 payload shorter or longer than the
+    blocks. All of this is checked before the model is built, so a model is
+    built only for a file that holds every one of its weights.
     """
     raw = Path(path).read_bytes()
 
@@ -527,37 +535,48 @@ def load_model(path: str | Path) -> StagedModel:
         fail("header line has no newline")
     try:
         header = json.loads(raw[first + 1 : second].decode("ascii"))
-        cfg = ModelConfig(
-            input_shape=tuple(header["config"]["input_shape"]),
-            conv_channels=tuple(header["config"]["conv_channels"]),
-            n_heads=int(header["config"]["n_heads"]),
-            n_classes=int(header["config"]["n_classes"]),
-        )
-        model = StagedModel(cfg, seed=int(header["seed"]))
-        blocks = [(name, tuple(shape)) for name, shape in header["blocks"]]
+        doc = header["config"]
+        hints = get_type_hints(ModelConfig)
+        absent = [name for name in hints if name not in doc]
+        if absent:
+            raise ValueError(f"config lacks {', '.join(absent)}")
+        cfg = ModelConfig(**{name: _value(hint, doc[name], f"config.{name}")
+                             for name, hint in hints.items()})
+        cfg.validate()
+        if cfg.n_classes > MAX_CLASSES:
+            raise ValueError(f"{cfg.n_classes} classes exceed the ceiling of {MAX_CLASSES}")
+        seed = _value(int, header["seed"], "seed")
+        if seed < 0:
+            raise ValueError("seed must be non-negative")
+        blocks = [_value(tuple[str, tuple[int, ...]], block, "blocks")
+                  for block in header["blocks"]]
     except (ValueError, KeyError, TypeError) as exc:
         fail(f"malformed header: {exc}")
-    arrays = dict(model.buffers() + model.params())
+    expected = dict(_block_shapes(cfg))
     names = [name for name, _ in blocks]
     for name in names:
-        if name not in arrays:
+        if name not in expected:
             fail(f"unknown block {name!r}")
         if names.count(name) > 1:
             fail(f"block {name!r} appears {names.count(name)} times")
-    missing = [name for name in arrays if name not in names]
+    missing = [name for name in expected if name not in names]
     if missing:
         fail(f"missing blocks {', '.join(missing)}")
     offset = second + 1
     for name, shape in blocks:
-        arr = arrays[name]
-        if shape != arr.shape:
-            fail(f"block {name!r} has shape {list(shape)}, the model's is {list(arr.shape)}")
-        end = offset + 4 * arr.size
+        if shape != expected[name]:
+            fail(f"block {name!r} has shape {list(shape)}, the model's is {list(expected[name])}")
+        end = offset + 4 * math.prod(shape)
         if end > len(raw):
             fail(f"file ends inside block {name!r}: {len(raw)} bytes, {end} needed")
-        block = np.frombuffer(raw, dtype="<f4", count=arr.size, offset=offset)
-        arr[...] = block.reshape(arr.shape)
         offset = end
     if offset != len(raw):
         fail(f"{len(raw) - offset} bytes after the last block")
+    model = StagedModel(cfg, seed=seed)
+    arrays = dict(model.buffers() + model.params())
+    offset = second + 1
+    for name, _ in blocks:
+        arr = arrays[name]
+        arr[...] = np.frombuffer(raw, dtype="<f4", count=arr.size, offset=offset).reshape(arr.shape)
+        offset += 4 * arr.size
     return model

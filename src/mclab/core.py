@@ -1,4 +1,6 @@
-"""Core domain types: datasets, deterministic RNG, three-way splits.
+"""Core domain types: datasets, deterministic RNG, three-way splits, and
+the type check of one config value (shared by the config document and the
+model checkpoint header).
 
 Labels are dense 0-based integers internally and rendered 1-based in every
 human-facing report. All randomness flows through ``Rng``, a descriptor around
@@ -9,13 +11,16 @@ every platform.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from types import NoneType, UnionType
+from typing import Any, Iterable, Sequence, get_args, get_origin
 
 import numpy as np
 
 __all__ = [
     "MAX_CLASSES",
+    "ConfigError",
     "NEW_CLASS",
     "LabeledDataset",
     "Rng",
@@ -41,6 +46,55 @@ def default_names(k: int) -> tuple[str, ...]:
     return tuple(f"class{i + 1}" for i in range(k))
 
 
+class ConfigError(ValueError):
+    """Invalid configuration; ``path`` names the offending field."""
+
+    def __init__(self, path: str, message: str):
+        super().__init__(f"{path}: {message}")
+        self.path = path
+        self.message = message
+
+    def __reduce__(self):
+        return (ConfigError, (self.path, self.message))
+
+
+def _value(hint: Any, value: Any, path: str) -> Any:
+    """Check one scalar, ``T | None`` or tuple value against its annotation;
+    ints widen to float where a float is expected, and floats must be finite."""
+    if get_origin(hint) is UnionType:
+        if value is None:
+            return None
+        (hint,) = [arg for arg in get_args(hint) if arg is not NoneType]
+    elif value is None:
+        raise ConfigError(path, "must not be null")
+    if get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(path, "expected a list")
+        kinds = get_args(hint)
+        if kinds[-1] is Ellipsis:
+            kinds = kinds[:1] * len(value)
+        elif len(kinds) != len(value):
+            raise ConfigError(path, f"expected {len(kinds)} items")
+        return tuple(_value(kind, item, path) for kind, item in zip(kinds, value))
+    if hint is float and type(value) is int:
+        value = float(value)
+    if isinstance(value, bool) != (hint is bool) or not isinstance(value, hint):
+        raise ConfigError(path, f"expected {hint.__name__}")
+    if hint is float and not math.isfinite(value):
+        raise ConfigError(path, "must be finite")
+    return value
+
+
+def _frozen(values: Any, dtype: Any) -> np.ndarray:
+    """``values`` as a read-only C-contiguous array, copied unless it already
+    is one, so a caller's buffer is never frozen."""
+    arr = np.asarray(values, dtype=dtype)
+    if arr.flags.writeable or not arr.flags.c_contiguous:
+        arr = np.array(arr, order="C")
+        arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     """Immutable feature/label arrays plus the names of their K classes.
@@ -55,13 +109,8 @@ class LabeledDataset:
     names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        feats = np.asarray(self.features, dtype=np.float32)
-        labs = np.asarray(self.labels, dtype=np.int64)
-        # keep instances immutable without freezing caller-owned buffers
-        if feats.flags.writeable or not feats.flags.c_contiguous:
-            feats = np.array(feats, dtype=np.float32, order="C")
-        if labs.flags.writeable or not labs.flags.c_contiguous:
-            labs = np.array(labs, dtype=np.int64, order="C")
+        feats = _frozen(self.features, np.float32)
+        labs = _frozen(self.labels, np.int64)
         if feats.ndim < 2:
             raise ValueError("features must have shape (n, *feature_shape)")
         if labs.ndim != 1 or labs.shape[0] != feats.shape[0]:
@@ -76,8 +125,6 @@ class LabeledDataset:
             raise ValueError("class names must be unique")
         if labs.size and (labs.min() < 0 or labs.max() >= k):
             raise ValueError(f"labels must lie in [0, {k})")
-        feats.flags.writeable = False
-        labs.flags.writeable = False
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labs)
         object.__setattr__(self, "names", names)
@@ -261,8 +308,9 @@ def split_dataset(
     """Deterministic three-way split; stratified keeps per-class proportions
     within one sample of exact.
 
-    Returns (train, correct, test). Membership is randomized by the seed but
-    each part preserves the original sample order.
+    Returns (train, correct, test). Each group of samples (one per class if
+    stratified, else all of them) is permuted and cut at its allocation row;
+    each part keeps the original sample order.
     """
     spec.validate()
     if spec.seed is None:
@@ -281,30 +329,19 @@ def split_dataset(
                 f"class {int(thin[0])} has {int(counts[thin[0]])} samples, "
                 f"fewer than the {s} splits"
             )
+        # each class's indices in ascending order, one group per class
+        groups = np.split(np.argsort(data.labels, kind="stable"), np.cumsum(counts)[:-1])
         alloc = _stratified_allocation(counts, spec.fractions)
-        parts: list[list[np.ndarray]] = [[] for _ in range(s)]
-        for cls in range(data.n_classes):
-            idx = np.nonzero(data.labels == cls)[0]
-            if idx.size == 0:
-                continue
-            perm = idx[gen.permutation(idx.size)]
-            stops = np.cumsum(alloc[cls])
-            start = 0
-            for j in range(s):
-                parts[j].append(perm[start : int(stops[j])])
-                start = int(stops[j])
-        chosen = [np.sort(np.concatenate(p)) if p else np.empty(0, np.int64) for p in parts]
     else:
-        totals = largest_remainder(n * np.asarray(spec.fractions), n)
-        perm = gen.permutation(n)
-        stops = np.cumsum(totals)
-        chosen = []
-        start = 0
-        for j in range(s):
-            chosen.append(np.sort(perm[start : int(stops[j])]))
-            start = int(stops[j])
-
-    out = tuple(data.subset(c) for c in chosen)
+        groups = [np.arange(n)]
+        alloc = largest_remainder(n * np.asarray(spec.fractions), n)[None, :]
+    parts: list[list[np.ndarray]] = [[] for _ in range(s)]
+    for idx, row in zip(groups, alloc):
+        if idx.size:
+            perm = idx[gen.permutation(idx.size)]
+            for part, cut in zip(parts, np.split(perm, np.cumsum(row)[:-1])):
+                part.append(cut)
+    out = tuple(data.subset(np.sort(np.concatenate(p))) for p in parts)
     return out  # type: ignore[return-value]
 
 

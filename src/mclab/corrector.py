@@ -107,21 +107,19 @@ class Tree:
     right: list[int] = field(default_factory=list)
     value: list[float] = field(default_factory=list)
 
-    def add_leaf(self, value: float) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
+    def _add(self, feature: int, threshold: float, value: float) -> int:
+        self.feature.append(int(feature))
+        self.threshold.append(float(threshold))
         self.left.append(-1)
         self.right.append(-1)
         self.value.append(float(value))
         return len(self.feature) - 1
 
+    def add_leaf(self, value: float) -> int:
+        return self._add(-1, 0.0, value)
+
     def add_split(self, feature: int, threshold: float) -> int:
-        self.feature.append(int(feature))
-        self.threshold.append(float(threshold))
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        return len(self.feature) - 1
+        return self._add(feature, threshold, 0.0)
 
     @property
     def n_nodes(self) -> int:

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NoReturn
+from typing import Callable, NoReturn
 
 import numpy as np
 
-from .core import MAX_CLASSES, LabeledDataset, Rng, default_names, largest_remainder
+from .core import MAX_CLASSES, LabeledDataset, Rng, _frozen, default_names, largest_remainder
 
 __all__ = [
     "ClusterSpec",
@@ -68,15 +68,9 @@ class ClusterSpec:
             raise ValueError("proportions must sum to 1 within 1e-9")
         if len(self.names) != k:
             raise ValueError("need one display name per class")
-        means, scales, props = (
-            np.array(a) if a.flags.writeable else a for a in (means, scales, props)
-        )
-        means.flags.writeable = False
-        scales.flags.writeable = False
-        props.flags.writeable = False
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "covariance_scale", scales)
-        object.__setattr__(self, "proportions", props)
+        object.__setattr__(self, "means", _frozen(means, np.float64))
+        object.__setattr__(self, "covariance_scale", _frozen(scales, np.float64))
+        object.__setattr__(self, "proportions", _frozen(props, np.float64))
         object.__setattr__(self, "names", tuple(self.names))
 
     @property
@@ -158,26 +152,27 @@ def check_gaussian_scale(covariance_scale) -> None:
         raise ValueError("gaussian generation needs covariance_scale > 0")
 
 
-def _class_counts(proportions: np.ndarray, n_total: int, k: int) -> np.ndarray:
+def _sample(
+    cluster: ClusterSpec, n_total: int, gen: np.random.Generator,
+    draw: Callable[[int, int], np.ndarray],
+) -> LabeledDataset:
+    """Largest-remainder class counts, ``draw(i, count)`` rows of each class in
+    class order, then one shuffle of the whole sample."""
+    k = cluster.n_classes
     check_n_total(n_total, k)
-    return largest_remainder(proportions * n_total, n_total)
+    counts = largest_remainder(cluster.proportions * n_total, n_total)
+    features = np.concatenate([draw(i, int(c)) for i, c in enumerate(counts)]).astype(np.float32)
+    labels = np.repeat(np.arange(k, dtype=np.int64), counts)
+    perm = gen.permutation(n_total)
+    return LabeledDataset(features[perm], labels[perm], cluster.names)
 
 
 def generate_gaussian(cluster: ClusterSpec, n_total: int, rng: Rng) -> LabeledDataset:
     """Sample isotropic Gaussian clusters with largest-remainder class counts."""
     check_gaussian_scale(cluster.covariance_scale)
-    counts = _class_counts(cluster.proportions, n_total, cluster.n_classes)
     gen = rng.derive("gaussian").generator()
-    blocks = []
-    labels = []
-    for i in range(cluster.n_classes):
-        noise = gen.standard_normal((int(counts[i]), cluster.dim))
-        blocks.append(cluster.means[i] + cluster.covariance_scale[i] * noise)
-        labels.append(np.full(int(counts[i]), i, dtype=np.int64))
-    features = np.concatenate(blocks).astype(np.float32)
-    label_arr = np.concatenate(labels)
-    perm = gen.permutation(n_total)
-    return LabeledDataset(features[perm], label_arr[perm], cluster.names)
+    return _sample(cluster, n_total, gen, lambda i, count: cluster.means[i]
+                   + cluster.covariance_scale[i] * gen.standard_normal((count, cluster.dim)))
 
 
 def patch_positions(k: int, side: int) -> list[tuple[int, int]]:
@@ -202,24 +197,17 @@ def generate_toy_images(
     image of a class is identical.
     """
     k = cluster.n_classes
-    counts = _class_counts(cluster.proportions, n_total, k)
-    anchors = patch_positions(k, spec.side)
     gen = rng.derive("images").generator()
     shape = (spec.channels, spec.side, spec.side)
-    blocks = []
-    labels = []
-    for i in range(k):
-        n_i = int(counts[i])
-        base = np.zeros(shape, dtype=np.float64)
-        r, c = anchors[i]
+
+    def draw(i: int, count: int) -> np.ndarray:
+        base = np.zeros(shape)
+        # looked up here, so that _sample's n_total check runs first
+        r, c = patch_positions(k, spec.side)[i]
         base[:, r : r + 2, c : c + 2] = 4.0
-        noise = gen.standard_normal((n_i,) + shape) * float(cluster.covariance_scale[i])
-        blocks.append(base[None, ...] + noise)
-        labels.append(np.full(n_i, i, dtype=np.int64))
-    features = np.concatenate(blocks).astype(np.float32)
-    label_arr = np.concatenate(labels)
-    perm = gen.permutation(n_total)
-    return LabeledDataset(features[perm], label_arr[perm], cluster.names)
+        return base + gen.standard_normal((count,) + shape) * float(cluster.covariance_scale[i])
+
+    return _sample(cluster, n_total, gen, draw)
 
 
 class DatasetFormatError(ValueError):

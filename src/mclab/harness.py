@@ -28,13 +28,11 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import json
-import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from functools import partial
 from pathlib import Path
-from types import NoneType, UnionType
-from typing import Any, Iterator, Mapping, get_args, get_origin, get_type_hints
+from typing import Any, Iterator, Mapping, get_type_hints
 
 import numpy as np
 
@@ -57,6 +55,7 @@ from .composer import (
     write_prediction_log,
 )
 from .core import (
+    ConfigError,
     LabeledDataset,
     Rng,
     SplitSpec,
@@ -65,6 +64,7 @@ from .core import (
     derived_seed,
     exclude_class,
     split_dataset,
+    _value,
     validation_slice,
 )
 from .corrector import GbdtConfig, save_ensemble
@@ -95,18 +95,6 @@ __all__ = [
     "run_single",
     "run_sweep",
 ]
-
-
-class ConfigError(ValueError):
-    """Invalid configuration; ``path`` names the offending field."""
-
-    def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
-        self.path = path
-        self.message = message
-
-    def __reduce__(self):
-        return (ConfigError, (self.path, self.message))
 
 
 class StageError(RuntimeError):
@@ -174,33 +162,6 @@ def default_config_dict() -> dict:
 
 def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
-
-
-def _value(hint: Any, value: Any, path: str) -> Any:
-    """Check one scalar, ``T | None`` or tuple value against its annotation;
-    ints widen to float where a float is expected, and floats must be finite."""
-    if get_origin(hint) is UnionType:
-        if value is None:
-            return None
-        (hint,) = [arg for arg in get_args(hint) if arg is not NoneType]
-    elif value is None:
-        raise ConfigError(path, "must not be null")
-    if get_origin(hint) is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(path, "expected a list")
-        kinds = get_args(hint)
-        if kinds[-1] is Ellipsis:
-            kinds = kinds[:1] * len(value)
-        elif len(kinds) != len(value):
-            raise ConfigError(path, f"expected {len(kinds)} items")
-        return tuple(_value(kind, item, path) for kind, item in zip(kinds, value))
-    if hint is float and type(value) is int:
-        value = float(value)
-    if isinstance(value, bool) != (hint is bool) or not isinstance(value, hint):
-        raise ConfigError(path, f"expected {hint.__name__}")
-    if hint is float and not math.isfinite(value):
-        raise ConfigError(path, "must be finite")
-    return value
 
 
 def _build(cls: type, doc: Any, path: str, default: Any = None) -> Any:
@@ -449,7 +410,9 @@ class SweepResult:
 
 
 def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepResult:
-    """Run the baseline plus every exclusion, then render the report tables."""
+    """Run the baseline plus every exclusion, then render the report tables.
+
+    ``jobs`` > 1 runs them in worker processes, at most one per run."""
     k = config.model.n_classes
     entries: list[int | None] = [None] + list(range(k))
     results: dict[int | None, RunResult] = {}
@@ -457,7 +420,7 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepResult:
         for entry in entries:
             results[entry] = run_single(config, excluded=entry)
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(entries))) as pool:
             futures = {pool.submit(run_single, config, entry): entry for entry in entries}
             try:
                 for fut in concurrent.futures.as_completed(futures):

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import NEW_CLASS
+from .core import NEW_CLASS, _frozen
 
 __all__ = [
     "EPSILON_DEFAULT",
@@ -41,21 +41,6 @@ __all__ = [
 
 EPSILON_DEFAULT = 1e-9
 
-RATE_FIELDS = (
-    "tpr_base",
-    "tpr_corrected",
-    "delta",
-    "ratio",
-    "retention",
-    "harm",
-    "gain",
-    "fpr_base",
-    "fpr_corrected",
-    "delta_fpr",
-    "spill",
-)
-
-
 @dataclass(frozen=True)
 class PairedPredictions:
     """Aligned true / base / corrected label vectors over K classes."""
@@ -66,9 +51,8 @@ class PairedPredictions:
     n_classes: int
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.true_labels, dtype=np.int64)
-        b = np.asarray(self.base_labels, dtype=np.int64)
-        c = np.asarray(self.corrected_labels, dtype=np.int64)
+        t, b, c = (_frozen(v, np.int64)
+                   for v in (self.true_labels, self.base_labels, self.corrected_labels))
         if not (t.shape == b.shape == c.shape) or t.ndim != 1:
             raise ValueError("label vectors must be aligned 1-D arrays")
         if t.size == 0:
@@ -82,11 +66,9 @@ class PairedPredictions:
             raise ValueError(f"base labels must lie in [0, {k})")
         if c.max(initial=NEW_CLASS) >= k or c.min(initial=0) < NEW_CLASS:
             raise ValueError(f"corrected labels must lie in [0, {k}) or be NEW_CLASS")
-        for name, arr in (("true_labels", t), ("base_labels", b), ("corrected_labels", c)):
-            if arr.flags.writeable:
-                arr = arr.copy()
-                arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "true_labels", t)
+        object.__setattr__(self, "base_labels", b)
+        object.__setattr__(self, "corrected_labels", c)
         object.__setattr__(self, "n_classes", k)
 
     @property
@@ -117,6 +99,10 @@ class ClassMetrics:
     fpr_corrected: float | None
     delta_fpr: float | None
     spill: float | None
+
+
+# the per-class rate columns, in report order
+RATE_FIELDS = tuple(f.name for f in fields(ClassMetrics)[2:])
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ mclab resolve too, so a removed name fails here, not only in a benchmark run."""
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,7 +42,8 @@ def test_package_exports_are_what_init_binds():
     assert set(mclab.__all__) == public
 
 
-BENCH = sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"))
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+BENCH = sorted(PERFBENCH.glob("*.py"))
 
 
 def _unresolved_chains(source: str) -> list[str]:
@@ -80,3 +83,35 @@ def test_benchmark_guard_reports_a_missing_name():
     source = ("from mclab import metrics as m\n"
               "m.PairedPredictions.from_log(m.evaluate.gone.deeper, m.nothing)\n")
     assert _unresolved_chains(source) == ["m.evaluate.gone", "m.nothing"]
+
+
+def _bindings() -> dict:
+    """Every attribute of the mclab modules and of the classes they define."""
+    out = {}
+    for name, module in list(sys.modules.items()):
+        if name != "mclab" and not name.startswith("mclab."):
+            continue
+        for attr, value in vars(module).items():
+            out[name, attr] = value
+            if isinstance(value, type) and value.__module__ == name:
+                out.update(((name, attr, key), item) for key, item in vars(value).items())
+    return out
+
+
+def test_benchmark_tracer_installs_and_restores():
+    """The tracer wraps methods it names as strings, which no chain above
+    checks: a renamed one must fail here, not in every traced benchmark run."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    before = _bindings()
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+        wrapped = {key for key, value in _bindings().items() if value is not before.get(key)}
+    finally:
+        tracer.close()
+    assert {key[-1] for key in wrapped} >= {"train", "write", "forward", "backward"}
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert [key for key in before if after[key] is not before[key]] == []

@@ -508,6 +508,13 @@ def _widen_first(blocks):
     blocks[0][1] = [blocks[0][1][0] + 1]
 
 
+def _config(key, value):
+    def edit(doc):
+        doc["config"][key] = value
+
+    return lambda raw: _edit_header(raw, edit)
+
+
 # edits of a saved checkpoint, and the message each must be rejected with
 MALFORMED_MODELS = {
     "header_without_newline": (lambda raw: raw[:raw.index(b"\n", raw.index(b"\n") + 1)],
@@ -520,7 +527,20 @@ MALFORMED_MODELS = {
                     r"block 'input_mean' has shape \[2\], the model's is \[1\]"),
     "short_buffer": (lambda raw: raw[:-4], r"file ends inside block 'head\.b2'"),
     "trailing_bytes": (lambda raw: raw + b"\0" * 4, "4 bytes after the last block"),
+    "fractional_heads": (_config("n_heads", 1.9), r"config\.n_heads: expected int"),
+    "boolean_heads": (_config("n_heads", True), r"config\.n_heads: expected int"),
+    "string_classes": (_config("n_classes", "3"), r"config\.n_classes: expected int"),
+    "fractional_seed": (lambda raw: _edit_header(raw, lambda doc: doc.update(seed=2.5)),
+                        "seed: expected int"),
+    "absent_field": (lambda raw: _edit_header(raw, lambda doc: doc["config"].pop("n_heads")),
+                     "config lacks n_heads"),
+    "classes_above_ceiling": (_config("n_classes", 65537),
+                              "65537 classes exceed the ceiling of 65536"),
 }
+
+
+def _never_built(*args, **kwargs):
+    raise AssertionError("the model was built before the file was checked")
 
 
 class TestCheckpointRejections:
@@ -543,3 +563,33 @@ class TestCheckpointRejections:
         path = tmp_path / "model.bin"
         path.write_bytes(raw)
         assert load_model(path).config == SMALL
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+    def test_rejected_before_the_model_is_built(self, tmp_path, raw, case, monkeypatch):
+        edit, message = MALFORMED_MODELS[case]
+        path = tmp_path / "model.bin"
+        path.write_bytes(edit(raw))
+        monkeypatch.setattr(basemodel, "StagedModel", _never_built)
+        with pytest.raises(ValueError, match=message):
+            load_model(path)
+
+    def test_header_only_file_with_two_million_classes(self, tmp_path, monkeypatch):
+        header = {"blocks": [], "seed": 0, "config": {
+            "input_shape": [1, 8, 8], "conv_channels": [4, 8, 16], "n_heads": 1,
+            "n_classes": 2_000_000}}
+        path = tmp_path / "model.bin"
+        path.write_bytes(b"mclab-model v1\n" + json.dumps(header).encode("ascii") + b"\n")
+        monkeypatch.setattr(basemodel, "StagedModel", _never_built)
+        with pytest.raises(ValueError, match="2000000 classes exceed the ceiling") as err:
+            load_model(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("config", [
+        SMALL,
+        ModelConfig(),
+        ModelConfig(input_shape=(3, 16, 8), conv_channels=(5, 6, 8), n_heads=4, n_classes=11),
+    ], ids=["small", "default", "wide"])
+    def test_block_shapes_are_the_models(self, config):
+        model = StagedModel(config, seed=0)
+        assert basemodel._block_shapes(config) == [
+            (name, arr.shape) for name, arr in model.buffers() + model.params()]

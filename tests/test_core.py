@@ -18,6 +18,9 @@ from mclab.core import (
     split_dataset,
     validation_slice,
 )
+from mclab.datagen import ProfileConfig, generate_gaussian
+
+from reference_fixture import dataset_sha256
 
 # Per-class totals of the reference imbalanced corpus (sum 15339).
 CORPUS_COUNTS = (1619, 355, 877, 5957, 2460, 867, 3204)
@@ -207,6 +210,16 @@ class TestSplitDataset:
         data = make_dataset(CORPUS_COUNTS)
         tr, co, te = split_dataset(data, SplitSpec(seed=0, stratified=False))
         assert (len(tr), len(co), len(te)) == (7669, 3835, 3835)
+
+    def test_non_stratified_parts_are_pinned(self):
+        # counter-based streams and exact arithmetic: the same bytes on every host
+        data = generate_gaussian(ProfileConfig().to_cluster_spec(), 700, Rng.from_seed(7))
+        parts = split_dataset(data, SplitSpec((0.5, 0.25, 0.25), stratified=False, seed=7))
+        assert [dataset_sha256(p) for p in parts] == [
+            "4770c4af718798234d2a4dea7bc6ebef41ea5f3884d546fa72fe69e2c11ecc55",
+            "7e0d8e960bf61dd95d91d4c2b4cd18f155a2153090f3d7c8a889d3a3a50d1d56",
+            "32fb1e75a710458ef727b7ba06bb6a9af18f28ccda73650f273d69a2b39668cb",
+        ]
 
     @settings(deadline=None, max_examples=40)
     @given(

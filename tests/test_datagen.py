@@ -17,6 +17,8 @@ from mclab.datagen import (
     save_dataset,
 )
 
+from reference_fixture import dataset_sha256
+
 
 # the seven-class emotion-style profile of the default config
 DEFAULT_PROFILE = ProfileConfig().to_cluster_spec()
@@ -152,6 +154,15 @@ class TestGenerateToyImages:
         )
         acc = (ens.predict_proba(flat).argmax(axis=1) == data.labels).mean()
         assert acc >= 0.90
+
+    def test_bytes_are_pinned(self):
+        # counter-based streams and exact arithmetic: the same bytes on every host
+        data = generate_toy_images(
+            SequenceImageSpec(side=16), DEFAULT_PROFILE, 700, Rng.from_seed(7)
+        )
+        assert dataset_sha256(data) == (
+            "30eb2a6c2edba02ea21ebc3b7be41c4c0ec598f93677fb4a2828f9bc149d26f8"
+        )
 
     def test_tiny_side_rejected(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ reproducibility of whole report trees.
 
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import json
 import shutil
@@ -568,6 +569,36 @@ class TestSweep:
         par = run_sweep(par_cfg, jobs=2)
         # configs differ only in output_dir, so compare everything except the
         # manifest and then its run/table checksum sections explicitly
+        assert_trees_identical(sweep.root, par.root, skip=("manifest.json",))
+        a = json.loads((sweep.root / "manifest.json").read_text())
+        b = json.loads((par.root / "manifest.json").read_text())
+        assert a["runs"] == b["runs"]
+        assert a["tables"] == b["tables"]
+
+    def test_workers_are_capped_at_the_run_count(self, mini_sweep, tmp_path, monkeypatch):
+        cfg, sweep = mini_sweep
+        asked = []
+
+        class InProcessPool:
+            """Records the worker count asked for; runs each call at submit."""
+
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        par = run_sweep(replace(cfg, output_dir=str(tmp_path / "runs")), jobs=10**6)
+        assert asked == [len(sweep.runs) + 1]
         assert_trees_identical(sweep.root, par.root, skip=("manifest.json",))
         a = json.loads((sweep.root / "manifest.json").read_text())
         b = json.loads((par.root / "manifest.json").read_text())
