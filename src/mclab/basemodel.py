@@ -21,11 +21,11 @@ import logging
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import NoReturn, Sequence, get_type_hints
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
-from .core import MAX_CLASSES, LabeledDataset, Rng, _value
+from .core import MAX_CLASSES, LabeledDataset, Rng, _LineReader, _value
 from .stages import AttentionStage, ConvStage, HeadStage, LstmStage, softmax
 
 __all__ = [
@@ -513,30 +513,33 @@ def _block_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
 def load_model(path: str | Path) -> StagedModel:
     """Read a checkpoint written by ``save_model``.
 
-    A malformed file raises ValueError naming the path: a header that does
-    not parse or has no newline, a config field that is missing or of the
-    wrong type, an invalid config or more than ``MAX_CLASSES`` classes, a
-    seed that is not a non-negative integer, a block list that names an
-    unknown block, names one twice or leaves one out, a block shape other
-    than the model's, or a float32 payload shorter or longer than the
-    blocks. All of this is checked before the model is built, so a model is
-    built only for a file that holds every one of its weights.
+    A malformed file raises ValueError naming the path, and the line for a
+    fault in the text header: a non-ASCII byte in it, a header that does not
+    parse or has no newline, an unknown header key or config field, a config
+    field that is missing or of the wrong type, an invalid config or more
+    than ``MAX_CLASSES`` classes, a seed that is not a non-negative integer,
+    a block list that names an unknown block, names one twice or leaves one
+    out, a block shape other than the model's, or (with no line) a float32
+    payload shorter or longer than the blocks. All of this is checked before
+    the model is built, so a model is built only for a file that holds every
+    one of its weights.
     """
     raw = Path(path).read_bytes()
-
-    def fail(message: str) -> NoReturn:
-        raise ValueError(f"{path}: {message}")
-
-    first = raw.find(b"\n")
-    if first < 0 or raw[:first] != MODEL_MAGIC.encode("ascii"):
-        raise ValueError(f"not a model checkpoint: {path}")
-    second = raw.find(b"\n", first + 1)
-    if second < 0:
-        fail("header line has no newline")
+    end = raw.find(b"\n", raw.find(b"\n") + 1) + 1  # past the two header lines; 0 if cut short
+    lines = _LineReader(path, raw[:end or len(raw)])
+    if lines.next() != MODEL_MAGIC:
+        lines.fail("not a model checkpoint")
+    text = lines.next()
+    if not end:
+        lines.fail("header line has no newline")
     try:
-        header = json.loads(raw[first + 1 : second].decode("ascii"))
+        header = json.loads(text)
         doc = header["config"]
         hints = get_type_hints(ModelConfig)
+        unknown = [key for key in header if key not in ("blocks", "config", "seed")]
+        unknown += [f"config.{name}" for name in doc if name not in hints]
+        if unknown:
+            raise ValueError(f"unknown fields {', '.join(unknown)}")
         absent = [name for name in hints if name not in doc]
         if absent:
             raise ValueError(f"config lacks {', '.join(absent)}")
@@ -551,30 +554,32 @@ def load_model(path: str | Path) -> StagedModel:
         blocks = [_value(tuple[str, tuple[int, ...]], block, "blocks")
                   for block in header["blocks"]]
     except (ValueError, KeyError, TypeError) as exc:
-        fail(f"malformed header: {exc}")
+        lines.fail(f"malformed header: {exc}")
     expected = dict(_block_shapes(cfg))
     names = [name for name, _ in blocks]
     for name in names:
         if name not in expected:
-            fail(f"unknown block {name!r}")
+            lines.fail(f"unknown block {name!r}")
         if names.count(name) > 1:
-            fail(f"block {name!r} appears {names.count(name)} times")
+            lines.fail(f"block {name!r} appears {names.count(name)} times")
     missing = [name for name in expected if name not in names]
     if missing:
-        fail(f"missing blocks {', '.join(missing)}")
-    offset = second + 1
+        lines.fail(f"missing blocks {', '.join(missing)}")
+    offset = end
     for name, shape in blocks:
         if shape != expected[name]:
-            fail(f"block {name!r} has shape {list(shape)}, the model's is {list(expected[name])}")
-        end = offset + 4 * math.prod(shape)
-        if end > len(raw):
-            fail(f"file ends inside block {name!r}: {len(raw)} bytes, {end} needed")
-        offset = end
+            lines.fail(f"block {name!r} has shape {list(shape)}, "
+                       f"the model's is {list(expected[name])}")
+        stop = offset + 4 * math.prod(shape)
+        if stop > len(raw):
+            raise ValueError(
+                f"{path}: file ends inside block {name!r}: {len(raw)} bytes, {stop} needed")
+        offset = stop
     if offset != len(raw):
-        fail(f"{len(raw) - offset} bytes after the last block")
+        raise ValueError(f"{path}: {len(raw) - offset} bytes after the last block")
     model = StagedModel(cfg, seed=seed)
     arrays = dict(model.buffers() + model.params())
-    offset = second + 1
+    offset = end
     for name, _ in blocks:
         arr = arrays[name]
         arr[...] = np.frombuffer(raw, dtype="<f4", count=arr.size, offset=offset).reshape(arr.shape)

@@ -16,12 +16,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple, NoReturn, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .basemodel import FORWARD_CHUNK, StagedModel, forward_latents
-from .core import MAX_CLASSES, NEW_CLASS, LabeledDataset
+from .core import NEW_CLASS, LabeledDataset, _LineReader
 from .corrector import CorrectorEnsemble
 from .metrics import PairedPredictions
 
@@ -43,6 +43,7 @@ PREDS_MAGIC = "mclab-preds v1"
 LOG_COLUMNS = "sample_id,true,base,corrected,overridden,base_conf,corr_conf"
 _LOG_HEADER = re.compile(rf"# {re.escape(PREDS_MAGIC)} K=([1-9][0-9]*)")
 _CELL_KINDS = (int,) * 5 + (float,) * 2
+_NO_COLUMNS = "prediction log missing column header"
 
 # compose_batch streams rows in blocks of this size. It is a multiple of the
 # forward chunk, so every block splits into the chunks one pass over the
@@ -231,51 +232,30 @@ def read_prediction_log(path: str | Path) -> PairedPredictions:
     base in [0, K), corrected in [0, K) or NEW_CLASS). Each row is checked
     as it is read, before any array is built.
     """
-    raw = Path(path).read_bytes()
-    at = 0  # index of the line being read
-
-    def fail(message: str) -> NoReturn:
-        raise ValueError(f"{path}: line {at + 1}: {message}")
-
-    try:
-        lines = raw.decode("ascii").splitlines()
-    except UnicodeDecodeError as exc:
-        at = raw.count(b"\n", 0, exc.start)
-        fail(f"non-ASCII byte 0x{raw[exc.start]:02x} at offset {exc.start}")
-    if not lines:
-        fail("empty prediction log")
-    head = _LOG_HEADER.fullmatch(lines[0])
+    lines = _LineReader(path, Path(path).read_bytes())
+    first = lines.next(missing="empty prediction log")
+    head = _LOG_HEADER.fullmatch(first)
     if head is None:
-        fail(f"prediction log header {lines[0]!r} is not '# {PREDS_MAGIC} K=<classes>'")
-    if len(head[1]) > len(str(MAX_CLASSES)) or int(head[1]) > MAX_CLASSES:
-        fail(f"K={head[1]} exceeds the ceiling of {MAX_CLASSES} classes")
-    k = int(head[1])
-    at = 1
-    if at == len(lines) or lines[at] != LOG_COLUMNS:
-        fail("prediction log missing column header")
-    if at + 1 == len(lines):
-        fail("no prediction rows after the column header")
+        lines.fail(f"prediction log header {first!r} is not '# {PREDS_MAGIC} K=<classes>'")
+    k = lines.classes(head[1])
+    if lines.next(missing=_NO_COLUMNS) != LOG_COLUMNS:
+        lines.fail(_NO_COLUMNS)
+    if lines.at == len(lines.lines):
+        lines.fail("no prediction rows after the column header")
     names = LOG_COLUMNS.split(",")
-
-    def number(kind: type, name: str, text: str):
-        try:
-            return kind(text)
-        except ValueError:
-            fail(f"{name} {text!r} is not {'an int' if kind is int else 'a float'}")
-
     rows = []
-    for at in range(at + 1, len(lines)):
-        cells = lines[at].split(",")
+    for line in lines:
+        cells = line.split(",")
         if len(cells) != len(names):
-            fail(f"expected {len(names)} cells, found {len(cells)}")
-        row = [number(kind, name, cell) for kind, name, cell in zip(_CELL_KINDS, names, cells)]
+            lines.fail(f"expected {len(names)} cells, found {len(cells)}")
+        row = [lines.number(*cell) for cell in zip(_CELL_KINDS, names, cells)]
         if row[0] != len(rows):
-            fail(f"sample_id {row[0]}, expected {len(rows)}")
+            lines.fail(f"sample_id {row[0]}, expected {len(rows)}")
         if row[4] not in (0, 1):
-            fail(f"overridden {row[4]}, expected 0 or 1")
+            lines.fail(f"overridden {row[4]}, expected 0 or 1")
         for name, label, low in zip(("true", "base", "corrected"), row[1:4], (0, 0, NEW_CLASS)):
             if not low <= label < k:
-                fail(f"{name} {label} outside [{low}, {k})")
+                lines.fail(f"{name} {label} outside [{low}, {k})")
         rows.append(row[1:4])
     true_arr, base, corrected = np.array(rows, dtype=np.int64).T
     return PairedPredictions(true_arr, base, corrected, k)

@@ -1,6 +1,6 @@
-"""Core domain types: datasets, deterministic RNG, three-way splits, and
-the type check of one config value (shared by the config document and the
-model checkpoint header).
+"""Core domain types: datasets, deterministic RNG, three-way splits, the
+type check of one config value (shared by the config document and the model
+checkpoint header), and the line reader behind every file loader.
 
 Labels are dense 0-based integers internally and rendered 1-based in every
 human-facing report. All randomness flows through ``Rng``, a descriptor around
@@ -13,8 +13,9 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from types import NoneType, UnionType
-from typing import Any, Iterable, Sequence, get_args, get_origin
+from typing import Any, Iterable, Iterator, NoReturn, Sequence, get_args, get_origin
 
 import numpy as np
 
@@ -95,6 +96,56 @@ def _frozen(values: Any, dtype: Any) -> np.ndarray:
     return arr
 
 
+class _LineReader:
+    """The lines of a text file, or of the text header of a binary one, read
+    in order. Every fault names the path and the line being read, as
+    ``<path>: line <n>: <message>``, raised as ``error``; so does a non-ASCII
+    byte, named with its offset in ``raw``."""
+
+    def __init__(self, path: str | Path, raw: bytes, error: type[ValueError] = ValueError):
+        self.path, self.error = path, error
+        self.at = 0  # 1-based number of the line being read; 0 before the first
+        try:
+            self.lines = raw.decode("ascii").splitlines()
+        except UnicodeDecodeError as exc:
+            # the line the byte is on, counted by the same line breaks
+            self.at = len((raw[:exc.start] + b".").decode("ascii").splitlines())
+            self.fail(f"non-ASCII byte 0x{raw[exc.start]:02x} at offset {exc.start}")
+
+    def fail(self, message: str) -> NoReturn:
+        raise self.error(f"{self.path}: line {self.at}: {message}")
+
+    def next(self, prefix: str = "", missing: str = "file ends early") -> str:
+        """The next line, after the ``prefix`` it must start with."""
+        self.at += 1
+        if self.at > len(self.lines):
+            self.fail(missing)
+        line = self.lines[self.at - 1]
+        if not line.startswith(prefix):
+            self.fail(f"expected {prefix!r}")
+        return line[len(prefix):]
+
+    def __iter__(self) -> Iterator[str]:
+        """The lines not yet read, each the line being read in its turn."""
+        while self.at < len(self.lines):
+            self.at += 1
+            yield self.lines[self.at - 1]
+
+    def number(self, kind: type, name: str, text: str) -> Any:
+        try:
+            return kind(text)
+        except ValueError:
+            self.fail(f"{name} {text!r} is not {'an int' if kind is int else 'a float'}")
+
+    def classes(self, text: str) -> int:
+        """A declared class count K of at most ``MAX_CLASSES``. Its digits are
+        counted before they are converted, so a huge K costs nothing."""
+        digits = text.strip().lstrip("+").replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_CLASSES)) or self.number(int, "K", text) > MAX_CLASSES:
+            self.fail(f"header K={text.strip()} exceeds the ceiling of {MAX_CLASSES} classes")
+        return int(text)
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     """Immutable feature/label arrays plus the names of their K classes.
@@ -147,7 +198,9 @@ class LabeledDataset:
 
     def subset(self, indices: np.ndarray) -> "LabeledDataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return LabeledDataset(self.features[idx], self.labels[idx], self.names)
+        features, labels = self.features[idx], self.labels[idx]
+        features.flags.writeable = labels.flags.writeable = False  # fresh, so not copied again
+        return LabeledDataset(features, labels, self.names)
 
 
 def datasets_equal(a: LabeledDataset, b: LabeledDataset) -> bool:

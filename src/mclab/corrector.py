@@ -28,15 +28,15 @@ bit-identical to walking each tree row by row.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import NoReturn, Sequence
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
 from .basemodel import LatentLayout
-from .core import Rng
+from .core import Rng, _LineReader
 from .stages import softmax
 
 __all__ = [
@@ -484,16 +484,10 @@ def fit(
 
 def save_ensemble(ensemble: CorrectorEnsemble, path: str | Path) -> None:
     """Human-readable checkpoint: header, then per-tree node tables."""
-    lines = [GBDT_MAGIC]
-    c = ensemble.config
-    lines.append(
-        f"n_classes={ensemble.n_classes} n_features={ensemble.n_features} "
-        f"n_rounds={c.n_rounds} max_depth={c.max_depth}"
-    )
-    lines.append(
-        f"learning_rate={c.learning_rate!r} min_child_weight={c.min_child_weight!r} "
-        f"lambda_l2={c.lambda_l2!r} subsample={c.subsample!r} seed={c.seed}"
-    )
+    head = {"n_classes": ensemble.n_classes, "n_features": ensemble.n_features,
+            **asdict(ensemble.config)}
+    pairs = [f"{key}={value}" for key, value in head.items()]
+    lines = [GBDT_MAGIC, " ".join(pairs[:4]), " ".join(pairs[4:])]
     lines.append("base_score=" + ",".join(repr(float(v)) for v in ensemble.base_score))
     if ensemble.layout is not None:
         lines.append("layout=" + _blocks(ensemble.layout))
@@ -525,108 +519,83 @@ def load_ensemble(path: str | Path) -> CorrectorEnsemble:
     features (children come after their parent, every node but the root
     has exactly one parent, and leaves have children -1,-1).
     """
-    try:
-        lines = Path(path).read_text(encoding="ascii").splitlines()
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not ASCII text (byte {exc.start})") from None
-    if not lines or lines[0] != GBDT_MAGIC:
-        raise ValueError(f"not an ensemble checkpoint: {path}")
-    at = 0  # index of the line being read
+    lines = _LineReader(path, Path(path).read_bytes())
+    if lines.next() != GBDT_MAGIC:
+        lines.fail("not an ensemble checkpoint")
+    kinds = {"n_classes": int, "n_features": int} | {  # in save_ensemble's order
+        name: float if hint is float else int for name, hint in get_type_hints(GbdtConfig).items()}
 
-    def fail(message: str) -> NoReturn:
-        raise ValueError(f"{path}: line {at + 1}: {message}")
-
-    def read(prefix: str = "") -> str:
-        nonlocal at
-        at += 1
-        if at >= len(lines):
-            fail("file ends early")
-        if not lines[at].startswith(prefix):
-            fail(f"expected {prefix!r}")
-        return lines[at][len(prefix):]
-
-    def number(kind: type, text: str):
-        try:
-            return kind(text)
-        except ValueError:
-            fail(f"{text!r} is not {'an int' if kind is int else 'a float'}")
-
-    def fields(kinds: dict[str, type]) -> dict:
-        pairs = dict(part.partition("=")[::2] for part in read().split())
-        if sorted(pairs) != sorted(kinds):
-            fail(f"expected the fields {', '.join(kinds)}")
-        return {key: number(kind, pairs[key]) for key, kind in kinds.items()}
+    def fields(names: list[str]) -> dict:
+        pairs = dict(part.partition("=")[::2] for part in lines.next().split())
+        if sorted(pairs) != sorted(names):
+            lines.fail(f"expected the fields {', '.join(names)}")
+        return {key: lines.number(kinds[key], key, pairs[key]) for key in names}
 
     def floats(prefix: str, count: int) -> np.ndarray:
-        values = [number(float, v) for v in read(prefix).split(",")]
+        values = [lines.number(float, prefix[:-1], v) for v in lines.next(prefix).split(",")]
         if len(values) != count:
-            fail(f"{prefix[:-1]} has {len(values)} values, expected {count}")
+            lines.fail(f"{prefix[:-1]} has {len(values)} values, expected {count}")
         return np.array(values)
 
     def read_tree(n_nodes: int, n_features: int) -> Tree:
-        nonlocal at
-        if not 1 <= n_nodes < len(lines) - at:
-            fail(f"nodes={n_nodes} does not fit the rest of the file")
-        first = at + 1
+        if not 1 <= n_nodes <= len(lines.lines) - lines.at:
+            lines.fail(f"nodes={n_nodes} does not fit the rest of the file")
+        first = lines.at + 1  # the line of node 0
         parent = [-1] * n_nodes
         tree = Tree()
         for j in range(n_nodes):
-            cells = read().split(",")
-            if len(cells) != 6 or number(int, cells[0]) != j:
-                fail(f"malformed node: expected 6 fields starting with {j}")
-            feat, left, right = (number(int, cells[c]) for c in (1, 3, 4))
+            cells = lines.next().split(",")
+            if len(cells) != 6 or lines.number(int, "node", cells[0]) != j:
+                lines.fail(f"malformed node: expected 6 fields starting with {j}")
+            feat, left, right = (lines.number(int, name, cells[c])
+                                 for name, c in (("feature", 1), ("left", 3), ("right", 4)))
             if feat == -1:
                 if (left, right) != (-1, -1):
-                    fail("a leaf must have children -1,-1")
+                    lines.fail("a leaf must have children -1,-1")
             elif not 0 <= feat < n_features:
-                fail(f"split feature {feat} is outside [0, {n_features})")
+                lines.fail(f"split feature {feat} is outside [0, {n_features})")
             else:
                 for child in (left, right):
                     if not j < child < n_nodes:
-                        fail(f"child {child} is outside ({j}, {n_nodes})")
+                        lines.fail(f"child {child} is outside ({j}, {n_nodes})")
                     if parent[child] >= 0:
-                        fail(f"node {child} already has parent {parent[child]}")
+                        lines.fail(f"node {child} already has parent {parent[child]}")
                     parent[child] = j
             tree.feature.append(feat)
-            tree.threshold.append(number(float, cells[2]))
+            tree.threshold.append(lines.number(float, "threshold", cells[2]))
             tree.left.append(left)
             tree.right.append(right)
-            tree.value.append(number(float, cells[5]))
+            tree.value.append(lines.number(float, "value", cells[5]))
         for j in range(1, n_nodes):
             if parent[j] < 0:
-                at = first + j
-                fail(f"node {j} has no parent")
+                lines.at = first + j
+                lines.fail(f"node {j} has no parent")
         return tree
 
-    head = fields({"n_classes": int, "n_features": int, "n_rounds": int, "max_depth": int})
-    n_classes, n_features = head["n_classes"], head["n_features"]
+    head = fields(list(kinds)[:4])
+    n_classes, n_features = head.pop("n_classes"), head.pop("n_features")
     if n_classes < 2 or n_features < 1:
-        fail("need n_classes >= 2 and n_features >= 1")
-    config = GbdtConfig(
-        n_rounds=head["n_rounds"],
-        max_depth=head["max_depth"],
-        **fields({"learning_rate": float, "min_child_weight": float, "lambda_l2": float,
-                  "subsample": float, "seed": int}),
-    )
+        lines.fail("need n_classes >= 2 and n_features >= 1")
+    config = GbdtConfig(**head, **fields(list(kinds)[4:]))
     try:
         config.validate()
     except ValueError as exc:
-        fail(str(exc))
+        lines.fail(str(exc))
     base = floats("base_score=", n_classes)
-    layout_field = read("layout=")
+    layout_field = lines.next("layout=")
     layout = None
     if layout_field != "none":
         names, sizes = [], []
         for part in layout_field.split(","):
             name, _, size = part.rpartition(":")
             names.append(name)
-            sizes.append(number(int, size))
+            sizes.append(lines.number(int, name, size))
         try:
             layout = LatentLayout(tuple(names), tuple(sizes))
         except ValueError as exc:
-            fail(str(exc))
+            lines.fail(str(exc))
         if layout.total != n_features:
-            fail(f"layout covers {layout.total} features, expected {n_features}")
+            lines.fail(f"layout covers {layout.total} features, expected {n_features}")
     importance = floats("importance=", n_features)
     curve = floats("loss_curve=", config.n_rounds + 1).tolist()
 
@@ -635,20 +604,22 @@ def load_ensemble(path: str | Path) -> CorrectorEnsemble:
     for r in range(config.n_rounds):
         trees.append([])
         for cls in range(n_classes):
-            if read() == "end":
-                fail(f"{r * n_classes + cls} trees, expected {config.n_rounds} rounds "
-                     f"x {n_classes} classes")
-            m = tree_re.fullmatch(lines[at])
+            header = lines.next()
+            if header == "end":
+                lines.fail(f"{r * n_classes + cls} trees, expected {config.n_rounds} rounds "
+                           f"x {n_classes} classes")
+            m = tree_re.fullmatch(header)
             if not m:
-                fail("malformed tree header")
-            if (int(m[1]), int(m[2])) != (r, cls):
-                fail(f"trees out of order: expected round={r} class={cls}")
-            trees[-1].append(read_tree(int(m[3]), n_features))
-    if read() != "end":
-        fail(f"expected 'end' after {config.n_rounds} rounds x {n_classes} classes of trees")
-    if at + 1 < len(lines):
-        at += 1
-        fail("content after 'end'")
+                lines.fail("malformed tree header")
+            found = [lines.number(int, name, text)
+                     for name, text in zip(("round", "class", "nodes"), m.groups())]
+            if found[:2] != [r, cls]:
+                lines.fail(f"trees out of order: expected round={r} class={cls}")
+            trees[-1].append(read_tree(found[2], n_features))
+    if lines.next() != "end":
+        lines.fail(f"expected 'end' after {config.n_rounds} rounds x {n_classes} classes of trees")
+    for _ in lines:
+        lines.fail("content after 'end'")
 
     return CorrectorEnsemble(
         config=config,

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NoReturn
+from typing import Callable
 
 import numpy as np
 
-from .core import MAX_CLASSES, LabeledDataset, Rng, _frozen, default_names, largest_remainder
+from .core import LabeledDataset, Rng, _frozen, _LineReader, default_names, largest_remainder
 
 __all__ = [
     "ClusterSpec",
@@ -153,26 +153,37 @@ def check_gaussian_scale(covariance_scale) -> None:
 
 
 def _sample(
-    cluster: ClusterSpec, n_total: int, gen: np.random.Generator,
+    cluster: ClusterSpec, n_total: int, gen: np.random.Generator, shape: tuple[int, ...],
     draw: Callable[[int, int], np.ndarray],
 ) -> LabeledDataset:
-    """Largest-remainder class counts, ``draw(i, count)`` rows of each class in
-    class order, then one shuffle of the whole sample."""
+    """Largest-remainder class counts, ``draw(i, count)`` rows of each class
+    cast in class order into one float32 array of rows of ``shape``, then one
+    shuffle of the whole sample."""
     k = cluster.n_classes
     check_n_total(n_total, k)
     counts = largest_remainder(cluster.proportions * n_total, n_total)
-    features = np.concatenate([draw(i, int(c)) for i, c in enumerate(counts)]).astype(np.float32)
-    labels = np.repeat(np.arange(k, dtype=np.int64), counts)
+    features = np.empty((n_total, *shape), dtype=np.float32)
+    ends = np.cumsum(counts)
+    for i, (start, stop) in enumerate(zip(ends - counts, ends)):
+        features[start:stop] = draw(i, int(stop - start))
     perm = gen.permutation(n_total)
-    return LabeledDataset(features[perm], labels[perm], cluster.names)
+    features, labels = features[perm], np.repeat(np.arange(k, dtype=np.int64), counts)[perm]
+    features.flags.writeable = labels.flags.writeable = False  # fresh, so not copied again
+    return LabeledDataset(features, labels, cluster.names)
 
 
 def generate_gaussian(cluster: ClusterSpec, n_total: int, rng: Rng) -> LabeledDataset:
     """Sample isotropic Gaussian clusters with largest-remainder class counts."""
     check_gaussian_scale(cluster.covariance_scale)
     gen = rng.derive("gaussian").generator()
-    return _sample(cluster, n_total, gen, lambda i, count: cluster.means[i]
-                   + cluster.covariance_scale[i] * gen.standard_normal((count, cluster.dim)))
+
+    def draw(i: int, count: int) -> np.ndarray:
+        z = gen.standard_normal((count, cluster.dim))
+        z *= cluster.covariance_scale[i]  # in place: the bits of means[i] + scale * z
+        z += cluster.means[i]
+        return z
+
+    return _sample(cluster, n_total, gen, (cluster.dim,), draw)
 
 
 def patch_positions(k: int, side: int) -> list[tuple[int, int]]:
@@ -207,7 +218,7 @@ def generate_toy_images(
         base[:, r : r + 2, c : c + 2] = 4.0
         return base + gen.standard_normal((count,) + shape) * float(cluster.covariance_scale[i])
 
-    return _sample(cluster, n_total, gen, draw)
+    return _sample(cluster, n_total, gen, shape, draw)
 
 
 class DatasetFormatError(ValueError):
@@ -216,22 +227,6 @@ class DatasetFormatError(ValueError):
 
 def _header_line(k: int, dim: int) -> str:
     return f"{_HEADER_PREFIX}, K={k}, dim={dim}"
-
-
-def _parse_header(line: str) -> tuple[int, int]:
-    parts = [p.strip() for p in line.strip().split(",")]
-    if len(parts) != 3 or parts[0] != _HEADER_PREFIX:
-        raise DatasetFormatError(f"malformed header line: {line.strip()!r}")
-    try:
-        k = int(parts[1].removeprefix("K="))
-        dim = int(parts[2].removeprefix("dim="))
-    except ValueError as exc:
-        raise DatasetFormatError(f"malformed header line: {line.strip()!r}") from exc
-    if k < 1 or dim < 1:
-        raise DatasetFormatError(f"header K and dim must be positive: {line.strip()!r}")
-    if k > MAX_CLASSES:
-        raise DatasetFormatError(f"header K={k} exceeds the ceiling of {MAX_CLASSES} classes")
-    return k, dim
 
 
 def save_dataset(data: LabeledDataset, path: str | Path) -> None:
@@ -261,55 +256,69 @@ def load_dataset(path: str | Path) -> LabeledDataset:
     A ``.bin`` path holds binary rows, anything else CSV rows. Class names are
     not part of the format; the dataset gets the class1..K placeholders of
     ``default_names``. A malformed file raises DatasetFormatError starting
-    with the path: a bad header or K above ``MAX_CLASSES`` (line 1), a text
-    row with the wrong field count, an unparsable cell or a label outside
-    [0, K) (data row r is line r + 2), a binary payload that is not a whole
-    number of rows, or a binary label that is not an integer in [0, K).
+    with the path: a non-ASCII byte in its text or a bad header or K above
+    ``MAX_CLASSES`` (each with its line); a text row with the wrong field
+    count, an unparsable cell, a label outside [0, K) or a feature that is
+    not a finite float32 (with its line and its data row, counted without
+    blank lines); a binary payload that is not a whole number of rows, or a
+    binary row whose label is not an integer in [0, K) or whose feature is
+    not finite (with its byte offset).
     """
     path = Path(path)
-
-    def fail(message: str) -> NoReturn:
-        raise DatasetFormatError(f"{path}: {message}")
-
-    with open(path, "rb") as fh:
-        header = fh.readline()
-        payload = fh.read()
-    try:
-        k, dim = _parse_header(header.decode("ascii", errors="replace"))
-    except DatasetFormatError as exc:
-        fail(f"line 1: {exc}")
-    if path.suffix == ".bin":
+    raw = path.read_bytes()
+    binary = path.suffix == ".bin"
+    end = (raw.find(b"\n") + 1 or len(raw)) if binary else len(raw)  # where the text ends
+    lines = _LineReader(path, raw[:end], DatasetFormatError)
+    header = lines.next().strip()
+    parts = [p.strip() for p in header.split(",")]
+    if len(parts) != 3 or parts[0] != _HEADER_PREFIX:
+        lines.fail(f"malformed header line: {header!r}")
+    k = lines.classes(parts[1].removeprefix("K="))
+    dim = lines.number(int, "dim", parts[2].removeprefix("dim="))
+    if k < 1 or dim < 1:
+        lines.fail(f"header K and dim must be positive: {header!r}")
+    if binary:
         row_bytes = 4 * (dim + 1)
-        if len(payload) % row_bytes != 0:
-            fail(f"binary payload is {len(payload)} bytes, not a multiple of {row_bytes}")
-        rows = np.frombuffer(payload, dtype="<f4").reshape(-1, dim + 1)
+        if (len(raw) - end) % row_bytes != 0:
+            raise DatasetFormatError(f"{path}: binary payload is {len(raw) - end} bytes, "
+                                     f"not a multiple of {row_bytes}")
+        rows = np.frombuffer(raw, dtype="<f4", offset=end).reshape(-1, dim + 1)
         labels_f = rows[:, 0]
         with np.errstate(invalid="ignore"):
             labels = labels_f.astype(np.int64)
         bad = np.nonzero((labels_f != labels) | (labels < 0) | (labels >= k))[0]
         if bad.size:
             r = int(bad[0])
-            fail(f"row {r} (offset {len(header) + r * row_bytes}): label "
-                 f"{float(labels_f[r])} is not an integer in [0, {k})")
+            raise DatasetFormatError(f"{path}: row {r} (offset {end + r * row_bytes}): label "
+                                     f"{float(labels_f[r])} is not an integer in [0, {k})")
         features = rows[:, 1:].astype(np.float32)
+        bad = np.argwhere(~np.isfinite(features))
+        if bad.size:
+            r, j = (int(i) for i in bad[0])
+            raise DatasetFormatError(f"{path}: row {r} (offset {end + r * row_bytes}): feature "
+                                     f"{j} is {features[r, j]}, not a finite float32")
     else:
-        text = payload.decode("ascii", errors="replace")
         labels_list: list[int] = []
         feats_list: list[np.ndarray] = []
-        for row_no, line in enumerate(text.splitlines()):
+        for line in lines:
             if not line.strip():
                 continue
-            where = f"line {row_no + 2}: row {row_no}"
+            where = f"row {len(labels_list)}"
             cells = line.split(",")
             if len(cells) != dim + 1:
-                fail(f"{where}: expected {dim + 1} fields, got {len(cells)}")
+                lines.fail(f"{where}: expected {dim + 1} fields, got {len(cells)}")
             try:
                 lab = int(cells[0])
-                feat = np.array([float(v) for v in cells[1:]], dtype=np.float32)
+                with np.errstate(over="ignore"):
+                    feat = np.array([float(v) for v in cells[1:]], dtype=np.float32)
             except ValueError:
-                fail(f"{where}: unparseable value")
+                lines.fail(f"{where}: unparseable value")
+            finite = np.isfinite(feat)
+            if not finite.all():
+                j = int(finite.argmin())
+                lines.fail(f"{where}: feature {j} is {cells[j + 1]!r}, not a finite float32")
             if lab < 0 or lab >= k:
-                fail(f"{where}: label {lab} is not in [0, {k})")
+                lines.fail(f"{where}: label {lab} is not in [0, {k})")
             labels_list.append(lab)
             feats_list.append(feat)
         labels = np.asarray(labels_list, dtype=np.int64)

@@ -1,6 +1,7 @@
 """The hand-written export lists: every listed name exists, and the package
 list matches what ``mclab/__init__.py`` imports. The benchmark's calls into
-mclab resolve too, so a removed name fails here, not only in a benchmark run."""
+mclab resolve too, so a removed name fails here, not only in a benchmark run.
+Only ``core``'s line reader decodes a file's text or names a fault's line."""
 
 import ast
 import importlib
@@ -40,6 +41,20 @@ def test_package_exports_are_what_init_binds():
               if not n.startswith("_") or n.startswith("__") and n.endswith("__")}
     assert len(mclab.__all__) == len(set(mclab.__all__))
     assert set(mclab.__all__) == public
+
+
+def test_one_line_reader():
+    found = []
+    for source in sorted(Path(mclab.__file__).parent.glob("*.py")):
+        if source.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name in ("fail", "number"):
+                found.append(f"{source.name}:{node.lineno}: def {node.name}")
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "decode"):
+                found.append(f"{source.name}:{node.lineno}: .decode(")
+    assert found == []
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"

@@ -536,6 +536,9 @@ MALFORMED_MODELS = {
                      "config lacks n_heads"),
     "classes_above_ceiling": (_config("n_classes", 65537),
                               "65537 classes exceed the ceiling of 65536"),
+    "unknown_config_field": (_config("n_layers", 9), r"unknown fields config\.n_layers"),
+    "unknown_header_key": (lambda raw: _edit_header(raw, lambda doc: doc.update(extra="x")),
+                           "unknown fields extra"),
 }
 
 

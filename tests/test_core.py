@@ -1,5 +1,7 @@
 """Class names, dataset container, RNG streams, splitting, weights."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,6 +87,21 @@ class TestLabeledDataset:
         sub = data.subset(np.array([7, 2, 4]))
         assert sub.features[:, 1].tolist() == [7.0, 2.0, 4.0]
         assert len(sub) == 3
+
+    def test_subset_copies_its_rows_once(self):
+        data = generate_gaussian(ProfileConfig().to_cluster_spec(), 50_000, Rng.from_seed(0))
+        tracemalloc.start()
+        try:
+            idx = np.arange(0, 50_000, 2)
+            sub = data.subset(idx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (sub.features.nbytes + sub.labels.nbytes)
+        assert not sub.features.flags.writeable and not sub.labels.flags.writeable
+        assert not np.shares_memory(sub.features, data.features)
+        assert not np.shares_memory(sub.labels, data.labels)
+        assert idx.flags.writeable  # the caller's buffer is never frozen
 
     def test_datasets_differing_only_in_names_are_not_equal(self):
         data = make_dataset((4, 3))

@@ -570,6 +570,8 @@ MALFORMED = {
                           lambda ls: 5, "importance has 3 values, expected 2"),
     "bad_number": (lambda ls: _set_cell(ls, _root(ls), 2, "half"), _root,
                    "'half' is not a float"),
+    "huge_node_count": (lambda ls: ls[:_tree_at(ls)] + ["tree round=0 class=0 nodes=" + "9" * 5000]
+                        + ls[_tree_at(ls) + 1:], _tree_at, "nodes '9{5000}' is not an int"),
 }
 
 

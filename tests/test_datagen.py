@@ -1,5 +1,8 @@
 """Synthetic imbalanced clusters, toy images, dataset file round-trips."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -122,6 +125,17 @@ class TestGenerateGaussian:
         spec = two_cluster_spec(scale=0.0)
         with pytest.raises(ValueError):
             generate_gaussian(spec, 100, Rng.from_seed(0))
+
+    def test_peak_memory_stays_near_the_result(self):
+        # each class block is cast into one preallocated array, and the
+        # shuffled result is handed over without another copy
+        tracemalloc.start()
+        try:
+            data = generate_gaussian(DEFAULT_PROFILE, 50_000, Rng.from_seed(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * (data.features.nbytes + data.labels.nbytes)
 
 
 class TestGenerateToyImages:
@@ -248,6 +262,11 @@ def _set_binary_label(raw: bytes, row: int, label: float) -> bytes:
     return raw[:start] + np.array([label], dtype="<f4").tobytes() + raw[start + 4:]
 
 
+def _set_binary_feature(raw: bytes, row: int, value: float) -> bytes:
+    start = raw.index(b"\n") + 1 + row * 4 * 3 + 4  # the row's first feature
+    return raw[:start] + np.array([value], dtype="<f4").tobytes() + raw[start + 4:]
+
+
 # edits of a saved 2-dim, 2-class dataset: the file suffix, the edit, and the
 # message each must be rejected with after the path
 MALFORMED_DATASETS = {
@@ -265,6 +284,14 @@ MALFORMED_DATASETS = {
                            "binary payload is 235 bytes, not a multiple of 12"),
     "fractional_binary_label": (".bin", lambda raw: _set_binary_label(raw, 3, 0.5),
                                 r"row 3 \(offset \d+\): label 0.5 is not an integer in \[0, 2\)"),
+    "nan_cell": (".csv", lambda raw: _set_text_cell(raw, 3, 2, "nan"),
+                 "line 4: row 2: feature 1 is 'nan', not a finite float32"),
+    "overflow_cell": (".csv", lambda raw: _set_text_cell(raw, 5, 1, "1e39"),
+                      "line 6: row 4: feature 0 is '1e39', not a finite float32"),
+    "infinite_binary_feature": (".bin", lambda raw: _set_binary_feature(raw, 3, np.inf),
+                                r"row 3 \(offset 65\): feature 0 is inf, not a finite float32"),
+    "row_after_blank_lines": (".csv", lambda raw: _set_text_cell(
+        raw.replace(b"\n", b"\n\n\n", 1), 4, 0, "2"), r"line 5: row 1: label 2 is not in \[0, 2\)"),
 }
 
 
@@ -285,6 +312,14 @@ class TestDatasetRejections:
         with pytest.raises(DatasetFormatError, match=message) as err:
             load_dataset(path)
         assert str(err.value).startswith(f"{path}: ")
+
+    def test_float32_overflow_is_rejected_without_a_warning(self, tmp_path, saved):
+        path = tmp_path / "d.csv"
+        path.write_bytes(_set_text_cell(saved[".csv"], 2, 2, "-1e39"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DatasetFormatError, match="feature 1 is '-1e39'"):
+                load_dataset(path)
 
     @pytest.mark.parametrize("suffix", [".csv", ".bin"])
     def test_unedited_dataset_loads(self, tmp_path, saved, suffix):

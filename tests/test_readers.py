@@ -1,5 +1,6 @@
 """Every file reader under damage: a valid file truncated at any byte or with
-any byte flipped must either load or raise a ValueError that names the path."""
+any byte flipped must either load or raise a ValueError that names the path,
+and a non-ASCII byte in a file's text is named by its line and offset."""
 
 from __future__ import annotations
 
@@ -43,6 +44,35 @@ def valid_files(tmp_path_factory):
     save_dataset(data, root / "dataset.csv")
     save_dataset(data, root / "dataset.bin")
     return root, {name: (root / name).read_bytes() for name in READERS}
+
+
+# the line of each file that gets a non-ASCII byte: a text line of each text
+# file, and a line of the text header of each binary one
+NON_ASCII_LINE = {"model.bin": 2, "corrector.txt": 3, "preds.csv": 4, "dataset.csv": 5,
+                  "dataset.bin": 1}
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_non_ascii_byte_names_its_line(valid_files, name):
+    root, raws = valid_files
+    raw, line = raws[name], NON_ASCII_LINE[name]
+    offset = 0
+    for _ in range(line - 1):
+        offset = raw.index(b"\n", offset) + 1
+    path = root / f"non_ascii.{name}"
+    path.write_bytes(raw[:offset + 1] + b"\xe9" + raw[offset + 1:])
+    with pytest.raises(ValueError) as err:
+        READERS[name](path)
+    assert str(err.value).startswith(
+        f"{path}: line {line}: non-ASCII byte 0xe9 at offset {offset + 1}")
+
+
+def test_non_ascii_line_counts_every_line_break(tmp_path):
+    path = tmp_path / "preds.csv"
+    path.write_bytes(b"# mclab-preds v1 K=3\rsample_id\xe9\n")
+    with pytest.raises(ValueError) as err:
+        read_prediction_log(path)
+    assert str(err.value).startswith(f"{path}: line 2: non-ASCII byte 0xe9 at offset 30")
 
 
 @pytest.mark.parametrize("name", sorted(READERS))
