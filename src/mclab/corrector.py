@@ -12,6 +12,17 @@ Leaf values are -G/(H+lambda) * learning_rate. Thresholds are the left
 neighbor's feature value with an ``x <= t`` routing rule, so partitions are
 exact on float data.
 
+A fit sorts every feature once and carries each node's row order and its
+sorted values down the tree: a split moves both into its children with one
+index list per child, so no node sorts or gathers feature values, and the
+children of the last split level get only feature 0's order, the one a
+leaf sums over. The search writes its cumulative sums, gain terms and masks
+into buffers allocated once per fit, with the same operations on the same
+operands in the same order as a plain expression, so the trees do not
+depend on the buffers. A node whose hessian sum H (the end of feature 0's
+cumulative sum) has H - mcw < mcw in float64 is a leaf without a search:
+rounding is monotone, so every boundary with H_L >= mcw has H_R < mcw.
+
 Evaluation packs the trees into flat arrays and scores them as leaf
 bitmasks, after QuickScorer (Lucchese et al., SIGIR 2015). A tree's leaves
 are numbered left to right, and each split node carries a word whose set
@@ -27,6 +38,7 @@ bit-identical to walking each tree row by row.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -76,10 +88,10 @@ class GbdtConfig:
             raise ValueError("max_depth must be >= 1")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must be in (0, 1]")
-        if self.min_child_weight < 0:
-            raise ValueError("min_child_weight must be >= 0")
-        if self.lambda_l2 < 0:
-            raise ValueError("lambda_l2 must be >= 0")
+        if not 0 <= self.min_child_weight < math.inf:
+            raise ValueError("min_child_weight must be finite and >= 0")
+        if not 0 <= self.lambda_l2 < math.inf:
+            raise ValueError("lambda_l2 must be finite and >= 0")
         if not 0.0 < self.subsample <= 1.0:
             raise ValueError("subsample must be in (0, 1]")
 
@@ -259,86 +271,120 @@ def _add_leaf_values(forest: PackedForest, x: np.ndarray, margins: np.ndarray) -
 def _presort(x: np.ndarray) -> np.ndarray:
     """(d, n) per-feature ascending row orders; stable so equal values keep
     row order. Computed once per fit and filtered down the tree, which
-    replaces a per-node argsort with a boolean gather."""
+    replaces a per-node argsort with a partition."""
     return np.ascontiguousarray(np.argsort(x, axis=0, kind="stable").T)
 
 
+class _Scratch:
+    """The split search's buffers, allocated once per fit of an (n, d) matrix.
+
+    A node of m rows views the first d*m elements of each buffer as a
+    contiguous (d, m) array, so no search allocates.
+    """
+
+    def __init__(self, n: int, d: int):
+        self.gl, self.hl, self.gr, self.hr = np.empty((4, d * n))
+        self.masks = np.empty((2, d * n), dtype=bool)
+        self.member = np.empty(n, dtype=bool)
+
+
 def _best_split(
-    xt: np.ndarray, sorted_rows: np.ndarray, g: np.ndarray, h: np.ndarray,
-    cfg: GbdtConfig,
+    rows: np.ndarray, vals: np.ndarray, g: np.ndarray, h: np.ndarray,
+    cfg: GbdtConfig, s: _Scratch,
 ) -> tuple[int, int, float] | None:
     """Best (feature, boundary position, gain) over all features, or None.
 
-    xt is the (d, n) transposed feature matrix; sorted_rows (d, m) holds the
-    node's rows in each feature's ascending order. Every boundary between
-    distinct neighbor values is scored; ties take the lowest feature index,
-    then the lowest threshold.
+    rows (d, m) holds the node's rows in each feature's ascending order and
+    vals (d, m) their values, m >= 2. Every boundary between distinct
+    neighbor values is scored; ties take the lowest feature index, then the
+    lowest threshold.
     """
-    d, m = sorted_rows.shape
-    if m < 2:
-        return None
-    vals = np.take_along_axis(xt, sorted_rows, axis=1)
-    gl = np.cumsum(g[sorted_rows], axis=1)
-    hl = np.cumsum(h[sorted_rows], axis=1)
-    g_tot = float(gl[0, -1])
+    d, m = rows.shape
+    size = d * m
+    mcw, lam = cfg.min_child_weight, cfg.lambda_l2
+    hl = s.hl[:size].reshape(d, m)
+    # mode="clip" (the indices are in range) keeps take from buffering its out
+    np.take(h, rows[0], out=hl[0], mode="clip")
+    np.cumsum(hl[0], out=hl[0])
     h_tot = float(hl[0, -1])
-    gl = gl[:, :-1]
-    hl = hl[:, :-1]
-    gr = g_tot - gl
-    hr = h_tot - hl
-    lam = cfg.lambda_l2
+    # a left child with hl >= mcw leaves hr = h_tot - hl <= h_tot - mcw, and
+    # rounding is monotone, so no boundary is valid: the search would find none
+    if h_tot - mcw < mcw:
+        return None
+    np.take(h, rows[1:], out=hl[1:], mode="clip")
+    np.cumsum(hl[1:], axis=1, out=hl[1:])
+    gl = s.gl[:size].reshape(d, m)
+    np.take(g, rows, out=gl, mode="clip")
+    np.cumsum(gl, axis=1, out=gl)
+    g_tot = float(gl[0, -1])
+    # every (d, m) term below is contiguous, so each runs as one flat pass;
+    # column m-1 (the whole node on the left) is scored too, then masked
+    gl, hl = gl.ravel(), hl.ravel()
+    gr = np.subtract(g_tot, gl, out=s.gr[:size])
+    hr = np.subtract(h_tot, hl, out=s.hr[:size])
+    valid, spare = s.masks[:, :size]
+    flat_vals = vals.ravel()
+    np.less(flat_vals[:-1], flat_vals[1:], out=valid[:-1])
+    valid[m - 1::m] = False
+    valid &= np.greater_equal(hl, mcw, out=spare)
+    valid &= np.greater_equal(hr, mcw, out=spare)
+    hr[m - 1::m] = 1.0  # hr is 0 in column m-1: no 0/0 there when lambda is 0
+    # gain = 1/2 * (gl*gl/(hl+lam) + gr*gr/(hr+lam) - parent), in this order
     parent = g_tot * g_tot / (h_tot + lam)
-    gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent)
-    valid = (
-        (vals[:, :-1] < vals[:, 1:])
-        & (hl >= cfg.min_child_weight)
-        & (hr >= cfg.min_child_weight)
-    )
-    gain = np.where(valid, gain, -np.inf)
+    np.divide(np.multiply(gl, gl, out=gl), np.add(hl, lam, out=hl), out=gl)
+    np.divide(np.multiply(gr, gr, out=gr), np.add(hr, lam, out=hr), out=gr)
+    gain = np.multiply(0.5, np.subtract(np.add(gl, gr, out=gl), parent, out=gl), out=gl)
+    np.copyto(gain, -np.inf, where=np.logical_not(valid, out=spare))
     flat = int(np.argmax(gain))  # row-major first max: lowest feature, threshold
-    best_gain = float(gain.flat[flat])
+    best_gain = float(gain[flat])
     if not np.isfinite(best_gain) or best_gain <= 0.0:
         return None
-    feat, pos = divmod(flat, m - 1)
+    feat, pos = divmod(flat, m)
     return feat, pos, best_gain
 
 
 def _build_tree(
-    xt: np.ndarray,
     g: np.ndarray,
     h: np.ndarray,
     sorted_root: np.ndarray,
+    vals_root: np.ndarray,
     cfg: GbdtConfig,
     importance: np.ndarray,
+    s: _Scratch,
 ) -> Tree:
     tree = Tree()
-    n = xt.shape[1]
-    member = np.empty(n, dtype=bool)
 
-    def grow(sorted_rows: np.ndarray, depth: int) -> int:
-        node_rows = sorted_rows[0]
-        g_sum = float(g[node_rows].sum())
-        h_sum = float(h[node_rows].sum())
-        if depth >= cfg.max_depth or node_rows.size < 2:
-            return tree.add_leaf(-g_sum / (h_sum + cfg.lambda_l2) * cfg.learning_rate)
-        found = _best_split(xt, sorted_rows, g, h, cfg)
+    def grow(rows: np.ndarray, vals: np.ndarray | None, depth: int) -> int:
+        found = None
+        if depth < cfg.max_depth and rows.shape[1] >= 2:
+            found = _best_split(rows, vals, g, h, cfg, s)
         if found is None:
+            node_rows = rows[0]
+            g_sum = float(g[node_rows].sum())
+            h_sum = float(h[node_rows].sum())
             return tree.add_leaf(-g_sum / (h_sum + cfg.lambda_l2) * cfg.learning_rate)
         feat, pos, gain = found
-        thr = float(xt[feat, sorted_rows[feat, pos]])
         importance[feat] += gain
-        node = tree.add_split(feat, thr)
-        # rows <= thr are exactly the first pos+1 entries of feat's order
-        member[:] = False
-        member[sorted_rows[feat, : pos + 1]] = True
-        in_left = member[sorted_rows]
-        left_sorted = sorted_rows[in_left].reshape(sorted_rows.shape[0], pos + 1)
-        right_sorted = sorted_rows[~in_left].reshape(sorted_rows.shape[0], -1)
-        tree.left[node] = grow(left_sorted, depth + 1)
-        tree.right[node] = grow(right_sorted, depth + 1)
+        node = tree.add_split(feat, float(vals[feat, pos]))
+        # rows <= the threshold are exactly the first pos+1 entries of feat's order
+        s.member[:] = False
+        s.member[rows[feat, : pos + 1]] = True
+        if depth + 1 == cfg.max_depth:
+            rows, vals = rows[:1], None  # a leaf reads only feature 0's order
+        # flat index lists move rows and values faster than boolean masks
+        in_left, in_right = s.masks[:, : rows.size]
+        np.take(s.member, rows.ravel(), out=in_left, mode="clip")
+        np.logical_not(in_left, out=in_right)
+        children = []
+        for index in (np.flatnonzero(in_left), np.flatnonzero(in_right)):
+            child_rows = rows.ravel().take(index).reshape(rows.shape[0], -1)
+            child_vals = None if vals is None else vals.ravel().take(index).reshape(child_rows.shape)
+            children.append((child_rows, child_vals))
+        tree.left[node] = grow(*children[0], depth + 1)
+        tree.right[node] = grow(*children[1], depth + 1)
         return node
 
-    grow(sorted_root, 0)
+    grow(sorted_root, vals_root, 0)
     return tree
 
 
@@ -442,8 +488,9 @@ def fit(
     trees: list[list[Tree]] = []
     probs = softmax(margins, axis=-1)
     curve = [_log_loss(probs, labels)]
-    xt = np.ascontiguousarray(x.T)
     order = _presort(x)  # shared by every tree: x never changes
+    ordered_vals = np.take_along_axis(np.ascontiguousarray(x.T), order, axis=1)
+    scratch = _Scratch(n, x.shape[1])
     mask = np.empty(n, dtype=bool)
     for _ in range(config.n_rounds):
         grad = probs - y
@@ -453,13 +500,16 @@ def fit(
             rows = np.sort(gen.choice(n, size=m, replace=False))
             mask[:] = False
             mask[rows] = True
-            sorted_root = order[mask[order]].reshape(order.shape[0], m)
+            kept = mask[order]
+            sorted_root = order[kept].reshape(order.shape[0], m)
+            vals_root = ordered_vals[kept].reshape(order.shape[0], m)
         else:
-            sorted_root = order
+            sorted_root, vals_root = order, ordered_vals
         # gradients are fixed at the start of a round, so one update after
         # its K trees gives the margins of K single-tree updates
         round_trees = [
-            _build_tree(xt, grad[:, cls], hess[:, cls], sorted_root, config, importance)
+            _build_tree(grad[:, cls], hess[:, cls], sorted_root, vals_root, config,
+                        importance, scratch)
             for cls in range(k)
         ]
         _add_leaf_values(pack_trees(round_trees), x, margins)
@@ -517,7 +567,9 @@ def load_ensemble(path: str | Path) -> CorrectorEnsemble:
     base score per class, one importance per feature, n_rounds x n_classes
     trees, and node tables that form a binary tree over the ensemble's
     features (children come after their parent, every node but the root
-    has exactly one parent, and leaves have children -1,-1).
+    has exactly one parent, and leaves have children -1,-1). Every number
+    is finite, as ``fit`` writes them, except that a threshold may be
+    +-inf (never NaN).
     """
     lines = _LineReader(path, Path(path).read_bytes())
     if lines.next() != GBDT_MAGIC:
@@ -531,8 +583,14 @@ def load_ensemble(path: str | Path) -> CorrectorEnsemble:
             lines.fail(f"expected the fields {', '.join(names)}")
         return {key: lines.number(kinds[key], key, pairs[key]) for key in names}
 
+    def finite(name: str, text: str) -> float:
+        value = lines.number(float, name, text)
+        if not math.isfinite(value):
+            lines.fail(f"{name} {text!r} is not finite")
+        return value
+
     def floats(prefix: str, count: int) -> np.ndarray:
-        values = [lines.number(float, prefix[:-1], v) for v in lines.next(prefix).split(",")]
+        values = [finite(prefix[:-1], v) for v in lines.next(prefix).split(",")]
         if len(values) != count:
             lines.fail(f"{prefix[:-1]} has {len(values)} values, expected {count}")
         return np.array(values)
@@ -561,11 +619,14 @@ def load_ensemble(path: str | Path) -> CorrectorEnsemble:
                     if parent[child] >= 0:
                         lines.fail(f"node {child} already has parent {parent[child]}")
                     parent[child] = j
+            threshold = lines.number(float, "threshold", cells[2])
+            if math.isnan(threshold):  # +-inf route rows soundly; fit writes -inf itself
+                lines.fail(f"threshold {cells[2]!r} is NaN")
             tree.feature.append(feat)
-            tree.threshold.append(lines.number(float, "threshold", cells[2]))
+            tree.threshold.append(threshold)
             tree.left.append(left)
             tree.right.append(right)
-            tree.value.append(lines.number(float, "value", cells[5]))
+            tree.value.append(finite("value", cells[5]))
         for j in range(1, n_nodes):
             if parent[j] < 0:
                 lines.at = first + j

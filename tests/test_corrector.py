@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import tempfile
 from pathlib import Path
 from unittest.mock import patch
 
@@ -90,6 +91,10 @@ class TestConfig:
             {"lambda_l2": -0.1},
             {"subsample": 0.0},
             {"subsample": 1.1},
+            {"min_child_weight": math.inf},
+            {"min_child_weight": math.nan},
+            {"lambda_l2": math.inf},
+            {"lambda_l2": math.nan},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -598,3 +603,199 @@ class TestCheckpointRejections:
         path = tmp_path / "c.txt"
         path.write_text("\n".join(lines) + "\n")
         assert len(load_ensemble(path).trees) == 2
+
+
+# ---- reference grower: the plain split search and tree growth (a fresh array
+# per term, a full search at every node, every feature partitioned), the
+# oracle for fit's scratch, carried values, early exit and leaf partition ----
+
+
+def reference_best_split(xt, sorted_rows, g, h, cfg):
+    d, m = sorted_rows.shape
+    if m < 2:
+        return None
+    vals = np.take_along_axis(xt, sorted_rows, axis=1)
+    gl = np.cumsum(g[sorted_rows], axis=1)
+    hl = np.cumsum(h[sorted_rows], axis=1)
+    g_tot = float(gl[0, -1])
+    h_tot = float(hl[0, -1])
+    gl = gl[:, :-1]
+    hl = hl[:, :-1]
+    gr = g_tot - gl
+    hr = h_tot - hl
+    lam = cfg.lambda_l2
+    parent = g_tot * g_tot / (h_tot + lam)
+    gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent)
+    valid = (
+        (vals[:, :-1] < vals[:, 1:])
+        & (hl >= cfg.min_child_weight)
+        & (hr >= cfg.min_child_weight)
+    )
+    gain = np.where(valid, gain, -np.inf)
+    flat = int(np.argmax(gain))  # row-major first max: lowest feature, threshold
+    best_gain = float(gain.flat[flat])
+    if not np.isfinite(best_gain) or best_gain <= 0.0:
+        return None
+    feat, pos = divmod(flat, m - 1)
+    return feat, pos, best_gain
+
+
+def reference_build_tree(xt, g, h, sorted_root, cfg, importance):
+    tree = Tree()
+    n = xt.shape[1]
+    member = np.empty(n, dtype=bool)
+
+    def grow(sorted_rows, depth):
+        node_rows = sorted_rows[0]
+        g_sum = float(g[node_rows].sum())
+        h_sum = float(h[node_rows].sum())
+        if depth >= cfg.max_depth or node_rows.size < 2:
+            return tree.add_leaf(-g_sum / (h_sum + cfg.lambda_l2) * cfg.learning_rate)
+        found = reference_best_split(xt, sorted_rows, g, h, cfg)
+        if found is None:
+            return tree.add_leaf(-g_sum / (h_sum + cfg.lambda_l2) * cfg.learning_rate)
+        feat, pos, gain = found
+        thr = float(xt[feat, sorted_rows[feat, pos]])
+        importance[feat] += gain
+        node = tree.add_split(feat, thr)
+        member[:] = False
+        member[sorted_rows[feat, : pos + 1]] = True
+        in_left = member[sorted_rows]
+        left_sorted = sorted_rows[in_left].reshape(sorted_rows.shape[0], pos + 1)
+        right_sorted = sorted_rows[~in_left].reshape(sorted_rows.shape[0], -1)
+        tree.left[node] = grow(left_sorted, depth + 1)
+        tree.right[node] = grow(right_sorted, depth + 1)
+        return node
+
+    grow(sorted_root, 0)
+    return tree
+
+
+def checkpoint_bytes(ens: CorrectorEnsemble) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        save_ensemble(ens, Path(tmp) / "corrector.txt")
+        return (Path(tmp) / "corrector.txt").read_bytes()
+
+
+def reference_fit(x, labels, config, n_classes=None):
+    """fit with every tree grown by the reference grower; the boosting loop
+    around the trees is fit's own."""
+    xt = np.ascontiguousarray(np.asarray(x, dtype=np.float64).T)
+
+    def grower(g, h, sorted_root, vals_root, cfg, importance, scratch):
+        return reference_build_tree(xt, g, h, sorted_root, cfg, importance)
+
+    with patch.object(corrector_module, "_build_tree", grower):
+        return fit(x, labels, config, n_classes=n_classes)
+
+
+def oracle_data(seed: int, n: int, d: int, k: int, special_columns: bool):
+    """Latent-like columns: ReLU zeros (long ties), coarse grids (ties),
+    scattered NaN and +-inf, and optionally whole NaN, +inf and -inf columns."""
+    gen = np.random.default_rng(seed)
+    x = gen.standard_normal((n, d))
+    x[:, ::2] = np.maximum(x[:, ::2], 0.0)
+    x[:, 1::3] = np.round(x[:, 1::3] * 2) / 2
+    cells = gen.random((n, d))
+    x[cells < 0.08] = np.nan
+    x[(cells >= 0.08) & (cells < 0.12)] = np.inf
+    x[(cells >= 0.12) & (cells < 0.16)] = -np.inf
+    if special_columns:
+        x[:, gen.integers(d)] = gen.choice([np.nan, np.inf, -np.inf])
+    return x, gen.integers(0, k, size=n)
+
+
+class TestReferenceGrower:
+    """fit grows the trees the reference grower grows, byte for byte, on any
+    host: both run on the same numpy, so only the code differs."""
+
+    # the search scores a column the reference skips; it must not warn there
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=80, deadline=10_000)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 90),
+        d=st.integers(1, 6),
+        k=st.integers(2, 3),
+        special_columns=st.booleans(),
+        rounds=st.integers(1, 3),
+        max_depth=st.integers(1, 6),
+        min_child_weight=st.sampled_from([0.0, 1e-3, 0.3, 0.5, 1.0]),
+        lambda_l2=st.sampled_from([0.0, 1.0]),
+        subsample=st.sampled_from([1.0, 0.8, 0.35]),
+    )
+    def test_fit_bytes_equal_the_reference(self, seed, n, d, k, special_columns, rounds,
+                                           max_depth, min_child_weight, lambda_l2, subsample):
+        x, labels = oracle_data(seed, n, d, k, special_columns)
+        config = GbdtConfig(n_rounds=rounds, max_depth=max_depth, subsample=subsample,
+                            min_child_weight=min_child_weight, lambda_l2=lambda_l2,
+                            seed=seed % 1000)
+        want = checkpoint_bytes(reference_fit(x, labels, config, n_classes=k))
+        assert checkpoint_bytes(fit(x, labels, config, n_classes=k)) == want
+
+    @pytest.mark.parametrize("min_child_weight", [0.0, 1e-3, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("below", [False, True])
+    def test_hessian_sum_at_twice_min_child_weight(self, min_child_weight, below):
+        # two rows of hessian mcw and h_tot - mcw: h_tot is exactly 2*mcw, or
+        # one ulp below it (the subtraction is exact by Sterbenz's lemma)
+        h_tot = 2 * min_child_weight
+        if below:
+            h_tot = np.nextafter(h_tot, -np.inf)
+        h = np.array([min_child_weight, h_tot - min_child_weight])
+        assert h[0] + h[1] == h_tot
+        self.check_node(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([-1.0, 1.0]), h,
+                        min_child_weight, found=not below)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("below", [False, True])
+    def test_random_node_at_twice_min_child_weight(self, seed, below):
+        # min_child_weight is half of the feature-0 hessian sum, or one ulp
+        # above that half, so the sum is exactly 2*mcw or one ulp below it
+        gen = np.random.default_rng(seed)
+        x = gen.standard_normal((40, 4))
+        x[:, 3] = np.round(x[:, 3])
+        g, h = gen.standard_normal(40), gen.random(40)
+        h_tot = float(np.cumsum(h[np.argsort(x[:, 0], kind="stable")])[-1])
+        mcw = h_tot / 2
+        if below:
+            mcw = float(np.nextafter(mcw, np.inf))
+        self.check_node(x.T, g, h, mcw, found=False if below else None)
+
+    @staticmethod
+    def check_node(xt, g, h, min_child_weight, found):
+        """The node of every row of xt: the search finds what the reference
+        finds, and a split exactly when ``found`` says (None: either)."""
+        cfg = GbdtConfig(min_child_weight=min_child_weight)
+        rows = corrector_module._presort(xt.T)
+        vals = np.take_along_axis(xt, rows, axis=1)
+        scratch = corrector_module._Scratch(*xt.shape[::-1])
+        got = corrector_module._best_split(rows, vals, g, h, cfg, scratch)
+        assert got == reference_best_split(xt, rows, g, h, cfg)
+        if found is not None:
+            assert (got is not None) == found
+
+
+class TestScratchReuse:
+    def test_fits_of_other_shapes_in_between_change_no_byte(self):
+        problems = [(60, 5, 1.0), (200, 9, 1.0), (31, 2, 0.7), (120, 12, 0.5), (2, 1, 1.0)]
+        cases = [oracle_data(i, n, d, 3, special_columns=True)
+                 + (GbdtConfig(n_rounds=4, subsample=sub, min_child_weight=0.1, seed=3),)
+                 for i, (n, d, sub) in enumerate(problems)]
+        forward = [checkpoint_bytes(fit(x, labels, cfg, n_classes=3))
+                   for x, labels, cfg in cases]
+        backward = [checkpoint_bytes(fit(x, labels, cfg, n_classes=3))
+                    for x, labels, cfg in reversed(cases)]
+        assert forward == backward[::-1]
+        for (x, labels, cfg), got in zip(cases, forward):
+            assert checkpoint_bytes(reference_fit(x, labels, cfg, n_classes=3)) == got
+
+    def test_read_only_input_is_left_unchanged(self):
+        x, labels = oracle_data(7, 80, 6, 3, special_columns=True)
+        x.setflags(write=False)
+        labels.setflags(write=False)
+        x_before, labels_before = x.copy(), labels.copy()
+        ens = fit(x, labels, GbdtConfig(n_rounds=3, subsample=0.8, seed=1))
+        assert np.array_equal(x, x_before, equal_nan=True)
+        assert np.array_equal(labels, labels_before)
+        assert checkpoint_bytes(ens) == checkpoint_bytes(
+            fit(x_before, labels_before, GbdtConfig(n_rounds=3, subsample=0.8, seed=1)))

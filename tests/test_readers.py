@@ -93,3 +93,68 @@ def test_damaged_file_loads_or_names_its_path(valid_files, name, edit):
         READERS[name](path)
     except ValueError as exc:
         assert str(path) in str(exc)
+
+
+def _node_cell(lines: list[str], leaf: bool, cell: int, value: str) -> int:
+    """Set one cell of the first leaf (or split) node line; its index."""
+    row = next(i for i, line in enumerate(lines) if line.count(",") == 5
+               and (line.split(",")[1] == "-1") == leaf)
+    cells = lines[row].split(",")
+    cells[cell] = value
+    lines[row] = ",".join(cells)
+    return row
+
+
+def _header_field(lines: list[str], key: str, value: str) -> int:
+    """Set a field of the second header line (index 2); its index."""
+    lines[2] = " ".join(f"{key}={value}" if part.startswith(key + "=") else part
+                        for part in lines[2].split())
+    return 2
+
+
+def _last_number(lines: list[str], prefix: str, value: str) -> int:
+    """Set the last number of the line starting with ``prefix``; its index."""
+    row = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    lines[row] = lines[row].rpartition(",")[0] + "," + value
+    return row
+
+
+# edits of a valid corrector.txt that put there a number fit never writes;
+# each returns the 0-based index of the line it changed
+NON_FINITE = {
+    "base_score_inf": lambda ls: _last_number(ls, "base_score=", "inf"),
+    "base_score_nan": lambda ls: _last_number(ls, "base_score=", "nan"),
+    "importance_inf": lambda ls: _last_number(ls, "importance=", "inf"),
+    "loss_curve_nan": lambda ls: _last_number(ls, "loss_curve=", "nan"),
+    "loss_curve_minus_inf": lambda ls: _last_number(ls, "loss_curve=", "-inf"),
+    "leaf_value_inf": lambda ls: _node_cell(ls, True, 5, "inf"),
+    "leaf_value_nan": lambda ls: _node_cell(ls, True, 5, "nan"),
+    "threshold_nan": lambda ls: _node_cell(ls, False, 2, "nan"),
+    "min_child_weight_inf": lambda ls: _header_field(ls, "min_child_weight", "inf"),
+    "lambda_l2_nan": lambda ls: _header_field(ls, "lambda_l2", "nan"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_checkpoint_number_names_its_line(valid_files, case):
+    root, raws = valid_files
+    lines = raws["corrector.txt"].decode("ascii").splitlines()
+    row = NON_FINITE[case](lines)
+    path = root / f"{case}.corrector.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    with pytest.raises(ValueError, match="not finite|is NaN|must be finite") as err:
+        load_ensemble(path)
+    assert str(err.value).startswith(f"{path}: line {row + 1}: ")
+
+
+@pytest.mark.parametrize("threshold", ["inf", "-inf"])
+def test_infinite_threshold_loads(valid_files, threshold):
+    root, raws = valid_files
+    lines = raws["corrector.txt"].decode("ascii").splitlines()
+    _node_cell(lines, False, 2, threshold)
+    path = root / f"threshold_{threshold}.corrector.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    ensemble = load_ensemble(path)
+    probs = ensemble.predict_proba(np.array([[np.inf] * 4, [-np.inf] * 4, [0.0] * 4]))
+    assert np.isfinite(probs).all()
+
