@@ -63,18 +63,15 @@ class ModelConfig:
     n_heads: int = 1
     n_classes: int = 7
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if len(self.input_shape) != 3 or any(s < 1 for s in self.input_shape):
             raise ValueError("input_shape must be (channels, height, width)")
         if len(self.conv_channels) != 3 or any(c < 1 for c in self.conv_channels):
             raise ValueError("conv_channels must be three positive counts")
         if self.n_classes < 2:
             raise ValueError("need at least two classes")
-        h, w = self.input_shape[1], self.input_shape[2]
-        for _ in self.conv_channels:
-            h, w = h // 2, w // 2
-            if h < 1 or w < 1:
-                raise ValueError("input too small: pooling collapses below 1x1")
+        if min(self.conv_out_shape[1:]) < 1:
+            raise ValueError("input too small: pooling collapses below 1x1")
         if self.n_heads < 1:
             raise ValueError("n_heads must be >= 1")
         if self.width % self.n_heads != 0:
@@ -106,7 +103,7 @@ class TrainConfig:
     dropout_p: float = 0.5
     seed: int | None = 0  # None: not yet resolved; train() rejects it
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
         if self.batch_size < 1 or self.max_epochs < 1:
@@ -199,7 +196,6 @@ class StagedModel:
     """
 
     def __init__(self, config: ModelConfig, rng: Rng | None = None, seed: int = 0):
-        config.validate()
         self.config = config
         self.seed = int(seed)
         gen = (rng if rng is not None else Rng.from_seed(seed).derive("init")).generator()
@@ -413,7 +409,6 @@ def train(
     parameters are restored before returning; if train loss rose at the
     checkpoint epoch, a warning is logged.
     """
-    config.validate()
     if config.seed is None:
         raise ValueError("TrainConfig.seed is None: resolve it before training")
     weights = np.asarray(weights, dtype=np.float64)
@@ -545,7 +540,6 @@ def load_model(path: str | Path) -> StagedModel:
             raise ValueError(f"config lacks {', '.join(absent)}")
         cfg = ModelConfig(**{name: _value(hint, doc[name], f"config.{name}")
                              for name, hint in hints.items()})
-        cfg.validate()
         if cfg.n_classes > MAX_CLASSES:
             raise ValueError(f"{cfg.n_classes} classes exceed the ceiling of {MAX_CLASSES}")
         seed = _value(int, header["seed"], "seed")

@@ -2,10 +2,12 @@
 
 One JSON config document drives everything. Its schema is the
 ``harness.ExperimentConfig`` dataclass tree: the defaults, the dotted paths
-that --set accepts and the type checks all come from those dataclasses, and
-every field has a default, so an empty document is a complete experiment.
-Exit codes: 0 success, 1 invalid configuration or arguments (the message
-names the field), 2 runtime failure (the message names the pipeline stage).
+that --set accepts and the type checks all come from those dataclasses, each
+dataclass checks its own fields when it is built, and every field has a
+default, so an empty document is a complete experiment. Exit codes: 0
+success (``--help`` too), 1 invalid configuration or arguments (the message
+names the field, or argparse prints the usage), 2 runtime failure (the
+message names the pipeline stage, and the file where one is at fault).
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ def load_config(
     sets: list[str] | None = None,
     env: dict | None = None,
 ) -> ExperimentConfig:
-    """Read, override, and validate the experiment configuration.
+    """Read and override the config document, then build the experiment config.
 
     Precedence: --set > file > MCLAB_SEED (seed only) > defaults.
     """
@@ -88,6 +90,10 @@ def load_config(
             loaded = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigError("config", f"invalid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError("config", f"{config_path} is not UTF-8: {exc}") from None
+        except OSError as exc:
+            raise ConfigError("config", f"cannot read {config_path}: {exc.strerror}") from None
         if not isinstance(loaded, dict):
             raise ConfigError("config", "top level must be a JSON object")
         doc = loaded
@@ -186,8 +192,9 @@ def _cmd_correct(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     try:
         report = evaluate(read_prediction_log(args.preds))
-    except FileNotFoundError:
-        raise StageError("metrics", f"no such prediction log: {args.preds}") from None
+    except OSError as exc:
+        raise StageError("metrics", f"cannot read prediction log {args.preds}: "
+                                    f"{exc.strerror}") from None
     except ValueError as exc:
         raise StageError("metrics", str(exc)) from exc
     if args.out:
@@ -235,8 +242,10 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed help (code 0) or a usage error
+        return 1 if exc.code else 0
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

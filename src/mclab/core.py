@@ -2,6 +2,12 @@
 type check of one config value (shared by the config document and the model
 checkpoint header), and the line reader behind every file loader.
 
+Every config dataclass, here and in the other modules, checks its own fields
+in ``__post_init__``, so a config that exists is valid and no consumer checks
+it again. A check may raise ``ConfigError`` at the field it names; the config
+document's loader prefixes the section path to it, and names any other
+``ValueError`` at the section.
+
 Labels are dense 0-based integers internally and rendered 1-based in every
 human-facing report. All randomness flows through ``Rng``, a descriptor around
 a counter-based generator (Philox), so the same seed yields the same stream on
@@ -290,13 +296,13 @@ class SplitSpec:
     stratified: bool = True
     seed: int | None = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if len(self.fractions) < 2:
-            raise ValueError("need at least two split fractions")
+            raise ConfigError("fractions", "need at least two split fractions")
         if any(f <= 0 for f in self.fractions):
-            raise ValueError("split fractions must be positive")
+            raise ConfigError("fractions", "split fractions must be positive")
         if abs(sum(self.fractions) - 1.0) > 1e-9:
-            raise ValueError("split fractions must sum to 1 within 1e-9")
+            raise ConfigError("fractions", "split fractions must sum to 1 within 1e-9")
 
 
 def _stratified_allocation(class_counts: np.ndarray, fractions: Sequence[float]) -> np.ndarray:
@@ -365,7 +371,6 @@ def split_dataset(
     stratified, else all of them) is permuted and cut at its allocation row;
     each part keeps the original sample order.
     """
-    spec.validate()
     if spec.seed is None:
         raise ValueError("SplitSpec.seed is None: resolve it before splitting")
     n = len(data)

@@ -81,7 +81,7 @@ class GbdtConfig:
     subsample: float = 1.0
     seed: int | None = 0  # None: not yet resolved; fit() rejects it
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_rounds < 1:
             raise ValueError("n_rounds must be >= 1")
         if self.max_depth < 1:
@@ -461,7 +461,6 @@ def fit(
     observed labels. Training log-loss is recorded per round and is
     non-increasing.
     """
-    config.validate()
     if config.seed is None:
         raise ValueError("GbdtConfig.seed is None: resolve it before fitting")
     x = np.asarray(x, dtype=np.float64)
@@ -637,9 +636,9 @@ def load_ensemble(path: str | Path) -> CorrectorEnsemble:
     n_classes, n_features = head.pop("n_classes"), head.pop("n_features")
     if n_classes < 2 or n_features < 1:
         lines.fail("need n_classes >= 2 and n_features >= 1")
-    config = GbdtConfig(**head, **fields(list(kinds)[4:]))
+    head |= fields(list(kinds)[4:])
     try:
-        config.validate()
+        config = GbdtConfig(**head)
     except ValueError as exc:
         lines.fail(str(exc))
     base = floats("base_score=", n_classes)

@@ -16,7 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import LabeledDataset, Rng, _frozen, _LineReader, default_names, largest_remainder
+from .core import (ConfigError, LabeledDataset, Rng, _frozen, _LineReader, default_names,
+                   largest_remainder)
 
 __all__ = [
     "ClusterSpec",
@@ -104,7 +105,7 @@ class ProfileConfig:
     sqrt(2)*separation) except that the second member of ``close_pair`` is
     moved to ``close_distance`` away from the first, emulating two classes
     that are genuinely hard to tell apart. ``proportions`` are normalized to
-    sum to 1.
+    sum to 1. A profile that ``to_cluster_spec`` would reject cannot be built.
     """
 
     proportions: tuple[float, ...] = (0.389, 0.209, 0.161, 0.106, 0.057, 0.057, 0.023)
@@ -116,6 +117,13 @@ class ProfileConfig:
     covariance_scale: float = 1.0
     close_pair: tuple[int, int] = (3, 6)
     close_distance: float = 4.0
+
+    def __post_init__(self) -> None:
+        if any(v <= 0 for v in self.proportions):
+            raise ConfigError("proportions", "must be positive")
+        if len(self.names) != len(self.proportions):
+            raise ConfigError("names", "must match proportions length")
+        self.to_cluster_spec()
 
     def to_cluster_spec(self) -> ClusterSpec:
         props = np.asarray(self.proportions, dtype=np.float64)

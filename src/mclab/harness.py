@@ -21,6 +21,11 @@ exact IEEE arithmetic); the acceptance gate checks their checksums on every
 host. Training goes through BLAS matrix products and numpy's SIMD
 ``exp``/``tanh``, whose rounding depends on the numpy build and the CPU, so
 trained weights and every number downstream of them may differ across hosts.
+
+The experiment config is a tree of frozen dataclasses rooted at
+``ExperimentConfig``. Each checks its own fields when it is built, whether
+from a document (``normalize_config``) or in code with ``replace``, so a run
+never starts from an invalid config.
 """
 
 from __future__ import annotations
@@ -114,12 +119,37 @@ class StageError(RuntimeError):
 
 @dataclass(frozen=True)
 class DatasetConfig:
+    """Where the data comes from. Generated data is checked against what the
+    generator would reject, before any stage runs."""
+
     source: str = "generated"  # generated | file
     path: str | None = None
     kind: str = "gaussian"  # gaussian | images
     n_total: int = 7000
     profile: ProfileConfig = ProfileConfig()
     image: SequenceImageSpec = SequenceImageSpec()
+
+    def __post_init__(self) -> None:
+        if self.source not in ("generated", "file"):
+            raise ConfigError("source", "must be 'generated' or 'file'")
+        if self.source == "file" and not self.path:
+            raise ConfigError("path", "required when source is 'file'")
+        if self.kind not in ("gaussian", "images"):
+            raise ConfigError("kind", "must be 'gaussian' or 'images'")
+        if self.source == "file":
+            return
+        k = len(self.profile.proportions)
+        checks = {"n_total": partial(check_n_total, self.n_total, k)}
+        if self.kind == "images":
+            checks["image.side"] = partial(patch_positions, k, self.image.side)
+        else:
+            checks["profile.covariance_scale"] = partial(
+                check_gaussian_scale, self.profile.covariance_scale)
+        for field, check in checks.items():
+            try:
+                check()
+            except ValueError as exc:
+                raise ConfigError(field, str(exc)) from None
 
 
 # set per run by run_single, never part of the config document
@@ -131,7 +161,9 @@ class ExperimentConfig:
     """The whole experiment; its fields, types and defaults are the schema of
     the config document. An empty ``name`` becomes ``sweep_seed<seed>``; the
     stage seeds ``split.seed``, ``train.seed`` and ``gbdt.seed`` default to
-    None, meaning derived per run from the master ``seed``."""
+    None, meaning derived per run from the master ``seed``. Each section
+    checks its own fields when it is built; this class checks the rules that
+    span sections."""
 
     name: str = ""
     seed: int = 0
@@ -145,6 +177,16 @@ class ExperimentConfig:
     excluded_class: int | None = None
 
     def __post_init__(self) -> None:
+        for path, seed in (("seed", self.seed), ("split.seed", self.split.seed),
+                           ("train.seed", self.train.seed), ("gbdt.seed", self.gbdt.seed)):
+            if seed is not None and not 0 <= seed < 2**64:
+                raise ConfigError(path, "must be a 64-bit non-negative integer")
+        k = len(self.dataset.profile.proportions)
+        if self.dataset.source == "generated" and self.model.n_classes != k:
+            raise ConfigError("model.n_classes", f"profile defines {k} classes")
+        excluded = self.excluded_class
+        if excluded is not None and not 0 <= excluded < self.model.n_classes:
+            raise ConfigError("excluded_class", f"must be in [0, {self.model.n_classes})")
         if not self.name:
             object.__setattr__(self, "name", f"sweep_seed{self.seed}")
 
@@ -169,8 +211,9 @@ def _build(cls: type, doc: Any, path: str, default: Any = None) -> Any:
 
     Unknown keys are rejected. Missing keys keep their value in ``default``
     (the class defaults when None); nested dataclasses start from the
-    parent's value. A ``__post_init__`` check failing becomes a ConfigError
-    at ``path``.
+    parent's value. The class checks itself when it is built: a ConfigError
+    it raises at one of its fields is raised again below ``path``, and any
+    other ValueError becomes a ConfigError at ``path``.
     """
     if not isinstance(doc, Mapping):
         raise ConfigError(path, "expected an object")
@@ -190,66 +233,27 @@ def _build(cls: type, doc: Any, path: str, default: Any = None) -> Any:
             values[name] = _value(hints[name], doc[name], _join(path, name))
     try:
         return cls(**values) if default is None else replace(default, **values)
+    except ConfigError as exc:
+        raise ConfigError(_join(path, exc.path), exc.message) from None
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from None
 
 
-def _check(config: ExperimentConfig) -> None:
-    """The rules the field types do not carry, each raised at its field."""
-    for path, seed in (("seed", config.seed), ("split.seed", config.split.seed),
-                       ("train.seed", config.train.seed), ("gbdt.seed", config.gbdt.seed)):
-        if seed is not None and not 0 <= seed < 2**64:
-            raise ConfigError(path, "must be a 64-bit non-negative integer")
-    d = config.dataset
-    if d.source not in ("generated", "file"):
-        raise ConfigError("dataset.source", "must be 'generated' or 'file'")
-    if d.source == "file" and not d.path:
-        raise ConfigError("dataset.path", "required when source is 'file'")
-    if d.kind not in ("gaussian", "images"):
-        raise ConfigError("dataset.kind", "must be 'gaussian' or 'images'")
-    if any(v <= 0 for v in d.profile.proportions):
-        raise ConfigError("dataset.profile.proportions", "must be positive")
-    if len(d.profile.names) != len(d.profile.proportions):
-        raise ConfigError("dataset.profile.names", "must match proportions length")
-    k = len(d.profile.proportions)
-    checks = [("split.fractions", config.split.validate),
-              ("dataset.profile", d.profile.to_cluster_spec),
-              ("model", config.model.validate),
-              ("train", config.train.validate),
-              ("gbdt", config.gbdt.validate)]
-    if d.source == "generated":
-        # what the generator would reject, caught before any stage runs
-        checks.append(("dataset.n_total", partial(check_n_total, d.n_total, k)))
-        if d.kind == "images":
-            checks.append(("dataset.image.side", partial(patch_positions, k, d.image.side)))
-        else:
-            checks.append(("dataset.profile.covariance_scale",
-                           partial(check_gaussian_scale, d.profile.covariance_scale)))
-    for path, check in checks:
-        try:
-            check()
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from None
-    if d.source == "generated" and config.model.n_classes != k:
-        raise ConfigError("model.n_classes", f"profile defines {k} classes")
-    for key, message in config.policy.field_problems():
-        raise ConfigError(f"policy.{key}", message)
-    excluded = config.excluded_class
-    if excluded is not None and not 0 <= excluded < config.model.n_classes:
-        raise ConfigError("excluded_class", f"must be in [0, {config.model.n_classes})")
-
-
 def normalize_config(document: Mapping | None) -> ExperimentConfig:
-    """Validate a config document against the schema, filling defaults.
+    """Check a config document against the schema, filling defaults.
 
-    Raises ConfigError naming the offending field path. Accepts a sweep
-    manifest (the config sits under its "config" key) for replayability.
+    Raises ConfigError naming the offending field path. Besides what the
+    dataclasses check, the document's policy must keep ``tau`` and
+    ``base_confidence_floor`` in [0, 1]; a policy built in code may set
+    ``tau`` above 1 to switch overrides off. Accepts a sweep manifest (the
+    config sits under its "config" key) for replayability.
     """
     doc = dict(document or {})
     if isinstance(doc.get("config"), Mapping) and "seed" not in doc:
         doc = dict(doc["config"])  # manifest replay
     config = _build(ExperimentConfig, doc, "")
-    _check(config)
+    for key, message in config.policy.field_problems():
+        raise ConfigError(f"policy.{key}", message)
     return config
 
 
@@ -541,22 +545,34 @@ def load_sweep(root: str | Path) -> SweepResult:
     """Rebuild a SweepResult from persisted run artifacts (for re-rendering).
 
     Each ``preds.csv`` is checked against its sha256 in ``manifest.json``
-    before it is read; a mismatch raises ``StageError`` naming the file.
+    before it is read. A manifest that does not parse or holds no valid
+    config, and a log that is missing or does not match its sha256, raise
+    ``StageError`` naming the file.
     """
     root = Path(root)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
         raise StageError("report", f"no manifest.json under {root}")
-    manifest = json.loads(manifest_path.read_text(encoding="ascii"))
-    config = normalize_config(manifest["config"])
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="ascii"))
+        if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
+            raise ValueError("not a sweep manifest: expected an object with a 'config' object")
+        config = normalize_config(manifest["config"])
+    except ValueError as exc:  # also bad bytes, bad JSON and ConfigError
+        raise StageError("report", f"{manifest_path}: {exc}") from None
 
     def rebuild(excluded: int | None) -> RunResult:
         run_dir = root / _dir_tag(excluded)
         preds_path = run_dir / "preds.csv"
-        want = manifest.get("runs", {}).get(run_dir.name, {}).get("preds.csv")
-        if want is None:
-            raise StageError("report", f"manifest lists no sha256 for {preds_path}")
-        if _sha256(preds_path) != want:
+        try:
+            want = manifest["runs"][run_dir.name]["preds.csv"]
+        except (KeyError, TypeError):
+            raise StageError("report", f"manifest lists no sha256 for {preds_path}") from None
+        try:
+            digest = _sha256(preds_path)
+        except OSError as exc:
+            raise StageError("report", f"cannot read {preds_path}: {exc.strerror}") from None
+        if digest != want:
             raise StageError("report", f"{preds_path} does not match its sha256 in the manifest")
         report = evaluate(read_prediction_log(preds_path))
         return RunResult(excluded, str(run_dir), report, TrainingHistory())

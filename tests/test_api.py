@@ -1,7 +1,8 @@
 """The hand-written export lists: every listed name exists, and the package
 list matches what ``mclab/__init__.py`` imports. The benchmark's calls into
 mclab resolve too, so a removed name fails here, not only in a benchmark run.
-Only ``core``'s line reader decodes a file's text or names a fault's line."""
+Only ``core``'s line reader decodes a file's text or names a fault's line,
+and no config has a ``validate`` method."""
 
 import ast
 import importlib
@@ -54,6 +55,20 @@ def test_one_line_reader():
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                     and node.func.attr == "decode"):
                 found.append(f"{source.name}:{node.lineno}: .decode(")
+    assert found == []
+
+
+def test_configs_check_themselves():
+    """No config has a ``validate`` method for a consumer to call: each checks
+    itself in ``__post_init__``."""
+    found = []
+    for source in sorted(Path(mclab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name == "validate":
+                found.append(f"{source.name}:{node.lineno}: def validate")
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "validate"):
+                found.append(f"{source.name}:{node.lineno}: .validate(")
     assert found == []
 
 

@@ -72,7 +72,7 @@ def trained_two_class(two_class_data):
 
 class TestModelConfig:
     def test_defaults_validate(self):
-        ModelConfig().validate()
+        ModelConfig()
 
     def test_width_and_sequence_arithmetic(self):
         cfg = ModelConfig()
@@ -85,17 +85,17 @@ class TestModelConfig:
 
     def test_rejects_input_that_pools_away(self):
         with pytest.raises(ValueError, match="pool"):
-            ModelConfig(input_shape=(1, 4, 4)).validate()
+            ModelConfig(input_shape=(1, 4, 4))
 
     def test_rejects_wrong_block_count_and_class_count(self):
         with pytest.raises(ValueError, match="three"):
-            ModelConfig(conv_channels=(4, 8)).validate()
+            ModelConfig(conv_channels=(4, 8))
         with pytest.raises(ValueError, match="two classes"):
-            ModelConfig(n_classes=1).validate()
+            ModelConfig(n_classes=1)
 
     def test_rejects_indivisible_heads(self):
         with pytest.raises(ValueError, match="divisible"):
-            ModelConfig(conv_channels=(2, 2, 6), n_heads=4).validate()
+            ModelConfig(conv_channels=(2, 2, 6), n_heads=4)
 
 
 class TestWeightedCeLoss:

@@ -96,10 +96,27 @@ class TestExitCodes:
         assert "'data'" in capsys.readouterr().err
 
     def test_unknown_command_fails_at_parse(self):
-        with pytest.raises(SystemExit):
-            main(["mystery"])
-        with pytest.raises(SystemExit):
-            main(["eval"])  # --preds is required
+        assert main(["mystery"]) == 1
+        assert main(["eval"]) == 1  # --preds is required
+
+    def test_usage_errors_exit_1_and_help_exits_0(self, capsys):
+        assert main(["sweep", "--jobs", "x"]) == 1
+        assert "invalid int value" in capsys.readouterr().err
+        assert main(["--help"]) == 0
+        assert "usage: mclab" in capsys.readouterr().out
+
+    def test_config_file_that_is_not_utf8_is_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"name": "caf\xe9"}')
+        assert main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config: ") and "not UTF-8" in err
+        assert main(["train", "--config", str(tmp_path)]) == 1  # a directory
+        assert "config error: config: cannot read" in capsys.readouterr().err
+
+    def test_eval_of_a_directory_names_it(self, tmp_path, capsys):
+        assert main(["eval", "--preds", str(tmp_path)]) == 2
+        assert f"cannot read prediction log {tmp_path}" in capsys.readouterr().err
 
     def test_correct_needs_an_excluded_class(self, tmp_path, capsys):
         path = write_doc(tmp_path, mini_doc(str(tmp_path / "runs")))
@@ -240,3 +257,29 @@ class TestSweepReport:
     def test_report_without_manifest_fails(self, tmp_path, capsys):
         assert main(["report", "--run", str(tmp_path)]) == 2
         assert "manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,named,message", [
+        ("{not json", "manifest.json", "Expecting property name"),
+        ("[1, 2]", "manifest.json", "not a sweep manifest"),
+        ('{"runs": {}}', "manifest.json", "not a sweep manifest"),
+        ('{"config": {"seed": "x"}}', "manifest.json", "seed: expected int"),
+        ('{"config": {"name": "caf\u00e9"}}', "manifest.json", "codec can't decode"),
+        ('{"config": {}, "runs": []}', "excl_none/preds.csv", "manifest lists no sha256"),
+    ], ids=["not_json", "list", "no_config", "invalid_config", "not_ascii", "runs_list"])
+    def test_report_of_a_damaged_manifest_names_the_file(self, cli_sweep, tmp_path, capsys,
+                                                         text, named, message):
+        _, _, root = cli_sweep
+        copy = tmp_path / "cli"
+        shutil.copytree(root, copy)
+        (copy / "manifest.json").write_text(text, encoding="utf-8")
+        assert main(["report", "--run", str(copy)]) == 2
+        err = capsys.readouterr().err
+        assert str(copy / named) in err and message in err
+
+    def test_report_of_a_missing_log_names_it(self, cli_sweep, tmp_path, capsys):
+        _, _, root = cli_sweep
+        copy = tmp_path / "cli"
+        shutil.copytree(root, copy)
+        (copy / "excl_1" / "preds.csv").unlink()
+        assert main(["report", "--run", str(copy)]) == 2
+        assert f"cannot read {copy / 'excl_1' / 'preds.csv'}" in capsys.readouterr().err

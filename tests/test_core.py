@@ -216,7 +216,7 @@ class TestSplitDataset:
 
     def test_bad_fractions_rejected(self):
         with pytest.raises(ValueError):
-            SplitSpec(fractions=(0.5, 0.3, 0.3), seed=0).validate()
+            SplitSpec(fractions=(0.5, 0.3, 0.3), seed=0)
 
     def test_unresolved_seed_rejected(self):
         data = make_dataset((20, 10, 12))

@@ -78,7 +78,7 @@ def make_latents(n: int, seed: int, informative: str = "attn_out", shift: float 
 
 class TestConfig:
     def test_defaults_validate(self):
-        GbdtConfig().validate()
+        GbdtConfig()
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -99,7 +99,7 @@ class TestConfig:
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
-            GbdtConfig(**kwargs).validate()
+            GbdtConfig(**kwargs)
 
     def test_fit_rejects_unresolved_seed(self):
         with pytest.raises(ValueError, match="seed is None"):

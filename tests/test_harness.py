@@ -17,12 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mclab.basemodel import TrainingHistory
+from mclab.basemodel import ModelConfig, TrainConfig, TrainingHistory
 from mclab.composer import POLICY_KINDS, DecisionPolicy
-from mclab.core import NEW_CLASS, derived_seed, split_dataset
-from mclab.corrector import load_ensemble
+from mclab.core import NEW_CLASS, SplitSpec, derived_seed, split_dataset
+from mclab.corrector import GbdtConfig, load_ensemble
+from mclab.datagen import ProfileConfig, SequenceImageSpec
 from mclab.harness import (
     ConfigError,
+    DatasetConfig,
     ExperimentConfig,
     RunResult,
     StageError,
@@ -241,6 +243,15 @@ class TestNormalizeConfig:
             normalize_config(doc)
         assert err.value.path == path
 
+    def test_document_policy_is_in_range_but_code_may_switch_it_off(self, tmp_path):
+        doc = mini_doc(str(tmp_path))
+        off = replace(normalize_config(doc), policy=DecisionPolicy(tau=2.0))
+        assert off.policy.tau == 2.0
+        doc["policy"] = {"tau": 2.0}
+        with pytest.raises(ConfigError) as err:
+            normalize_config(doc)
+        assert err.value.path == "policy.tau"
+
     def test_null_seeds_mean_derived(self, tmp_path):
         doc = mini_doc(str(tmp_path))
         doc["split"] = {"seed": None}
@@ -255,6 +266,47 @@ class TestNormalizeConfig:
         b = mini_config(str(tmp_path))
         assert config_sha256(a) == config_sha256(b)
         assert config_sha256(replace(a, seed=12)) != config_sha256(a)
+
+
+class TestConstructionChecks:
+    """Every config dataclass checks itself when it is built, in code as from
+    a document, so a config that exists is valid."""
+
+    @pytest.mark.parametrize("cls,kwargs,path", [
+        pytest.param(ProfileConfig, {"dim": 3}, None, id="profile_dim"),
+        pytest.param(ProfileConfig, {"covariance_scale": -1.0}, None, id="profile_scale"),
+        pytest.param(ProfileConfig, {"proportions": (0.5, 0.0, 0.5), "names": ("A", "B", "C")},
+                     "proportions", id="profile_proportions"),
+        pytest.param(ProfileConfig, {"names": ("A",)}, "names", id="profile_names"),
+        pytest.param(SplitSpec, {"fractions": (0.5, 0.3, 0.3)}, "fractions", id="split"),
+        pytest.param(ModelConfig, {"n_classes": 1}, None, id="model"),
+        pytest.param(TrainConfig, {"batch_size": 0}, None, id="train"),
+        pytest.param(GbdtConfig, {"n_rounds": 0}, None, id="gbdt"),
+        pytest.param(DatasetConfig, {"source": "file"}, "path", id="dataset_path"),
+        pytest.param(DatasetConfig, {"n_total": 69}, "n_total", id="dataset_n_total"),
+        pytest.param(DatasetConfig, {"kind": "images", "image": SequenceImageSpec(side=4)},
+                     "image.side", id="dataset_image_side"),
+        pytest.param(ExperimentConfig, {"model": ModelConfig(n_classes=3)}, "model.n_classes",
+                     id="experiment_n_classes"),
+        pytest.param(ExperimentConfig, {"excluded_class": 7}, "excluded_class",
+                     id="experiment_excluded_class"),
+        pytest.param(ExperimentConfig, {"train": TrainConfig(seed=-1)}, "train.seed",
+                     id="experiment_seed"),
+    ])
+    def test_invalid_config_cannot_be_built(self, cls, kwargs, path):
+        with pytest.raises(ValueError) as err:
+            cls(**kwargs)
+        if path is not None:
+            assert isinstance(err.value, ConfigError) and err.value.path == path
+
+    def test_a_typo_in_code_is_rejected_before_any_stage(self, tmp_path):
+        cfg = mini_config(str(tmp_path))
+        with pytest.raises(ConfigError) as err:
+            replace(cfg.dataset, kind="gaussain")
+        assert err.value.path == "kind"
+        with pytest.raises(ConfigError) as err:
+            replace(cfg.dataset, source="database")
+        assert err.value.path == "source"
 
 
 @pytest.fixture(scope="module")
