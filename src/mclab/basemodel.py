@@ -25,7 +25,7 @@ from typing import Sequence, get_type_hints
 
 import numpy as np
 
-from .core import MAX_CLASSES, LabeledDataset, Rng, _LineReader, _value
+from .core import MAX_CLASSES, LabeledDataset, Rng, _check_seed, _LineReader, _value
 from .stages import AttentionStage, ConvStage, HeadStage, LstmStage, softmax
 
 __all__ = [
@@ -64,15 +64,15 @@ class ModelConfig:
     n_classes: int = 7
 
     def __post_init__(self) -> None:
-        if len(self.input_shape) != 3 or any(s < 1 for s in self.input_shape):
+        if len(self.input_shape) != 3 or not all(s >= 1 for s in self.input_shape):
             raise ValueError("input_shape must be (channels, height, width)")
-        if len(self.conv_channels) != 3 or any(c < 1 for c in self.conv_channels):
+        if len(self.conv_channels) != 3 or not all(c >= 1 for c in self.conv_channels):
             raise ValueError("conv_channels must be three positive counts")
-        if self.n_classes < 2:
+        if not self.n_classes >= 2:
             raise ValueError("need at least two classes")
-        if min(self.conv_out_shape[1:]) < 1:
+        if not min(self.conv_out_shape[1:]) >= 1:
             raise ValueError("input too small: pooling collapses below 1x1")
-        if self.n_heads < 1:
+        if not self.n_heads >= 1:
             raise ValueError("n_heads must be >= 1")
         if self.width % self.n_heads != 0:
             raise ValueError("conv_channels[-1] must be divisible by n_heads")
@@ -104,14 +104,15 @@ class TrainConfig:
     seed: int | None = 0  # None: not yet resolved; train() rejects it
 
     def __post_init__(self) -> None:
-        if self.learning_rate < 0:
+        if not self.learning_rate >= 0:
             raise ValueError("learning_rate must be >= 0")
-        if self.batch_size < 1 or self.max_epochs < 1:
+        if not (self.batch_size >= 1 and self.max_epochs >= 1):
             raise ValueError("batch_size and max_epochs must be >= 1")
-        if self.patience < 0:
+        if not self.patience >= 0:
             raise ValueError("patience must be >= 0")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError("dropout_p must be in [0, 1)")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -513,11 +514,12 @@ def load_model(path: str | Path) -> StagedModel:
     parse or has no newline, an unknown header key or config field, a config
     field that is missing or of the wrong type, an invalid config or more
     than ``MAX_CLASSES`` classes, a seed that is not a non-negative integer,
-    a block list that names an unknown block, names one twice or leaves one
-    out, a block shape other than the model's, or (with no line) a float32
-    payload shorter or longer than the blocks. All of this is checked before
-    the model is built, so a model is built only for a file that holds every
-    one of its weights.
+    or a block list other than ``_block_shapes`` of the config (the message
+    names the first entry that differs, as the file has it and as the config
+    implies it). With no line, it names a float32 payload that is not
+    exactly 4 bytes per weight. All of this is checked before the model is
+    built, so a model is built only for a file that holds every one of its
+    weights, in the order its parameters take them.
     """
     raw = Path(path).read_bytes()
     end = raw.find(b"\n", raw.find(b"\n") + 1) + 1  # past the two header lines; 0 if cut short
@@ -549,33 +551,21 @@ def load_model(path: str | Path) -> StagedModel:
                   for block in header["blocks"]]
     except (ValueError, KeyError, TypeError) as exc:
         lines.fail(f"malformed header: {exc}")
-    expected = dict(_block_shapes(cfg))
-    names = [name for name, _ in blocks]
-    for name in names:
-        if name not in expected:
-            lines.fail(f"unknown block {name!r}")
-        if names.count(name) > 1:
-            lines.fail(f"block {name!r} appears {names.count(name)} times")
-    missing = [name for name in expected if name not in names]
-    if missing:
-        lines.fail(f"missing blocks {', '.join(missing)}")
-    offset = end
-    for name, shape in blocks:
-        if shape != expected[name]:
-            lines.fail(f"block {name!r} has shape {list(shape)}, "
-                       f"the model's is {list(expected[name])}")
-        stop = offset + 4 * math.prod(shape)
-        if stop > len(raw):
-            raise ValueError(
-                f"{path}: file ends inside block {name!r}: {len(raw)} bytes, {stop} needed")
-        offset = stop
-    if offset != len(raw):
-        raise ValueError(f"{path}: {len(raw) - offset} bytes after the last block")
+    expected = _block_shapes(cfg)
+    if blocks != expected:
+        i = next((i for i, pair in enumerate(zip(blocks, expected)) if pair[0] != pair[1]),
+                 min(len(blocks), len(expected)))
+        have, want = (f"{entries[i][0]!r} {list(entries[i][1])}" if i < len(entries)
+                      else "no block" for entries in (blocks, expected))
+        lines.fail(f"block {i}: the file has {have}, the config implies {want}")
+    size = sum(math.prod(shape) for _, shape in expected)
+    if len(raw) - end != 4 * size:
+        raise ValueError(f"{path}: payload of {len(raw) - end} bytes, "
+                         f"the blocks need {4 * size}")
+    weights = np.frombuffer(raw, dtype="<f4", offset=end)
     model = StagedModel(cfg, seed=seed)
-    arrays = dict(model.buffers() + model.params())
-    offset = end
-    for name, _ in blocks:
-        arr = arrays[name]
-        arr[...] = np.frombuffer(raw, dtype="<f4", count=arr.size, offset=offset).reshape(arr.shape)
-        offset += 4 * arr.size
+    offset = 0
+    for _, arr in model.buffers() + model.params():
+        arr[...] = weights[offset:offset + arr.size].reshape(arr.shape)
+        offset += arr.size
     return model

@@ -1,13 +1,16 @@
 """Command-line front end.
 
 One JSON config document drives everything. Its schema is the
-``harness.ExperimentConfig`` dataclass tree: the defaults, the dotted paths
-that --set accepts and the type checks all come from those dataclasses, each
-dataclass checks its own fields when it is built, and every field has a
-default, so an empty document is a complete experiment. Exit codes: 0
-success (``--help`` too), 1 invalid configuration or arguments (the message
-names the field, or argparse prints the usage), 2 runtime failure (the
-message names the pipeline stage, and the file where one is at fault).
+``harness.ExperimentConfig`` dataclass tree: the defaults and the type checks
+come from those dataclasses, each dataclass checks its own fields when it is
+built, and every field has a default, so an empty document is a complete
+experiment. ``--set a.b=v`` writes v at that dotted path of the document;
+``normalize_config`` then walks the document against the schema once and
+names a path it does not know. Exit codes: 0 success (``--help`` too), 1
+invalid configuration or arguments (the message names the field, or argparse
+prints the usage; a generated feature shape the model cannot take is one), 2
+runtime failure (the message names the pipeline stage, and the file where one
+is at fault).
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .harness import (
     StageError,
     _stage,
     build_dataset,
-    default_config_dict,
     load_sweep,
     normalize_config,
     render_report,
@@ -56,13 +58,7 @@ def _parse_set(assignment: str) -> tuple[list[str], object]:
 
 
 def _apply_set(doc: dict, path: list[str], value: object) -> None:
-    # the path must exist in the schema; intermediate objects are created
-    schema: object = default_config_dict()
-    for i, part in enumerate(path):
-        full = ".".join(path[: i + 1])
-        if not isinstance(schema, dict) or part not in schema:
-            raise ConfigError(full, "unknown field")
-        schema = schema[part]
+    # intermediate objects are created; normalize_config names an unknown path
     node = doc
     for part in path[:-1]:
         node = node.setdefault(part, {})

@@ -2,7 +2,10 @@
 
 The corrected classifier returns the base prediction unless the active policy
 fires, in which case the corrector's verdict (or the NEW_CLASS sentinel)
-replaces it. Raising ``tau`` never increases the number of overrides.
+replaces it. Raising ``tau`` never increases the number of overrides. A
+``DecisionPolicy`` checks its kind when it is built, so ``decide_batch``
+applies it without a second check; only the run-time ``excluded_label`` is
+checked there.
 
 ``compose_batch`` streams the batch in row blocks: one forward pass per
 block yields both the base posteriors and the corrector's latent rows, and
@@ -13,6 +16,7 @@ Both return ``Predictions``, one array per column; iterating it yields one
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +25,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .basemodel import FORWARD_CHUNK, StagedModel, forward_latents
-from .core import NEW_CLASS, LabeledDataset, _LineReader
+from .core import NEW_CLASS, ConfigError, LabeledDataset, _LineReader
 from .corrector import CorrectorEnsemble
 from .metrics import PairedPredictions
 
@@ -65,9 +69,12 @@ class DecisionPolicy:
                          ``as_new_class`` the override emits the NEW_CLASS
                          sentinel instead of the label itself.
 
-    ``field_problems`` states the ranges (tau in [0, 1]); the fields
-    themselves accept tau > 1, so a deliberately unreachable threshold
-    (policy off) stays constructible.
+    An unknown ``kind`` or a NaN is rejected when the policy is built. Any
+    other ``tau`` builds: one above 1 is unreachable and switches overrides
+    off. The config document also keeps ``tau`` and
+    ``base_confidence_floor`` in [0, 1] (``harness.normalize_config``). The
+    range of the run-time ``excluded_label`` is checked when the policy is
+    applied.
     """
 
     kind: str = "excluded_only"
@@ -76,17 +83,13 @@ class DecisionPolicy:
     excluded_label: int | None = None
     as_new_class: bool = False
 
-    def field_problems(self) -> list[tuple[str, str]]:
-        """(field, message) for each field out of its range. The run-time
-        ``excluded_label`` is checked when the policy is applied."""
-        problems = []
+    def __post_init__(self) -> None:
         if self.kind not in POLICY_KINDS:
-            problems.append(("kind", f"must be one of {', '.join(POLICY_KINDS)}, "
-                                     f"not {self.kind!r}"))
-        for key in ("tau", "base_confidence_floor"):
-            if not 0.0 <= getattr(self, key) <= 1.0:
-                problems.append((key, "must be in [0, 1]"))
-        return problems
+            raise ConfigError("kind", f"must be one of {', '.join(POLICY_KINDS)}, "
+                                      f"not {self.kind!r}")
+        for key in ("tau", "base_confidence_floor", "excluded_label"):
+            if (value := getattr(self, key)) is not None and math.isnan(value):
+                raise ConfigError(key, "must not be NaN")
 
 
 class CorrectedPrediction(NamedTuple):
@@ -127,33 +130,6 @@ class Predictions:
         )
 
 
-def _corrected_labels(
-    base_label: np.ndarray,
-    base_probs: np.ndarray,
-    corr_probs: np.ndarray,
-    policy: DecisionPolicy,
-) -> np.ndarray:
-    if policy.kind not in POLICY_KINDS:
-        raise ValueError(f"unknown policy kind {policy.kind!r}")
-    corr_label = corr_probs.argmax(axis=1)
-    if policy.kind == "always_corrector":
-        return corr_label
-    if policy.kind == "threshold_override":
-        fire = (base_probs.max(axis=1) < policy.base_confidence_floor) & (
-            corr_probs.max(axis=1) >= policy.tau
-        )
-        return np.where(fire, corr_label, base_label)
-    if policy.excluded_label is None:
-        raise ValueError("excluded_only policy needs excluded_label")
-    exc = int(policy.excluded_label)
-    if not 0 <= exc < corr_probs.shape[1]:
-        raise ValueError(
-            f"excluded_label {exc} is outside the corrector's {corr_probs.shape[1]} classes"
-        )
-    fire = (corr_label == exc) & (corr_probs[:, exc] >= policy.tau)
-    return np.where(fire, NEW_CLASS if policy.as_new_class else exc, base_label)
-
-
 def decide_batch(
     base_probs: np.ndarray,
     corr_probs: np.ndarray,
@@ -168,11 +144,26 @@ def decide_batch(
     if base_probs.shape[0] != corr_probs.shape[0]:
         raise ValueError("base and corrector posteriors must have one row per sample")
     base_label = base_probs.argmax(axis=1)
-    corrected = (
-        base_label
-        if policy is None
-        else _corrected_labels(base_label, base_probs, corr_probs, policy)
-    )
+    corr_label = corr_probs.argmax(axis=1)
+    if policy is None:
+        corrected = base_label
+    elif policy.kind == "always_corrector":
+        corrected = corr_label
+    elif policy.kind == "threshold_override":
+        fire = (base_probs.max(axis=1) < policy.base_confidence_floor) & (
+            corr_probs.max(axis=1) >= policy.tau
+        )
+        corrected = np.where(fire, corr_label, base_label)
+    else:
+        if policy.excluded_label is None:
+            raise ValueError("excluded_only policy needs excluded_label")
+        exc = int(policy.excluded_label)
+        if not 0 <= exc < corr_probs.shape[1]:
+            raise ValueError(
+                f"excluded_label {exc} is outside the corrector's {corr_probs.shape[1]} classes"
+            )
+        fire = (corr_label == exc) & (corr_probs[:, exc] >= policy.tau)
+        corrected = np.where(fire, NEW_CLASS if policy.as_new_class else exc, base_label)
     return Predictions(base_label, corrected, corrected != base_label, base_probs, corr_probs)
 
 

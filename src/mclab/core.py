@@ -92,6 +92,12 @@ def _value(hint: Any, value: Any, path: str) -> Any:
     return value
 
 
+def _check_seed(seed: int | None) -> None:
+    """A seed is None (a stage seed not yet resolved) or in [0, 2^64)."""
+    if seed is not None and not 0 <= seed < 2**64:
+        raise ConfigError("seed", "must be a 64-bit non-negative integer")
+
+
 def _frozen(values: Any, dtype: Any) -> np.ndarray:
     """``values`` as a read-only C-contiguous array, copied unless it already
     is one, so a caller's buffer is never frozen."""
@@ -299,10 +305,11 @@ class SplitSpec:
     def __post_init__(self) -> None:
         if len(self.fractions) < 2:
             raise ConfigError("fractions", "need at least two split fractions")
-        if any(f <= 0 for f in self.fractions):
+        if not all(f > 0 for f in self.fractions):
             raise ConfigError("fractions", "split fractions must be positive")
-        if abs(sum(self.fractions) - 1.0) > 1e-9:
+        if not abs(sum(self.fractions) - 1.0) <= 1e-9:
             raise ConfigError("fractions", "split fractions must sum to 1 within 1e-9")
+        _check_seed(self.seed)
 
 
 def _stratified_allocation(class_counts: np.ndarray, fractions: Sequence[float]) -> np.ndarray:

@@ -48,7 +48,7 @@ from typing import Sequence, get_type_hints
 import numpy as np
 
 from .basemodel import LatentLayout
-from .core import Rng, _LineReader
+from .core import Rng, _check_seed, _LineReader
 from .stages import softmax
 
 __all__ = [
@@ -82,9 +82,9 @@ class GbdtConfig:
     seed: int | None = 0  # None: not yet resolved; fit() rejects it
 
     def __post_init__(self) -> None:
-        if self.n_rounds < 1:
+        if not self.n_rounds >= 1:
             raise ValueError("n_rounds must be >= 1")
-        if self.max_depth < 1:
+        if not self.max_depth >= 1:
             raise ValueError("max_depth must be >= 1")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must be in (0, 1]")
@@ -94,6 +94,7 @@ class GbdtConfig:
             raise ValueError("lambda_l2 must be finite and >= 0")
         if not 0.0 < self.subsample <= 1.0:
             raise ValueError("subsample must be in (0, 1]")
+        _check_seed(self.seed)
 
 
 def split_gain(

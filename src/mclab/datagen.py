@@ -61,11 +61,13 @@ class ClusterSpec:
             scales = np.full(k, float(scales[0]))
         if scales.shape != (k,) or props.shape != (k,):
             raise ValueError("covariance_scale and proportions must have length K")
-        if np.any(scales < 0):
+        if not np.isfinite(means).all():
+            raise ValueError("means must be finite")
+        if not np.all(scales >= 0):
             raise ValueError("covariance_scale must be >= 0")
-        if np.any(props <= 0):
+        if not np.all(props > 0):
             raise ValueError("proportions must be positive")
-        if abs(float(props.sum()) - 1.0) > 1e-9:
+        if not abs(float(props.sum()) - 1.0) <= 1e-9:
             raise ValueError("proportions must sum to 1 within 1e-9")
         if len(self.names) != k:
             raise ValueError("need one display name per class")
@@ -91,9 +93,9 @@ class SequenceImageSpec:
     channels: int = 1
 
     def __post_init__(self) -> None:
-        if self.side < 2:
+        if not self.side >= 2:
             raise ValueError("image side must be >= 2")
-        if self.channels < 1:
+        if not self.channels >= 1:
             raise ValueError("channels must be >= 1")
 
 
@@ -119,7 +121,7 @@ class ProfileConfig:
     close_distance: float = 4.0
 
     def __post_init__(self) -> None:
-        if any(v <= 0 for v in self.proportions):
+        if not all(v > 0 for v in self.proportions):
             raise ConfigError("proportions", "must be positive")
         if len(self.names) != len(self.proportions):
             raise ConfigError("names", "must match proportions length")
@@ -129,7 +131,7 @@ class ProfileConfig:
         props = np.asarray(self.proportions, dtype=np.float64)
         props = props / props.sum()
         k = props.size
-        if self.dim < k:
+        if not self.dim >= k:
             raise ValueError("dim must be at least the number of classes")
         means = np.zeros((k, self.dim), dtype=np.float64)
         for i in range(k):
@@ -150,13 +152,13 @@ class ProfileConfig:
 
 def check_n_total(n_total: int, k: int) -> None:
     """Both generators need at least 10 samples per class."""
-    if n_total < 10 * k:
+    if not n_total >= 10 * k:
         raise ValueError(f"n_total must be >= {10 * k} for a {k}-class profile")
 
 
 def check_gaussian_scale(covariance_scale) -> None:
     """The Gaussian generator needs a positive noise scale for every class."""
-    if np.any(np.asarray(covariance_scale) <= 0):
+    if not np.all(np.asarray(covariance_scale) > 0):
         raise ValueError("gaussian generation needs covariance_scale > 0")
 
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from functools import partial
@@ -69,6 +70,7 @@ from .core import (
     derived_seed,
     exclude_class,
     split_dataset,
+    _check_seed,
     _value,
     validation_slice,
 )
@@ -162,8 +164,9 @@ class ExperimentConfig:
     the config document. An empty ``name`` becomes ``sweep_seed<seed>``; the
     stage seeds ``split.seed``, ``train.seed`` and ``gbdt.seed`` default to
     None, meaning derived per run from the master ``seed``. Each section
-    checks its own fields when it is built; this class checks the rules that
-    span sections."""
+    checks its own fields (stage seeds too) when it is built; this class
+    checks the master seed and the rules that span sections: for generated
+    data, the class count and feature shape the model must take."""
 
     name: str = ""
     seed: int = 0
@@ -177,13 +180,19 @@ class ExperimentConfig:
     excluded_class: int | None = None
 
     def __post_init__(self) -> None:
-        for path, seed in (("seed", self.seed), ("split.seed", self.split.seed),
-                           ("train.seed", self.train.seed), ("gbdt.seed", self.gbdt.seed)):
-            if seed is not None and not 0 <= seed < 2**64:
-                raise ConfigError(path, "must be a 64-bit non-negative integer")
-        k = len(self.dataset.profile.proportions)
-        if self.dataset.source == "generated" and self.model.n_classes != k:
-            raise ConfigError("model.n_classes", f"profile defines {k} classes")
+        _check_seed(self.seed)
+        d, shape = self.dataset, self.model.input_shape
+        if d.source == "generated":
+            k = len(d.profile.proportions)
+            if self.model.n_classes != k:
+                raise ConfigError("model.n_classes", f"profile defines {k} classes")
+            if d.kind == "gaussian" and d.profile.dim != math.prod(shape):
+                raise ConfigError("model.input_shape", f"holds {math.prod(shape)} features, "
+                                                       f"dataset.profile.dim is {d.profile.dim}")
+            image = (d.image.channels, d.image.side, d.image.side)
+            if d.kind == "images" and image != shape:
+                raise ConfigError("model.input_shape", "must be the generated image shape "
+                                                       f"(channels, side, side) = {list(image)}")
         excluded = self.excluded_class
         if excluded is not None and not 0 <= excluded < self.model.n_classes:
             raise ConfigError("excluded_class", f"must be in [0, {self.model.n_classes})")
@@ -242,8 +251,10 @@ def _build(cls: type, doc: Any, path: str, default: Any = None) -> Any:
 def normalize_config(document: Mapping | None) -> ExperimentConfig:
     """Check a config document against the schema, filling defaults.
 
-    Raises ConfigError naming the offending field path. Besides what the
-    dataclasses check, the document's policy must keep ``tau`` and
+    Raises ConfigError naming the offending field path: an unknown path, a
+    value of the wrong type, or whatever the dataclasses reject. This walk
+    is the only one over the schema; ``--set`` relies on it too. Besides
+    what the dataclasses check, the document's policy must keep ``tau`` and
     ``base_confidence_floor`` in [0, 1]; a policy built in code may set
     ``tau`` above 1 to switch overrides off. Accepts a sweep manifest (the
     config sits under its "config" key) for replayability.
@@ -252,8 +263,9 @@ def normalize_config(document: Mapping | None) -> ExperimentConfig:
     if isinstance(doc.get("config"), Mapping) and "seed" not in doc:
         doc = dict(doc["config"])  # manifest replay
     config = _build(ExperimentConfig, doc, "")
-    for key, message in config.policy.field_problems():
-        raise ConfigError(f"policy.{key}", message)
+    for key in ("tau", "base_confidence_floor"):
+        if not 0.0 <= getattr(config.policy, key) <= 1.0:
+            raise ConfigError(f"policy.{key}", "must be in [0, 1]")
     return config
 
 
@@ -316,6 +328,7 @@ def build_dataset(config: ExperimentConfig) -> LabeledDataset:
             f"dataset has {data.n_classes} classes, model expects "
             f"{config.model.n_classes}"
         )
+    # ExperimentConfig checks a generated shape; a file's is known only here
     flat = int(np.prod(data.feature_shape))
     expected = int(np.prod(config.model.input_shape))
     if flat != expected:

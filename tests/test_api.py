@@ -2,7 +2,7 @@
 list matches what ``mclab/__init__.py`` imports. The benchmark's calls into
 mclab resolve too, so a removed name fails here, not only in a benchmark run.
 Only ``core``'s line reader decodes a file's text or names a fault's line,
-and no config has a ``validate`` method."""
+no config has a ``validate`` method, and no rule has a second copy."""
 
 import ast
 import importlib
@@ -69,6 +69,21 @@ def test_configs_check_themselves():
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                     and node.func.attr == "validate"):
                 found.append(f"{source.name}:{node.lineno}: .validate(")
+    assert found == []
+
+
+def test_each_rule_is_stated_once():
+    """No policy method repeats the document's range checks, and only
+    ``harness`` calls ``default_config_dict``, so no second walk over the
+    schema (such as one for ``--set``) comes back."""
+    found = []
+    for source in sorted(Path(mclab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name == "field_problems":
+                found.append(f"{source.name}:{node.lineno}: def field_problems")
+            if (isinstance(node, ast.Call) and source.name != "harness.py"
+                    and "default_config_dict" in ast.unparse(node.func)):
+                found.append(f"{source.name}:{node.lineno}: default_config_dict(")
     assert found == []
 
 

@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mclab import basemodel
 from mclab.basemodel import (
@@ -477,6 +479,30 @@ class TestCheckpoint:
         save_model(load_model(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @settings(max_examples=20, deadline=None)
+    @given(config=st.builds(
+        ModelConfig,
+        input_shape=st.tuples(st.integers(1, 3), st.sampled_from([8, 16]),
+                              st.sampled_from([8, 16])),
+        conv_channels=st.tuples(st.integers(1, 4), st.integers(1, 4), st.sampled_from([2, 4])),
+        n_heads=st.sampled_from([1, 2]),
+        n_classes=st.integers(2, 6),
+    ), seed=st.integers(0, 2**32))
+    @example(config=ModelConfig((2, 16, 16), (3, 2, 4), n_heads=2, n_classes=5), seed=7)
+    def test_any_config_round_trips_exactly(self, tmp_path_factory, config, seed):
+        model = StagedModel(config, seed=seed)
+        gen = np.random.default_rng(seed)
+        model.input_mean = gen.standard_normal(config.input_shape[0])
+        model.input_std = gen.uniform(0.5, 2.0, config.input_shape[0])
+        path = tmp_path_factory.mktemp("ckpt") / "model.bin"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert (loaded.config, loaded.seed) == (config, seed)
+        for (name, a), (name_b, b) in zip(model.buffers() + model.params(),
+                                          loaded.buffers() + loaded.params(), strict=True):
+            assert name == name_b
+            np.testing.assert_array_equal(b, a.astype(np.float32), err_msg=name)
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not a checkpoint\nat all\n")
@@ -508,6 +534,15 @@ def _widen_first(blocks):
     blocks[0][1] = [blocks[0][1][0] + 1]
 
 
+def _swap_first_two(blocks):
+    blocks[0], blocks[1] = blocks[1], blocks[0]  # same shape, so the same payload size
+
+
+def _cut_first_weight(raw: bytes) -> bytes:
+    magic, header, payload = raw.split(b"\n", 2)
+    return magic + b"\n" + header + b"\n" + payload[4:]
+
+
 def _config(key, value):
     def edit(doc):
         doc["config"][key] = value
@@ -515,18 +550,30 @@ def _config(key, value):
     return lambda raw: _edit_header(raw, edit)
 
 
+# the float32 payload of a SMALL checkpoint, in bytes
+PAYLOAD = 4 * sum(math.prod(shape) for _, shape in basemodel._block_shapes(SMALL))
+
 # edits of a saved checkpoint, and the message each must be rejected with
 MALFORMED_MODELS = {
     "header_without_newline": (lambda raw: raw[:raw.index(b"\n", raw.index(b"\n") + 1)],
                                "header line has no newline"),
     "header_not_json": (lambda raw: raw.replace(b'"blocks"', b"'blocks'", 1), "malformed header"),
-    "unknown_block": (_blocks(_rename_first), "unknown block 'input_median'"),
-    "duplicate_block": (_blocks(_repeat_first), "block 'input_mean' appears 2 times"),
-    "missing_block": (_blocks(lambda blocks: blocks.pop()), r"missing blocks head\.b2"),
-    "wrong_shape": (_blocks(_widen_first),
-                    r"block 'input_mean' has shape \[2\], the model's is \[1\]"),
-    "short_buffer": (lambda raw: raw[:-4], r"file ends inside block 'head\.b2'"),
-    "trailing_bytes": (lambda raw: raw + b"\0" * 4, "4 bytes after the last block"),
+    "unknown_block": (_blocks(_rename_first), r"line 2: block 0: the file has 'input_median' "
+                                              r"\[1\], the config implies 'input_mean' \[1\]"),
+    "duplicate_block": (_blocks(_repeat_first), r"block 1: the file has 'input_mean' \[1\], "
+                                                r"the config implies 'input_std' \[1\]"),
+    "missing_block": (_blocks(lambda blocks: blocks.pop()),
+                      r"block 22: the file has no block, the config implies 'head\.b2' \[3\]"),
+    "wrong_shape": (_blocks(_widen_first), r"block 0: the file has 'input_mean' \[2\], "
+                                           r"the config implies 'input_mean' \[1\]"),
+    "reordered_blocks": (_blocks(_swap_first_two), r"block 0: the file has 'input_std' \[1\], "
+                                                   r"the config implies 'input_mean' \[1\]"),
+    "short_buffer": (lambda raw: raw[:-4],
+                     f"payload of {PAYLOAD - 4} bytes, the blocks need {PAYLOAD}$"),
+    "first_weight_cut": (_cut_first_weight,
+                         f"payload of {PAYLOAD - 4} bytes, the blocks need {PAYLOAD}$"),
+    "trailing_bytes": (lambda raw: raw + b"\0" * 4,
+                       f"payload of {PAYLOAD + 4} bytes, the blocks need {PAYLOAD}$"),
     "fractional_heads": (_config("n_heads", 1.9), r"config\.n_heads: expected int"),
     "boolean_heads": (_config("n_heads", True), r"config\.n_heads: expected int"),
     "string_classes": (_config("n_classes", "3"), r"config\.n_classes: expected int"),

@@ -54,8 +54,10 @@ class TestLoadConfig:
             load_config(None, ["policy.tau"], env={})
         with pytest.raises(ConfigError, match="unknown field"):
             load_config(None, ["policy.threshold=0.5"], env={})
-        with pytest.raises(ConfigError, match="unknown field"):
-            load_config(None, ["seed.sub=1"], env={})
+        with pytest.raises(ConfigError, match="^seed: expected int$"):
+            load_config(None, ["seed.sub=1"], env={})  # {"sub": 1} is not a seed
+        with pytest.raises(ConfigError, match="path crosses a non-object value"):
+            load_config(None, ["seed=1", "seed.sub=1"], env={})
         with pytest.raises(ConfigError, match="empty path"):
             load_config(None, ["policy..tau=0.5"], env={})
 
@@ -91,9 +93,20 @@ class TestExitCodes:
 
     def test_runtime_failure_is_exit_2(self, tmp_path, capsys):
         path = write_doc(tmp_path, mini_doc(str(tmp_path / "runs")))
-        code = main(["train", "--config", path, "--set", "dataset.profile.dim=32"])
+        code = main(["train", "--config", path, "--set", "dataset.source=file",
+                     "--set", f"dataset.path={tmp_path / 'absent.csv'}"])
         assert code == 2
         assert "'data'" in capsys.readouterr().err
+
+    def test_feature_shape_the_model_cannot_take_is_exit_1(self, tmp_path, capsys):
+        path = write_doc(tmp_path, mini_doc(str(tmp_path / "runs")))
+        code = main(["train", "--config", path, "--set", "dataset.profile.dim=32"])
+        assert code == 1
+        assert "config error: model.input_shape: holds 64 features" in capsys.readouterr().err
+        code = main(["train", "--config", path, "--set", "dataset.kind=images",
+                     "--set", "dataset.image.side=16", "--set", "model.input_shape=[4,8,8]"])
+        assert code == 1
+        assert "(channels, side, side) = [1, 16, 16]" in capsys.readouterr().err
 
     def test_unknown_command_fails_at_parse(self):
         assert main(["mystery"]) == 1

@@ -31,6 +31,7 @@ from mclab.composer import (
 )
 from mclab.core import MAX_CLASSES
 from mclab.corrector import CorrectorEnsemble, GbdtConfig, fit
+from mclab.harness import ConfigError, normalize_config
 
 
 def stub_ensemble(probs) -> CorrectorEnsemble:
@@ -69,12 +70,18 @@ def small_world():
 
 
 class TestPolicyValidation:
-    """Field ranges are checked by ``field_problems`` (the config); the kind
-    and the run-time label again when the policy is applied."""
+    """A policy checks its kind when it is built; the config document keeps
+    the thresholds in [0, 1] (``normalize_config``); the run-time label is
+    checked when the policy is applied."""
 
     def apply(self, policy: DecisionPolicy) -> Predictions:
         probs = np.full((1, 3), 1 / 3)
         return decide_batch(probs, probs, policy)
+
+    def document_error(self, policy: dict) -> ConfigError:
+        with pytest.raises(ConfigError) as err:
+            normalize_config({"policy": policy})
+        return err.value
 
     def test_defaults_need_excluded_label(self):
         with pytest.raises(ValueError, match="excluded_label"):
@@ -82,22 +89,27 @@ class TestPolicyValidation:
         self.apply(DecisionPolicy(excluded_label=2))
 
     def test_rejects_unknown_kind(self):
-        policy = DecisionPolicy(kind="majority_vote")
-        assert [key for key, _ in policy.field_problems()] == ["kind"]
-        with pytest.raises(ValueError, match="kind"):
-            self.apply(policy)
+        with pytest.raises(ConfigError) as err:
+            DecisionPolicy(kind="majority_vote")
+        assert err.value.path == "kind"
+        assert err.value.message == ("must be one of always_corrector, threshold_override, "
+                                     "excluded_only, not 'majority_vote'")
 
     @pytest.mark.parametrize("field,value", [("tau", -0.1), ("tau", 1.5),
                                              ("base_confidence_floor", 2.0)])
     def test_rejects_out_of_range(self, field, value):
-        policy = DecisionPolicy(kind="always_corrector", **{field: value})
-        assert policy.field_problems() == [(field, "must be in [0, 1]")]
+        DecisionPolicy(kind="always_corrector", **{field: value})  # in code, it builds
+        err = self.document_error({"kind": "always_corrector", field: value})
+        assert (err.path, err.message) == (f"policy.{field}", "must be in [0, 1]")
 
     def test_field_problems_name_each_field_but_not_the_run_time_label(self):
-        bad = DecisionPolicy(kind="vote", tau=1.5, base_confidence_floor=-0.1)
-        assert [key for key, _ in bad.field_problems()] == [
-            "kind", "tau", "base_confidence_floor"]
-        assert DecisionPolicy().field_problems() == []  # excluded_label unset
+        for policy, path in [({"kind": "vote", "tau": 1.5}, "policy.kind"),
+                             ({"tau": 1.5, "base_confidence_floor": -0.1}, "policy.tau"),
+                             ({"base_confidence_floor": -0.1}, "policy.base_confidence_floor"),
+                             ({"excluded_label": 2}, "policy.excluded_label")]:
+            assert self.document_error(policy).path == path
+        assert self.document_error({"excluded_label": 2}).message == "unknown field"
+        assert normalize_config({}).policy.excluded_label is None
 
 
 class TestDecision:
@@ -175,9 +187,9 @@ class TestDecision:
             decide([0.6, 0.3, 0.1], [0.3, 0.3, 0.4], p)
 
     def test_unknown_kind_raises_at_decision_time(self):
-        p = DecisionPolicy(kind="oracle")
+        # The policy rejects the kind as it is built, so no decision is made.
         with pytest.raises(ValueError, match="kind"):
-            decide([0.6, 0.4], [0.4, 0.6], p)
+            decide([0.6, 0.4], [0.4, 0.6], DecisionPolicy(kind="oracle"))
 
     def test_overridden_flag_tracks_label_change(self):
         gen = np.random.default_rng(22)

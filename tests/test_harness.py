@@ -8,9 +8,12 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import json
+import math
 import shutil
 from dataclasses import replace
 from pathlib import Path
+from types import NoneType
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
@@ -19,9 +22,9 @@ from hypothesis import strategies as st
 
 from mclab.basemodel import ModelConfig, TrainConfig, TrainingHistory
 from mclab.composer import POLICY_KINDS, DecisionPolicy
-from mclab.core import NEW_CLASS, SplitSpec, derived_seed, split_dataset
+from mclab.core import NEW_CLASS, LabeledDataset, SplitSpec, derived_seed, split_dataset
 from mclab.corrector import GbdtConfig, load_ensemble
-from mclab.datagen import ProfileConfig, SequenceImageSpec
+from mclab.datagen import ProfileConfig, SequenceImageSpec, save_dataset
 from mclab.harness import (
     ConfigError,
     DatasetConfig,
@@ -79,11 +82,24 @@ UNIT = st.floats(0.0, 1.0) | st.integers(0, 1)
 # valid overrides of the default (seven-class) document; ints stand in for
 # floats where the schema widens them
 def _generable(dataset: dict) -> bool:
-    """The generators' limits for the seven-class default profile: images need
-    side >= 6 to place seven class patches, Gaussian noise a positive scale."""
+    """The Gaussian generator needs a positive noise scale."""
+    return (dataset.get("kind") == "images"
+            or dataset.get("profile", {}).get("covariance_scale", 1.0) > 0)
+
+
+def _fit_model(doc: dict) -> dict:
+    """Give the model the feature shape the drawn dataset generates: a
+    Gaussian profile's dim as (dim / 64, 8, 8), images as (channels, side,
+    side)."""
+    dataset = doc.get("dataset", {})
     if dataset.get("kind") == "images":
-        return dataset.get("image", {}).get("side", 8) >= 6
-    return dataset.get("profile", {}).get("covariance_scale", 1.0) > 0
+        image = dataset.get("image", {})
+        shape = [image.get("channels", 1), image.get("side", 8), image.get("side", 8)]
+    else:
+        shape = [dataset.get("profile", {}).get("dim", 64) // 64, 8, 8]
+    if shape != [1, 8, 8]:
+        doc["model"] = {"input_shape": shape}
+    return doc
 
 
 VALID_OVERRIDES = _section(
@@ -94,13 +110,13 @@ VALID_OVERRIDES = _section(
         kind=st.sampled_from(["gaussian", "images"]),
         n_total=st.integers(70, 10**6),
         profile=_section(
-            dim=st.integers(7, 128),
+            dim=st.sampled_from([64, 128, 192]),
             separation=st.floats(0.0, 50.0) | st.integers(0, 50),
             covariance_scale=st.floats(0.0, 5.0),
             close_pair=st.sampled_from([[3, 6], [0, 1], [6, 2]]),
             close_distance=st.floats(0.0, 10.0),
         ),
-        image=_section(side=st.integers(2, 64), channels=st.integers(1, 4)),
+        image=_section(side=st.integers(8, 64), channels=st.integers(1, 4)),
     ).filter(_generable),
     split=_section(stratified=st.booleans(), seed=st.none() | SEEDS),
     train=_section(
@@ -127,7 +143,7 @@ VALID_OVERRIDES = _section(
         as_new_class=st.booleans(),
     ),
     excluded_class=st.none() | st.integers(0, 6),
-)
+).map(_fit_model)
 
 
 def tree_files(root: Path) -> list[Path]:
@@ -225,6 +241,11 @@ class TestNormalizeConfig:
             ({"dataset": {"profile": {"covariance_scale": 0.0}}},
              "dataset.profile.covariance_scale"),
             ({"model": {"n_heads": 0}}, "model"),
+            # a generated feature shape the model cannot take
+            ({"dataset": {"profile": {"dim": 32}}}, "model.input_shape"),
+            ({"model": {"input_shape": [1, 16, 16]}}, "model.input_shape"),
+            ({"dataset": {"kind": "images", "image": {"side": 16}},
+              "model": {"input_shape": [4, 8, 8]}}, "model.input_shape"),
         ],
     )
     def test_rejections_name_the_field(self, tmp_path, patch, path):
@@ -268,6 +289,20 @@ class TestNormalizeConfig:
         assert config_sha256(replace(a, seed=12)) != config_sha256(a)
 
 
+def _numeric(hint) -> bool:
+    """An int or float field, optional or not, or a tuple of them."""
+    args = [a for a in get_args(hint) if a not in (NoneType, Ellipsis)] or [hint]
+    return all(a in (int, float) for a in args)
+
+
+NUMERIC_FIELDS = [
+    pytest.param(cls, name, id=f"{cls.__name__}.{name}")
+    for cls in (ModelConfig, TrainConfig, GbdtConfig, SplitSpec, ProfileConfig,
+                SequenceImageSpec, DatasetConfig, ExperimentConfig, DecisionPolicy)
+    for name, hint in get_type_hints(cls).items() if _numeric(hint)
+]
+
+
 class TestConstructionChecks:
     """Every config dataclass checks itself when it is built, in code as from
     a document, so a config that exists is valid."""
@@ -290,14 +325,35 @@ class TestConstructionChecks:
                      id="experiment_n_classes"),
         pytest.param(ExperimentConfig, {"excluded_class": 7}, "excluded_class",
                      id="experiment_excluded_class"),
-        pytest.param(ExperimentConfig, {"train": TrainConfig(seed=-1)}, "train.seed",
-                     id="experiment_seed"),
+        pytest.param(ExperimentConfig, {"seed": -1}, "seed", id="experiment_seed"),
+        pytest.param(SplitSpec, {"seed": -3}, "seed", id="split_seed"),
+        pytest.param(TrainConfig, {"seed": -1}, "seed", id="train_seed"),
+        pytest.param(GbdtConfig, {"seed": 2**70}, "seed", id="gbdt_seed"),
+        pytest.param(ExperimentConfig, {"model": ModelConfig(input_shape=(1, 16, 16))},
+                     "model.input_shape", id="experiment_gaussian_shape"),
+        pytest.param(ExperimentConfig, {"dataset": DatasetConfig(kind="images",
+                                                                 image=SequenceImageSpec(16)),
+                                        "model": ModelConfig(input_shape=(4, 8, 8))},
+                     "model.input_shape", id="experiment_image_shape"),
     ])
     def test_invalid_config_cannot_be_built(self, cls, kwargs, path):
         with pytest.raises(ValueError) as err:
             cls(**kwargs)
         if path is not None:
             assert isinstance(err.value, ConfigError) and err.value.path == path
+
+    @pytest.mark.parametrize("cls,name", NUMERIC_FIELDS)
+    def test_nan_cannot_be_built(self, cls, name):
+        default = getattr(cls(), name)
+        nan = (math.nan,) * len(default) if isinstance(default, tuple) else math.nan
+        with pytest.raises(ValueError):
+            cls(**{name: nan})
+
+    @pytest.mark.parametrize("name", ["means", "covariance_scale", "proportions"])
+    def test_nan_cluster_spec_cannot_be_built(self, name):
+        spec = ProfileConfig().to_cluster_spec()
+        with pytest.raises(ValueError):
+            replace(spec, **{name: np.full_like(getattr(spec, name), math.nan)})
 
     def test_a_typo_in_code_is_rejected_before_any_stage(self, tmp_path):
         cfg = mini_config(str(tmp_path))
@@ -435,8 +491,12 @@ class TestRunSingle:
         assert err.value.__cause__ is cause
 
     def test_invalid_inputs_carry_their_stage(self, tmp_path):
+        # a file's feature shape is known only when the data stage reads it
+        path = tmp_path / "dim32.csv"
+        save_dataset(LabeledDataset(np.zeros((30, 32), np.float32), np.arange(30) % 3,
+                                    ("A", "B", "C")), path)
         doc = mini_doc(str(tmp_path))
-        doc["dataset"]["profile"]["dim"] = 32  # model expects 64 inputs
+        doc["dataset"] = {"source": "file", "path": str(path)}  # model expects 64 inputs
         cfg = normalize_config(doc)
         with pytest.raises(StageError) as err:
             run_single(cfg, excluded=0)
