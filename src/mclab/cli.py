@@ -25,6 +25,7 @@ from pathlib import Path
 from .composer import read_prediction_log
 from .datagen import save_dataset
 from .harness import (
+    MANIFEST_ARTIFACT,
     ConfigError,
     ExperimentConfig,
     StageError,
@@ -74,7 +75,9 @@ def load_config(
 ) -> ExperimentConfig:
     """Read and override the config document, then build the experiment config.
 
-    Precedence: --set > file > MCLAB_SEED (seed only) > defaults.
+    Precedence: --set > file > MCLAB_SEED (seed only) > defaults. A sweep
+    manifest stands for the config it records, so the environment and
+    ``--set`` apply to that config.
     """
     env = os.environ if env is None else env
     doc: dict = {}
@@ -92,6 +95,10 @@ def load_config(
             raise ConfigError("config", f"cannot read {config_path}: {exc.strerror}") from None
         if not isinstance(loaded, dict):
             raise ConfigError("config", "top level must be a JSON object")
+        if loaded.get("artifact") == MANIFEST_ARTIFACT:  # replay a sweep from its manifest
+            loaded = loaded.get("config")
+            if not isinstance(loaded, dict):
+                raise ConfigError("config", f"{config_path} is a sweep manifest without a config")
         doc = loaded
     overrides = [_parse_set(s) for s in (sets or [])]
     if "seed" not in doc and not any(p == ["seed"] for p, _ in overrides):

@@ -156,6 +156,8 @@ class DatasetConfig:
 
 # set per run by run_single, never part of the config document
 _RUN_TIME_FIELD = "policy.excluded_label"
+# the "artifact" tag of a sweep manifest.json
+MANIFEST_ARTIFACT = "mclab-sweep v1"
 
 
 @dataclass(frozen=True)
@@ -256,13 +258,10 @@ def normalize_config(document: Mapping | None) -> ExperimentConfig:
     is the only one over the schema; ``--set`` relies on it too. Besides
     what the dataclasses check, the document's policy must keep ``tau`` and
     ``base_confidence_floor`` in [0, 1]; a policy built in code may set
-    ``tau`` above 1 to switch overrides off. Accepts a sweep manifest (the
-    config sits under its "config" key) for replayability.
+    ``tau`` above 1 to switch overrides off. A sweep manifest is not a
+    config document; ``cli.load_config`` unwraps one when it reads the file.
     """
-    doc = dict(document or {})
-    if isinstance(doc.get("config"), Mapping) and "seed" not in doc:
-        doc = dict(doc["config"])  # manifest replay
-    config = _build(ExperimentConfig, doc, "")
+    config = _build(ExperimentConfig, dict(document or {}), "")
     for key in ("tau", "base_confidence_floor"):
         if not 0.0 <= getattr(config.policy, key) <= 1.0:
             raise ConfigError(f"policy.{key}", "must be in [0, 1]")
@@ -540,7 +539,7 @@ def render_report(sweep: SweepResult) -> None:
         run_dir = Path(result.run_dir)
         runs[run_dir.name] = {p.name: _sha256(p) for p in sorted(run_dir.iterdir()) if p.is_file()}
     manifest = {
-        "artifact": "mclab-sweep v1",
+        "artifact": MANIFEST_ARTIFACT,
         "package_version": __version__,
         "master_seed": sweep.config.seed,
         "config": sweep.config.to_dict(),

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -73,6 +74,23 @@ class TestLoadConfig:
         path.write_text("[1, 2]")
         with pytest.raises(ConfigError, match="object"):
             load_config(str(path), [], env={})
+
+    def test_manifest_document_is_accepted(self, tmp_path):
+        cfg = normalize_config(mini_doc(str(tmp_path)))
+        manifest = {"artifact": "mclab-sweep v1", "config": cfg.to_dict(), "runs": {}}
+        path = write_doc(tmp_path, manifest, "manifest.json")
+        assert load_config(path, [], env={}) == cfg
+        with pytest.raises(ConfigError, match="^artifact: unknown field$"):
+            normalize_config(manifest)  # only the file reader unwraps a manifest
+        path = write_doc(tmp_path, {"artifact": "mclab-sweep v1", "runs": {}}, "empty.json")
+        with pytest.raises(ConfigError, match="^config: .*empty.json is a sweep manifest"):
+            load_config(path, [], env={})
+
+    def test_config_key_is_not_a_manifest(self):
+        with pytest.raises(ConfigError, match="^config: unknown field$"):
+            load_config(None, ["config.seed=3"], env={})
+        with pytest.raises(ConfigError, match="^config: unknown field$"):
+            load_config(None, ["config.seed=3"], env={"MCLAB_SEED": "4"})
 
 
 class TestExitCodes:
@@ -266,6 +284,16 @@ class TestSweepReport:
         assert main(["report", "--run", str(root)]) == 0
         capsys.readouterr()
         assert (root / "table3.csv").read_bytes() == original
+
+    def test_manifest_replays_with_overrides(self, cli_sweep):
+        _, path, root = cli_sweep
+        manifest = str(root / "manifest.json")
+        cfg = load_config(path, [], env={})
+        # the manifest's config states its seed, so it outranks MCLAB_SEED as a file does
+        assert load_config(manifest, [], env={"MCLAB_SEED": "4"}) == cfg
+        assert load_config(manifest, ["seed=4"], env={"MCLAB_SEED": "5"}) == replace(cfg, seed=4)
+        assert load_config(manifest, ["gbdt.n_rounds=3"], env={}) == load_config(
+            path, ["gbdt.n_rounds=3"], env={})
 
     def test_report_without_manifest_fails(self, tmp_path, capsys):
         assert main(["report", "--run", str(tmp_path)]) == 2

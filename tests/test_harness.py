@@ -198,10 +198,6 @@ class TestNormalizeConfig:
         block = after.split("```json\n", 1)[1].split("```", 1)[0]
         assert json.loads(block) == default_config_dict()
 
-    def test_manifest_document_is_accepted(self, tmp_path):
-        cfg = mini_config(str(tmp_path))
-        assert normalize_config({"config": cfg.to_dict()}) == cfg
-
     @pytest.mark.parametrize(
         "patch,path",
         [

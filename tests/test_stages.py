@@ -123,6 +123,105 @@ class TestConvStage:
         with pytest.raises(ValueError, match="too small"):
             ConvStage._maxpool(np.ones((1, 1, 1, 1)))
 
+    def test_rejects_wrong_channel_count(self):
+        stage = ConvStage(3, (2,), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="^input channels 1 != 3$"):
+            stage.forward(np.zeros((2, 1, 8, 8)))
+
+    @pytest.mark.parametrize("plan", [(4, 8, 16), (2, 3, 4)])
+    @pytest.mark.parametrize("size", [(8, 8), (9, 11), (16, 16)])
+    def test_cache_holds_each_padded_input(self, plan, size):
+        gen = np.random.default_rng(7)
+        stage = ConvStage(3, plan, gen)
+        x = gen.standard_normal((5, 3) + size)
+        _, cache = stage.forward(x)
+        assert len(cache) == len(plan)
+        for (xp, *_), w, b in zip(cache, stage.weights, stage.biases):
+            b_n, c, h, wd = x.shape
+            assert xp.shape == (b_n, c, h + 2, wd + 2)
+            np.testing.assert_array_equal(xp[:, :, 1:-1, 1:-1], x)
+            border = np.ones(xp.shape, dtype=bool)
+            border[:, :, 1:-1, 1:-1] = False
+            assert not xp[border].any()
+            x = ConvStage._maxpool(relu(reference_conv3x3(xp, w) + b[None, :, None, None]))[0]
+
+
+# The conv stage as it was written with np.tensordot, kept verbatim as the
+# oracle: ConvStage must reproduce its output and gradients bit for bit, so
+# that trained weights and every artifact built from them stay byte-identical.
+def reference_conv3x3(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # xp: padded input (B, C, H+2, W+2); w: (O, C, 3, 3) -> (B, O, H, W)
+    b_n, _, hp, wp = xp.shape
+    h, wd = hp - 2, wp - 2
+    acc = np.zeros((b_n, h, wd, w.shape[0]))
+    for di in range(3):
+        for dj in range(3):
+            xs = xp[:, :, di : di + h, dj : dj + wd]
+            acc += np.tensordot(xs, w[:, :, di, dj], axes=([1], [1]))
+    return np.ascontiguousarray(acc.transpose(0, 3, 1, 2))
+
+
+def reference_forward(stage: ConvStage, x: np.ndarray) -> tuple[np.ndarray, list]:
+    cache = []
+    for w, b in zip(stage.weights, stage.biases):
+        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        pre = reference_conv3x3(xp, w) + b[None, :, None, None]
+        act = relu(pre)
+        out, arg = stage._maxpool(act)
+        cache.append((xp, pre > 0, act.shape, arg))
+        x = out
+    return x, cache
+
+
+def reference_backward(stage: ConvStage, dout: np.ndarray, cache: list) -> tuple[np.ndarray, dict]:
+    grads: dict[str, np.ndarray] = {}
+    for i in range(len(stage.weights) - 1, -1, -1):
+        xp, mask, act_shape, arg = cache[i]
+        dact = stage._maxpool_backward(dout, arg, act_shape)
+        dpre = dact * mask
+        w = stage.weights[i]
+        h, wd = dpre.shape[2], dpre.shape[3]
+        dw = np.zeros_like(w)
+        dxp = np.zeros_like(xp)
+        for di in range(3):
+            for dj in range(3):
+                xs = xp[:, :, di : di + h, dj : dj + wd]
+                # dW[o,c] = sum_bhw dpre[b,o,h,w] * xs[b,c,h,w]
+                dw[:, :, di, dj] = np.tensordot(dpre, xs, axes=([0, 2, 3], [0, 2, 3]))
+                contrib = np.tensordot(dpre, w[:, :, di, dj], axes=([1], [0]))
+                dxp[:, :, di : di + h, dj : dj + wd] += contrib.transpose(0, 3, 1, 2)
+        grads[f"conv{i}.w"] = dw
+        grads[f"conv{i}.b"] = dpre.sum(axis=(0, 2, 3))
+        dout = dxp[:, :, 1:-1, 1:-1]
+    return dout, grads
+
+
+class TestConvBitIdentity:
+    # batch 1 catches a weight slice copied to a contiguous array (dx moves);
+    # 256 is the inference chunk, 9x11 an odd size the pool crops
+    @pytest.mark.parametrize("plan", [(4, 8, 16), (2, 3, 4)])
+    @pytest.mark.parametrize("size", [(8, 8), (9, 11), (16, 16)])
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("batch", [1, 2, 17, 64, 256])
+    def test_matches_the_tensordot_conv_bit_for_bit(self, batch, channels, size, plan):
+        gen = np.random.default_rng(1000 * batch + 10 * channels + size[1])
+        stage = ConvStage(channels, plan, gen)
+        for b in stage.biases:
+            b[:] = 0.1 * gen.standard_normal(b.shape)
+        x = gen.standard_normal((batch, channels) + size)
+        out, cache = stage.forward(x)
+        ref_out, ref_cache = reference_forward(stage, x)
+        assert np.array_equal(out, ref_out)
+        for got, want in zip(cache, ref_cache):
+            assert np.array_equal(got[0], want[0])
+        r = gen.standard_normal(out.shape)
+        dx, grads = stage.backward(r, cache)
+        ref_dx, ref_grads = reference_backward(stage, r, ref_cache)
+        assert np.array_equal(dx, ref_dx)
+        assert grads.keys() == ref_grads.keys()
+        for name in grads:
+            assert np.array_equal(grads[name], ref_grads[name]), name
+
 
 class TestLstmStage:
     def test_gradients_match_finite_differences(self):
