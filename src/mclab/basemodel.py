@@ -311,7 +311,7 @@ class StagedModel:
         dseq, lstm_grads = self.lstm.backward(dhs, lstm_cache)
         grads.update(lstm_grads)
         dconv = np.ascontiguousarray(dseq.transpose(0, 2, 1)).reshape(b_n2, c_p, h_p, w_p)
-        _, conv_grads = self.conv.backward(dconv, conv_cache)
+        _, conv_grads = self.conv.backward(dconv, conv_cache, input_grad=False)
         grads.update(conv_grads)
         return loss, grads
 

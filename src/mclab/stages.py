@@ -26,13 +26,11 @@ __all__ = [
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    # piecewise form avoids overflow in exp for large |z|
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # One branch-free pass: exp(min(z, -z)) = exp(-|z|) never overflows, and
+    # picks the same operands per sign as the piecewise 1/(1+exp(-z)),
+    # exp(z)/(1+exp(z)), so every bit matches it; min (not -abs) keeps NaN's sign.
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -69,6 +67,19 @@ class ConvStage:
     in one temporary raises peak memory ~15% and slows 50k-row inference;
     one GEMM with K = 9*C (im2col) is faster still but reorders the sums, so
     trained weights move.
+
+    Pooling contract: the 2x2 pool reads the four window positions as strided
+    views in window order (0,0), (0,1), (1,0), (1,1); its output is their
+    elementwise max, and routing goes to the first position holding the max
+    (the order ``argmax`` used, which the tests keep as an oracle). Backward
+    writes ``dout`` into each position's view of a zeroed array where it
+    routes and exact +0.0 elsewhere, then applies the ReLU mask. With
+    ``input_grad=False`` (what ``StagedModel`` asks for) the first layer
+    computes dW and the bias gradient only. Measured and not taken:
+    ``np.copyto(..., where=route)`` on the views is no faster than the
+    ``argmax`` pool; pooling the pre-activation and applying ReLU afterwards
+    is no faster than the boolean routes; ``dout * route`` gives -0.0 where
+    ``dout`` < 0 does not route, so the bytes of dX change.
     """
 
     def __init__(self, in_channels: int, plan: tuple[int, ...], gen: np.random.Generator):
@@ -91,33 +102,32 @@ class ConvStage:
         return out
 
     @staticmethod
-    def _maxpool(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        b_n, c, h, w = x.shape
-        h2, w2 = h // 2, w // 2
-        if h2 == 0 or w2 == 0:
-            raise ValueError(f"spatial size {h}x{w} too small to pool")
-        win = (
-            x[:, :, : h2 * 2, : w2 * 2]
-            .reshape(b_n, c, h2, 2, w2, 2)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(b_n, c, h2, w2, 4)
-        )
-        arg = win.argmax(axis=-1)  # first max wins; deterministic routing
-        out = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
-        return out, arg
+    def _quadrants(x: np.ndarray, h2: int, w2: int) -> list[np.ndarray]:
+        """Strided views of the four 2x2 window positions, in window order."""
+        return [x[:, :, di : 2 * h2 : 2, dj : 2 * w2 : 2] for di in (0, 1) for dj in (0, 1)]
 
-    @staticmethod
-    def _maxpool_backward(dout: np.ndarray, arg: np.ndarray, in_shape: tuple) -> np.ndarray:
-        b_n, c, h, w = in_shape
-        h2, w2 = h // 2, w // 2
-        dwin = np.zeros((b_n, c, h2, w2, 4))
-        np.put_along_axis(dwin, arg[..., None], dout[..., None], axis=-1)
+    @classmethod
+    def _maxpool(cls, x: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        h2, w2 = x.shape[2] // 2, x.shape[3] // 2
+        if h2 == 0 or w2 == 0:
+            raise ValueError(f"spatial size {x.shape[2]}x{x.shape[3]} too small to pool")
+        v0, v1, v2, v3 = cls._quadrants(x, h2, w2)
+        out = np.maximum(np.maximum(v0, v1), np.maximum(v2, v3))
+        # first max wins: a position routes if it holds the max and no earlier one does
+        r0 = v0 == out
+        r1 = (v1 == out) & ~r0
+        taken = r0 | r1
+        r2 = (v2 == out) & ~taken
+        taken |= r2
+        return out, (r0, r1, r2, ~taken)
+
+    @classmethod
+    def _maxpool_backward(
+        cls, dout: np.ndarray, routes: tuple[np.ndarray, ...], in_shape: tuple
+    ) -> np.ndarray:
         dx = np.zeros(in_shape)
-        dx[:, :, : h2 * 2, : w2 * 2] = (
-            dwin.reshape(b_n, c, h2, w2, 2, 2)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(b_n, c, h2 * 2, w2 * 2)
-        )
+        for view, route in zip(cls._quadrants(dx, *dout.shape[2:]), routes):
+            view[...] = np.where(route, dout, 0.0)
         return dx
 
     @staticmethod
@@ -146,20 +156,24 @@ class ConvStage:
 
     @classmethod
     def _conv3x3_backward(
-        cls, xp: np.ndarray, w: np.ndarray, dpre: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+        cls, xp: np.ndarray, w: np.ndarray, dpre: np.ndarray, input_grad: bool
+    ) -> tuple[np.ndarray | None, np.ndarray]:
         # dW[o,c] = sum_bhw dpre[b,o,h,w] * xs[b,c,h,w]; dX[b,h,w,c] = sum_o dpre[b,o,h,w] * w[o,c]
         b_n, c, hp, wp = xp.shape
         o, h, wd = w.shape[0], hp - 2, wp - 2
         dpre_oc = dpre.transpose(1, 0, 2, 3).reshape(o, -1)
-        dpre_rows = dpre.transpose(0, 2, 3, 1).reshape(-1, o)
         dw = np.zeros_like(w)
-        dxt = np.zeros((b_n, hp, wp, c))
+        if input_grad:
+            dpre_rows = dpre.transpose(0, 2, 3, 1).reshape(-1, o)
+            dxt = np.zeros((b_n, hp, wp, c))
         for di, dj, cols in cls._windows(xp):
             dw[:, :, di, dj] = np.dot(dpre_oc, cols)
-            dxt[:, di : di + h, dj : dj + wd] += np.dot(dpre_rows, w[:, :, di, dj]).reshape(
-                b_n, h, wd, c
-            )
+            if input_grad:
+                dxt[:, di : di + h, dj : dj + wd] += np.dot(dpre_rows, w[:, :, di, dj]).reshape(
+                    b_n, h, wd, c
+                )
+        if not input_grad:
+            return None, dw
         return dxt[:, 1:-1, 1:-1].transpose(0, 3, 1, 2), dw
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list]:
@@ -173,17 +187,24 @@ class ConvStage:
             pre = self._conv3x3(xp, w)
             pre += b[None, :, None, None]
             act = relu(pre)
-            out, arg = self._maxpool(act)
-            cache.append((xp, pre > 0, act.shape, arg))
+            out, routes = self._maxpool(act)
+            cache.append((xp, pre > 0, act.shape, routes))
             x = out
         return x, cache
 
-    def backward(self, dout: np.ndarray, cache: list) -> tuple[np.ndarray, dict]:
+    def backward(
+        self, dout: np.ndarray, cache: list, input_grad: bool = True
+    ) -> tuple[np.ndarray | None, dict]:
+        """Gradients of the weights and biases, and of the input unless
+        ``input_grad`` is false (then the first element is None)."""
         grads: dict[str, np.ndarray] = {}
         for i in range(len(self.weights) - 1, -1, -1):
-            xp, mask, act_shape, arg = cache[i]
-            dpre = self._maxpool_backward(dout, arg, act_shape) * mask
-            dout, grads[f"conv{i}.w"] = self._conv3x3_backward(xp, self.weights[i], dpre)
+            xp, mask, act_shape, routes = cache[i]
+            dpre = self._maxpool_backward(dout, routes, act_shape)
+            dpre *= mask
+            dout, grads[f"conv{i}.w"] = self._conv3x3_backward(
+                xp, self.weights[i], dpre, input_grad or i > 0
+            )
             grads[f"conv{i}.b"] = dpre.sum(axis=(0, 2, 3))
         return dout, grads
 
@@ -219,10 +240,9 @@ class LstmStage:
         for t in range(t_len):
             x_t = seq[:, t]
             z = x_t @ self.wx + h @ self.wh + self.b
-            i = sigmoid(z[:, :h_n])
-            f = sigmoid(z[:, h_n : 2 * h_n])
+            s = sigmoid(z)  # one call for the three sigmoid gates; the cell slice is unused
+            i, f, o = s[:, :h_n], s[:, h_n : 2 * h_n], s[:, 3 * h_n :]
             g = np.tanh(z[:, 2 * h_n : 3 * h_n])
-            o = sigmoid(z[:, 3 * h_n :])
             c_new = f * c + i * g
             tc = np.tanh(c_new)
             h_new = o * tc

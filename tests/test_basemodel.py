@@ -229,6 +229,34 @@ class TestComposedGradients:
                 else:
                     assert max_rel_err(grads[name], fd) < TOL, f"{name} seed {seed}"
 
+    @pytest.mark.parametrize("batch", [1, 17, 64])
+    def test_skipped_input_gradient_leaves_every_gradient_byte_identical(self, batch, monkeypatch):
+        # loss_and_grads asks the conv stage for no input gradient; the same
+        # step with the full conv backward (input gradient computed and
+        # discarded) must give the same bytes for the loss and every gradient
+        model = StagedModel(ModelConfig(), seed=batch)
+        gen = np.random.default_rng(batch)
+        x = gen.standard_normal((batch, 1, 8, 8))
+        y = gen.integers(0, 7, size=batch)
+        w = gen.uniform(0.5, 40.0, size=7)
+        loss, grads = model.loss_and_grads(x, y, w, 0.5, np.random.default_rng(3))
+
+        full_backward = model.conv.backward
+        seen = []
+
+        def backward_with_input_grad(dout, cache, **_):
+            dx, conv_grads = full_backward(dout, cache)
+            seen.append(dx.shape)
+            return dx, conv_grads
+
+        monkeypatch.setattr(model.conv, "backward", backward_with_input_grad)
+        full_loss, full_grads = model.loss_and_grads(x, y, w, 0.5, np.random.default_rng(3))
+        assert seen == [(batch, 1, 8, 8)]
+        assert full_loss == loss
+        assert list(grads) == list(full_grads)
+        for name in grads:
+            assert grads[name].tobytes() == full_grads[name].tobytes(), name
+
     def test_zero_model_head_bias_gradient_closed_form(self):
         model = StagedModel(SMALL, seed=0)
         for _, param in model.params():

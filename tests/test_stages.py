@@ -46,6 +46,24 @@ class TestActivations:
         assert big[0] == pytest.approx(1.0)
         assert big[1] == pytest.approx(0.0)
 
+    def test_sigmoid_bytes_match_the_piecewise_form(self):
+        def piecewise(z):
+            out = np.empty_like(z)
+            pos = z >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+            ez = np.exp(z[~pos])
+            out[~pos] = ez / (1.0 + ez)
+            return out
+
+        payload_nan = np.array([0x7FF8000000000123], dtype=np.uint64).view(np.float64)[0]
+        edges = [0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300, np.inf, -np.inf]
+        edges += [np.nan, -np.nan, payload_nan, -payload_nan]
+        z = np.concatenate([np.random.default_rng(0).normal(0.0, 30.0, 100_000), edges])
+        assert sigmoid(z).tobytes() == piecewise(z).tobytes()
+        grid = z[:4096].reshape(64, 64)  # LSTM pre-activation shape, and its column slices
+        assert sigmoid(grid).tobytes() == piecewise(grid).tobytes()
+        assert sigmoid(grid[:, 48:]).tobytes() == piecewise(grid[:, 48:]).tobytes()
+
     def test_sigmoid_symmetry(self):
         z = np.linspace(-20, 20, 41)
         np.testing.assert_allclose(sigmoid(-z), 1.0 - sigmoid(z), atol=1e-12)
@@ -115,7 +133,7 @@ class TestConvStage:
         x = np.array([[[[5.0, 5.0], [3.0, 1.0]]]])
         out, arg = ConvStage._maxpool(x)
         assert out[0, 0, 0, 0] == 5.0
-        assert arg[0, 0, 0, 0] == 0
+        assert [bool(r[0, 0, 0, 0]) for r in arg] == [True, False, False, False]
         dx = ConvStage._maxpool_backward(np.ones((1, 1, 1, 1)), arg, x.shape)
         np.testing.assert_array_equal(dx[0, 0], [[1.0, 0.0], [0.0, 0.0]])
 
@@ -146,9 +164,38 @@ class TestConvStage:
             x = ConvStage._maxpool(relu(reference_conv3x3(xp, w) + b[None, :, None, None]))[0]
 
 
-# The conv stage as it was written with np.tensordot, kept verbatim as the
-# oracle: ConvStage must reproduce its output and gradients bit for bit, so
-# that trained weights and every artifact built from them stay byte-identical.
+# The conv stage as it was written with np.tensordot and an argmax pool, kept
+# verbatim as the oracle: ConvStage must reproduce its output and gradients
+# byte for byte, so that trained weights and every artifact built from them
+# stay byte-identical.
+def reference_maxpool(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    b_n, c, h, w = x.shape
+    h2, w2 = h // 2, w // 2
+    win = (
+        x[:, :, : h2 * 2, : w2 * 2]
+        .reshape(b_n, c, h2, 2, w2, 2)
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(b_n, c, h2, w2, 4)
+    )
+    arg = win.argmax(axis=-1)  # first max wins; deterministic routing
+    out = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
+    return out, arg
+
+
+def reference_maxpool_backward(dout: np.ndarray, arg: np.ndarray, in_shape: tuple) -> np.ndarray:
+    b_n, c, h, w = in_shape
+    h2, w2 = h // 2, w // 2
+    dwin = np.zeros((b_n, c, h2, w2, 4))
+    np.put_along_axis(dwin, arg[..., None], dout[..., None], axis=-1)
+    dx = np.zeros(in_shape)
+    dx[:, :, : h2 * 2, : w2 * 2] = (
+        dwin.reshape(b_n, c, h2, w2, 2, 2)
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(b_n, c, h2 * 2, w2 * 2)
+    )
+    return dx
+
+
 def reference_conv3x3(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
     # xp: padded input (B, C, H+2, W+2); w: (O, C, 3, 3) -> (B, O, H, W)
     b_n, _, hp, wp = xp.shape
@@ -167,7 +214,7 @@ def reference_forward(stage: ConvStage, x: np.ndarray) -> tuple[np.ndarray, list
         xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
         pre = reference_conv3x3(xp, w) + b[None, :, None, None]
         act = relu(pre)
-        out, arg = stage._maxpool(act)
+        out, arg = reference_maxpool(act)
         cache.append((xp, pre > 0, act.shape, arg))
         x = out
     return x, cache
@@ -177,7 +224,7 @@ def reference_backward(stage: ConvStage, dout: np.ndarray, cache: list) -> tuple
     grads: dict[str, np.ndarray] = {}
     for i in range(len(stage.weights) - 1, -1, -1):
         xp, mask, act_shape, arg = cache[i]
-        dact = stage._maxpool_backward(dout, arg, act_shape)
+        dact = reference_maxpool_backward(dout, arg, act_shape)
         dpre = dact * mask
         w = stage.weights[i]
         h, wd = dpre.shape[2], dpre.shape[3]
@@ -196,6 +243,11 @@ def reference_backward(stage: ConvStage, dout: np.ndarray, cache: list) -> tuple
     return dout, grads
 
 
+def same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    # np.array_equal cannot tell -0.0 from +0.0; the trained weights can
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestConvBitIdentity:
     # batch 1 catches a weight slice copied to a contiguous array (dx moves);
     # 256 is the inference chunk, 9x11 an odd size the pool crops
@@ -211,16 +263,36 @@ class TestConvBitIdentity:
         x = gen.standard_normal((batch, channels) + size)
         out, cache = stage.forward(x)
         ref_out, ref_cache = reference_forward(stage, x)
-        assert np.array_equal(out, ref_out)
+        assert same_bytes(out, ref_out)
         for got, want in zip(cache, ref_cache):
-            assert np.array_equal(got[0], want[0])
+            assert same_bytes(got[0], want[0])
         r = gen.standard_normal(out.shape)
         dx, grads = stage.backward(r, cache)
         ref_dx, ref_grads = reference_backward(stage, r, ref_cache)
-        assert np.array_equal(dx, ref_dx)
-        assert grads.keys() == ref_grads.keys()
+        assert same_bytes(dx, ref_dx)
+        assert list(grads) == list(ref_grads)
         for name in grads:
-            assert np.array_equal(grads[name], ref_grads[name]), name
+            assert same_bytes(grads[name], ref_grads[name]), name
+        no_dx, param_grads = stage.backward(r, cache, input_grad=False)
+        assert no_dx is None
+        assert list(param_grads) == list(ref_grads)
+        for name in param_grads:
+            assert same_bytes(param_grads[name], ref_grads[name]), name
+
+    def test_pool_routes_like_argmax_on_ties(self):
+        # many exact ties, including windows of zeros as ReLU leaves them
+        gen = np.random.default_rng(5)
+        x = np.maximum(gen.integers(-2, 3, (3, 4, 10, 7)).astype(np.float64), 0.0)
+        out, routes = ConvStage._maxpool(x)
+        ref_out, arg = reference_maxpool(x)
+        assert same_bytes(out, ref_out)
+        for k, route in enumerate(routes):
+            assert np.array_equal(route, arg == k), k
+        dout = gen.standard_normal(out.shape)
+        assert same_bytes(
+            ConvStage._maxpool_backward(dout, routes, x.shape),
+            reference_maxpool_backward(dout, arg, x.shape),
+        )
 
 
 class TestLstmStage:
