@@ -1,11 +1,13 @@
-"""Composition of the base classifier with a corrector under a decision policy.
+"""Composition of the base classifier with a corrector under the paper's
+decision rule.
 
-The corrected classifier returns the base prediction unless the active policy
-fires, in which case the corrector's verdict (or the NEW_CLASS sentinel)
-replaces it. Raising ``tau`` never increases the number of overrides. A
-``DecisionPolicy`` checks its kind when it is built, so ``decide_batch``
-applies it without a second check; only the run-time ``excluded_label`` is
-checked there.
+The corrected classifier returns the base prediction unless the corrector
+names the excluded class with probability at least ``tau``; then that label
+(or, with ``as_new_class``, the NEW_CLASS sentinel) replaces it. Raising
+``tau`` never increases the number of overrides. A ``DecisionPolicy`` checks
+its fields when it is built; only the range of the run-time
+``excluded_label``, which depends on the corrector, is checked in
+``decide_batch``.
 
 ``compose_batch`` streams the batch in row blocks: one forward pass per
 block yields both the base posteriors and the corrector's latent rows, and
@@ -31,7 +33,6 @@ from .metrics import PairedPredictions
 
 __all__ = [
     "NEW_CLASS",
-    "POLICY_KINDS",
     "CorrectedPrediction",
     "DecisionPolicy",
     "Predictions",
@@ -40,8 +41,6 @@ __all__ = [
     "read_prediction_log",
     "write_prediction_log",
 ]
-
-POLICY_KINDS = ("always_corrector", "threshold_override", "excluded_only")
 
 PREDS_MAGIC = "mclab-preds v1"
 LOG_COLUMNS = "sample_id,true,base,corrected,overridden,base_conf,corr_conf"
@@ -59,37 +58,29 @@ STREAM_BLOCK = 16 * FORWARD_CHUNK
 class DecisionPolicy:
     """When the corrector's verdict replaces the base prediction.
 
-    always_corrector:    the corrector's argmax always wins.
-    threshold_override:  override only when the base model is unsure
-                         (max base prob < base_confidence_floor) and the
-                         corrector is sure (max corrector prob >= tau).
-    excluded_only:       override only when the corrector's argmax is the
-                         designated excluded label with probability >= tau;
-                         that label plays the role of the "new class". With
-                         ``as_new_class`` the override emits the NEW_CLASS
-                         sentinel instead of the label itself.
+    The override fires only when the corrector's argmax is ``excluded_label``,
+    the class left out of the base model's training, with probability at
+    least ``tau``. With ``as_new_class`` the override emits the NEW_CLASS
+    sentinel instead of the label itself.
 
-    An unknown ``kind`` or a NaN is rejected when the policy is built. Any
-    other ``tau`` builds: one above 1 is unreachable and switches overrides
-    off. The config document also keeps ``tau`` and
-    ``base_confidence_floor`` in [0, 1] (``harness.normalize_config``). The
-    range of the run-time ``excluded_label`` is checked when the policy is
-    applied.
+    A NaN ``tau`` and an ``excluded_label`` that is neither None nor an int
+    (a bool included) are rejected when the policy is built. Any other
+    ``tau`` builds: one above 1 is unreachable and switches overrides off.
+    The config document also keeps ``tau`` in [0, 1]
+    (``harness.normalize_config``). Whether the run-time ``excluded_label``
+    is one of the corrector's classes is checked when the policy is applied.
     """
 
-    kind: str = "excluded_only"
     tau: float = 0.5
-    base_confidence_floor: float = 0.6
     excluded_label: int | None = None
     as_new_class: bool = False
 
     def __post_init__(self) -> None:
-        if self.kind not in POLICY_KINDS:
-            raise ConfigError("kind", f"must be one of {', '.join(POLICY_KINDS)}, "
-                                      f"not {self.kind!r}")
-        for key in ("tau", "base_confidence_floor", "excluded_label"):
-            if (value := getattr(self, key)) is not None and math.isnan(value):
-                raise ConfigError(key, "must not be NaN")
+        if math.isnan(self.tau):
+            raise ConfigError("tau", "must not be NaN")
+        label = self.excluded_label
+        if isinstance(label, bool) or not isinstance(label, (int, np.integer, type(None))):
+            raise ConfigError("excluded_label", f"must be an int, not {label!r}")
 
 
 class CorrectedPrediction(NamedTuple):
@@ -144,25 +135,17 @@ def decide_batch(
     if base_probs.shape[0] != corr_probs.shape[0]:
         raise ValueError("base and corrector posteriors must have one row per sample")
     base_label = base_probs.argmax(axis=1)
-    corr_label = corr_probs.argmax(axis=1)
     if policy is None:
         corrected = base_label
-    elif policy.kind == "always_corrector":
-        corrected = corr_label
-    elif policy.kind == "threshold_override":
-        fire = (base_probs.max(axis=1) < policy.base_confidence_floor) & (
-            corr_probs.max(axis=1) >= policy.tau
-        )
-        corrected = np.where(fire, corr_label, base_label)
     else:
-        if policy.excluded_label is None:
-            raise ValueError("excluded_only policy needs excluded_label")
-        exc = int(policy.excluded_label)
+        exc = policy.excluded_label
+        if exc is None:
+            raise ValueError("the policy needs an excluded_label")
         if not 0 <= exc < corr_probs.shape[1]:
             raise ValueError(
                 f"excluded_label {exc} is outside the corrector's {corr_probs.shape[1]} classes"
             )
-        fire = (corr_label == exc) & (corr_probs[:, exc] >= policy.tau)
+        fire = (corr_probs.argmax(axis=1) == exc) & (corr_probs[:, exc] >= policy.tau)
         corrected = np.where(fire, NEW_CLASS if policy.as_new_class else exc, base_label)
     return Predictions(base_label, corrected, corrected != base_label, base_probs, corr_probs)
 

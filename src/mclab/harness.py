@@ -256,15 +256,14 @@ def normalize_config(document: Mapping | None) -> ExperimentConfig:
     Raises ConfigError naming the offending field path: an unknown path, a
     value of the wrong type, or whatever the dataclasses reject. This walk
     is the only one over the schema; ``--set`` relies on it too. Besides
-    what the dataclasses check, the document's policy must keep ``tau`` and
-    ``base_confidence_floor`` in [0, 1]; a policy built in code may set
-    ``tau`` above 1 to switch overrides off. A sweep manifest is not a
-    config document; ``cli.load_config`` unwraps one when it reads the file.
+    what the dataclasses check, the document's ``policy.tau`` must lie in
+    [0, 1]; a policy built in code may set ``tau`` above 1 to switch
+    overrides off. A sweep manifest is not a config document;
+    ``cli.load_config`` unwraps one when it reads the file.
     """
     config = _build(ExperimentConfig, dict(document or {}), "")
-    for key in ("tau", "base_confidence_floor"):
-        if not 0.0 <= getattr(config.policy, key) <= 1.0:
-            raise ConfigError(f"policy.{key}", "must be in [0, 1]")
+    if not 0.0 <= config.policy.tau <= 1.0:
+        raise ConfigError("policy.tau", "must be in [0, 1]")
     return config
 
 
@@ -393,9 +392,7 @@ def run_single(
                 _, base_probs = predict_batch(model, test_set)
                 preds = decide_batch(base_probs, np.zeros_like(base_probs), None)
             else:
-                policy = config.policy
-                if policy.kind == "excluded_only":
-                    policy = replace(policy, excluded_label=excluded)
+                policy = replace(config.policy, excluded_label=excluded)
                 preds = compose_batch(model, ensemble, policy, test_set)
         with _stage("metrics"):
             report = evaluate(PairedPredictions(

@@ -233,7 +233,7 @@ def test_criterion_6_exclusion_sweep_quality(reference_sweep):
             worst_tpr = max(worst_tpr, m.tpr_base)
     ok = (
         not failures
-        and cfg.policy.kind == "excluded_only"
+        and cfg.policy == DecisionPolicy()
         and cfg.dataset.n_total == 7000
         and cfg.model.n_classes == 7
         and elapsed < 900.0
@@ -258,7 +258,7 @@ def test_criterion_6_exclusion_sweep_quality(reference_sweep):
 def test_criterion_7_policy_degeneracy(tmp_path):
     t0 = time.perf_counter()
     cfg = mini_config(str(tmp_path / "runs"))
-    off = replace(cfg, policy=DecisionPolicy(kind="excluded_only", tau=2.0))
+    off = replace(cfg, policy=DecisionPolicy(tau=2.0))
     result = run_single(off, excluded=1)
     log = read_prediction_log(Path(result.run_dir) / "preds.csv")
     identical = bool(np.array_equal(log.corrected_labels, log.base_labels))

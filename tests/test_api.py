@@ -1,6 +1,7 @@
 """The hand-written export lists: every listed name exists, and the package
 list matches what ``mclab/__init__.py`` imports. The benchmark's calls into
-mclab resolve too, so a removed name fails here, not only in a benchmark run.
+mclab resolve too, so a removed name fails here, not only in a benchmark run,
+and one compose_infer pass passes its own check.
 Only ``core``'s line reader decodes a file's text or names a fault's line,
 no config has a ``validate`` method, and no rule has a second copy."""
 
@@ -160,3 +161,19 @@ def test_benchmark_tracer_installs_and_restores():
     after = _bindings()
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
+
+
+def test_benchmark_compose_infer_checks_clean(tmp_path, monkeypatch):
+    """One ``compose_infer`` pass of the benchmark passes its own check. The
+    check reads instance attributes, such as ``policy.excluded_label``,
+    ``.tau``, ``.as_new_class`` and each row's ``overridden``, that no chain
+    above can resolve."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    monkeypatch.chdir(tmp_path)  # the workload writes under ./.bench_work
+    workload = workloads.ComposeInfer(PERFBENCH.parent, seed=0)
+    workload.setup()
+    assert workload.check(workload.run_pass(1)) == []

@@ -131,6 +131,21 @@ class TestWeightedCeLoss:
             y = int(gen.integers(5))
             assert weighted_ce_loss(p, y, np.ones(5)) == -float(np.log(p[y]))
 
+    @pytest.mark.parametrize("dropout_p", [0.0, 0.5])
+    def test_training_loss_is_the_batch_mean_of_the_per_sample_loss(self, dropout_p):
+        # the loss training minimises divides the weighted sum by the batch
+        # size, not by the sum of the picked weights
+        gen = np.random.default_rng(31)
+        model = StagedModel(ModelConfig(n_classes=7), seed=4)
+        x = gen.standard_normal((37, 1, 8, 8))
+        y = gen.integers(0, 7, size=37)
+        w = np.array([0.0, 0.4, 1.0, 2.5, 7.0, 15.0, 40.0])
+        loss, _ = model.loss_and_grads(x, y, w, dropout_p, np.random.default_rng(5))
+        probs = model.forward_batch(x, dropout_p, np.random.default_rng(5))["probs"]
+        per_sample = [weighted_ce_loss(p, label, w) for p, label in zip(probs, y)]
+        assert loss == pytest.approx(float(np.mean(per_sample)), rel=1e-12)
+        assert loss != pytest.approx(sum(per_sample) / w[y].sum(), rel=1e-3)
+
 
 class TestForward:
     def test_probabilities_form_simplex_over_many_parameter_sets(self):

@@ -317,6 +317,23 @@ class TestSweepReport:
         err = capsys.readouterr().err
         assert str(copy / named) in err and message in err
 
+    def test_a_sweep_written_with_the_deleted_policy_fields_fails_cleanly(
+            self, cli_sweep, tmp_path, capsys):
+        # the policy block of a manifest written before the policy kept one rule
+        _, _, root = cli_sweep
+        copy = tmp_path / "cli"
+        shutil.copytree(root, copy)
+        manifest = copy / "manifest.json"
+        doc = json.loads(manifest.read_text(encoding="ascii"))
+        doc["config"]["policy"] = {"kind": "excluded_only", "tau": 0.5,
+                                   "base_confidence_floor": 0.6, "as_new_class": False}
+        manifest.write_text(json.dumps(doc), encoding="ascii")
+        assert main(["report", "--run", str(copy)]) == 2
+        err = capsys.readouterr().err
+        assert f"{manifest}: policy.kind: unknown field" in err
+        assert main(["sweep", "--config", str(manifest)]) == 1
+        assert "config error: policy.kind: unknown field" in capsys.readouterr().err
+
     def test_report_of_a_missing_log_names_it(self, cli_sweep, tmp_path, capsys):
         _, _, root = cli_sweep
         copy = tmp_path / "cli"

@@ -70,9 +70,9 @@ def small_world():
 
 
 class TestPolicyValidation:
-    """A policy checks its kind when it is built; the config document keeps
-    the thresholds in [0, 1] (``normalize_config``); the run-time label is
-    checked when the policy is applied."""
+    """A policy checks its fields when it is built; the config document keeps
+    ``tau`` in [0, 1] (``normalize_config``); the range of the run-time label
+    is checked when the policy is applied."""
 
     def apply(self, policy: DecisionPolicy) -> Predictions:
         probs = np.full((1, 3), 1 / 3)
@@ -89,23 +89,33 @@ class TestPolicyValidation:
         self.apply(DecisionPolicy(excluded_label=2))
 
     def test_rejects_unknown_kind(self):
-        with pytest.raises(ConfigError) as err:
-            DecisionPolicy(kind="majority_vote")
-        assert err.value.path == "kind"
-        assert err.value.message == ("must be one of always_corrector, threshold_override, "
-                                     "excluded_only, not 'majority_vote'")
+        # the paper's rule is the only one, so a document naming a kind is
+        # rejected like any other field the schema does not have
+        err = self.document_error({"kind": "excluded_only"})
+        assert (err.path, err.message) == ("policy.kind", "unknown field")
 
-    @pytest.mark.parametrize("field,value", [("tau", -0.1), ("tau", 1.5),
-                                             ("base_confidence_floor", 2.0)])
+    @pytest.mark.parametrize("field,value", [("tau", -0.1), ("tau", 1.5)])
     def test_rejects_out_of_range(self, field, value):
-        DecisionPolicy(kind="always_corrector", **{field: value})  # in code, it builds
-        err = self.document_error({"kind": "always_corrector", field: value})
+        DecisionPolicy(**{field: value})  # in code, it builds
+        err = self.document_error({field: value})
         assert (err.path, err.message) == (f"policy.{field}", "must be in [0, 1]")
 
+    @pytest.mark.parametrize("value", [1.7, 1.0, True, False, "1", float("nan")])
+    def test_rejects_an_excluded_label_that_is_not_an_int(self, value):
+        with pytest.raises(ConfigError) as err:
+            DecisionPolicy(excluded_label=value)
+        assert (err.value.path, err.value.message) == (
+            "excluded_label", f"must be an int, not {value!r}")
+
+    def test_accepts_a_numpy_integer_label(self):
+        label = np.int64(1)
+        out = decide([0.6, 0.3, 0.1], [0.05, 0.9, 0.05], DecisionPolicy(excluded_label=label))
+        assert out.corrected_label == 1 and out.overridden
+
     def test_field_problems_name_each_field_but_not_the_run_time_label(self):
-        for policy, path in [({"kind": "vote", "tau": 1.5}, "policy.kind"),
-                             ({"tau": 1.5, "base_confidence_floor": -0.1}, "policy.tau"),
-                             ({"base_confidence_floor": -0.1}, "policy.base_confidence_floor"),
+        for policy, path in [({"tau": 1.5, "as_new_class": 1}, "policy.as_new_class"),
+                             ({"tau": 1.5}, "policy.tau"),
+                             ({"tau": "high"}, "policy.tau"),
                              ({"excluded_label": 2}, "policy.excluded_label")]:
             assert self.document_error(policy).path == path
         assert self.document_error({"excluded_label": 2}).message == "unknown field"
@@ -114,81 +124,54 @@ class TestPolicyValidation:
 
 class TestDecision:
     def test_agreement_is_never_an_override(self):
-        for kind in ("always_corrector", "threshold_override", "excluded_only"):
-            p = DecisionPolicy(kind=kind, tau=0.0, excluded_label=0)
-            out = decide([0.7, 0.2, 0.1], [0.8, 0.1, 0.1], p)
-            assert out.base_label == out.corrected_label == 0
-            assert not out.overridden
-
-    def test_always_corrector_takes_corrector_argmax(self):
-        out = decide([0.7, 0.2, 0.1], [0.1, 0.1, 0.8],
-                     DecisionPolicy(kind="always_corrector"))
-        assert out.corrected_label == 2
-        assert out.overridden
-
-    def test_threshold_override_fires_on_unsure_base(self):
-        p = DecisionPolicy(kind="threshold_override", tau=0.5)
-        out = decide([0.5, 0.3, 0.2], [0.05, 0.05, 0.9], p)
-        assert out.corrected_label == 2 and out.overridden
-
-    def test_confident_base_is_never_overridden(self):
-        p = DecisionPolicy(kind="threshold_override", tau=0.0)
-        out = decide([0.95, 0.04, 0.01], [0.0001, 0.0001, 0.9998], p)
-        assert out.corrected_label == 0 and not out.overridden
-
-    def test_threshold_override_needs_sure_corrector(self):
-        p = DecisionPolicy(kind="threshold_override", tau=0.5)
-        out = decide([0.5, 0.3, 0.2], [0.4, 0.35, 0.25], p)
-        assert not out.overridden
-
-    def test_floor_boundary_is_exclusive(self):
-        # base max exactly at the floor counts as confident
-        p = DecisionPolicy(kind="threshold_override", tau=0.1, base_confidence_floor=0.6)
-        out = decide([0.6, 0.2, 0.2], [0.1, 0.1, 0.8], p)
+        # the corrector names the excluded label, which the base predicts too
+        p = DecisionPolicy(tau=0.0, excluded_label=0)
+        out = decide([0.7, 0.2, 0.1], [0.8, 0.1, 0.1], p)
+        assert out.base_label == out.corrected_label == 0
         assert not out.overridden
 
     def test_tau_boundary_is_inclusive(self):
-        p = DecisionPolicy(kind="excluded_only", tau=0.5, excluded_label=2)
+        p = DecisionPolicy(tau=0.5, excluded_label=2)
         out = decide([0.7, 0.2, 0.1], [0.25, 0.25, 0.5], p)
         assert out.corrected_label == 2 and out.overridden
 
     def test_excluded_only_fires_on_confident_excluded_argmax(self):
-        p = DecisionPolicy(kind="excluded_only", tau=0.5, excluded_label=1)
+        p = DecisionPolicy(tau=0.5, excluded_label=1)
         out = decide([0.6, 0.3, 0.1], [0.05, 0.9, 0.05], p)
         assert out.corrected_label == 1 and out.overridden
 
     def test_excluded_only_requires_excluded_argmax(self):
         # high excluded probability is not enough if another class wins
-        p = DecisionPolicy(kind="excluded_only", tau=0.3, excluded_label=1)
+        p = DecisionPolicy(tau=0.3, excluded_label=1)
         out = decide([0.6, 0.3, 0.1], [0.55, 0.4, 0.05], p)
         assert not out.overridden
 
     def test_excluded_only_below_tau_blocks(self):
-        p = DecisionPolicy(kind="excluded_only", tau=0.5, excluded_label=1)
+        p = DecisionPolicy(tau=0.5, excluded_label=1)
         out = decide([0.6, 0.3, 0.1], [0.3, 0.45, 0.25], p)
         assert not out.overridden
 
     def test_new_class_sentinel_replaces_excluded_label(self):
-        p = DecisionPolicy(kind="excluded_only", tau=0.5, excluded_label=1,
-                           as_new_class=True)
+        p = DecisionPolicy(tau=0.5, excluded_label=1, as_new_class=True)
         out = decide([0.6, 0.3, 0.1], [0.05, 0.9, 0.05], p)
         assert out.corrected_label == NEW_CLASS
         assert out.corrected_label != 1  # sentinel and label branch are exclusive
         assert out.overridden
 
     def test_missing_excluded_label_raises(self):
-        p = DecisionPolicy(kind="excluded_only", excluded_label=None)
+        p = DecisionPolicy(excluded_label=None)
         with pytest.raises(ValueError, match="excluded_label"):
             decide([0.6, 0.4], [0.4, 0.6], p)
 
     def test_out_of_range_excluded_label_raises(self):
-        p = DecisionPolicy(kind="excluded_only", excluded_label=5)
+        p = DecisionPolicy(excluded_label=5)
         with pytest.raises(ValueError, match="outside"):
             decide([0.6, 0.3, 0.1], [0.3, 0.3, 0.4], p)
 
     def test_unknown_kind_raises_at_decision_time(self):
-        # The policy rejects the kind as it is built, so no decision is made.
-        with pytest.raises(ValueError, match="kind"):
+        # A policy has no kind, so one naming a kind is not built and no
+        # decision is made.
+        with pytest.raises(TypeError, match="kind"):
             decide([0.6, 0.4], [0.4, 0.6], DecisionPolicy(kind="oracle"))
 
     def test_overridden_flag_tracks_label_change(self):
@@ -196,41 +179,32 @@ class TestDecision:
         for _ in range(200):
             base = gen.dirichlet(np.ones(3))
             corr = gen.dirichlet(np.ones(3))
-            kind = ("always_corrector", "threshold_override", "excluded_only")[
-                gen.integers(0, 3)
-            ]
-            p = DecisionPolicy(kind=kind, tau=float(gen.uniform(0, 1)),
-                               excluded_label=int(gen.integers(0, 3)))
+            p = DecisionPolicy(tau=float(gen.uniform(0, 1)),
+                               excluded_label=int(gen.integers(0, 3)),
+                               as_new_class=bool(gen.integers(0, 2)))
             out = decide(base, corr, p)
             assert out.overridden == (out.corrected_label != out.base_label)
 
 
 def reference_label(base, corr, policy) -> int:
     """The policy written out for one sample with scalar Python logic."""
-    base_label = int(np.argmax(base))
-    corr_label = int(np.argmax(corr))
-    if policy.kind == "always_corrector":
-        return corr_label
-    if policy.kind == "threshold_override":
-        fire = float(base.max()) < policy.base_confidence_floor and float(corr.max()) >= policy.tau
-        return corr_label if fire else base_label
     exc = policy.excluded_label
-    if corr_label == exc and float(corr[exc]) >= policy.tau:
+    if int(np.argmax(corr)) == exc and float(corr[exc]) >= policy.tau:
         return NEW_CLASS if policy.as_new_class else exc
-    return base_label
+    return int(np.argmax(base))
 
 
 POLICIES = [
-    DecisionPolicy(kind="always_corrector"),
-    DecisionPolicy(kind="threshold_override", tau=0.3),
-    DecisionPolicy(kind="excluded_only", tau=0.3, excluded_label=1),
-    DecisionPolicy(kind="excluded_only", tau=0.3, excluded_label=1, as_new_class=True),
+    DecisionPolicy(tau=0.3, excluded_label=1),
+    DecisionPolicy(tau=0.3, excluded_label=1, as_new_class=True),
 ]
+# each fires wherever the corrector's argmax is its label, so together they
+# put the corrector's argmax on every row
+ANY_ARGMAX = [DecisionPolicy(tau=0.0, excluded_label=c) for c in range(3)]
 
 
 class TestComposeBatch:
-    @pytest.mark.parametrize("policy", POLICIES,
-                             ids=["always", "threshold", "excluded", "new_class"])
+    @pytest.mark.parametrize("policy", POLICIES, ids=["excluded", "new_class"])
     def test_matches_per_sample_recomputation(self, small_world, policy):
         model, data, latents, layout = small_world
         ens = fit(latents, data.labels, GbdtConfig(n_rounds=5), layout=layout)
@@ -257,6 +231,11 @@ class TestComposeBatch:
         reordered = np.concatenate(
             [matrix[:, layout.block_slice(name)] for name in order.names], axis=1)
         ens = fit(reordered, data.labels, GbdtConfig(n_rounds=5), layout=order)
+        # an ensemble fit in the model's own order composes, scoring each row as
+        # predict_proba does
+        own = fit(matrix, data.labels, GbdtConfig(n_rounds=5), layout=layout)
+        preds = compose_batch(model, own, POLICIES[0], data)
+        assert preds.corrector_probs.tobytes() == own.predict_proba(matrix).tobytes()
 
         def blocks(lay):
             return ",".join(f"{n}:{s}" for n, s in zip(lay.names, lay.sizes))
@@ -264,18 +243,20 @@ class TestComposeBatch:
         # the message names the layout given and the fitted one, in their orders
         message = re.escape(f"latent layout stages {blocks(layout)} != fitted {blocks(order)}")
         with pytest.raises(ValueError, match=message):
-            compose_batch(model, ens, DecisionPolicy(kind="always_corrector"), data)
+            compose_batch(model, ens, POLICIES[0], data)
 
     def test_foreign_layout_raises_like_the_records_path(self, small_world):
         # compose_batch fails as align does on a matrix with foreign stage names
         model, data, latents, layout = small_world
         ens = fit(latents, data.labels, GbdtConfig(n_rounds=2), layout=layout)
+        preds = compose_batch(model, ens, POLICIES[0], data)
+        assert preds.corrector_probs.tobytes() == ens.predict_proba(latents).tobytes()
         foreign = LatentLayout(("a", "b", "c", "d", "e"), ens.layout.sizes)
         ens = replace(ens, layout=foreign)
         with pytest.raises(ValueError, match="latent layout stages"):
             ens.align(latents, layout)
         with pytest.raises(ValueError, match="latent layout stages"):
-            compose_batch(model, ens, DecisionPolicy(kind="always_corrector"), data)
+            compose_batch(model, ens, POLICIES[0], data)
 
     def test_streamed_blocks_equal_one_unstreamed_pass(self, small_world):
         model, data, latents, layout = small_world
@@ -284,7 +265,7 @@ class TestComposeBatch:
         gen = np.random.default_rng(26)
         big = LabeledDataset(gen.standard_normal((n, 64)).astype(np.float32),
                              gen.integers(0, 3, size=n), data.names)
-        policy = POLICIES[2]
+        policy = POLICIES[0]
         base_probs, matrix, layout = forward_latents(model, big)
         corr_probs = ens.predict_proba(ens.align(matrix, layout))
         want = decide_batch(base_probs, corr_probs, policy)
@@ -307,17 +288,17 @@ class TestComposeBatch:
         base_labels, _ = predict_batch(model, data)
         # teach the corrector to reproduce the base verdicts exactly
         ens = fit(latents, base_labels, GbdtConfig(n_rounds=30), n_classes=3, layout=layout)
-        corr_labels = ens.predict_proba(latents).argmax(axis=1)
-        assert np.array_equal(corr_labels, base_labels)
-        batch = compose_batch(
-            model, ens, DecisionPolicy(kind="always_corrector"), data
-        )
-        assert sum(p.overridden for p in batch) == 0
+        corr_probs = ens.predict_proba(latents)
+        assert np.array_equal(corr_probs.argmax(axis=1), base_labels)
+        for policy in ANY_ARGMAX:
+            batch = compose_batch(model, ens, policy, data)
+            assert batch.corrector_probs.tobytes() == corr_probs.tobytes()
+            assert sum(p.overridden for p in batch) == 0
 
     def test_unreachable_tau_reduces_to_base(self, small_world):
         model, data, latents, layout = small_world
         ens = fit(latents, data.labels, GbdtConfig(n_rounds=10), layout=layout)
-        policy = DecisionPolicy(kind="excluded_only", tau=2.0, excluded_label=1)
+        policy = DecisionPolicy(tau=2.0, excluded_label=1)
         batch = compose_batch(model, ens, policy, data)
         base_labels, _ = predict_batch(model, data)
         assert all(not p.overridden for p in batch)
@@ -328,7 +309,7 @@ class TestComposeBatch:
         ens = fit(latents, data.labels, GbdtConfig(n_rounds=10), layout=layout)
         counts = []
         for tau in np.linspace(0.0, 1.0, 11):
-            policy = DecisionPolicy(kind="excluded_only", tau=float(tau),
+            policy = DecisionPolicy(tau=float(tau),
                                     excluded_label=0)
             batch = compose_batch(model, ens, policy, data)
             counts.append(sum(p.overridden for p in batch))

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mclab.basemodel import ModelConfig, TrainConfig, TrainingHistory
-from mclab.composer import POLICY_KINDS, DecisionPolicy
+from mclab.composer import DecisionPolicy
 from mclab.core import NEW_CLASS, LabeledDataset, SplitSpec, derived_seed, split_dataset
 from mclab.corrector import GbdtConfig, load_ensemble
 from mclab.datagen import ProfileConfig, SequenceImageSpec, save_dataset
@@ -136,12 +136,7 @@ VALID_OVERRIDES = _section(
         subsample=st.floats(0.0, 1.0, exclude_min=True),
         seed=st.none() | SEEDS,
     ),
-    policy=_section(
-        kind=st.sampled_from(POLICY_KINDS),
-        tau=UNIT,
-        base_confidence_floor=UNIT,
-        as_new_class=st.booleans(),
-    ),
+    policy=_section(tau=UNIT, as_new_class=st.booleans()),
     excluded_class=st.none() | st.integers(0, 6),
 ).map(_fit_model)
 
@@ -184,10 +179,10 @@ class TestNormalizeConfig:
     def test_config_bytes_are_pinned(self):
         # the input is pure JSON, so these digests hold on every host
         assert config_sha256(normalize_config({})) == (
-            "11907b70cdb375df588f8c5e978952b3e494d26f48f8f974246132548a1ab4de"
+            "48e98c37a82fd88fbc7529fe660023091710f895c5043a24d30bdf9cea8beb69"
         )
         assert config_sha256(mini_config("runs")) == (
-            "523babbf0d385a66df0f5ebf6d12cbb8d495b334fc77563b503ac4b962adb93c"
+            "efb46bda3b1a5d9a4afb1ec3ba045b0ff43d8b7fd3720d9184becfdbb8f0e53d"
         )
 
     def test_readme_default_block_is_the_default_config(self):
@@ -202,6 +197,7 @@ class TestNormalizeConfig:
         "patch,path",
         [
             ({"policy": {"tau": 1.5}}, "policy.tau"),
+            # a field of the policy rules deleted since (an old sweep's manifest)
             ({"policy": {"kind": "vote"}}, "policy.kind"),
             ({"policy": {"as_new_class": 1}}, "policy.as_new_class"),
             ({"seed": -1}, "seed"),
@@ -230,6 +226,7 @@ class TestNormalizeConfig:
             ({"gbdt": {"seed": 2**64}}, "gbdt.seed"),
             ({"dataset": {"profile": {"covariance_scale": float("nan")}}},
              "dataset.profile.covariance_scale"),
+            # another field of the deleted rules
             ({"policy": {"base_confidence_floor": -0.5}}, "policy.base_confidence_floor"),
             # what the generator would reject (the mini profile has 3 classes)
             ({"dataset": {"kind": "images", "image": {"side": 2}}}, "dataset.image.side"),
@@ -416,7 +413,7 @@ class TestRunSingle:
         off = replace(
             cfg,
             output_dir=str(tmp_path / "runs"),
-            policy=DecisionPolicy(kind="excluded_only", tau=2.0),
+            policy=DecisionPolicy(tau=2.0),
         )
         result = run_single(off, excluded=1)
         for m in result.report.per_class:
