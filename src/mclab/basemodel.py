@@ -101,7 +101,7 @@ class TrainConfig:
     max_epochs: int = 60
     patience: int = 10
     dropout_p: float = 0.5
-    seed: int | None = 0  # None: not yet resolved; train() rejects it
+    seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.learning_rate >= 0:
@@ -197,8 +197,8 @@ class StagedModel:
     """
 
     def __init__(self, config: ModelConfig, rng: Rng | None = None, seed: int = 0):
-        self.config = config
-        self.seed = int(seed)
+        _check_seed(seed)
+        self.config, self.seed = config, seed
         gen = (rng if rng is not None else Rng.from_seed(seed).derive("init")).generator()
         c0 = config.input_shape[0]
         self.conv = ConvStage(c0, config.conv_channels, gen)
@@ -273,7 +273,6 @@ class StagedModel:
             "logits": logits,
             "conv_out": conv_out,
             "hs": hs,
-            "attn_seq": attn_out,
             "pooled": pooled,
             "fc_out": head_cache[2],
             "caches": (conv_cache, lstm_cache, attn_cache, head_cache),
@@ -410,8 +409,6 @@ def train(
     parameters are restored before returning; if train loss rose at the
     checkpoint epoch, a warning is logged.
     """
-    if config.seed is None:
-        raise ValueError("TrainConfig.seed is None: resolve it before training")
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (model.config.n_classes,) or np.any(weights < 0):
         raise ValueError("weights must be a non-negative length-K vector")
@@ -513,7 +510,7 @@ def load_model(path: str | Path) -> StagedModel:
     fault in the text header: a non-ASCII byte in it, a header that does not
     parse or has no newline, an unknown header key or config field, a config
     field that is missing or of the wrong type, an invalid config or more
-    than ``MAX_CLASSES`` classes, a seed that is not a non-negative integer,
+    than ``MAX_CLASSES`` classes, a seed that is not an integer in [0, 2^64),
     or a block list other than ``_block_shapes`` of the config (the message
     names the first entry that differs, as the file has it and as the config
     implies it). With no line, it names a float32 payload that is not
@@ -545,8 +542,7 @@ def load_model(path: str | Path) -> StagedModel:
         if cfg.n_classes > MAX_CLASSES:
             raise ValueError(f"{cfg.n_classes} classes exceed the ceiling of {MAX_CLASSES}")
         seed = _value(int, header["seed"], "seed")
-        if seed < 0:
-            raise ValueError("seed must be non-negative")
+        _check_seed(seed)
         blocks = [_value(tuple[str, tuple[int, ...]], block, "blocks")
                   for block in header["blocks"]]
     except (ValueError, KeyError, TypeError) as exc:

@@ -19,6 +19,7 @@ Both return ``Predictions``, one array per column; iterating it yields one
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,12 +64,14 @@ class DecisionPolicy:
     least ``tau``. With ``as_new_class`` the override emits the NEW_CLASS
     sentinel instead of the label itself.
 
-    A NaN ``tau`` and an ``excluded_label`` that is neither None nor an int
-    (a bool included) are rejected when the policy is built. Any other
-    ``tau`` builds: one above 1 is unreachable and switches overrides off.
-    The config document also keeps ``tau`` in [0, 1]
-    (``harness.normalize_config``). Whether the run-time ``excluded_label``
-    is one of the corrector's classes is checked when the policy is applied.
+    A ``tau`` that is not a real number (a bool or NaN included), an
+    ``as_new_class`` that is not a bool, and an ``excluded_label`` that is
+    neither None nor an int (a bool included) are rejected when the policy
+    is built. Any other ``tau`` builds: one above 1 is unreachable and
+    switches overrides off. The config document also keeps ``tau`` in
+    [0, 1] (``harness.normalize_config``). Whether the run-time
+    ``excluded_label`` is one of the corrector's classes is checked when the
+    policy is applied.
     """
 
     tau: float = 0.5
@@ -76,8 +79,11 @@ class DecisionPolicy:
     as_new_class: bool = False
 
     def __post_init__(self) -> None:
-        if math.isnan(self.tau):
-            raise ConfigError("tau", "must not be NaN")
+        tau = self.tau
+        if isinstance(tau, bool) or not isinstance(tau, numbers.Real) or math.isnan(tau):
+            raise ConfigError("tau", f"must be a number, not {tau!r}")
+        if not isinstance(self.as_new_class, bool):
+            raise ConfigError("as_new_class", f"must be a bool, not {self.as_new_class!r}")
         label = self.excluded_label
         if isinstance(label, bool) or not isinstance(label, (int, np.integer, type(None))):
             raise ConfigError("excluded_label", f"must be an int, not {label!r}")

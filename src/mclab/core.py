@@ -92,10 +92,10 @@ def _value(hint: Any, value: Any, path: str) -> Any:
     return value
 
 
-def _check_seed(seed: int | None) -> None:
-    """A seed is None (a stage seed not yet resolved) or in [0, 2^64)."""
-    if seed is not None and not 0 <= seed < 2**64:
-        raise ConfigError("seed", "must be a 64-bit non-negative integer")
+def _check_seed(seed: int) -> None:
+    """A seed is a Python int (not a bool) in [0, 2^64)."""
+    if type(seed) is not int or not 0 <= seed < 2**64:
+        raise ConfigError("seed", f"must be a 64-bit non-negative integer, not {seed!r}")
 
 
 def _frozen(values: Any, dtype: Any) -> np.ndarray:
@@ -294,13 +294,13 @@ def largest_remainder(ideals: np.ndarray | Sequence[float], total: int) -> np.nd
 class SplitSpec:
     """Three-way split fractions (train, correct, test), strategy and seed.
 
-    A None seed is not yet resolved (the config's default, derived per run
-    from the master seed); ``split_dataset`` rejects it.
+    An experiment derives the seed per run from its master seed, so the
+    config document does not hold it.
     """
 
     fractions: tuple[float, float, float] = (0.5, 0.25, 0.25)
     stratified: bool = True
-    seed: int | None = 0
+    seed: int = 0
 
     def __post_init__(self) -> None:
         if len(self.fractions) < 2:
@@ -378,8 +378,6 @@ def split_dataset(
     stratified, else all of them) is permuted and cut at its allocation row;
     each part keeps the original sample order.
     """
-    if spec.seed is None:
-        raise ValueError("SplitSpec.seed is None: resolve it before splitting")
     n = len(data)
     s = len(spec.fractions)
     if n == 0:

@@ -79,7 +79,7 @@ class GbdtConfig:
     min_child_weight: float = 1.0
     lambda_l2: float = 1.0
     subsample: float = 1.0
-    seed: int | None = 0  # None: not yet resolved; fit() rejects it
+    seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.n_rounds >= 1:
@@ -462,8 +462,6 @@ def fit(
     observed labels. Training log-loss is recorded per round and is
     non-increasing.
     """
-    if config.seed is None:
-        raise ValueError("GbdtConfig.seed is None: resolve it before fitting")
     x = np.asarray(x, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if x.ndim != 2 or x.shape[0] == 0:

@@ -25,7 +25,8 @@ trained weights and every number downstream of them may differ across hosts.
 The experiment config is a tree of frozen dataclasses rooted at
 ``ExperimentConfig``. Each checks its own fields when it is built, whether
 from a document (``normalize_config``) or in code with ``replace``, so a run
-never starts from an invalid config.
+never starts from an invalid config. The master seed is the only seed it
+holds.
 """
 
 from __future__ import annotations
@@ -121,10 +122,10 @@ class StageError(RuntimeError):
 
 @dataclass(frozen=True)
 class DatasetConfig:
-    """Where the data comes from. Generated data is checked against what the
-    generator would reject, before any stage runs."""
+    """Where the data comes from: the file at ``path``, or the generator when
+    ``path`` is None. Generated data is checked against what the generator
+    would reject, before any stage runs."""
 
-    source: str = "generated"  # generated | file
     path: str | None = None
     kind: str = "gaussian"  # gaussian | images
     n_total: int = 7000
@@ -132,13 +133,11 @@ class DatasetConfig:
     image: SequenceImageSpec = SequenceImageSpec()
 
     def __post_init__(self) -> None:
-        if self.source not in ("generated", "file"):
-            raise ConfigError("source", "must be 'generated' or 'file'")
-        if self.source == "file" and not self.path:
-            raise ConfigError("path", "required when source is 'file'")
+        if self.path == "":
+            raise ConfigError("path", "must not be empty; null generates the data")
         if self.kind not in ("gaussian", "images"):
             raise ConfigError("kind", "must be 'gaussian' or 'images'")
-        if self.source == "file":
+        if self.path is not None:
             return
         k = len(self.profile.proportions)
         checks = {"n_total": partial(check_n_total, self.n_total, k)}
@@ -154,8 +153,9 @@ class DatasetConfig:
                 raise ConfigError(field, str(exc)) from None
 
 
-# set per run by run_single, never part of the config document
-_RUN_TIME_FIELD = "policy.excluded_label"
+# (section, field) pairs run_single sets per run; never in the config document
+_RUN_TIME_FIELDS = (("split", "seed"), ("train", "seed"), ("gbdt", "seed"),
+                    ("policy", "excluded_label"))
 # the "artifact" tag of a sweep manifest.json
 MANIFEST_ARTIFACT = "mclab-sweep v1"
 
@@ -163,28 +163,32 @@ MANIFEST_ARTIFACT = "mclab-sweep v1"
 @dataclass(frozen=True)
 class ExperimentConfig:
     """The whole experiment; its fields, types and defaults are the schema of
-    the config document. An empty ``name`` becomes ``sweep_seed<seed>``; the
-    stage seeds ``split.seed``, ``train.seed`` and ``gbdt.seed`` default to
-    None, meaning derived per run from the master ``seed``. Each section
-    checks its own fields (stage seeds too) when it is built; this class
-    checks the master seed and the rules that span sections: for generated
+    the config document. An empty ``name`` becomes ``sweep_seed<seed>``.
+    ``run_single`` sets the per-run fields (the three stage seeds and
+    ``policy.excluded_label``), so a config cannot set them. Each section
+    checks its own fields when it is built; this class checks the master
+    seed, the per-run fields and the rules that span sections: for generated
     data, the class count and feature shape the model must take."""
 
     name: str = ""
     seed: int = 0
     output_dir: str = "runs"
     dataset: DatasetConfig = DatasetConfig()
-    split: SplitSpec = SplitSpec(seed=None)
+    split: SplitSpec = SplitSpec()
     model: ModelConfig = ModelConfig()
-    train: TrainConfig = TrainConfig(seed=None)
-    gbdt: GbdtConfig = GbdtConfig(seed=None)
+    train: TrainConfig = TrainConfig()
+    gbdt: GbdtConfig = GbdtConfig()
     policy: DecisionPolicy = DecisionPolicy()
     excluded_class: int | None = None
 
     def __post_init__(self) -> None:
         _check_seed(self.seed)
+        for section, key in _RUN_TIME_FIELDS:
+            part = getattr(self, section)
+            if getattr(part, key) != getattr(type(part), key):
+                raise ConfigError(f"{section}.{key}", "is set per run, not in the config")
         d, shape = self.dataset, self.model.input_shape
-        if d.source == "generated":
+        if d.path is None:
             k = len(d.profile.proportions)
             if self.model.n_classes != k:
                 raise ConfigError("model.n_classes", f"profile defines {k} classes")
@@ -204,8 +208,8 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         """The config document, as plain JSON values."""
         doc = json.loads(json.dumps(asdict(self)))
-        section, key = _RUN_TIME_FIELD.split(".")
-        del doc[section][key]
+        for section, key in _RUN_TIME_FIELDS:
+            del doc[section][key]
         return doc
 
 
@@ -228,7 +232,7 @@ def _build(cls: type, doc: Any, path: str, default: Any = None) -> Any:
     """
     if not isinstance(doc, Mapping):
         raise ConfigError(path, "expected an object")
-    names = [f.name for f in fields(cls) if _join(path, f.name) != _RUN_TIME_FIELD]
+    names = [f.name for f in fields(cls) if (path, f.name) not in _RUN_TIME_FIELDS]
     for key in doc:
         if key not in names:
             raise ConfigError(_join(path, key), "unknown field")
@@ -253,12 +257,12 @@ def _build(cls: type, doc: Any, path: str, default: Any = None) -> Any:
 def normalize_config(document: Mapping | None) -> ExperimentConfig:
     """Check a config document against the schema, filling defaults.
 
-    Raises ConfigError naming the offending field path: an unknown path, a
-    value of the wrong type, or whatever the dataclasses reject. This walk
-    is the only one over the schema; ``--set`` relies on it too. Besides
-    what the dataclasses check, the document's ``policy.tau`` must lie in
-    [0, 1]; a policy built in code may set ``tau`` above 1 to switch
-    overrides off. A sweep manifest is not a config document;
+    Raises ConfigError naming the offending field path: an unknown path (a
+    per-run field included), a value of the wrong type, or whatever the
+    dataclasses reject. This walk is the only one over the schema; ``--set``
+    relies on it too. Besides what the dataclasses check, the document's
+    ``policy.tau`` must lie in [0, 1]; a policy built in code may set ``tau``
+    above 1 to switch overrides off. A sweep manifest is not a config document;
     ``cli.load_config`` unwraps one when it reads the file.
     """
     config = _build(ExperimentConfig, dict(document or {}), "")
@@ -304,15 +308,10 @@ def _dir_tag(excluded: int | None) -> str:
     return "excl_none" if excluded is None else f"excl_{excluded}"
 
 
-def _seed(config: ExperimentConfig, pinned: int | None, *path: str) -> int:
-    """A stage seed: the pinned value if set, else derived from the master seed."""
-    return pinned if pinned is not None else derived_seed(config.seed, *path)
-
-
 def build_dataset(config: ExperimentConfig) -> LabeledDataset:
     """Materialize the experiment dataset (deterministic in the master seed)."""
     d = config.dataset
-    if d.source == "file":
+    if d.path is not None:
         data = load_dataset(d.path)
     else:
         cluster = d.profile.to_cluster_spec()
@@ -358,7 +357,7 @@ def run_single(
     with _stage("data"):
         data = build_dataset(config)
     with _stage("split"):
-        spec = replace(config.split, seed=_seed(config, config.split.seed, "split"))
+        spec = replace(config.split, seed=derived_seed(config.seed, "split"))
         train_set, correct_set, test_set = split_dataset(data, spec)
         fit_set, val_set = validation_slice(train_set, spec.seed)
     with _stage("exclude"):
@@ -374,7 +373,7 @@ def run_single(
         init_rng = Rng.from_seed(config.seed).derive("run", run_word, "init")
         model = StagedModel(config.model, rng=init_rng, seed=config.seed)
         train_config = replace(config.train,
-                               seed=_seed(config, config.train.seed, "run", run_word, "train"))
+                               seed=derived_seed(config.seed, "run", run_word, "train"))
         model, history = train(model, fit_set, val_set, weights, train_config)
 
     ensemble = report = None
@@ -384,7 +383,7 @@ def run_single(
                 _, latents, layout = forward_latents(model, correct_set)
             with _stage("corrector"):
                 gbdt = replace(config.gbdt,
-                               seed=_seed(config, config.gbdt.seed, "run", run_word, "gbdt"))
+                               seed=derived_seed(config.seed, "run", run_word, "gbdt"))
                 ensemble = fit_corrector(latents, correct_set.labels, gbdt, n_classes=k,
                                          layout=layout)
         with _stage("compose"):
@@ -458,19 +457,11 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepResult:
 Row = tuple[str, str, list[float | None], int | None]
 
 
-def _label_space(sweep: SweepResult) -> tuple[str, ...]:
-    names = sweep.config.dataset.profile.names
-    k = sweep.config.model.n_classes
-    if sweep.config.dataset.source == "file" or len(names) != k:
-        return default_names(k)
-    return tuple(names)
-
-
 def _report_tables(sweep: SweepResult) -> Iterator[tuple]:
     """Tables 3-5 as (tag, CSV header, text heads, column width, blocks); a
     block is a text title (or None) and its rows."""
-    k = sweep.config.model.n_classes
-    names = _label_space(sweep)
+    k, dataset = sweep.config.model.n_classes, sweep.config.dataset
+    names = dataset.profile.names if dataset.path is None else default_names(k)
     runs = [sweep.runs[c].report for c in range(k)]
     cols = [str(c + 1) for c in range(k)]
     labels = [f"{i + 1}:{names[i]:<10.10}" for i in range(k)]

@@ -163,17 +163,19 @@ def test_benchmark_tracer_installs_and_restores():
     assert [key for key in before if after[key] is not before[key]] == []
 
 
-def test_benchmark_compose_infer_checks_clean(tmp_path, monkeypatch):
-    """One ``compose_infer`` pass of the benchmark passes its own check. The
-    check reads instance attributes, such as ``policy.excluded_label``,
-    ``.tau``, ``.as_new_class`` and each row's ``overridden``, that no chain
-    above can resolve."""
+@pytest.mark.parametrize("name", ["train_base", "sweep", "compose_infer"])
+def test_benchmark_workload_checks_clean(tmp_path, monkeypatch, name):
+    """One pass of each benchmark workload passes its own check. The checks
+    read instance attributes, such as ``policy.excluded_label``, ``.tau``,
+    ``.as_new_class`` and each row's ``overridden``, that no chain above can
+    resolve, and the ``sweep`` check reloads its manifest with
+    ``load_sweep``."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads",
                                                   PERFBENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
     spec.loader.exec_module(workloads)
     monkeypatch.chdir(tmp_path)  # the workload writes under ./.bench_work
-    workload = workloads.ComposeInfer(PERFBENCH.parent, seed=0)
+    workload = workloads.WORKLOADS[name](PERFBENCH.parent, seed=0)
     workload.setup()
     assert workload.check(workload.run_pass(1)) == []

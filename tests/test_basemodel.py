@@ -186,6 +186,13 @@ class TestForward:
         b = model.forward_batch(x.reshape(2, 1, 8, 8))["probs"]
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [1.5, True, -1, 2**64, np.int64(3)], ids=repr)
+    def test_model_seed_is_a_plain_int(self, seed):
+        # the checkpoint header stores the seed, and load_model reads back
+        # only an int in [0, 2^64)
+        with pytest.raises(ValueError, match="^seed: must be a 64-bit non-negative integer"):
+            StagedModel(ModelConfig(), rng=Rng.from_seed(0), seed=seed)
+
     def test_rejects_incompatible_shape(self):
         model = StagedModel(SMALL, seed=0)
         with pytest.raises(ValueError, match="incompatible"):
@@ -359,10 +366,10 @@ class TestTrain:
         with pytest.raises(ValueError, match="length-K"):
             train(model, two_class_data, two_class_data, np.ones(5), TrainConfig())
 
-    def test_rejects_unresolved_seed(self, two_class_data):
-        model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 1, 2), seed=0)
-        with pytest.raises(ValueError, match="seed is None"):
-            train(model, two_class_data, two_class_data, np.ones(2), TrainConfig(seed=None))
+    def test_rejects_unresolved_seed(self):
+        # a seed is resolved before a config exists, so None cannot be built
+        with pytest.raises(ValueError, match="^seed: must be a 64-bit non-negative integer, not None$"):
+            TrainConfig(seed=None)
 
     def test_history_csv_shape(self, trained_two_class):
         _, history, _ = trained_two_class

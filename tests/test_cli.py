@@ -109,9 +109,15 @@ class TestExitCodes:
         assert code == 1
         assert "dataset.n_total: n_total must be >= 70" in capsys.readouterr().err
 
+        # the document holds no per-run field and no dataset.source
+        for path in ("split.seed", "train.seed", "gbdt.seed", "policy.excluded_label",
+                     "dataset.source"):
+            assert main(["train", "--set", f"{path}=1"]) == 1
+            assert f"config error: {path}: unknown field" in capsys.readouterr().err
+
     def test_runtime_failure_is_exit_2(self, tmp_path, capsys):
         path = write_doc(tmp_path, mini_doc(str(tmp_path / "runs")))
-        code = main(["train", "--config", path, "--set", "dataset.source=file",
+        code = main(["train", "--config", path,
                      "--set", f"dataset.path={tmp_path / 'absent.csv'}"])
         assert code == 2
         assert "'data'" in capsys.readouterr().err
@@ -333,6 +339,27 @@ class TestSweepReport:
         assert f"{manifest}: policy.kind: unknown field" in err
         assert main(["sweep", "--config", str(manifest)]) == 1
         assert "config error: policy.kind: unknown field" in capsys.readouterr().err
+
+    def test_a_sweep_written_with_stage_seeds_fails_cleanly(self, cli_sweep, tmp_path, capsys):
+        # the config of a manifest written before the document lost its stage
+        # seeds and dataset.source
+        _, _, root = cli_sweep
+        copy = tmp_path / "cli"
+        shutil.copytree(root, copy)
+        manifest = copy / "manifest.json"
+        doc = json.loads(manifest.read_text(encoding="ascii"))
+        doc["config"]["dataset"]["source"] = "generated"
+        for section in ("split", "train", "gbdt"):
+            doc["config"][section]["seed"] = None
+        manifest.write_text(json.dumps(doc, sort_keys=True), encoding="ascii")
+        assert main(["report", "--run", str(copy)]) == 2
+        assert f"{manifest}: dataset.source: unknown field" in capsys.readouterr().err
+        assert main(["sweep", "--config", str(manifest)]) == 1
+        assert "config error: dataset.source: unknown field" in capsys.readouterr().err
+        del doc["config"]["dataset"]["source"]
+        manifest.write_text(json.dumps(doc, sort_keys=True), encoding="ascii")
+        assert main(["report", "--run", str(copy)]) == 2
+        assert f"{manifest}: split.seed: unknown field" in capsys.readouterr().err
 
     def test_report_of_a_missing_log_names_it(self, cli_sweep, tmp_path, capsys):
         _, _, root = cli_sweep

@@ -107,6 +107,23 @@ class TestPolicyValidation:
         assert (err.value.path, err.value.message) == (
             "excluded_label", f"must be an int, not {value!r}")
 
+    @pytest.mark.parametrize("field,value", [
+        ("tau", "0.5"), ("tau", None), ("tau", True), ("tau", [0.5]), ("tau", float("nan")),
+        ("as_new_class", "no"), ("as_new_class", 1), ("as_new_class", None),
+        ("as_new_class", np.bool_(True)),
+    ])
+    def test_rejects_a_field_of_the_wrong_type(self, field, value):
+        # a truthy string would emit the NEW_CLASS sentinel
+        with pytest.raises(ConfigError) as err:
+            DecisionPolicy(excluded_label=1, **{field: value})
+        assert err.value.path == field
+
+    @pytest.mark.parametrize("tau", [0, 1, 0.25, np.float32(0.5), np.int64(1), 2.0])
+    def test_accepts_any_real_tau(self, tau):
+        # above 1 the rule can never fire, which switches overrides off
+        out = decide([0.6, 0.3, 0.1], [0.05, 0.9, 0.05], DecisionPolicy(tau=tau, excluded_label=1))
+        assert out.overridden == (tau <= 0.9)
+
     def test_accepts_a_numpy_integer_label(self):
         label = np.int64(1)
         out = decide([0.6, 0.3, 0.1], [0.05, 0.9, 0.05], DecisionPolicy(excluded_label=label))

@@ -219,9 +219,9 @@ class TestSplitDataset:
             SplitSpec(fractions=(0.5, 0.3, 0.3), seed=0)
 
     def test_unresolved_seed_rejected(self):
-        data = make_dataset((20, 10, 12))
-        with pytest.raises(ValueError, match="seed is None"):
-            split_dataset(data, SplitSpec(seed=None))
+        # a seed is resolved before a spec exists, so None cannot be built
+        with pytest.raises(ValueError, match="^seed: must be a 64-bit non-negative integer, not None$"):
+            SplitSpec(seed=None)
 
     def test_non_stratified_sizes_still_exact(self):
         data = make_dataset(CORPUS_COUNTS)

@@ -102,8 +102,9 @@ class TestConfig:
             GbdtConfig(**kwargs)
 
     def test_fit_rejects_unresolved_seed(self):
-        with pytest.raises(ValueError, match="seed is None"):
-            fit(np.eye(4), [0, 1, 0, 1], GbdtConfig(n_rounds=1, seed=None))
+        # a seed is resolved before a config exists, so None cannot be built
+        with pytest.raises(ValueError, match="^seed: must be a 64-bit non-negative integer, not None$"):
+            GbdtConfig(n_rounds=1, seed=None)
 
 
 class TestSplitGain:

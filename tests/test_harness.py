@@ -118,14 +118,13 @@ VALID_OVERRIDES = _section(
         ),
         image=_section(side=st.integers(8, 64), channels=st.integers(1, 4)),
     ).filter(_generable),
-    split=_section(stratified=st.booleans(), seed=st.none() | SEEDS),
+    split=_section(stratified=st.booleans()),
     train=_section(
         learning_rate=st.floats(0.0, 1.0),
         batch_size=st.integers(1, 512),
         max_epochs=st.integers(1, 100),
         patience=st.integers(0, 20),
         dropout_p=st.floats(0.0, 0.99),
-        seed=st.none() | SEEDS,
     ),
     gbdt=_section(
         n_rounds=st.integers(1, 500),
@@ -134,7 +133,6 @@ VALID_OVERRIDES = _section(
         min_child_weight=st.floats(0.0, 10.0),
         lambda_l2=st.floats(0.0, 10.0),
         subsample=st.floats(0.0, 1.0, exclude_min=True),
-        seed=st.none() | SEEDS,
     ),
     policy=_section(tau=UNIT, as_new_class=st.booleans()),
     excluded_class=st.none() | st.integers(0, 6),
@@ -179,10 +177,10 @@ class TestNormalizeConfig:
     def test_config_bytes_are_pinned(self):
         # the input is pure JSON, so these digests hold on every host
         assert config_sha256(normalize_config({})) == (
-            "48e98c37a82fd88fbc7529fe660023091710f895c5043a24d30bdf9cea8beb69"
+            "0ba0fb922aaf33f176a02b61621c6e683ac7f54d7be9137d05c4429bf19027da"
         )
         assert config_sha256(mini_config("runs")) == (
-            "efb46bda3b1a5d9a4afb1ec3ba045b0ff43d8b7fd3720d9184becfdbb8f0e53d"
+            "0e16bd939369f4937a67dcd2feb98dde7a61387821fef59225e6889bf6269937"
         )
 
     def test_readme_default_block_is_the_default_config(self):
@@ -204,8 +202,9 @@ class TestNormalizeConfig:
             ({"split": {"fractions": [0.5, 0.5]}}, "split.fractions"),
             ({"split": {"fractions": [0.8, 0.1, 0.2]}}, "split.fractions"),
             ({"split": {"stratified": 1}}, "split.stratified"),
+            # a field deleted since: a path says whether the data is a file
             ({"dataset": {"source": "database"}}, "dataset.source"),
-            ({"dataset": {"source": "file"}}, "dataset.path"),
+            ({"dataset": {"path": ""}}, "dataset.path"),
             ({"dataset": {"profile": {"proportions": [0.5, -0.5, 1.0]}}},
              "dataset.profile.proportions"),
             ({"dataset": {"profile": {"names": ["only", "two"]}}},
@@ -221,6 +220,7 @@ class TestNormalizeConfig:
              "dataset.profile.proportions"),
             ({"dataset": {"image": {"side": 1}}}, "dataset.image"),
             ({"dataset": {"profile": {"close_pair": [1, 1]}}}, "dataset.profile"),
+            # stage seeds, deleted since: each is derived per run
             ({"split": {"seed": -3}}, "split.seed"),
             ({"train": {"seed": -3}}, "train.seed"),
             ({"gbdt": {"seed": 2**64}}, "gbdt.seed"),
@@ -266,14 +266,19 @@ class TestNormalizeConfig:
             normalize_config(doc)
         assert err.value.path == "policy.tau"
 
-    def test_null_seeds_mean_derived(self, tmp_path):
+    @pytest.mark.parametrize("path", ["split.seed", "train.seed", "gbdt.seed",
+                                      "policy.excluded_label", "dataset.source"])
+    @pytest.mark.parametrize("value", [None, 0, 7])
+    def test_the_document_holds_no_per_run_field(self, tmp_path, path, value):
+        # the stage seeds and the excluded label are set per run; a path alone
+        # says whether the data is a file
+        section, key = path.split(".")
         doc = mini_doc(str(tmp_path))
-        doc["split"] = {"seed": None}
-        doc["train"]["seed"] = None
-        doc["gbdt"]["seed"] = None
-        cfg = normalize_config(doc)
-        assert cfg.split.seed is None
-        assert cfg.train.seed is None and cfg.gbdt.seed is None
+        doc.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError) as err:
+            normalize_config(doc)
+        assert (err.value.path, err.value.message) == (path, "unknown field")
+        assert key not in default_config_dict()[section]
 
     def test_config_digest_tracks_content(self, tmp_path):
         a = mini_config(str(tmp_path))
@@ -310,7 +315,7 @@ class TestConstructionChecks:
         pytest.param(ModelConfig, {"n_classes": 1}, None, id="model"),
         pytest.param(TrainConfig, {"batch_size": 0}, None, id="train"),
         pytest.param(GbdtConfig, {"n_rounds": 0}, None, id="gbdt"),
-        pytest.param(DatasetConfig, {"source": "file"}, "path", id="dataset_path"),
+        pytest.param(DatasetConfig, {"path": ""}, "path", id="dataset_path"),
         pytest.param(DatasetConfig, {"n_total": 69}, "n_total", id="dataset_n_total"),
         pytest.param(DatasetConfig, {"kind": "images", "image": SequenceImageSpec(side=4)},
                      "image.side", id="dataset_image_side"),
@@ -328,12 +333,31 @@ class TestConstructionChecks:
                                                                  image=SequenceImageSpec(16)),
                                         "model": ModelConfig(input_shape=(4, 8, 8))},
                      "model.input_shape", id="experiment_image_shape"),
+        # the per-run fields keep their defaults; run_single sets them
+        pytest.param(ExperimentConfig, {"split": SplitSpec(seed=3)}, "split.seed",
+                     id="experiment_split_seed"),
+        pytest.param(ExperimentConfig, {"train": TrainConfig(seed=3)}, "train.seed",
+                     id="experiment_train_seed"),
+        pytest.param(ExperimentConfig, {"gbdt": GbdtConfig(seed=3)}, "gbdt.seed",
+                     id="experiment_gbdt_seed"),
+        pytest.param(ExperimentConfig, {"policy": DecisionPolicy(excluded_label=np.int64(2))},
+                     "policy.excluded_label", id="experiment_excluded_label"),
     ])
     def test_invalid_config_cannot_be_built(self, cls, kwargs, path):
         with pytest.raises(ValueError) as err:
             cls(**kwargs)
         if path is not None:
             assert isinstance(err.value, ConfigError) and err.value.path == path
+
+    @pytest.mark.parametrize("cls", [ExperimentConfig, SplitSpec, TrainConfig, GbdtConfig])
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, False, np.int64(3), "3", None],
+                             ids=repr)
+    def test_a_seed_is_a_plain_int(self, cls, seed):
+        # a seed that is not an int could not be written to the document and
+        # read back, and a bool would run as 0 or 1
+        with pytest.raises(ConfigError) as err:
+            cls(seed=seed)
+        assert err.value.path == "seed"
 
     @pytest.mark.parametrize("cls,name", NUMERIC_FIELDS)
     def test_nan_cannot_be_built(self, cls, name):
@@ -354,8 +378,8 @@ class TestConstructionChecks:
             replace(cfg.dataset, kind="gaussain")
         assert err.value.path == "kind"
         with pytest.raises(ConfigError) as err:
-            replace(cfg.dataset, source="database")
-        assert err.value.path == "source"
+            replace(cfg, split=replace(cfg.split, seed=derived_seed(cfg.seed, "split")))
+        assert err.value.path == "split.seed"
 
 
 @pytest.fixture(scope="module")
@@ -489,7 +513,7 @@ class TestRunSingle:
         save_dataset(LabeledDataset(np.zeros((30, 32), np.float32), np.arange(30) % 3,
                                     ("A", "B", "C")), path)
         doc = mini_doc(str(tmp_path))
-        doc["dataset"] = {"source": "file", "path": str(path)}  # model expects 64 inputs
+        doc["dataset"] = {"path": str(path)}  # model expects 64 inputs
         cfg = normalize_config(doc)
         with pytest.raises(StageError) as err:
             run_single(cfg, excluded=0)
