@@ -6,11 +6,13 @@ come from those dataclasses, each dataclass checks its own fields when it is
 built, and every field has a default, so an empty document is a complete
 experiment. ``--set a.b=v`` writes v at that dotted path of the document;
 ``normalize_config`` then walks the document against the schema once and
-names a path it does not know. Exit codes: 0 success (``--help`` too), 1
-invalid configuration or arguments (the message names the field, or argparse
-prints the usage; a generated feature shape the model cannot take is one), 2
-runtime failure (the message names the pipeline stage, and the file where one
-is at fault).
+names a path it does not know. No environment variable is read. The class
+a run excludes is not in the document: ``train`` takes it as ``--exclude C``
+and ``correct`` requires it; ``run_single`` checks its range. Exit codes: 0
+success (``--help`` too), 1 invalid configuration or arguments (the message
+names the field, or argparse prints the usage; a generated feature shape the
+model cannot take is one), 2 runtime failure (the message names the pipeline
+stage, and the file where one is at fault).
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -40,8 +41,6 @@ from .harness import (
 from .metrics import evaluate, report_to_csv, report_to_text
 
 __all__ = ["main", "build_parser", "load_config"]
-
-SEED_ENV = "MCLAB_SEED"
 
 
 def _parse_set(assignment: str) -> tuple[list[str], object]:
@@ -68,18 +67,12 @@ def _apply_set(doc: dict, path: list[str], value: object) -> None:
     node[path[-1]] = value
 
 
-def load_config(
-    config_path: str | None,
-    sets: list[str] | None = None,
-    env: dict | None = None,
-) -> ExperimentConfig:
+def load_config(config_path: str | None, sets: list[str] | None = None) -> ExperimentConfig:
     """Read and override the config document, then build the experiment config.
 
-    Precedence: --set > file > MCLAB_SEED (seed only) > defaults. A sweep
-    manifest stands for the config it records, so the environment and
-    ``--set`` apply to that config.
+    Precedence: --set > file > defaults. A sweep manifest stands for the
+    config it records, so ``--set`` applies to that config.
     """
-    env = os.environ if env is None else env
     doc: dict = {}
     if config_path is not None:
         path = Path(config_path)
@@ -100,15 +93,7 @@ def load_config(
             if not isinstance(loaded, dict):
                 raise ConfigError("config", f"{config_path} is a sweep manifest without a config")
         doc = loaded
-    overrides = [_parse_set(s) for s in (sets or [])]
-    if "seed" not in doc and not any(p == ["seed"] for p, _ in overrides):
-        raw = env.get(SEED_ENV)
-        if raw is not None:
-            try:
-                doc["seed"] = int(raw)
-            except ValueError:
-                raise ConfigError("seed", f"{SEED_ENV} must be an integer") from None
-    for path_parts, value in overrides:
+    for path_parts, value in [_parse_set(s) for s in sets or []]:  # all parse first
         _apply_set(doc, path_parts, value)
     return normalize_config(doc)
 
@@ -132,13 +117,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate the configured dataset and save it")
     common(p)
-    p.add_argument("--out", help="output file (.bin for binary, else text)")
+    p.add_argument("--out", help="output CSV file (default <output_dir>/<name>/dataset.csv)")
 
     p = sub.add_parser("train", help="train the base model only")
     common(p)
+    p.add_argument("--exclude", type=int, metavar="C", help="class left out of training")
 
     p = sub.add_parser("correct", help="one full exclusion run (train, correct, compose)")
     common(p)
+    p.add_argument("--exclude", type=int, required=True, metavar="C",
+                   help="class left out of training and recovered by the corrector")
 
     p = sub.add_parser("eval", help="recompute metrics from a prediction log")
     p.add_argument("--preds", required=True, help="prediction log (preds.csv)")
@@ -167,7 +155,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     config = load_config(args.config, args.set)
-    result = run_single(config, config.excluded_class, base_only=True)
+    result = run_single(config, args.exclude, base_only=True)
     history = result.history
     print(
         f"trained {len(history.rows)} epochs, best val_acc "
@@ -179,9 +167,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_correct(args: argparse.Namespace) -> int:
     config = load_config(args.config, args.set)
-    if config.excluded_class is None:
-        raise ConfigError("excluded_class", "required for the correct command")
-    result = run_single(config, config.excluded_class)
+    result = run_single(config, args.exclude)
     agg = result.report.aggregate
     ret = "n/a" if agg.retention_macro is None else f"{agg.retention_macro:.4f}"
     print(

@@ -6,6 +6,9 @@ of a localized bright patch. The default profile mirrors a heavy-tailed
 seven-class emotion-style distribution (38.9 / 20.9 / 16.1 / 10.6 / 5.7 /
 5.7 / 2.3 percent) with one designated minority class placed close to a
 majority class in feature space.
+
+A dataset file has one format: a header line stating K and the feature
+width, then one CSV row per sample (``save_dataset``, ``load_dataset``).
 """
 
 from __future__ import annotations
@@ -240,45 +243,29 @@ def _header_line(k: int, dim: int) -> str:
 
 
 def save_dataset(data: LabeledDataset, path: str | Path) -> None:
-    """Write a dataset file; ``.bin`` paths use the little-endian float32 row
-    encoding, anything else CSV rows. Class names are not written."""
-    path = Path(path)
+    """Write a dataset file: a header line, then one CSV row per sample, its
+    label and its flattened features. Each feature is the ``repr`` of its
+    float32 value, so a load gives back the same bits. Class names are not
+    written."""
     flat = data.features.reshape(len(data), -1)
-    dim = flat.shape[1]
-    header = _header_line(data.n_classes, dim)
-    if path.suffix == ".bin":
-        rows = np.empty((len(data), dim + 1), dtype="<f4")
-        rows[:, 0] = data.labels
-        rows[:, 1:] = flat
-        with open(path, "wb") as fh:
-            fh.write((header + "\n").encode("ascii"))
-            fh.write(rows.tobytes())
-    else:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(header + "\n")
-            for lab, feat in zip(data.labels, flat):
-                fh.write(str(int(lab)) + "," + ",".join(repr(float(v)) for v in feat) + "\n")
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(_header_line(data.n_classes, flat.shape[1]) + "\n")
+        for lab, feat in zip(data.labels, flat):
+            fh.write(str(int(lab)) + "," + ",".join(repr(float(v)) for v in feat) + "\n")
 
 
 def load_dataset(path: str | Path) -> LabeledDataset:
     """Read a dataset file written by save_dataset (or any conforming file).
 
-    A ``.bin`` path holds binary rows, anything else CSV rows. Class names are
-    not part of the format; the dataset gets the class1..K placeholders of
-    ``default_names``. A malformed file raises DatasetFormatError starting
-    with the path: a non-ASCII byte in its text or a bad header or K above
-    ``MAX_CLASSES`` (each with its line); a text row with the wrong field
-    count, an unparsable cell, a label outside [0, K) or a feature that is
-    not a finite float32 (with its line and its data row, counted without
-    blank lines); a binary payload that is not a whole number of rows, or a
-    binary row whose label is not an integer in [0, K) or whose feature is
-    not finite (with its byte offset).
+    Class names are not part of the format; the dataset gets the class1..K
+    placeholders of ``default_names``. A malformed file raises
+    DatasetFormatError starting with the path and naming its line: a
+    non-ASCII byte, a bad header or K above ``MAX_CLASSES``; a row with the
+    wrong field count, an unparsable cell, a label outside [0, K) or a
+    feature that is not a finite float32 (with its data row too, counted
+    without blank lines).
     """
-    path = Path(path)
-    raw = path.read_bytes()
-    binary = path.suffix == ".bin"
-    end = (raw.find(b"\n") + 1 or len(raw)) if binary else len(raw)  # where the text ends
-    lines = _LineReader(path, raw[:end], DatasetFormatError)
+    lines = _LineReader(path, Path(path).read_bytes(), DatasetFormatError)
     header = lines.next().strip()
     parts = [p.strip() for p in header.split(",")]
     if len(parts) != 3 or parts[0] != _HEADER_PREFIX:
@@ -287,52 +274,29 @@ def load_dataset(path: str | Path) -> LabeledDataset:
     dim = lines.number(int, "dim", parts[2].removeprefix("dim="))
     if k < 1 or dim < 1:
         lines.fail(f"header K and dim must be positive: {header!r}")
-    if binary:
-        row_bytes = 4 * (dim + 1)
-        if (len(raw) - end) % row_bytes != 0:
-            raise DatasetFormatError(f"{path}: binary payload is {len(raw) - end} bytes, "
-                                     f"not a multiple of {row_bytes}")
-        rows = np.frombuffer(raw, dtype="<f4", offset=end).reshape(-1, dim + 1)
-        labels_f = rows[:, 0]
-        with np.errstate(invalid="ignore"):
-            labels = labels_f.astype(np.int64)
-        bad = np.nonzero((labels_f != labels) | (labels < 0) | (labels >= k))[0]
-        if bad.size:
-            r = int(bad[0])
-            raise DatasetFormatError(f"{path}: row {r} (offset {end + r * row_bytes}): label "
-                                     f"{float(labels_f[r])} is not an integer in [0, {k})")
-        features = rows[:, 1:].astype(np.float32)
-        bad = np.argwhere(~np.isfinite(features))
-        if bad.size:
-            r, j = (int(i) for i in bad[0])
-            raise DatasetFormatError(f"{path}: row {r} (offset {end + r * row_bytes}): feature "
-                                     f"{j} is {features[r, j]}, not a finite float32")
-    else:
-        labels_list: list[int] = []
-        feats_list: list[np.ndarray] = []
-        for line in lines:
-            if not line.strip():
-                continue
-            where = f"row {len(labels_list)}"
-            cells = line.split(",")
-            if len(cells) != dim + 1:
-                lines.fail(f"{where}: expected {dim + 1} fields, got {len(cells)}")
-            try:
-                lab = int(cells[0])
-                with np.errstate(over="ignore"):
-                    feat = np.array([float(v) for v in cells[1:]], dtype=np.float32)
-            except ValueError:
-                lines.fail(f"{where}: unparseable value")
-            finite = np.isfinite(feat)
-            if not finite.all():
-                j = int(finite.argmin())
-                lines.fail(f"{where}: feature {j} is {cells[j + 1]!r}, not a finite float32")
-            if lab < 0 or lab >= k:
-                lines.fail(f"{where}: label {lab} is not in [0, {k})")
-            labels_list.append(lab)
-            feats_list.append(feat)
-        labels = np.asarray(labels_list, dtype=np.int64)
-        features = (
-            np.stack(feats_list) if feats_list else np.empty((0, dim), dtype=np.float32)
-        )
+    labels_list: list[int] = []
+    feats_list: list[np.ndarray] = []
+    for line in lines:
+        if not line.strip():
+            continue
+        where = f"row {len(labels_list)}"
+        cells = line.split(",")
+        if len(cells) != dim + 1:
+            lines.fail(f"{where}: expected {dim + 1} fields, got {len(cells)}")
+        try:
+            lab = int(cells[0])
+            with np.errstate(over="ignore"):
+                feat = np.array([float(v) for v in cells[1:]], dtype=np.float32)
+        except ValueError:
+            lines.fail(f"{where}: unparseable value")
+        finite = np.isfinite(feat)
+        if not finite.all():
+            j = int(finite.argmin())
+            lines.fail(f"{where}: feature {j} is {cells[j + 1]!r}, not a finite float32")
+        if lab < 0 or lab >= k:
+            lines.fail(f"{where}: label {lab} is not in [0, {k})")
+        labels_list.append(lab)
+        feats_list.append(feat)
+    labels = np.asarray(labels_list, dtype=np.int64)
+    features = np.stack(feats_list) if feats_list else np.empty((0, dim), np.float32)
     return LabeledDataset(features, labels, default_names(k))

@@ -26,7 +26,8 @@ The experiment config is a tree of frozen dataclasses rooted at
 ``ExperimentConfig``. Each checks its own fields when it is built, whether
 from a document (``normalize_config``) or in code with ``replace``, so a run
 never starts from an invalid config. The master seed is the only seed it
-holds.
+holds, and the class a run excludes is not in it: that is ``run_single``'s
+argument, range-checked there.
 """
 
 from __future__ import annotations
@@ -122,8 +123,8 @@ class StageError(RuntimeError):
 
 @dataclass(frozen=True)
 class DatasetConfig:
-    """Where the data comes from: the file at ``path``, or the generator when
-    ``path`` is None. Generated data is checked against what the generator
+    """Where the data comes from: the dataset file at ``path`` (the CSV that
+    ``mclab gen`` writes), or the generator when ``path`` is None. Generated data is checked against what the generator
     would reject, before any stage runs."""
 
     path: str | None = None
@@ -165,7 +166,8 @@ class ExperimentConfig:
     """The whole experiment; its fields, types and defaults are the schema of
     the config document. An empty ``name`` becomes ``sweep_seed<seed>``.
     ``run_single`` sets the per-run fields (the three stage seeds and
-    ``policy.excluded_label``), so a config cannot set them. Each section
+    ``policy.excluded_label``) from its excluded class, so a config cannot
+    set them. Each section
     checks its own fields when it is built; this class checks the master
     seed, the per-run fields and the rules that span sections: for generated
     data, the class count and feature shape the model must take."""
@@ -179,7 +181,6 @@ class ExperimentConfig:
     train: TrainConfig = TrainConfig()
     gbdt: GbdtConfig = GbdtConfig()
     policy: DecisionPolicy = DecisionPolicy()
-    excluded_class: int | None = None
 
     def __post_init__(self) -> None:
         _check_seed(self.seed)
@@ -199,9 +200,6 @@ class ExperimentConfig:
             if d.kind == "images" and image != shape:
                 raise ConfigError("model.input_shape", "must be the generated image shape "
                                                        f"(channels, side, side) = {list(image)}")
-        excluded = self.excluded_class
-        if excluded is not None and not 0 <= excluded < self.model.n_classes:
-            raise ConfigError("excluded_class", f"must be in [0, {self.model.n_classes})")
         if not self.name:
             object.__setattr__(self, "name", f"sweep_seed{self.seed}")
 

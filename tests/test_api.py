@@ -59,6 +59,21 @@ def test_one_line_reader():
     assert found == []
 
 
+def test_no_environment_input():
+    """No module reads an environment variable, so a run is a function of its
+    config document and master seed alone."""
+    found = []
+    for source in sorted(Path(mclab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "environb",
+                                                                 "getenv", "getenvb"):
+                found.append(f"{source.name}:{node.lineno}: .{node.attr}")
+            if isinstance(node, ast.ImportFrom) and node.module == "os" and any(
+                    a.name in ("environ", "environb", "getenv", "getenvb") for a in node.names):
+                found.append(f"{source.name}:{node.lineno}: from os import")
+    assert found == []
+
+
 def test_configs_check_themselves():
     """No config has a ``validate`` method for a consumer to call: each checks
     itself in ``__post_init__``."""

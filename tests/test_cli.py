@@ -24,26 +24,22 @@ def write_doc(tmp_path: Path, doc: dict, name: str = "config.json") -> str:
 
 class TestLoadConfig:
     def test_defaults_without_any_input(self):
-        assert load_config(None, [], env={}) == normalize_config({})
+        assert load_config(None, []) == normalize_config({})
 
-    def test_environment_seed_is_lowest_precedence(self, tmp_path):
-        cfg = load_config(None, [], env={"MCLAB_SEED": "42"})
-        assert cfg.seed == 42
+    @pytest.mark.parametrize("value", ["42", "lots"])
+    def test_environment_seed_is_ignored(self, tmp_path, monkeypatch, value):
+        # the seed comes from the document, a manifest or --set, never the environment
+        monkeypatch.setenv("MCLAB_SEED", value)
+        assert load_config(None, []).seed == 0
         path = write_doc(tmp_path, {"seed": 5})
-        assert load_config(path, [], env={"MCLAB_SEED": "42"}).seed == 5
-        assert load_config(path, ["seed=9"], env={"MCLAB_SEED": "42"}).seed == 9
-        assert load_config(None, ["seed=9"], env={"MCLAB_SEED": "42"}).seed == 9
-
-    def test_bad_environment_seed(self):
-        with pytest.raises(ConfigError, match="MCLAB_SEED"):
-            load_config(None, [], env={"MCLAB_SEED": "lots"})
+        assert load_config(path, []).seed == 5
+        assert load_config(path, ["seed=9"]).seed == 9
 
     def test_set_parses_json_values(self):
         cfg = load_config(
             None,
             ["policy.tau=0.75", "model.conv_channels=[2,4,8]",
              "dataset.kind=images", "policy.as_new_class=true"],
-            env={},
         )
         assert cfg.policy.tau == 0.75
         assert cfg.model.conv_channels == (2, 4, 8)
@@ -52,45 +48,43 @@ class TestLoadConfig:
 
     def test_set_rejects_malformed_assignments(self):
         with pytest.raises(ConfigError, match="dotted.path=value"):
-            load_config(None, ["policy.tau"], env={})
+            load_config(None, ["policy.tau"])
         with pytest.raises(ConfigError, match="unknown field"):
-            load_config(None, ["policy.threshold=0.5"], env={})
+            load_config(None, ["policy.threshold=0.5"])
         with pytest.raises(ConfigError, match="^seed: expected int$"):
-            load_config(None, ["seed.sub=1"], env={})  # {"sub": 1} is not a seed
+            load_config(None, ["seed.sub=1"])  # {"sub": 1} is not a seed
         with pytest.raises(ConfigError, match="path crosses a non-object value"):
-            load_config(None, ["seed=1", "seed.sub=1"], env={})
+            load_config(None, ["seed=1", "seed.sub=1"])
         with pytest.raises(ConfigError, match="empty path"):
-            load_config(None, ["policy..tau=0.5"], env={})
+            load_config(None, ["policy..tau=0.5"])
 
     def test_missing_file_names_the_path(self):
         with pytest.raises(ConfigError, match="no such file: /nope/cfg.json"):
-            load_config("/nope/cfg.json", [], env={})
+            load_config("/nope/cfg.json", [])
 
     def test_garbage_file_is_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="invalid JSON"):
-            load_config(str(path), [], env={})
+            load_config(str(path), [])
         path.write_text("[1, 2]")
         with pytest.raises(ConfigError, match="object"):
-            load_config(str(path), [], env={})
+            load_config(str(path), [])
 
     def test_manifest_document_is_accepted(self, tmp_path):
         cfg = normalize_config(mini_doc(str(tmp_path)))
         manifest = {"artifact": "mclab-sweep v1", "config": cfg.to_dict(), "runs": {}}
         path = write_doc(tmp_path, manifest, "manifest.json")
-        assert load_config(path, [], env={}) == cfg
+        assert load_config(path, []) == cfg
         with pytest.raises(ConfigError, match="^artifact: unknown field$"):
             normalize_config(manifest)  # only the file reader unwraps a manifest
         path = write_doc(tmp_path, {"artifact": "mclab-sweep v1", "runs": {}}, "empty.json")
         with pytest.raises(ConfigError, match="^config: .*empty.json is a sweep manifest"):
-            load_config(path, [], env={})
+            load_config(path, [])
 
     def test_config_key_is_not_a_manifest(self):
         with pytest.raises(ConfigError, match="^config: unknown field$"):
-            load_config(None, ["config.seed=3"], env={})
-        with pytest.raises(ConfigError, match="^config: unknown field$"):
-            load_config(None, ["config.seed=3"], env={"MCLAB_SEED": "4"})
+            load_config(None, ["config.seed=3"])
 
 
 class TestExitCodes:
@@ -109,9 +103,10 @@ class TestExitCodes:
         assert code == 1
         assert "dataset.n_total: n_total must be >= 70" in capsys.readouterr().err
 
-        # the document holds no per-run field and no dataset.source
+        # the document holds no per-run field, no dataset.source and no
+        # excluded_class (train and correct take it as --exclude)
         for path in ("split.seed", "train.seed", "gbdt.seed", "policy.excluded_label",
-                     "dataset.source"):
+                     "dataset.source", "excluded_class"):
             assert main(["train", "--set", f"{path}=1"]) == 1
             assert f"config error: {path}: unknown field" in capsys.readouterr().err
 
@@ -158,7 +153,18 @@ class TestExitCodes:
     def test_correct_needs_an_excluded_class(self, tmp_path, capsys):
         path = write_doc(tmp_path, mini_doc(str(tmp_path / "runs")))
         assert main(["correct", "--config", path]) == 1
-        assert "excluded_class" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "usage: mclab correct" in err
+        assert "the following arguments are required: --exclude" in err
+
+    @pytest.mark.parametrize("command", ["train", "correct"])
+    def test_an_excluded_class_out_of_range_is_exit_2(self, tmp_path, capsys, command):
+        # run_single's range check is the only one; the mini profile has 3 classes
+        path = write_doc(tmp_path, mini_doc(str(tmp_path / "runs")))
+        assert main([command, "--config", path, "--exclude", "9"]) == 2
+        assert ("error: stage 'exclude' failed: excluded class 9 outside [0, 3)"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "runs").exists()
 
     def test_sweep_rejects_zero_jobs(self, tmp_path, capsys):
         path = write_doc(tmp_path, mini_doc(str(tmp_path / "runs")))
@@ -181,13 +187,20 @@ class TestGenTrain:
         assert "best val_acc" in capsys.readouterr().out
         assert (tmp_path / "runs" / "mini" / "excl_none" / "model.bin").is_file()
 
+    def test_train_with_an_excluded_class(self, tmp_path, capsys):
+        path = write_doc(tmp_path, mini_doc(str(tmp_path / "runs")))
+        assert main(["train", "--config", path, "--exclude", "2"]) == 0
+        assert "excl_2/model.bin" in capsys.readouterr().out
+        run_dir = tmp_path / "runs" / "mini" / "excl_2"
+        assert sorted(p.name for p in run_dir.iterdir()) == ["history.csv", "model.bin"]
+
 
 @pytest.fixture(scope="module")
 def cli_run(tmp_path_factory):
     """One full exclusion run driven through the command line."""
     tmp = tmp_path_factory.mktemp("cli_run")
     path = write_doc(tmp, mini_doc(str(tmp / "runs")))
-    code = main(["correct", "--config", path, "--set", "excluded_class=1"])
+    code = main(["correct", "--config", path, "--exclude", "1"])
     assert code == 0
     return tmp, tmp / "runs" / "mini" / "excl_1"
 
@@ -294,12 +307,11 @@ class TestSweepReport:
     def test_manifest_replays_with_overrides(self, cli_sweep):
         _, path, root = cli_sweep
         manifest = str(root / "manifest.json")
-        cfg = load_config(path, [], env={})
-        # the manifest's config states its seed, so it outranks MCLAB_SEED as a file does
-        assert load_config(manifest, [], env={"MCLAB_SEED": "4"}) == cfg
-        assert load_config(manifest, ["seed=4"], env={"MCLAB_SEED": "5"}) == replace(cfg, seed=4)
-        assert load_config(manifest, ["gbdt.n_rounds=3"], env={}) == load_config(
-            path, ["gbdt.n_rounds=3"], env={})
+        cfg = load_config(path, [])
+        assert load_config(manifest, []) == cfg
+        assert load_config(manifest, ["seed=4"]) == replace(cfg, seed=4)
+        assert load_config(manifest, ["gbdt.n_rounds=3"]) == load_config(
+            path, ["gbdt.n_rounds=3"])
 
     def test_report_without_manifest_fails(self, tmp_path, capsys):
         assert main(["report", "--run", str(tmp_path)]) == 2
@@ -360,6 +372,22 @@ class TestSweepReport:
         manifest.write_text(json.dumps(doc, sort_keys=True), encoding="ascii")
         assert main(["report", "--run", str(copy)]) == 2
         assert f"{manifest}: split.seed: unknown field" in capsys.readouterr().err
+
+    def test_a_sweep_written_with_excluded_class_fails_cleanly(self, cli_sweep, tmp_path,
+                                                              capsys):
+        # every manifest written while the document held excluded_class has it,
+        # null unless a run set it
+        _, _, root = cli_sweep
+        copy = tmp_path / "cli"
+        shutil.copytree(root, copy)
+        manifest = copy / "manifest.json"
+        doc = json.loads(manifest.read_text(encoding="ascii"))
+        doc["config"]["excluded_class"] = None
+        manifest.write_text(json.dumps(doc, sort_keys=True), encoding="ascii")
+        assert main(["report", "--run", str(copy)]) == 2
+        assert f"{manifest}: excluded_class: unknown field" in capsys.readouterr().err
+        assert main(["sweep", "--config", str(manifest)]) == 1
+        assert "config error: excluded_class: unknown field" in capsys.readouterr().err
 
     def test_report_of_a_missing_log_names_it(self, cli_sweep, tmp_path, capsys):
         _, _, root = cli_sweep

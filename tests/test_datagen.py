@@ -191,31 +191,26 @@ class TestDatasetFiles:
         back = load_dataset(path)
         assert back.names == default_names(2) and len(back) == 100
         assert np.array_equal(back.labels, data.labels)
-        assert np.allclose(back.features, data.features, atol=1e-6)
-
-    def test_binary_round_trip_bit_exact(self, tmp_path):
-        data = generate_gaussian(two_cluster_spec(), 100, Rng.from_seed(2))
-        path = tmp_path / "toy.bin"
-        save_dataset(data, path)
-        back = load_dataset(path)
+        # each cell is the repr of a float32, so the bits come back
         assert np.array_equal(back.features, data.features)
-        assert np.array_equal(back.labels, data.labels)
 
-    def test_csv_and_binary_agree(self, tmp_path):
-        data = generate_gaussian(two_cluster_spec(), 80, Rng.from_seed(9))
-        save_dataset(data, tmp_path / "d.csv")
-        save_dataset(data, tmp_path / "d.bin")
-        a = load_dataset(tmp_path / "d.csv")
-        b = load_dataset(tmp_path / "d.bin")
-        assert np.array_equal(a.labels, b.labels)
-        assert np.allclose(a.features, b.features, atol=1e-6)
+    def test_old_binary_layout_is_rejected(self, tmp_path):
+        # the header line, then little-endian float32 rows of label and features:
+        # a second format that save_dataset once wrote to a .bin path
+        data = generate_gaussian(two_cluster_spec(), 20, Rng.from_seed(2))
+        rows = np.column_stack([data.labels, data.features]).astype("<f4")
+        for path in (tmp_path / "d.bin", tmp_path / "d.csv"):
+            path.write_bytes(b"mclab-dataset v1, K=2, dim=4\n" + rows.tobytes())
+            with pytest.raises(DatasetFormatError) as err:
+                load_dataset(path)
+            assert str(err.value).startswith(f"{path}: line 2: ")
 
     def test_image_dataset_round_trip_restores_shape(self, tmp_path):
         data = generate_toy_images(
             SequenceImageSpec(), DEFAULT_PROFILE, 140, Rng.from_seed(1)
         )
-        save_dataset(data, tmp_path / "img.bin")
-        back = load_dataset(tmp_path / "img.bin")
+        save_dataset(data, tmp_path / "img.csv")
+        back = load_dataset(tmp_path / "img.csv")
         # files are flat; the model reshapes on entry
         assert back.feature_shape == (64,)
         assert np.array_equal(
@@ -257,40 +252,24 @@ def _set_text_cell(raw: bytes, line: int, cell: int, value: str) -> bytes:
     return "\n".join(lines).encode("ascii")
 
 
-def _set_binary_label(raw: bytes, row: int, label: float) -> bytes:
-    start = raw.index(b"\n") + 1 + row * 4 * 3  # dim 2: label plus two features
-    return raw[:start] + np.array([label], dtype="<f4").tobytes() + raw[start + 4:]
-
-
-def _set_binary_feature(raw: bytes, row: int, value: float) -> bytes:
-    start = raw.index(b"\n") + 1 + row * 4 * 3 + 4  # the row's first feature
-    return raw[:start] + np.array([value], dtype="<f4").tobytes() + raw[start + 4:]
-
-
-# edits of a saved 2-dim, 2-class dataset: the file suffix, the edit, and the
-# message each must be rejected with after the path
+# edits of a saved 2-dim, 2-class dataset, and the message each must be
+# rejected with after the path
 MALFORMED_DATASETS = {
-    "bad_header": (".csv", lambda raw: b"mclab dataset" + raw[raw.index(b","):],
+    "bad_header": (lambda raw: b"mclab dataset" + raw[raw.index(b","):],
                    "line 1: malformed header line"),
-    "huge_k": (".bin", lambda raw: raw.replace(b"K=2,", b"K=2000000,", 1),
+    "huge_k": (lambda raw: raw.replace(b"K=2,", b"K=2000000,", 1),
                "line 1: header K=2000000 exceeds the ceiling of 65536 classes"),
-    "wrong_field_count": (".csv", lambda raw: _set_text_cell(raw, 3, 2, "0.5,0.5"),
+    "wrong_field_count": (lambda raw: _set_text_cell(raw, 3, 2, "0.5,0.5"),
                           "line 4: row 2: expected 3 fields, got 4"),
-    "unparsable_cell": (".csv", lambda raw: _set_text_cell(raw, 5, 1, "one"),
+    "unparsable_cell": (lambda raw: _set_text_cell(raw, 5, 1, "one"),
                         "line 6: row 4: unparseable value"),
-    "label_out_of_range": (".csv", lambda raw: _set_text_cell(raw, 2, 0, "2"),
+    "label_out_of_range": (lambda raw: _set_text_cell(raw, 2, 0, "2"),
                            r"line 3: row 1: label 2 is not in \[0, 2\)"),
-    "partial_binary_row": (".bin", lambda raw: raw[:-5],
-                           "binary payload is 235 bytes, not a multiple of 12"),
-    "fractional_binary_label": (".bin", lambda raw: _set_binary_label(raw, 3, 0.5),
-                                r"row 3 \(offset \d+\): label 0.5 is not an integer in \[0, 2\)"),
-    "nan_cell": (".csv", lambda raw: _set_text_cell(raw, 3, 2, "nan"),
+    "nan_cell": (lambda raw: _set_text_cell(raw, 3, 2, "nan"),
                  "line 4: row 2: feature 1 is 'nan', not a finite float32"),
-    "overflow_cell": (".csv", lambda raw: _set_text_cell(raw, 5, 1, "1e39"),
+    "overflow_cell": (lambda raw: _set_text_cell(raw, 5, 1, "1e39"),
                       "line 6: row 4: feature 0 is '1e39', not a finite float32"),
-    "infinite_binary_feature": (".bin", lambda raw: _set_binary_feature(raw, 3, np.inf),
-                                r"row 3 \(offset 65\): feature 0 is inf, not a finite float32"),
-    "row_after_blank_lines": (".csv", lambda raw: _set_text_cell(
+    "row_after_blank_lines": (lambda raw: _set_text_cell(
         raw.replace(b"\n", b"\n\n\n", 1), 4, 0, "2"), r"line 5: row 1: label 2 is not in \[0, 2\)"),
 }
 
@@ -299,23 +278,22 @@ class TestDatasetRejections:
     @pytest.fixture(scope="class")
     def saved(self, tmp_path_factory):
         data = generate_gaussian(two_cluster_spec(dim=2), 20, Rng.from_seed(0))
-        root = tmp_path_factory.mktemp("dataset")
-        for suffix in (".csv", ".bin"):
-            save_dataset(data, root / f"d{suffix}")
-        return {suffix: (root / f"d{suffix}").read_bytes() for suffix in (".csv", ".bin")}
+        path = tmp_path_factory.mktemp("dataset") / "d.csv"
+        save_dataset(data, path)
+        return path.read_bytes()
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_DATASETS))
     def test_error_names_the_path(self, tmp_path, saved, case):
-        suffix, edit, message = MALFORMED_DATASETS[case]
-        path = tmp_path / f"d{suffix}"
-        path.write_bytes(edit(saved[suffix]))
+        edit, message = MALFORMED_DATASETS[case]
+        path = tmp_path / "d.csv"
+        path.write_bytes(edit(saved))
         with pytest.raises(DatasetFormatError, match=message) as err:
             load_dataset(path)
         assert str(err.value).startswith(f"{path}: ")
 
     def test_float32_overflow_is_rejected_without_a_warning(self, tmp_path, saved):
         path = tmp_path / "d.csv"
-        path.write_bytes(_set_text_cell(saved[".csv"], 2, 2, "-1e39"))
+        path.write_bytes(_set_text_cell(saved, 2, 2, "-1e39"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DatasetFormatError, match="feature 1 is '-1e39'"):
@@ -323,6 +301,7 @@ class TestDatasetRejections:
 
     @pytest.mark.parametrize("suffix", [".csv", ".bin"])
     def test_unedited_dataset_loads(self, tmp_path, saved, suffix):
+        # the suffix selects nothing: a file is the one CSV format by any name
         path = tmp_path / f"d{suffix}"
-        path.write_bytes(saved[suffix])
+        path.write_bytes(saved)
         assert len(load_dataset(path)) == 20

@@ -135,7 +135,6 @@ VALID_OVERRIDES = _section(
         subsample=st.floats(0.0, 1.0, exclude_min=True),
     ),
     policy=_section(tau=UNIT, as_new_class=st.booleans()),
-    excluded_class=st.none() | st.integers(0, 6),
 ).map(_fit_model)
 
 
@@ -177,10 +176,10 @@ class TestNormalizeConfig:
     def test_config_bytes_are_pinned(self):
         # the input is pure JSON, so these digests hold on every host
         assert config_sha256(normalize_config({})) == (
-            "0ba0fb922aaf33f176a02b61621c6e683ac7f54d7be9137d05c4429bf19027da"
+            "36629541277c481e42229a20de95a908745439465400e31d0043f698a06ed577"
         )
         assert config_sha256(mini_config("runs")) == (
-            "0e16bd939369f4937a67dcd2feb98dde7a61387821fef59225e6889bf6269937"
+            "954e88a45a7068605489515127d8e30862d52fe7b5c93b3609c952de2f2de486"
         )
 
     def test_readme_default_block_is_the_default_config(self):
@@ -209,6 +208,7 @@ class TestNormalizeConfig:
              "dataset.profile.proportions"),
             ({"dataset": {"profile": {"names": ["only", "two"]}}},
              "dataset.profile.names"),
+            # a field deleted since: train and correct take the class as --exclude
             ({"excluded_class": 9}, "excluded_class"),
             ({"model": {"n_classes": 4}}, "model.n_classes"),
             ({"gbdt": {"n_rounds": 0}}, "gbdt"),
@@ -321,8 +321,6 @@ class TestConstructionChecks:
                      "image.side", id="dataset_image_side"),
         pytest.param(ExperimentConfig, {"model": ModelConfig(n_classes=3)}, "model.n_classes",
                      id="experiment_n_classes"),
-        pytest.param(ExperimentConfig, {"excluded_class": 7}, "excluded_class",
-                     id="experiment_excluded_class"),
         pytest.param(ExperimentConfig, {"seed": -1}, "seed", id="experiment_seed"),
         pytest.param(SplitSpec, {"seed": -3}, "seed", id="split_seed"),
         pytest.param(TrainConfig, {"seed": -1}, "seed", id="train_seed"),

@@ -22,7 +22,6 @@ READERS = {
     "corrector.txt": load_ensemble,
     "preds.csv": read_prediction_log,
     "dataset.csv": load_dataset,
-    "dataset.bin": load_dataset,
 }
 
 
@@ -42,14 +41,12 @@ def valid_files(tmp_path_factory):
     write_prediction_log(preds, np.arange(5) % 3, 3, root / "preds.csv")
     data = generate_gaussian(two_cluster_spec(dim=2), 20, Rng.from_seed(0))
     save_dataset(data, root / "dataset.csv")
-    save_dataset(data, root / "dataset.bin")
     return root, {name: (root / name).read_bytes() for name in READERS}
 
 
 # the line of each file that gets a non-ASCII byte: a text line of each text
-# file, and a line of the text header of each binary one
-NON_ASCII_LINE = {"model.bin": 2, "corrector.txt": 3, "preds.csv": 4, "dataset.csv": 5,
-                  "dataset.bin": 1}
+# file, and a line of the text header of the binary checkpoint
+NON_ASCII_LINE = {"model.bin": 2, "corrector.txt": 3, "preds.csv": 4, "dataset.csv": 5}
 
 
 @pytest.mark.parametrize("name", sorted(READERS))
