@@ -12,7 +12,8 @@ from mclab.datagen import ProfileConfig, generate_gaussian
 
 
 def main() -> None:
-    spec = ProfileConfig(dim=64).to_cluster_spec()
+    profile = ProfileConfig(dim=64)
+    spec = profile.to_cluster_spec()
     rng = Rng.from_seed(0).derive("data")
     data = generate_gaussian(spec, 7000, rng)
 
@@ -22,7 +23,7 @@ def main() -> None:
     print(f"{'class':<12}{'count':>7}{'share':>9}{'weight':>9}")
     weights = class_weights(data)
     counts = data.class_counts
-    for i, name in enumerate(data.names):
+    for i, name in enumerate(profile.names):
         print(f"{i}:{name:<10}{counts[i]:>7}"
               f"{counts[i] / data.labels.size:>9.3f}{weights[i]:>9.2f}")
     print()

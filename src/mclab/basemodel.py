@@ -88,11 +88,6 @@ class ModelConfig:
             h, w = h // 2, w // 2
         return (self.width, h, w)
 
-    @property
-    def seq_len(self) -> int:
-        _, h, w = self.conv_out_shape
-        return h * w
-
 
 @dataclass(frozen=True)
 class TrainConfig:

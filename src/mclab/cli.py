@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate the configured dataset and save it")
     common(p)
-    p.add_argument("--out", help="output CSV file (default <output_dir>/<name>/dataset.csv)")
+    p.add_argument("--out", help="output CSV file (default <sweep root>/dataset.csv)")
 
     p = sub.add_parser("train", help="train the base model only")
     common(p)
@@ -145,7 +145,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     config = load_config(args.config, args.set)
     with _stage("data"):
         data = build_dataset(config)
-        out = args.out or str(Path(config.output_dir) / config.name / "dataset.csv")
+        out = args.out or str(config.root / "dataset.csv")
         Path(out).parent.mkdir(parents=True, exist_ok=True)
         save_dataset(data, out)
     counts = ", ".join(str(int(c)) for c in data.class_counts)
@@ -171,7 +171,7 @@ def _cmd_correct(args: argparse.Namespace) -> int:
     agg = result.report.aggregate
     ret = "n/a" if agg.retention_macro is None else f"{agg.retention_macro:.4f}"
     print(
-        f"run complete: val_acc {result.val_accuracy:.4f}, "
+        f"run complete: val_acc {result.history.best_val_acc:.4f}, "
         f"retention_macro {ret}, accuracy {agg.accuracy_base:.4f} -> "
         f"{agg.accuracy_corrected:.4f}; artifacts in {result.run_dir}"
     )
@@ -205,7 +205,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         tag = "baseline " if excluded is None else f"excl_{excluded}   "
         ret = "   n/a" if agg.retention_macro is None else f"{agg.retention_macro:.4f}"
         print(
-            f"{tag} val_acc {result.val_accuracy:.4f}  retention_macro {ret}  "
+            f"{tag} val_acc {result.history.best_val_acc:.4f}  retention_macro {ret}  "
             f"accuracy {agg.accuracy_base:.4f} -> {agg.accuracy_corrected:.4f}"
         )
     print(f"report written to {sweep.root}")

@@ -110,12 +110,12 @@ def _frozen(values: Any, dtype: Any) -> np.ndarray:
 
 class _LineReader:
     """The lines of a text file, or of the text header of a binary one, read
-    in order. Every fault names the path and the line being read, as
-    ``<path>: line <n>: <message>``, raised as ``error``; so does a non-ASCII
+    in order. Every fault names the path and the line being read, as a
+    ``ValueError`` ``<path>: line <n>: <message>``; so does a non-ASCII
     byte, named with its offset in ``raw``."""
 
-    def __init__(self, path: str | Path, raw: bytes, error: type[ValueError] = ValueError):
-        self.path, self.error = path, error
+    def __init__(self, path: str | Path, raw: bytes):
+        self.path = path
         self.at = 0  # 1-based number of the line being read; 0 before the first
         try:
             self.lines = raw.decode("ascii").splitlines()
@@ -125,7 +125,7 @@ class _LineReader:
             self.fail(f"non-ASCII byte 0x{raw[exc.start]:02x} at offset {exc.start}")
 
     def fail(self, message: str) -> NoReturn:
-        raise self.error(f"{self.path}: line {self.at}: {message}")
+        raise ValueError(f"{self.path}: line {self.at}: {message}")
 
     def next(self, prefix: str = "", missing: str = "file ends early") -> str:
         """The next line, after the ``prefix`` it must start with."""
@@ -160,16 +160,16 @@ class _LineReader:
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Immutable feature/label arrays plus the names of their K classes.
+    """Immutable feature/label arrays over K classes, named in the config.
 
-    features: float32 array of shape (n, *feature_shape)
-    labels:   int64 array of shape (n,), values in [0, K)
-    names:    K distinct non-empty display names; class i is names[i]
+    features:  float32 array of shape (n, *feature_shape)
+    labels:    int64 array of shape (n,), values in [0, K)
+    n_classes: K, a positive int
     """
 
     features: np.ndarray
     labels: np.ndarray
-    names: tuple[str, ...]
+    n_classes: int
 
     def __post_init__(self) -> None:
         feats = _frozen(self.features, np.float32)
@@ -178,26 +178,16 @@ class LabeledDataset:
             raise ValueError("features must have shape (n, *feature_shape)")
         if labs.ndim != 1 or labs.shape[0] != feats.shape[0]:
             raise ValueError("labels must be a vector aligned with features")
-        names = tuple(str(n) for n in self.names)
-        k = len(names)
-        if k == 0:
-            raise ValueError("need at least one class name")
-        if not all(names):
-            raise ValueError("class names must be non-empty")
-        if len(set(names)) != k:
-            raise ValueError("class names must be unique")
+        k = self.n_classes
+        if type(k) is not int or k < 1:
+            raise ValueError(f"n_classes must be a positive int, not {k!r}")
         if labs.size and (labs.min() < 0 or labs.max() >= k):
             raise ValueError(f"labels must lie in [0, {k})")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labs)
-        object.__setattr__(self, "names", names)
 
     def __len__(self) -> int:
         return int(self.labels.shape[0])
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.names)
 
     @property
     def feature_shape(self) -> tuple[int, ...]:
@@ -212,12 +202,12 @@ class LabeledDataset:
         idx = np.asarray(indices, dtype=np.int64)
         features, labels = self.features[idx], self.labels[idx]
         features.flags.writeable = labels.flags.writeable = False  # fresh, so not copied again
-        return LabeledDataset(features, labels, self.names)
+        return LabeledDataset(features, labels, self.n_classes)
 
 
 def datasets_equal(a: LabeledDataset, b: LabeledDataset) -> bool:
-    """Exact equality of class names, shape, labels and features."""
-    if a.names != b.names or a.feature_shape != b.feature_shape or len(a) != len(b):
+    """Exact equality of class count, shape, labels and features."""
+    if a.n_classes != b.n_classes or a.feature_shape != b.feature_shape or len(a) != len(b):
         return False
     return bool(np.array_equal(a.labels, b.labels) and np.array_equal(a.features, b.features))
 
@@ -432,7 +422,7 @@ def validation_slice(
         fit = LabeledDataset(
             np.concatenate([fit.features, data.features[alone]]),
             np.concatenate([fit.labels, data.labels[alone]]),
-            data.names,
+            data.n_classes,
         )
     return fit, val
 
@@ -440,7 +430,7 @@ def validation_slice(
 def exclude_class(data: LabeledDataset, excluded: int) -> LabeledDataset:
     """Drop every sample of one class; other samples keep their order.
 
-    The class names are unchanged, so downstream components still see K classes.
+    K is unchanged, so downstream components still see K classes.
     """
     cls = int(excluded)
     if cls < 0 or cls >= data.n_classes:

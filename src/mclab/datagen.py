@@ -7,8 +7,10 @@ seven-class emotion-style distribution (38.9 / 20.9 / 16.1 / 10.6 / 5.7 /
 5.7 / 2.3 percent) with one designated minority class placed close to a
 majority class in feature space.
 
-A dataset file has one format: a header line stating K and the feature
-width, then one CSV row per sample (``save_dataset``, ``load_dataset``).
+A dataset holds features, labels and its class count K; the class names live
+in the config (``ProfileConfig.names``). A dataset file has one format: a
+header line stating K and the feature width, then one CSV row per sample
+(``save_dataset``, ``load_dataset``).
 """
 
 from __future__ import annotations
@@ -19,13 +21,11 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (ConfigError, LabeledDataset, Rng, _frozen, _LineReader, default_names,
-                   largest_remainder)
+from .core import ConfigError, LabeledDataset, Rng, _frozen, _LineReader, largest_remainder
 
 __all__ = [
     "ClusterSpec",
     "SequenceImageSpec",
-    "DatasetFormatError",
     "ProfileConfig",
     "check_gaussian_scale",
     "check_n_total",
@@ -51,17 +51,14 @@ class ClusterSpec:
     means: np.ndarray  # (K, dim) float64
     covariance_scale: np.ndarray  # (K,) float64, >= 0
     proportions: np.ndarray  # (K,) float64, sums to 1
-    names: tuple[str, ...]
 
     def __post_init__(self) -> None:
         means = np.asarray(self.means, dtype=np.float64)
-        scales = np.atleast_1d(np.asarray(self.covariance_scale, dtype=np.float64))
+        scales = np.asarray(self.covariance_scale, dtype=np.float64)
         props = np.asarray(self.proportions, dtype=np.float64)
         if means.ndim != 2:
             raise ValueError("means must have shape (K, dim)")
         k = means.shape[0]
-        if scales.size == 1:
-            scales = np.full(k, float(scales[0]))
         if scales.shape != (k,) or props.shape != (k,):
             raise ValueError("covariance_scale and proportions must have length K")
         if not np.isfinite(means).all():
@@ -72,12 +69,9 @@ class ClusterSpec:
             raise ValueError("proportions must be positive")
         if not abs(float(props.sum()) - 1.0) <= 1e-9:
             raise ValueError("proportions must sum to 1 within 1e-9")
-        if len(self.names) != k:
-            raise ValueError("need one display name per class")
         object.__setattr__(self, "means", _frozen(means, np.float64))
         object.__setattr__(self, "covariance_scale", _frozen(scales, np.float64))
         object.__setattr__(self, "proportions", _frozen(props, np.float64))
-        object.__setattr__(self, "names", tuple(self.names))
 
     @property
     def n_classes(self) -> int:
@@ -149,7 +143,6 @@ class ProfileConfig:
             means=means,
             covariance_scale=np.full(k, float(self.covariance_scale)),
             proportions=props,
-            names=tuple(self.names)[:k],
         )
 
 
@@ -182,7 +175,7 @@ def _sample(
     perm = gen.permutation(n_total)
     features, labels = features[perm], np.repeat(np.arange(k, dtype=np.int64), counts)[perm]
     features.flags.writeable = labels.flags.writeable = False  # fresh, so not copied again
-    return LabeledDataset(features, labels, cluster.names)
+    return LabeledDataset(features, labels, k)
 
 
 def generate_gaussian(cluster: ClusterSpec, n_total: int, rng: Rng) -> LabeledDataset:
@@ -234,10 +227,6 @@ def generate_toy_images(
     return _sample(cluster, n_total, gen, shape, draw)
 
 
-class DatasetFormatError(ValueError):
-    """Malformed dataset file (bad header, row width, or label range)."""
-
-
 def _header_line(k: int, dim: int) -> str:
     return f"{_HEADER_PREFIX}, K={k}, dim={dim}"
 
@@ -245,8 +234,7 @@ def _header_line(k: int, dim: int) -> str:
 def save_dataset(data: LabeledDataset, path: str | Path) -> None:
     """Write a dataset file: a header line, then one CSV row per sample, its
     label and its flattened features. Each feature is the ``repr`` of its
-    float32 value, so a load gives back the same bits. Class names are not
-    written."""
+    float32 value, so a load gives back the same bits."""
     flat = data.features.reshape(len(data), -1)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(_header_line(data.n_classes, flat.shape[1]) + "\n")
@@ -257,15 +245,14 @@ def save_dataset(data: LabeledDataset, path: str | Path) -> None:
 def load_dataset(path: str | Path) -> LabeledDataset:
     """Read a dataset file written by save_dataset (or any conforming file).
 
-    Class names are not part of the format; the dataset gets the class1..K
-    placeholders of ``default_names``. A malformed file raises
-    DatasetFormatError starting with the path and naming its line: a
-    non-ASCII byte, a bad header or K above ``MAX_CLASSES``; a row with the
-    wrong field count, an unparsable cell, a label outside [0, K) or a
-    feature that is not a finite float32 (with its data row too, counted
-    without blank lines).
+    The dataset carries K, not class names. A malformed file raises
+    ``ValueError`` starting with the path and naming its line: a non-ASCII
+    byte, a bad header or K above ``MAX_CLASSES``; a row with the wrong field
+    count, an unparsable cell, a label outside [0, K) or a feature that is
+    not a finite float32 (with its data row too, counted without blank
+    lines).
     """
-    lines = _LineReader(path, Path(path).read_bytes(), DatasetFormatError)
+    lines = _LineReader(path, Path(path).read_bytes())
     header = lines.next().strip()
     parts = [p.strip() for p in header.split(",")]
     if len(parts) != 3 or parts[0] != _HEADER_PREFIX:
@@ -299,4 +286,4 @@ def load_dataset(path: str | Path) -> LabeledDataset:
         feats_list.append(feat)
     labels = np.asarray(labels_list, dtype=np.int64)
     features = np.stack(feats_list) if feats_list else np.empty((0, dim), np.float32)
-    return LabeledDataset(features, labels, default_names(k))
+    return LabeledDataset(features, labels, k)

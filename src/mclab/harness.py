@@ -27,7 +27,8 @@ The experiment config is a tree of frozen dataclasses rooted at
 from a document (``normalize_config``) or in code with ``replace``, so a run
 never starts from an invalid config. The master seed is the only seed it
 holds, and the class a run excludes is not in it: that is ``run_single``'s
-argument, range-checked there.
+argument, range-checked there. Its ``root`` names the sweep directory after
+``name``, or after the seed (``sweep_seed<seed>``) when ``name`` is empty.
 """
 
 from __future__ import annotations
@@ -124,8 +125,9 @@ class StageError(RuntimeError):
 @dataclass(frozen=True)
 class DatasetConfig:
     """Where the data comes from: the dataset file at ``path`` (the CSV that
-    ``mclab gen`` writes), or the generator when ``path`` is None. Generated data is checked against what the generator
-    would reject, before any stage runs."""
+    ``mclab gen`` writes), or the generator when ``path`` is None. Generated
+    data is checked against what the generator would reject, before any stage
+    runs."""
 
     path: str | None = None
     kind: str = "gaussian"  # gaussian | images
@@ -164,13 +166,14 @@ MANIFEST_ARTIFACT = "mclab-sweep v1"
 @dataclass(frozen=True)
 class ExperimentConfig:
     """The whole experiment; its fields, types and defaults are the schema of
-    the config document. An empty ``name`` becomes ``sweep_seed<seed>``.
+    the config document. ``root`` is the sweep directory, ``sweep_seed<seed>``
+    when ``name`` is empty, so a replay at another seed gets its own.
     ``run_single`` sets the per-run fields (the three stage seeds and
     ``policy.excluded_label``) from its excluded class, so a config cannot
-    set them. Each section
-    checks its own fields when it is built; this class checks the master
-    seed, the per-run fields and the rules that span sections: for generated
-    data, the class count and feature shape the model must take."""
+    set them. Each section checks its own fields when it is built; this class
+    checks the master seed, the per-run fields and the rules that span
+    sections: for generated data, the class count and feature shape the
+    model must take."""
 
     name: str = ""
     seed: int = 0
@@ -200,8 +203,11 @@ class ExperimentConfig:
             if d.kind == "images" and image != shape:
                 raise ConfigError("model.input_shape", "must be the generated image shape "
                                                        f"(channels, side, side) = {list(image)}")
-        if not self.name:
-            object.__setattr__(self, "name", f"sweep_seed{self.seed}")
+
+    @property
+    def root(self) -> Path:
+        """The sweep directory; every run directory is below it."""
+        return Path(self.output_dir) / (self.name or f"sweep_seed{self.seed}")
 
     def to_dict(self) -> dict:
         """The config document, as plain JSON values."""
@@ -291,15 +297,9 @@ def _stage(name: str) -> Iterator[None]:
 
 @dataclass
 class RunResult:
-    excluded: int | None
     run_dir: str
     report: EvalReport | None
-    history: TrainingHistory
-
-    @property
-    def val_accuracy(self) -> float:
-        """Best validation accuracy of the base model (NaN when reloaded)."""
-        return self.history.best_val_acc
+    history: TrainingHistory  # empty when reloaded, so best_val_acc is NaN
 
 
 def _dir_tag(excluded: int | None) -> str:
@@ -395,7 +395,7 @@ def run_single(
             report = evaluate(PairedPredictions(
                 test_set.labels, preds.base_labels, preds.corrected_labels, k))
 
-    run_dir = Path(config.output_dir) / config.name / _dir_tag(excluded)
+    run_dir = config.root / _dir_tag(excluded)
     with _stage("persist"):
         run_dir.mkdir(parents=True, exist_ok=True)
         save_model(model, run_dir / "model.bin")
@@ -405,7 +405,7 @@ def run_single(
             write_prediction_log(preds, test_set.labels, k, run_dir / "preds.csv")
             (run_dir / "metrics.csv").write_text(report_to_csv(report), encoding="ascii")
         history.write(run_dir / "history.csv")
-    return RunResult(excluded, str(run_dir), report, history)
+    return RunResult(str(run_dir), report, history)
 
 
 @dataclass
@@ -416,7 +416,7 @@ class SweepResult:
 
     @property
     def root(self) -> Path:
-        return Path(self.config.output_dir) / self.config.name
+        return self.config.root
 
 
 def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepResult:
@@ -573,7 +573,7 @@ def load_sweep(root: str | Path) -> SweepResult:
         if digest != want:
             raise StageError("report", f"{preds_path} does not match its sha256 in the manifest")
         report = evaluate(read_prediction_log(preds_path))
-        return RunResult(excluded, str(run_dir), report, TrainingHistory())
+        return RunResult(str(run_dir), report, TrainingHistory())
 
     baseline = rebuild(None)
     runs = {c: rebuild(c) for c in range(config.model.n_classes)}

@@ -103,7 +103,7 @@ def derived_numbers(sweep) -> dict:
     return {
         "baseline": {
             "accuracy_base": sweep.baseline.report.aggregate.accuracy_base,
-            "val_accuracy": sweep.baseline.val_accuracy,
+            "val_accuracy": sweep.baseline.history.best_val_acc,
         },
         "runs": runs,
     }

@@ -3,9 +3,11 @@ list matches what ``mclab/__init__.py`` imports. The benchmark's calls into
 mclab resolve too, so a removed name fails here, not only in a benchmark run,
 and one compose_infer pass passes its own check.
 Only ``core``'s line reader decodes a file's text or names a fault's line,
-no config has a ``validate`` method, and no rule has a second copy."""
+the package defines two exception types, no config has a ``validate``
+method, and no rule has a second copy."""
 
 import ast
+import builtins
 import importlib
 import importlib.util
 import pkgutil
@@ -57,6 +59,27 @@ def test_one_line_reader():
                     and node.func.attr == "decode"):
                 found.append(f"{source.name}:{node.lineno}: .decode(")
     assert found == []
+
+
+def test_two_exception_types():
+    """``ConfigError`` (a bad config) and ``StageError`` (a failed stage) are
+    the only exception classes the package defines; a bad file raises a plain
+    ``ValueError`` that names it, whichever loader reads it."""
+    found = []
+    for source in sorted(Path(mclab.__file__).parent.glob("*.py")):
+        module = importlib.import_module("mclab" if source.stem == "__init__"
+                                         else f"mclab.{source.stem}")
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for base in node.bases:
+                head, *rest = ast.unparse(base).split(".")
+                target = getattr(module, head, getattr(builtins, head, None))
+                for name in rest:
+                    target = getattr(target, name, None)
+                if isinstance(target, type) and issubclass(target, BaseException):
+                    found.append(f"{source.name}: {node.name}")
+    assert found == ["core.py: ConfigError", "harness.py: StageError"]
 
 
 def test_no_environment_input():

@@ -50,8 +50,7 @@ def blob_dataset(n_per: int, centers: np.ndarray, seed: int, scale: float = 0.5)
     )
     labels = np.repeat(np.arange(k), n_per)
     perm = gen.permutation(k * n_per)
-    names = tuple(chr(ord("A") + i) for i in range(k))
-    return LabeledDataset(feats[perm].astype(np.float32), labels[perm], names)
+    return LabeledDataset(feats[perm].astype(np.float32), labels[perm], k)
 
 
 @pytest.fixture(scope="module")
@@ -80,10 +79,8 @@ class TestModelConfig:
         cfg = ModelConfig()
         assert cfg.width == 16
         assert cfg.conv_out_shape == (16, 1, 1)
-        assert cfg.seq_len == 1
         big = ModelConfig(input_shape=(1, 16, 16), conv_channels=(2, 2, 4), n_classes=3)
         assert big.conv_out_shape == (4, 2, 2)
-        assert big.seq_len == 4
 
     def test_rejects_input_that_pools_away(self):
         with pytest.raises(ValueError, match="pool"):

@@ -82,6 +82,17 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="^config: .*empty.json is a sweep manifest"):
             load_config(path, [])
 
+    def test_an_unnamed_config_replays_into_a_new_directory(self, tmp_path):
+        # an empty name is kept as it is; the directory follows the seed
+        cfg = normalize_config(mini_doc("runs", name=""))
+        assert cfg.name == "" and cfg.root == Path("runs", "sweep_seed11")
+        assert replace(cfg, seed=4).root == Path("runs", "sweep_seed4")
+        manifest = {"artifact": "mclab-sweep v1", "config": cfg.to_dict(), "runs": {}}
+        path = write_doc(tmp_path, manifest, "manifest.json")
+        assert load_config(path, ["seed=4"]).root == Path("runs", "sweep_seed4")
+        named = normalize_config(mini_doc("runs"))
+        assert replace(named, seed=4).root == named.root == Path("runs", "mini")
+
     def test_config_key_is_not_a_manifest(self):
         with pytest.raises(ConfigError, match="^config: unknown field$"):
             load_config(None, ["config.seed=3"])
@@ -312,6 +323,19 @@ class TestSweepReport:
         assert load_config(manifest, ["seed=4"]) == replace(cfg, seed=4)
         assert load_config(manifest, ["gbdt.n_rounds=3"]) == load_config(
             path, ["gbdt.n_rounds=3"])
+
+    def test_an_unnamed_sweep_replayed_at_another_seed_keeps_the_first(self, tmp_path,
+                                                                       capsys):
+        runs = tmp_path / "runs"
+        first = runs / "sweep_seed11" / "manifest.json"
+        assert main(["sweep", "--config", write_doc(tmp_path, mini_doc(str(runs), name=""))]) == 0
+        written = first.read_bytes()
+        assert main(["sweep", "--config", str(first), "--set", "seed=12"]) == 0
+        capsys.readouterr()
+        assert sorted(p.name for p in runs.iterdir()) == ["sweep_seed11", "sweep_seed12"]
+        assert first.read_bytes() == written
+        replayed = json.loads((runs / "sweep_seed12" / "manifest.json").read_text())
+        assert replayed["master_seed"] == 12 and replayed["config"]["name"] == ""
 
     def test_report_without_manifest_fails(self, tmp_path, capsys):
         assert main(["report", "--run", str(tmp_path)]) == 2

@@ -63,7 +63,7 @@ def small_world():
     gen = np.random.default_rng(21)
     feats = gen.standard_normal((40, 64)).astype(np.float32)
     labels = gen.integers(0, 3, size=40)
-    data = LabeledDataset(feats, labels, ("A", "B", "C"))
+    data = LabeledDataset(feats, labels, 3)
     model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 1, 3), seed=6)
     _, latents, layout = forward_latents(model, data)
     return model, data, latents, layout
@@ -281,7 +281,7 @@ class TestComposeBatch:
         n = 2 * STREAM_BLOCK + 300
         gen = np.random.default_rng(26)
         big = LabeledDataset(gen.standard_normal((n, 64)).astype(np.float32),
-                             gen.integers(0, 3, size=n), data.names)
+                             gen.integers(0, 3, size=n), data.n_classes)
         policy = POLICIES[0]
         base_probs, matrix, layout = forward_latents(model, big)
         corr_probs = ens.predict_proba(ens.align(matrix, layout))

@@ -39,7 +39,7 @@ def make_dataset(counts, dim=3):
     feats = np.zeros((n, dim), dtype=np.float32)
     feats[:, 0] = labels
     feats[:, 1] = np.arange(n)
-    return LabeledDataset(feats, labels, default_names(len(counts)))
+    return LabeledDataset(feats, labels, len(counts))
 
 
 class TestLabelSpace:
@@ -51,7 +51,7 @@ class TestLabeledDataset:
     def test_arrays_frozen_without_touching_caller(self):
         feats = np.zeros((4, 2), dtype=np.float32)
         labels = np.zeros(4, dtype=np.int64)
-        data = LabeledDataset(feats, labels, ("a",))
+        data = LabeledDataset(feats, labels, 1)
         assert not data.features.flags.writeable
         assert not data.labels.flags.writeable
         assert feats.flags.writeable  # caller's array untouched
@@ -63,20 +63,14 @@ class TestLabeledDataset:
             LabeledDataset(
                 np.zeros((2, 1), dtype=np.float32),
                 np.array([0, 3], dtype=np.int64),
-                ("a", "b"),
+                2,
             )
 
-    @pytest.mark.parametrize("names, message", [
-        (("a", ""), "non-empty"),
-        (("a", "b", "a"), "unique"),
-    ], ids=["empty", "repeated"])
-    def test_bad_names_rejected(self, names, message):
-        with pytest.raises(ValueError, match=message):
-            LabeledDataset(np.zeros((2, 1), dtype=np.float32), np.array([0, 1]), names)
-
-    def test_names_are_a_tuple_of_str(self):
-        data = LabeledDataset(np.zeros((1, 1), dtype=np.float32), np.array([1]), ["a", "b"])
-        assert data.names == ("a", "b") and data.n_classes == 2
+    @pytest.mark.parametrize("k", [0, -1, True, 2.0, "2", ("a", "b"), np.int64(2)],
+                             ids=["zero", "negative", "bool", "float", "str", "names", "numpy"])
+    def test_class_count_is_a_positive_int(self, k):
+        with pytest.raises(ValueError, match="n_classes must be a positive int"):
+            LabeledDataset(np.zeros((2, 1), dtype=np.float32), np.array([0, 0]), k)
 
     def test_class_counts(self):
         data = make_dataset((3, 0, 2))
@@ -104,10 +98,11 @@ class TestLabeledDataset:
         assert idx.flags.writeable  # the caller's buffer is never frozen
 
     def test_datasets_differing_only_in_names_are_not_equal(self):
+        """Two datasets with the same rows but a different K are different."""
         data = make_dataset((4, 3))
-        renamed = LabeledDataset(data.features, data.labels, ("x", "y"))
-        assert datasets_equal(data, LabeledDataset(data.features, data.labels, data.names))
-        assert not datasets_equal(data, renamed)
+        wider = LabeledDataset(data.features, data.labels, 3)
+        assert datasets_equal(data, LabeledDataset(data.features, data.labels, 2))
+        assert not datasets_equal(data, wider)
 
 
 class TestRng:
@@ -294,7 +289,7 @@ class TestExcludeClass:
         kept = exclude_class(data, 1)
         assert len(kept) == 7669 - 166 == 7503
         assert int(np.sum(kept.labels == 1)) == 0
-        assert kept.names == data.names  # K unchanged
+        assert kept.n_classes == data.n_classes  # K unchanged
 
     def test_order_is_stable(self):
         data = make_dataset((4, 3, 5))

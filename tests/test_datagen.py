@@ -6,12 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-from mclab.core import Rng, datasets_equal, default_names
+from mclab.core import Rng, datasets_equal
 from mclab.corrector import GbdtConfig
 from mclab.corrector import fit as fit_gbdt
 from mclab.datagen import (
     ClusterSpec,
-    DatasetFormatError,
     ProfileConfig,
     SequenceImageSpec,
     generate_gaussian,
@@ -34,7 +33,6 @@ def two_cluster_spec(dim=4, dist=8.0, scale=1.0):
         means=means,
         covariance_scale=np.full(2, scale),
         proportions=np.array([0.5, 0.5]),
-        names=("a", "b"),
     )
 
 
@@ -63,7 +61,6 @@ class TestClusterSpec:
                 means=np.zeros((2, 3)),
                 covariance_scale=np.ones(2),
                 proportions=np.array([0.6, 0.6]),
-                names=("a", "b"),
             )
 
     def test_negative_scale_rejected(self):
@@ -72,7 +69,6 @@ class TestClusterSpec:
                 means=np.zeros((2, 3)),
                 covariance_scale=np.array([1.0, -0.5]),
                 proportions=np.array([0.5, 0.5]),
-                names=("a", "b"),
             )
 
 
@@ -189,7 +185,7 @@ class TestDatasetFiles:
         path = tmp_path / "toy.csv"
         save_dataset(data, path)
         back = load_dataset(path)
-        assert back.names == default_names(2) and len(back) == 100
+        assert back.n_classes == 2 and len(back) == 100
         assert np.array_equal(back.labels, data.labels)
         # each cell is the repr of a float32, so the bits come back
         assert np.array_equal(back.features, data.features)
@@ -201,7 +197,7 @@ class TestDatasetFiles:
         rows = np.column_stack([data.labels, data.features]).astype("<f4")
         for path in (tmp_path / "d.bin", tmp_path / "d.csv"):
             path.write_bytes(b"mclab-dataset v1, K=2, dim=4\n" + rows.tobytes())
-            with pytest.raises(DatasetFormatError) as err:
+            with pytest.raises(ValueError) as err:
                 load_dataset(path)
             assert str(err.value).startswith(f"{path}: line 2: ")
 
@@ -220,7 +216,7 @@ class TestDatasetFiles:
     def test_malformed_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("not a header\n1,2,3\n")
-        with pytest.raises(DatasetFormatError):
+        with pytest.raises(ValueError):
             load_dataset(path)
 
     def test_label_out_of_range_names_row(self, tmp_path):
@@ -230,7 +226,7 @@ class TestDatasetFiles:
         lines = path.read_text().splitlines()
         lines[3] = "9," + lines[3].split(",", 1)[1]  # row 2 of the body
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DatasetFormatError, match="row 2"):
+        with pytest.raises(ValueError, match="row 2"):
             load_dataset(path)
 
     def test_row_width_mismatch_names_row(self, tmp_path):
@@ -240,7 +236,7 @@ class TestDatasetFiles:
         lines = path.read_text().splitlines()
         lines[5] = lines[5] + ",0.5"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DatasetFormatError, match="row 4"):
+        with pytest.raises(ValueError, match="row 4"):
             load_dataset(path)
 
 
@@ -287,7 +283,7 @@ class TestDatasetRejections:
         edit, message = MALFORMED_DATASETS[case]
         path = tmp_path / "d.csv"
         path.write_bytes(edit(saved))
-        with pytest.raises(DatasetFormatError, match=message) as err:
+        with pytest.raises(ValueError, match=message) as err:
             load_dataset(path)
         assert str(err.value).startswith(f"{path}: ")
 
@@ -296,7 +292,7 @@ class TestDatasetRejections:
         path.write_bytes(_set_text_cell(saved, 2, 2, "-1e39"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DatasetFormatError, match="feature 1 is '-1e39'"):
+            with pytest.raises(ValueError, match="feature 1 is '-1e39'"):
                 load_dataset(path)
 
     @pytest.mark.parametrize("suffix", [".csv", ".bin"])

@@ -154,8 +154,8 @@ def assert_trees_identical(a: Path, b: Path, skip: tuple[str, ...] = ()) -> None
 class TestNormalizeConfig:
     def test_empty_document_gives_full_defaults(self):
         cfg = normalize_config({})
-        assert cfg == ExperimentConfig(name="sweep_seed0")
         assert cfg == ExperimentConfig()
+        assert cfg.name == "" and cfg.root == Path("runs", "sweep_seed0")
         assert cfg.model.n_classes == 7
         assert len(cfg.dataset.profile.proportions) == 7
         assert cfg.dataset.n_total == 7000
@@ -176,7 +176,7 @@ class TestNormalizeConfig:
     def test_config_bytes_are_pinned(self):
         # the input is pure JSON, so these digests hold on every host
         assert config_sha256(normalize_config({})) == (
-            "36629541277c481e42229a20de95a908745439465400e31d0043f698a06ed577"
+            "66ba22b8f74ededde4200f4de2d4ac0ef5153a90f6e0306382e418e504c27090"
         )
         assert config_sha256(mini_config("runs")) == (
             "954e88a45a7068605489515127d8e30862d52fe7b5c93b3609c952de2f2de486"
@@ -508,8 +508,8 @@ class TestRunSingle:
     def test_invalid_inputs_carry_their_stage(self, tmp_path):
         # a file's feature shape is known only when the data stage reads it
         path = tmp_path / "dim32.csv"
-        save_dataset(LabeledDataset(np.zeros((30, 32), np.float32), np.arange(30) % 3,
-                                    ("A", "B", "C")), path)
+        save_dataset(LabeledDataset(np.zeros((30, 32), np.float32), np.arange(30) % 3, 3),
+                     path)
         doc = mini_doc(str(tmp_path))
         doc["dataset"] = {"path": str(path)}  # model expects 64 inputs
         cfg = normalize_config(doc)
@@ -794,7 +794,7 @@ def hand_sweep(out_dir: Path) -> SweepResult:
     def result(excluded: int | None) -> RunResult:
         run_dir = out_dir / "hand" / ("excl_none" if excluded is None else f"excl_{excluded}")
         run_dir.mkdir(parents=True)
-        return RunResult(excluded, str(run_dir), hand_report(excluded), TrainingHistory())
+        return RunResult(str(run_dir), hand_report(excluded), TrainingHistory())
 
     return SweepResult(config, result(None), {c: result(c) for c in range(HAND_K)})
 
@@ -817,10 +817,3 @@ class TestReportTables:
         assert table5[10].startswith("10:Boredom    ")  # a 13-character label
         assert "4:Surprise_a" in (sweep.root / "table4.txt").read_text()
 
-    def test_val_accuracy_reads_the_history(self, tmp_path):
-        history = TrainingHistory(best_val_acc=0.75)
-        result = RunResult(None, str(tmp_path), None, history)
-        assert result.val_accuracy == 0.75
-        assert np.isnan(RunResult(None, str(tmp_path), None, TrainingHistory()).val_accuracy)
-        with pytest.raises(AttributeError):
-            result.val_accuracy = 0.5
