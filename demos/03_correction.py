@@ -69,7 +69,7 @@ def main() -> None:
 
     _, latents, layout = forward_latents(model, correct_set)
     ensemble = fit(latents, correct_set.labels,
-                   GbdtConfig(n_rounds=20, max_depth=3, seed=7), n_classes=3, layout=layout)
+                   GbdtConfig(n_rounds=20, max_depth=3), n_classes=3, layout=layout)
     print(f"corrector: {len(ensemble.trees)} trees, "
           f"final train loss {ensemble.loss_curve[-1]:.4f}")
 

@@ -48,7 +48,7 @@ from typing import Sequence, get_type_hints
 import numpy as np
 
 from .basemodel import LatentLayout
-from .core import Rng, _check_seed, _LineReader
+from .core import _LineReader
 from .stages import softmax
 
 __all__ = [
@@ -78,8 +78,6 @@ class GbdtConfig:
     learning_rate: float = 0.1
     min_child_weight: float = 1.0
     lambda_l2: float = 1.0
-    subsample: float = 1.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.n_rounds >= 1:
@@ -92,9 +90,6 @@ class GbdtConfig:
             raise ValueError("min_child_weight must be finite and >= 0")
         if not 0 <= self.lambda_l2 < math.inf:
             raise ValueError("lambda_l2 must be finite and >= 0")
-        if not 0.0 < self.subsample <= 1.0:
-            raise ValueError("subsample must be in (0, 1]")
-        _check_seed(self.seed)
 
 
 def split_gain(
@@ -251,9 +246,9 @@ def _add_leaf_values(forest: PackedForest, x: np.ndarray, margins: np.ndarray) -
     """Add the forest's leaf values for the rows of ``x`` to ``margins`` (n, K).
 
     The trees are round-major, K per round. Each round's values are added
-    after the round before, as ``fit`` adds them one round at a time, so the
-    sums are bit-identical to adding one tree at a time. Rows go in blocks
-    whose scratch stays near ``EVAL_BLOCK_ELEMENTS`` (at least 32 rows).
+    after the round before, as ``fit`` adds them at its leaves, so the sums
+    are bit-identical to adding one tree at a time. Rows go in blocks whose
+    scratch stays near ``EVAL_BLOCK_ELEMENTS`` (at least 32 rows).
     """
     k = margins.shape[1]
     if forest.n_trees % k:
@@ -347,12 +342,14 @@ def _best_split(
 def _build_tree(
     g: np.ndarray,
     h: np.ndarray,
-    sorted_root: np.ndarray,
-    vals_root: np.ndarray,
+    margin: np.ndarray,
+    order: np.ndarray,
+    ordered_vals: np.ndarray,
     cfg: GbdtConfig,
     importance: np.ndarray,
     s: _Scratch,
 ) -> Tree:
+    """Grow one tree; each leaf adds its value to its rows of ``margin`` (n,)."""
     tree = Tree()
 
     def grow(rows: np.ndarray, vals: np.ndarray | None, depth: int) -> int:
@@ -363,7 +360,9 @@ def _build_tree(
             node_rows = rows[0]
             g_sum = float(g[node_rows].sum())
             h_sum = float(h[node_rows].sum())
-            return tree.add_leaf(-g_sum / (h_sum + cfg.lambda_l2) * cfg.learning_rate)
+            value = -g_sum / (h_sum + cfg.lambda_l2) * cfg.learning_rate
+            margin[node_rows] += value
+            return tree.add_leaf(value)
         feat, pos, gain = found
         importance[feat] += gain
         node = tree.add_split(feat, float(vals[feat, pos]))
@@ -385,7 +384,7 @@ def _build_tree(
         tree.right[node] = grow(*children[1], depth + 1)
         return node
 
-    grow(sorted_root, vals_root, 0)
+    grow(order, ordered_vals, 0)
     return tree
 
 
@@ -482,36 +481,23 @@ def fit(
     y = _one_hot(labels, k)
     margins = np.tile(base, (n, 1))
     importance = np.zeros(x.shape[1])
-    gen = Rng.from_seed(config.seed).derive("gbdt").generator()
     trees: list[list[Tree]] = []
     probs = softmax(margins, axis=-1)
     curve = [_log_loss(probs, labels)]
     order = _presort(x)  # shared by every tree: x never changes
     ordered_vals = np.take_along_axis(np.ascontiguousarray(x.T), order, axis=1)
     scratch = _Scratch(n, x.shape[1])
-    mask = np.empty(n, dtype=bool)
     for _ in range(config.n_rounds):
         grad = probs - y
         hess = probs * (1.0 - probs)
-        if config.subsample < 1.0:
-            m = max(1, int(round(config.subsample * n)))
-            rows = np.sort(gen.choice(n, size=m, replace=False))
-            mask[:] = False
-            mask[rows] = True
-            kept = mask[order]
-            sorted_root = order[kept].reshape(order.shape[0], m)
-            vals_root = ordered_vals[kept].reshape(order.shape[0], m)
-        else:
-            sorted_root, vals_root = order, ordered_vals
-        # gradients are fixed at the start of a round, so one update after
-        # its K trees gives the margins of K single-tree updates
-        round_trees = [
-            _build_tree(grad[:, cls], hess[:, cls], sorted_root, vals_root, config,
-                        importance, scratch)
+        # gradients are fixed at the start of a round, so each tree adds its
+        # leaf values to its class's margins as it grows, and every row gets
+        # one add per tree
+        trees.append([
+            _build_tree(grad[:, cls], hess[:, cls], margins[:, cls], order, ordered_vals,
+                        config, importance, scratch)
             for cls in range(k)
-        ]
-        _add_leaf_values(pack_trees(round_trees), x, margins)
-        trees.append(round_trees)
+        ])
         probs = softmax(margins, axis=-1)
         curve.append(_log_loss(probs, labels))
 

@@ -157,8 +157,7 @@ class DatasetConfig:
 
 
 # (section, field) pairs run_single sets per run; never in the config document
-_RUN_TIME_FIELDS = (("split", "seed"), ("train", "seed"), ("gbdt", "seed"),
-                    ("policy", "excluded_label"))
+_RUN_TIME_FIELDS = (("split", "seed"), ("train", "seed"), ("policy", "excluded_label"))
 # the "artifact" tag of a sweep manifest.json
 MANIFEST_ARTIFACT = "mclab-sweep v1"
 
@@ -168,7 +167,7 @@ class ExperimentConfig:
     """The whole experiment; its fields, types and defaults are the schema of
     the config document. ``root`` is the sweep directory, ``sweep_seed<seed>``
     when ``name`` is empty, so a replay at another seed gets its own.
-    ``run_single`` sets the per-run fields (the three stage seeds and
+    ``run_single`` sets the per-run fields (the two stage seeds and
     ``policy.excluded_label``) from its excluded class, so a config cannot
     set them. Each section checks its own fields when it is built; this class
     checks the master seed, the per-run fields and the rules that span
@@ -380,10 +379,8 @@ def run_single(
             with _stage("latents"):
                 _, latents, layout = forward_latents(model, correct_set)
             with _stage("corrector"):
-                gbdt = replace(config.gbdt,
-                               seed=derived_seed(config.seed, "run", run_word, "gbdt"))
-                ensemble = fit_corrector(latents, correct_set.labels, gbdt, n_classes=k,
-                                         layout=layout)
+                ensemble = fit_corrector(latents, correct_set.labels, config.gbdt,
+                                         n_classes=k, layout=layout)
         with _stage("compose"):
             if ensemble is None:
                 _, base_probs = predict_batch(model, test_set)
@@ -411,12 +408,9 @@ def run_single(
 @dataclass
 class SweepResult:
     config: ExperimentConfig
+    root: Path  # where the tables go: config.root, or the directory it was loaded from
     baseline: RunResult
     runs: dict[int, RunResult]
-
-    @property
-    def root(self) -> Path:
-        return self.config.root
 
 
 def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepResult:
@@ -441,6 +435,7 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepResult:
                 raise
     sweep = SweepResult(
         config=config,
+        root=config.root,
         baseline=results[None],
         runs={c: results[c] for c in range(k)},
     )
@@ -577,4 +572,4 @@ def load_sweep(root: str | Path) -> SweepResult:
 
     baseline = rebuild(None)
     runs = {c: rebuild(c) for c in range(config.model.n_classes)}
-    return SweepResult(config=config, baseline=baseline, runs=runs)
+    return SweepResult(config=config, root=root, baseline=baseline, runs=runs)

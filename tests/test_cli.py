@@ -315,6 +315,24 @@ class TestSweepReport:
         capsys.readouterr()
         assert (root / "table3.csv").read_bytes() == original
 
+    def test_report_renders_into_the_directory_it_reads(self, tmp_path, capsys):
+        # a sweep tree moved away from its config's root is re-rendered where
+        # it now is, and its old root is not recreated
+        first = tmp_path / "runs" / "moved"
+        doc = mini_doc(str(first.parent), name="moved")
+        assert main(["sweep", "--config", write_doc(tmp_path, doc)]) == 0
+        table = (first / "table3.csv").read_bytes()
+        manifest = (first / "manifest.json").read_bytes()
+        copy = tmp_path / "copy"
+        shutil.copytree(first, copy)
+        (copy / "table3.csv").unlink()
+        shutil.rmtree(first)
+        assert main(["report", "--run", str(copy)]) == 0
+        assert f"re-rendered tables under {copy}" in capsys.readouterr().out
+        assert (copy / "table3.csv").read_bytes() == table
+        assert (copy / "manifest.json").read_bytes() == manifest
+        assert not first.exists()
+
     def test_manifest_replays_with_overrides(self, cli_sweep):
         _, path, root = cli_sweep
         manifest = str(root / "manifest.json")
@@ -400,18 +418,21 @@ class TestSweepReport:
     def test_a_sweep_written_with_excluded_class_fails_cleanly(self, cli_sweep, tmp_path,
                                                               capsys):
         # every manifest written while the document held excluded_class has it,
-        # null unless a run set it
+        # null unless a run set it; every one written while GbdtConfig held
+        # subsample has gbdt.subsample
         _, _, root = cli_sweep
-        copy = tmp_path / "cli"
-        shutil.copytree(root, copy)
-        manifest = copy / "manifest.json"
-        doc = json.loads(manifest.read_text(encoding="ascii"))
-        doc["config"]["excluded_class"] = None
-        manifest.write_text(json.dumps(doc, sort_keys=True), encoding="ascii")
-        assert main(["report", "--run", str(copy)]) == 2
-        assert f"{manifest}: excluded_class: unknown field" in capsys.readouterr().err
-        assert main(["sweep", "--config", str(manifest)]) == 1
-        assert "config error: excluded_class: unknown field" in capsys.readouterr().err
+        for path, edit in (("excluded_class", lambda config: config.update(excluded_class=None)),
+                           ("gbdt.subsample", lambda config: config["gbdt"].update(subsample=1.0))):
+            copy = tmp_path / path
+            shutil.copytree(root, copy)
+            manifest = copy / "manifest.json"
+            doc = json.loads(manifest.read_text(encoding="ascii"))
+            edit(doc["config"])
+            manifest.write_text(json.dumps(doc, sort_keys=True), encoding="ascii")
+            assert main(["report", "--run", str(copy)]) == 2
+            assert f"{manifest}: {path}: unknown field" in capsys.readouterr().err
+            assert main(["sweep", "--config", str(manifest)]) == 1
+            assert f"config error: {path}: unknown field" in capsys.readouterr().err
 
     def test_report_of_a_missing_log_names_it(self, cli_sweep, tmp_path, capsys):
         _, _, root = cli_sweep

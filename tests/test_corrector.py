@@ -3,7 +3,7 @@ determinism, importance bookkeeping, and the text checkpoint format.
 
 Hand-computable cases are derived in comments; the packed leaf-bitmask
 evaluation is cross-checked bit for bit by an independent per-row tree walk,
-and fit against checkpoints pinned before evaluation was packed.
+and fit against a checkpoint pinned before evaluation was packed.
 """
 
 from __future__ import annotations
@@ -36,19 +36,24 @@ from reference_fixture import host_fingerprint
 LAYOUT = LatentLayout(("conv_out", "lstm_out", "attn_out", "fc_out", "logits"), (4, 4, 4, 4, 2))
 
 
+def walk(tree: Tree, row: np.ndarray) -> float:
+    """The value of the leaf ``row`` reaches, walking node by node with the
+    ``x <= t`` rule (NaN compares false and goes right)."""
+    node = 0
+    while tree.feature[node] >= 0:
+        goes_left = row[tree.feature[node]] <= tree.threshold[node]
+        node = tree.left[node] if goes_left else tree.right[node]
+    return tree.value[node]
+
+
 def walk_margins(ens: CorrectorEnsemble, x: np.ndarray) -> np.ndarray:
-    """Reference margins: each row walks each tree node by node with the
-    ``x <= t`` rule (NaN compares false and goes right), and the leaf values
-    are added tree by tree in fitting order."""
+    """Reference margins: each row walks each tree, and the leaf values are
+    added tree by tree in fitting order."""
     out = np.tile(ens.base_score, (x.shape[0], 1))
     for i, row in enumerate(x):
         for round_trees in ens.trees:
             for cls, tree in enumerate(round_trees):
-                node = 0
-                while tree.feature[node] >= 0:
-                    goes_left = row[tree.feature[node]] <= tree.threshold[node]
-                    node = tree.left[node] if goes_left else tree.right[node]
-                out[i, cls] += tree.value[node]
+                out[i, cls] += walk(tree, row)
     return out
 
 
@@ -89,8 +94,8 @@ class TestConfig:
             {"learning_rate": 1.5},
             {"min_child_weight": -1.0},
             {"lambda_l2": -0.1},
-            {"subsample": 0.0},
-            {"subsample": 1.1},
+            {"learning_rate": math.inf},
+            {"learning_rate": math.nan},
             {"min_child_weight": math.inf},
             {"min_child_weight": math.nan},
             {"lambda_l2": math.inf},
@@ -100,11 +105,6 @@ class TestConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             GbdtConfig(**kwargs)
-
-    def test_fit_rejects_unresolved_seed(self):
-        # a seed is resolved before a config exists, so None cannot be built
-        with pytest.raises(ValueError, match="^seed: must be a 64-bit non-negative integer, not None$"):
-            GbdtConfig(n_rounds=1, seed=None)
 
 
 class TestSplitGain:
@@ -165,15 +165,6 @@ class TestFit:
                 assert ta.left == tb.left
                 assert ta.right == tb.right
                 assert ta.value == tb.value
-
-    def test_subsampled_fit_is_seeded(self):
-        x, y = xor_dataset(seed=5)
-        cfg = GbdtConfig(n_rounds=5, subsample=0.8, seed=9)
-        a = fit(x, y, cfg)
-        b = fit(x, y, cfg)
-        for ra, rb in zip(a.trees, b.trees):
-            for ta, tb in zip(ra, rb):
-                assert ta.threshold == tb.threshold and ta.feature == tb.feature
 
     def test_constant_features_yield_single_leaves(self):
         x = np.ones((30, 4))
@@ -435,11 +426,10 @@ PINNED = json.loads((Path(__file__).parent / "fixtures" / "gbdt_pinned.json").re
 
 
 class TestPinnedFit:
-    """fit writes the checkpoints it wrote before evaluation was packed."""
+    """fit writes the checkpoint it wrote before evaluation was packed, less the
+    removed config fields of its line 3."""
 
     @pytest.mark.parametrize("case,n,config", [
-        ("a", 90, GbdtConfig(n_rounds=4, max_depth=3, subsample=0.8, seed=5,
-                             min_child_weight=0.5)),
         ("b", 240, GbdtConfig(n_rounds=2, max_depth=7, min_child_weight=0.05,
                               lambda_l2=0.5)),
     ])
@@ -576,6 +566,10 @@ MALFORMED = {
                           lambda ls: 5, "importance has 3 values, expected 2"),
     "bad_number": (lambda ls: _set_cell(ls, _root(ls), 2, "half"), _root,
                    "'half' is not a float"),
+    # a checkpoint written while GbdtConfig held subsample and seed
+    "removed_config_fields": (lambda ls: ls[:2] + [ls[2] + " subsample=1.0 seed=0"] + ls[3:],
+                              lambda ls: 2, "expected the fields learning_rate, "
+                              "min_child_weight, lambda_l2$"),
     "huge_node_count": (lambda ls: ls[:_tree_at(ls)] + ["tree round=0 class=0 nodes=" + "9" * 5000]
                         + ls[_tree_at(ls) + 1:], _tree_at, "nodes '9{5000}' is not an int"),
 }
@@ -607,8 +601,9 @@ class TestCheckpointRejections:
 
 
 # ---- reference grower: the plain split search and tree growth (a fresh array
-# per term, a full search at every node, every feature partitioned), the
-# oracle for fit's scratch, carried values, early exit and leaf partition ----
+# per term, a full search at every node, every feature partitioned) and a
+# per-row tree walk, the oracle for fit's scratch, carried values, early exit,
+# leaf partition and leaf adds ----
 
 
 def reference_best_split(xt, sorted_rows, g, h, cfg):
@@ -679,12 +674,16 @@ def checkpoint_bytes(ens: CorrectorEnsemble) -> bytes:
 
 
 def reference_fit(x, labels, config, n_classes=None):
-    """fit with every tree grown by the reference grower; the boosting loop
-    around the trees is fit's own."""
+    """fit with every tree grown by the reference grower, and each row's leaf
+    value added by walking the tree; the boosting loop around the trees is
+    fit's own."""
     xt = np.ascontiguousarray(np.asarray(x, dtype=np.float64).T)
 
-    def grower(g, h, sorted_root, vals_root, cfg, importance, scratch):
-        return reference_build_tree(xt, g, h, sorted_root, cfg, importance)
+    def grower(g, h, margin, order, ordered_vals, cfg, importance, scratch):
+        tree = reference_build_tree(xt, g, h, order, cfg, importance)
+        for i, row in enumerate(xt.T):
+            margin[i] += walk(tree, row)
+        return tree
 
     with patch.object(corrector_module, "_build_tree", grower):
         return fit(x, labels, config, n_classes=n_classes)
@@ -723,16 +722,24 @@ class TestReferenceGrower:
         max_depth=st.integers(1, 6),
         min_child_weight=st.sampled_from([0.0, 1e-3, 0.3, 0.5, 1.0]),
         lambda_l2=st.sampled_from([0.0, 1.0]),
-        subsample=st.sampled_from([1.0, 0.8, 0.35]),
     )
     def test_fit_bytes_equal_the_reference(self, seed, n, d, k, special_columns, rounds,
-                                           max_depth, min_child_weight, lambda_l2, subsample):
+                                           max_depth, min_child_weight, lambda_l2):
         x, labels = oracle_data(seed, n, d, k, special_columns)
-        config = GbdtConfig(n_rounds=rounds, max_depth=max_depth, subsample=subsample,
-                            min_child_weight=min_child_weight, lambda_l2=lambda_l2,
-                            seed=seed % 1000)
+        config = GbdtConfig(n_rounds=rounds, max_depth=max_depth,
+                            min_child_weight=min_child_weight, lambda_l2=lambda_l2)
         want = checkpoint_bytes(reference_fit(x, labels, config, n_classes=k))
         assert checkpoint_bytes(fit(x, labels, config, n_classes=k)) == want
+
+    @pytest.mark.parametrize("max_depth", [1, 3, 7])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_last_loss_is_the_packed_evaluators(self, seed, max_depth):
+        # fit adds each leaf's value where it makes the leaf; the packed
+        # evaluator scores the finished trees: the margins agree bit for bit
+        x, labels = oracle_data(seed, 150, 6, 3, special_columns=True)
+        ens = fit(x, labels, GbdtConfig(n_rounds=6, max_depth=max_depth, min_child_weight=0.0),
+                  n_classes=3)
+        assert ens.loss_curve[-1] == corrector_module._log_loss(ens.predict_proba(x), labels)
 
     @pytest.mark.parametrize("min_child_weight", [0.0, 1e-3, 0.3, 0.5, 1.0])
     @pytest.mark.parametrize("below", [False, True])
@@ -778,10 +785,10 @@ class TestReferenceGrower:
 
 class TestScratchReuse:
     def test_fits_of_other_shapes_in_between_change_no_byte(self):
-        problems = [(60, 5, 1.0), (200, 9, 1.0), (31, 2, 0.7), (120, 12, 0.5), (2, 1, 1.0)]
+        problems = [(60, 5), (200, 9), (31, 2), (120, 12), (2, 1)]
         cases = [oracle_data(i, n, d, 3, special_columns=True)
-                 + (GbdtConfig(n_rounds=4, subsample=sub, min_child_weight=0.1, seed=3),)
-                 for i, (n, d, sub) in enumerate(problems)]
+                 + (GbdtConfig(n_rounds=4, min_child_weight=0.1),)
+                 for i, (n, d) in enumerate(problems)]
         forward = [checkpoint_bytes(fit(x, labels, cfg, n_classes=3))
                    for x, labels, cfg in cases]
         backward = [checkpoint_bytes(fit(x, labels, cfg, n_classes=3))
@@ -795,8 +802,8 @@ class TestScratchReuse:
         x.setflags(write=False)
         labels.setflags(write=False)
         x_before, labels_before = x.copy(), labels.copy()
-        ens = fit(x, labels, GbdtConfig(n_rounds=3, subsample=0.8, seed=1))
+        ens = fit(x, labels, GbdtConfig(n_rounds=3))
         assert np.array_equal(x, x_before, equal_nan=True)
         assert np.array_equal(labels, labels_before)
         assert checkpoint_bytes(ens) == checkpoint_bytes(
-            fit(x_before, labels_before, GbdtConfig(n_rounds=3, subsample=0.8, seed=1)))
+            fit(x_before, labels_before, GbdtConfig(n_rounds=3)))

@@ -159,7 +159,7 @@ class TestGenerateToyImages:
         )
         flat = np.asarray(data.features, dtype=np.float64).reshape(len(data), -1)
         ens = fit_gbdt(
-            flat, data.labels, GbdtConfig(n_rounds=30, max_depth=4, seed=0),
+            flat, data.labels, GbdtConfig(n_rounds=30, max_depth=4),
             n_classes=7,
         )
         acc = (ens.predict_proba(flat).argmax(axis=1) == data.labels).mean()

@@ -132,7 +132,6 @@ VALID_OVERRIDES = _section(
         learning_rate=st.floats(0.0, 1.0, exclude_min=True) | st.just(1),
         min_child_weight=st.floats(0.0, 10.0),
         lambda_l2=st.floats(0.0, 10.0),
-        subsample=st.floats(0.0, 1.0, exclude_min=True),
     ),
     policy=_section(tau=UNIT, as_new_class=st.booleans()),
 ).map(_fit_model)
@@ -176,10 +175,10 @@ class TestNormalizeConfig:
     def test_config_bytes_are_pinned(self):
         # the input is pure JSON, so these digests hold on every host
         assert config_sha256(normalize_config({})) == (
-            "66ba22b8f74ededde4200f4de2d4ac0ef5153a90f6e0306382e418e504c27090"
+            "8d6229e37a36ae2a521c9705337b4ca5e63a1254b846d775e9cc74e477a4ee88"
         )
         assert config_sha256(mini_config("runs")) == (
-            "954e88a45a7068605489515127d8e30862d52fe7b5c93b3609c952de2f2de486"
+            "9213ff7c59d3926b3311a178b7ba8a5768cd30ae2d4b837104187fbf6de8fbcc"
         )
 
     def test_readme_default_block_is_the_default_config(self):
@@ -220,7 +219,8 @@ class TestNormalizeConfig:
              "dataset.profile.proportions"),
             ({"dataset": {"image": {"side": 1}}}, "dataset.image"),
             ({"dataset": {"profile": {"close_pair": [1, 1]}}}, "dataset.profile"),
-            # stage seeds, deleted since: each is derived per run
+            # stage seeds, deleted since: split and train are derived per run,
+            # and the corrector fit has no seed
             ({"split": {"seed": -3}}, "split.seed"),
             ({"train": {"seed": -3}}, "train.seed"),
             ({"gbdt": {"seed": 2**64}}, "gbdt.seed"),
@@ -270,8 +270,8 @@ class TestNormalizeConfig:
                                       "policy.excluded_label", "dataset.source"])
     @pytest.mark.parametrize("value", [None, 0, 7])
     def test_the_document_holds_no_per_run_field(self, tmp_path, path, value):
-        # the stage seeds and the excluded label are set per run; a path alone
-        # says whether the data is a file
+        # the split and train seeds and the excluded label are set per run, the
+        # corrector fit has no seed, and a path alone says whether the data is a file
         section, key = path.split(".")
         doc = mini_doc(str(tmp_path))
         doc.setdefault(section, {})[key] = value
@@ -324,7 +324,6 @@ class TestConstructionChecks:
         pytest.param(ExperimentConfig, {"seed": -1}, "seed", id="experiment_seed"),
         pytest.param(SplitSpec, {"seed": -3}, "seed", id="split_seed"),
         pytest.param(TrainConfig, {"seed": -1}, "seed", id="train_seed"),
-        pytest.param(GbdtConfig, {"seed": 2**70}, "seed", id="gbdt_seed"),
         pytest.param(ExperimentConfig, {"model": ModelConfig(input_shape=(1, 16, 16))},
                      "model.input_shape", id="experiment_gaussian_shape"),
         pytest.param(ExperimentConfig, {"dataset": DatasetConfig(kind="images",
@@ -336,8 +335,6 @@ class TestConstructionChecks:
                      id="experiment_split_seed"),
         pytest.param(ExperimentConfig, {"train": TrainConfig(seed=3)}, "train.seed",
                      id="experiment_train_seed"),
-        pytest.param(ExperimentConfig, {"gbdt": GbdtConfig(seed=3)}, "gbdt.seed",
-                     id="experiment_gbdt_seed"),
         pytest.param(ExperimentConfig, {"policy": DecisionPolicy(excluded_label=np.int64(2))},
                      "policy.excluded_label", id="experiment_excluded_label"),
     ])
@@ -347,7 +344,7 @@ class TestConstructionChecks:
         if path is not None:
             assert isinstance(err.value, ConfigError) and err.value.path == path
 
-    @pytest.mark.parametrize("cls", [ExperimentConfig, SplitSpec, TrainConfig, GbdtConfig])
+    @pytest.mark.parametrize("cls", [ExperimentConfig, SplitSpec, TrainConfig])
     @pytest.mark.parametrize("seed", [1.5, 1.0, True, False, np.int64(3), "3", None],
                              ids=repr)
     def test_a_seed_is_a_plain_int(self, cls, seed):
@@ -796,7 +793,8 @@ def hand_sweep(out_dir: Path) -> SweepResult:
         run_dir.mkdir(parents=True)
         return RunResult(str(run_dir), hand_report(excluded), TrainingHistory())
 
-    return SweepResult(config, result(None), {c: result(c) for c in range(HAND_K)})
+    return SweepResult(config, config.root, result(None),
+                       {c: result(c) for c in range(HAND_K)})
 
 
 class TestReportTables:

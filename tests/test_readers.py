@@ -32,7 +32,7 @@ def valid_files(tmp_path_factory):
     config = ModelConfig(input_shape=(1, 8, 8), conv_channels=(1, 1, 2), n_heads=1, n_classes=3)
     save_model(StagedModel(config, seed=3), root / "model.bin")
     x, labels = gen.normal(size=(30, 4)), np.arange(30) % 3
-    save_ensemble(fit(x, labels, GbdtConfig(n_rounds=2, max_depth=2, seed=1), n_classes=3),
+    save_ensemble(fit(x, labels, GbdtConfig(n_rounds=2, max_depth=2), n_classes=3),
                   root / "corrector.txt")
     base, corr = gen.dirichlet(np.ones(3), size=5), gen.dirichlet(np.ones(3), size=5)
     base_labels, corrected = base.argmax(axis=1), corr.argmax(axis=1)
