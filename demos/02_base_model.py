@@ -32,8 +32,7 @@ def main() -> None:
     # is only scored
     fit_set, val_set = validation_slice(train_set, split_seed=3)
 
-    config = ModelConfig(input_shape=(1, 8, 8), conv_channels=(2, 4, 8),
-                         n_heads=2, n_classes=3)
+    config = ModelConfig(input_shape=(1, 8, 8), conv_channels=(2, 4, 8), n_classes=3)
     model = StagedModel(config, seed=3)
     weights = class_weights(fit_set)
     model, history = train(

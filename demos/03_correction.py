@@ -54,8 +54,7 @@ def main() -> None:
           f"class {EXCLUDED}")
 
     model = StagedModel(
-        ModelConfig(input_shape=(1, 8, 8), conv_channels=(2, 4, 8),
-                    n_heads=2, n_classes=3),
+        ModelConfig(input_shape=(1, 8, 8), conv_channels=(2, 4, 8), n_classes=3),
         seed=7,
     )
     weights = class_weights(blind, excluded={EXCLUDED})

@@ -2,10 +2,10 @@
 
 The conv output (C', H', W') is read row-major as a sequence of T = H'*W'
 positions with C' features each, run through a single unrolled LSTM cell and
-one attention stage, mean-pooled over positions and classified by a two-layer
-head. Class imbalance is handled by inverse-frequency weights in the loss;
-per-channel input standardization stands in for batch normalization at this
-scale. Intermediate representations from all four stages are exposed to
+one single-head attention stage, mean-pooled over positions and classified by
+a two-layer head. Class imbalance is handled by inverse-frequency weights in
+the loss; per-channel input standardization stands in for batch normalization
+at this scale. Intermediate representations from all four stages are exposed to
 downstream correctors as one (n, total) latent matrix plus the
 ``LatentLayout`` that names its column blocks (``forward_latents``, which
 also returns the class probabilities of the same pass). ``extract_latents``,
@@ -60,7 +60,6 @@ class ModelConfig:
 
     input_shape: tuple[int, int, int] = (1, 8, 8)
     conv_channels: tuple[int, ...] = (4, 8, 16)
-    n_heads: int = 1
     n_classes: int = 7
 
     def __post_init__(self) -> None:
@@ -72,10 +71,6 @@ class ModelConfig:
             raise ValueError("need at least two classes")
         if not min(self.conv_out_shape[1:]) >= 1:
             raise ValueError("input too small: pooling collapses below 1x1")
-        if not self.n_heads >= 1:
-            raise ValueError("n_heads must be >= 1")
-        if self.width % self.n_heads != 0:
-            raise ValueError("conv_channels[-1] must be divisible by n_heads")
 
     @property
     def width(self) -> int:
@@ -198,7 +193,7 @@ class StagedModel:
         c0 = config.input_shape[0]
         self.conv = ConvStage(c0, config.conv_channels, gen)
         self.lstm = LstmStage(config.width, config.width, gen)
-        self.attn = AttentionStage(config.width, config.n_heads, gen)
+        self.attn = AttentionStage(config.width, gen)
         self.head = HeadStage(config.width, config.n_classes, gen)
         self.input_mean = np.zeros(c0)
         self.input_std = np.ones(c0)
@@ -509,9 +504,10 @@ def load_model(path: str | Path) -> StagedModel:
     or a block list other than ``_block_shapes`` of the config (the message
     names the first entry that differs, as the file has it and as the config
     implies it). With no line, it names a float32 payload that is not
-    exactly 4 bytes per weight. All of this is checked before the model is
-    built, so a model is built only for a file that holds every one of its
-    weights, in the order its parameters take them.
+    exactly 4 bytes per weight, or the first block that holds a NaN or an
+    infinity. All of this is checked before the model is built, so a model
+    is built only for a file that holds every one of its weights, each
+    finite, in the order its parameters take them.
     """
     raw = Path(path).read_bytes()
     end = raw.find(b"\n", raw.find(b"\n") + 1) + 1  # past the two header lines; 0 if cut short
@@ -553,10 +549,13 @@ def load_model(path: str | Path) -> StagedModel:
     if len(raw) - end != 4 * size:
         raise ValueError(f"{path}: payload of {len(raw) - end} bytes, "
                          f"the blocks need {4 * size}")
-    weights = np.frombuffer(raw, dtype="<f4", offset=end)
+    weights = np.split(np.frombuffer(raw, dtype="<f4", offset=end),
+                       np.cumsum([math.prod(shape) for _, shape in expected])[:-1])
+    for i, ((name, _), block) in enumerate(zip(expected, weights)):
+        bad = block[~np.isfinite(block)]
+        if bad.size:
+            raise ValueError(f"{path}: block {i} {name!r} holds {bad[0]}, not a finite float32")
     model = StagedModel(cfg, seed=seed)
-    offset = 0
-    for _, arr in model.buffers() + model.params():
-        arr[...] = weights[offset:offset + arr.size].reshape(arr.shape)
-        offset += arr.size
+    for (_, arr), block in zip(model.buffers() + model.params(), weights):
+        arr[...] = block.reshape(arr.shape)
     return model

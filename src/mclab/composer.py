@@ -208,9 +208,11 @@ def read_prediction_log(path: str | Path) -> PairedPredictions:
     the line: a non-ASCII byte, a missing, bad or too large K= line, a
     missing column header, no rows, a row without exactly 7 cells, a
     sample_id other than the row's index, a cell that does not parse, an
-    overridden flag other than 0 or 1, or a label out of range (true and
-    base in [0, K), corrected in [0, K) or NEW_CLASS). Each row is checked
-    as it is read, before any array is built.
+    overridden flag other than 0 or 1, a label out of range (true and base
+    in [0, K), corrected in [0, K) or NEW_CLASS), an overridden flag other
+    than whether base and corrected differ, or a confidence outside [0, 1]
+    (NaN included). Each row is checked as it is read, before any array is
+    built.
     """
     lines = _LineReader(path, Path(path).read_bytes())
     first = lines.next(missing="empty prediction log")
@@ -236,6 +238,11 @@ def read_prediction_log(path: str | Path) -> PairedPredictions:
         for name, label, low in zip(("true", "base", "corrected"), row[1:4], (0, 0, NEW_CLASS)):
             if not low <= label < k:
                 lines.fail(f"{name} {label} outside [{low}, {k})")
+        if row[4] != (row[2] != row[3]):
+            lines.fail(f"overridden {row[4]} with base {row[2]} and corrected {row[3]}")
+        for name, conf in zip(names[5:], row[5:]):
+            if not 0.0 <= conf <= 1.0:
+                lines.fail(f"{name} {conf} outside [0, 1]")
         rows.append(row[1:4])
     true_arr, base, corrected = np.array(rows, dtype=np.int64).T
     return PairedPredictions(true_arr, base, corrected, k)

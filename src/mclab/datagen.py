@@ -84,16 +84,17 @@ class ClusterSpec:
 
 @dataclass(frozen=True)
 class SequenceImageSpec:
-    """Shape of generated toy images."""
+    """Shape of generated toy images: one channel, ``side`` x ``side``."""
 
     side: int = 8
-    channels: int = 1
 
     def __post_init__(self) -> None:
         if not self.side >= 2:
             raise ValueError("image side must be >= 2")
-        if not self.channels >= 1:
-            raise ValueError("channels must be >= 1")
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return (1, self.side, self.side)
 
 
 @dataclass(frozen=True)
@@ -215,7 +216,7 @@ def generate_toy_images(
     """
     k = cluster.n_classes
     gen = rng.derive("images").generator()
-    shape = (spec.channels, spec.side, spec.side)
+    shape = spec.shape
 
     def draw(i: int, count: int) -> np.ndarray:
         base = np.zeros(shape)

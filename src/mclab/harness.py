@@ -198,10 +198,9 @@ class ExperimentConfig:
             if d.kind == "gaussian" and d.profile.dim != math.prod(shape):
                 raise ConfigError("model.input_shape", f"holds {math.prod(shape)} features, "
                                                        f"dataset.profile.dim is {d.profile.dim}")
-            image = (d.image.channels, d.image.side, d.image.side)
-            if d.kind == "images" and image != shape:
+            if d.kind == "images" and d.image.shape != shape:
                 raise ConfigError("model.input_shape", "must be the generated image shape "
-                                                       f"(channels, side, side) = {list(image)}")
+                                                       f"(1, side, side) = {list(d.image.shape)}")
 
     @property
     def root(self) -> Path:
@@ -224,14 +223,14 @@ def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _build(cls: type, doc: Any, path: str, default: Any = None) -> Any:
+def _build(cls: type, doc: Any, path: str) -> Any:
     """Check ``doc`` against dataclass ``cls`` and construct it.
 
-    Unknown keys are rejected. Missing keys keep their value in ``default``
-    (the class defaults when None); nested dataclasses start from the
-    parent's value. The class checks itself when it is built: a ConfigError
-    it raises at one of its fields is raised again below ``path``, and any
-    other ValueError becomes a ConfigError at ``path``.
+    Unknown keys are rejected and missing keys keep the class default. A
+    nested section's default is its class's default instance, so the section
+    is built from its own part of ``doc`` alone. The class checks itself when
+    it is built: a ConfigError it raises at one of its fields is raised again
+    below ``path``, and any other ValueError becomes a ConfigError at ``path``.
     """
     if not isinstance(doc, Mapping):
         raise ConfigError(path, "expected an object")
@@ -240,17 +239,14 @@ def _build(cls: type, doc: Any, path: str, default: Any = None) -> Any:
         if key not in names:
             raise ConfigError(_join(path, key), "unknown field")
     hints = get_type_hints(cls)
-    base = cls() if default is None else default
     values = {}
     for name in names:
         if is_dataclass(hints[name]):
-            values[name] = _build(
-                hints[name], doc.get(name, {}), _join(path, name), getattr(base, name)
-            )
+            values[name] = _build(hints[name], doc.get(name, {}), _join(path, name))
         elif name in doc:
             values[name] = _value(hints[name], doc[name], _join(path, name))
     try:
-        return cls(**values) if default is None else replace(default, **values)
+        return cls(**values)
     except ConfigError as exc:
         raise ConfigError(_join(path, exc.path), exc.message) from None
     except ValueError as exc:

@@ -287,18 +287,14 @@ class LstmStage:
 
 
 class AttentionStage:
-    """Scaled dot-product self-attention with one output projection.
+    """Single-head scaled dot-product self-attention with one output projection.
 
-    Head-count generic; the default configuration uses a single head. The
-    attention weights for each query position form a probability distribution
-    over the T key positions.
+    Works on (B, T, D) arrays. The attention weights for each query position
+    form a probability distribution over the T key positions.
     """
 
-    def __init__(self, width: int, n_heads: int, gen: np.random.Generator):
-        if width % n_heads != 0:
-            raise ValueError(f"width {width} not divisible by {n_heads} heads")
+    def __init__(self, width: int, gen: np.random.Generator):
         self.width = int(width)
-        self.n_heads = int(n_heads)
         d = self.width
         scale = 1.0 / np.sqrt(d)
         self.wq = gen.standard_normal((d, d)) * scale
@@ -318,51 +314,34 @@ class AttentionStage:
             ("attn.wo", self.wo), ("attn.bo", self.bo),
         ]
 
-    def _split(self, x: np.ndarray) -> np.ndarray:
-        b_n, t_len, _ = x.shape
-        dk = self.width // self.n_heads
-        return x.reshape(b_n, t_len, self.n_heads, dk).transpose(0, 2, 1, 3)
-
-    def _merge(self, x: np.ndarray) -> np.ndarray:
-        b_n, _, t_len, _ = x.shape
-        return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(b_n, t_len, self.width)
-
     def forward(self, hs: np.ndarray) -> tuple[np.ndarray, tuple]:
-        dk = self.width // self.n_heads
-        q = self._split(hs @ self.wq + self.bq)
-        k = self._split(hs @ self.wk + self.bk)
-        v = self._split(hs @ self.wv + self.bv)
-        scores = (q @ k.transpose(0, 1, 3, 2)) / np.sqrt(dk)
-        attn = softmax(scores, axis=-1)
-        ctx = self._merge(attn @ v)
+        q = hs @ self.wq + self.bq
+        k = hs @ self.wk + self.bk
+        v = hs @ self.wv + self.bv
+        attn = softmax((q @ k.transpose(0, 2, 1)) / np.sqrt(self.width), axis=-1)
+        ctx = attn @ v
         out = ctx @ self.wo + self.bo
         return out, (hs, q, k, v, attn, ctx)
 
     def backward(self, dout: np.ndarray, cache: tuple) -> tuple[np.ndarray, dict]:
         hs, q, k, v, attn, ctx = cache
-        b_n, t_len, d = hs.shape
-        dk_w = self.width // self.n_heads
         flat = lambda a: a.reshape(-1, a.shape[-1])
 
-        dwo = flat(ctx).T @ flat(dout)
-        dbo = dout.sum(axis=(0, 1))
-        dctx = self._split(dout @ self.wo.T)
-
-        dattn = dctx @ v.transpose(0, 1, 3, 2)
-        dv = attn.transpose(0, 1, 3, 2) @ dctx
+        dctx = dout @ self.wo.T
+        dattn = dctx @ v.transpose(0, 2, 1)
+        dv = attn.transpose(0, 2, 1) @ dctx
         dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-        dscores /= np.sqrt(dk_w)
+        dscores /= np.sqrt(self.width)
         dq = dscores @ k
-        dk_ = dscores.transpose(0, 1, 3, 2) @ q
+        dk = dscores.transpose(0, 2, 1) @ q
 
-        dq_m, dk_m, dv_m = self._merge(dq), self._merge(dk_), self._merge(dv)
         grads = {
-            "attn.wq": flat(hs).T @ flat(dq_m), "attn.bq": dq_m.sum(axis=(0, 1)),
-            "attn.wk": flat(hs).T @ flat(dk_m), "attn.bk": dk_m.sum(axis=(0, 1)),
-            "attn.wv": flat(hs).T @ flat(dv_m), "attn.bv": dv_m.sum(axis=(0, 1)),
-            "attn.wo": dwo, "attn.bo": dbo,
+            "attn.wq": flat(hs).T @ flat(dq), "attn.bq": dq.sum(axis=(0, 1)),
+            "attn.wk": flat(hs).T @ flat(dk), "attn.bk": dk.sum(axis=(0, 1)),
+            "attn.wv": flat(hs).T @ flat(dv), "attn.bv": dv.sum(axis=(0, 1)),
+            "attn.wo": flat(ctx).T @ flat(dout), "attn.bo": dout.sum(axis=(0, 1)),
         }
-        dhs = dq_m @ self.wq.T + dk_m @ self.wk.T + dv_m @ self.wv.T
+        dhs = dq @ self.wq.T + dk @ self.wk.T + dv @ self.wv.T
         return dhs, grads
 
 

@@ -36,7 +36,7 @@ from mclab.datagen import ProfileConfig, generate_gaussian
 
 from test_stages import TOL, central_diff, max_rel_err
 
-SMALL = ModelConfig(input_shape=(1, 8, 8), conv_channels=(2, 2, 4), n_heads=1, n_classes=3)
+SMALL = ModelConfig(input_shape=(1, 8, 8), conv_channels=(2, 2, 4), n_classes=3)
 
 FEAR_WEIGHT = 7669 / 166  # majority-to-minority count ratio of the reference corpus
 
@@ -62,7 +62,7 @@ def two_class_data():
 
 @pytest.fixture(scope="module")
 def trained_two_class(two_class_data):
-    model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 1, 2), seed=0)
+    model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 2), seed=0)
     cfg = TrainConfig(learning_rate=0.05, batch_size=16, max_epochs=8, patience=10,
                       dropout_p=0.0, seed=0)
     val = two_class_data.subset(np.arange(0, 120, 4))
@@ -91,10 +91,6 @@ class TestModelConfig:
             ModelConfig(conv_channels=(4, 8))
         with pytest.raises(ValueError, match="two classes"):
             ModelConfig(n_classes=1)
-
-    def test_rejects_indivisible_heads(self):
-        with pytest.raises(ValueError, match="divisible"):
-            ModelConfig(conv_channels=(2, 2, 6), n_heads=4)
 
 
 class TestWeightedCeLoss:
@@ -166,7 +162,7 @@ class TestForward:
         model = StagedModel(ModelConfig(), seed=1)
         fwd = model.forward_batch(np.random.default_rng(1).standard_normal((2, 1, 8, 8)))
         attn = fwd["caches"][2][4]
-        assert attn.shape == (2, 1, 1, 1)
+        assert attn.shape == (2, 1, 1)
         assert np.all(attn == 1.0)
 
     def test_forward_is_deterministic_without_dropout(self):
@@ -228,7 +224,7 @@ class TestComposedGradients:
         # biases plus fully dead receptive patches put some pre-activations at
         # exactly 0.0, where the loss is one-sidedly kinked and central
         # differences measure the subgradient average instead of relu'(0) = 0.
-        cfg = ModelConfig((1, 16, 16), (2, 2, 4), 1, 3)
+        cfg = ModelConfig((1, 16, 16), (2, 2, 4), 3)
         for seed in (0, 3):
             gen = np.random.default_rng(50 + seed)
             model = StagedModel(cfg, seed=seed)
@@ -295,7 +291,7 @@ class TestComposedGradients:
                 assert np.all(grads[name] == 0.0), name
 
     def test_loss_decreases_on_separable_toy(self, two_class_data):
-        model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 1, 2), seed=1)
+        model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 2), seed=1)
         x = two_class_data.features[:32]
         y = two_class_data.labels[:32]
         w = np.ones(2)
@@ -310,7 +306,7 @@ class TestComposedGradients:
 
 class TestTrain:
     def test_patience_zero_stops_one_epoch_after_first(self, two_class_data):
-        model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 1, 2), seed=0)
+        model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 2), seed=0)
         cfg = TrainConfig(learning_rate=0.0, batch_size=16, max_epochs=10, patience=0,
                           dropout_p=0.0, seed=0)
         _, history = train(model, two_class_data, two_class_data, np.ones(2), cfg)
@@ -319,7 +315,7 @@ class TestTrain:
         assert history.best_epoch == 1
 
     def test_runs_to_max_epochs_when_patience_never_triggers(self, two_class_data):
-        model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 1, 2), seed=0)
+        model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 2), seed=0)
         cfg = TrainConfig(learning_rate=0.05, batch_size=16, max_epochs=5, patience=10,
                           dropout_p=0.0, seed=0)
         _, history = train(model, two_class_data, two_class_data, np.ones(2), cfg)
@@ -344,8 +340,8 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=0.05, batch_size=16, max_epochs=2, patience=10,
                           dropout_p=0.5, seed=4)
 
-        model_a = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 1, 3), seed=5)
-        model_b = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 1, 3), seed=5)
+        model_a = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 3), seed=5)
+        model_b = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 3), seed=5)
         _, hist_a = train(model_a, data, val, weights, cfg)
         _, hist_b = train(model_b, deleted, val, weights, cfg)
 
@@ -354,12 +350,12 @@ class TestTrain:
             np.testing.assert_array_equal(pa, pb, err_msg=name)
 
     def test_rejects_empty_effective_train_set(self, two_class_data):
-        model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 1, 2), seed=0)
+        model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 2), seed=0)
         with pytest.raises(ValueError, match="empty train"):
             train(model, two_class_data, two_class_data, np.zeros(2), TrainConfig())
 
     def test_rejects_bad_weight_vector(self, two_class_data):
-        model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 1, 2), seed=0)
+        model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 2), seed=0)
         with pytest.raises(ValueError, match="length-K"):
             train(model, two_class_data, two_class_data, np.ones(5), TrainConfig())
 
@@ -532,10 +528,9 @@ class TestCheckpoint:
         input_shape=st.tuples(st.integers(1, 3), st.sampled_from([8, 16]),
                               st.sampled_from([8, 16])),
         conv_channels=st.tuples(st.integers(1, 4), st.integers(1, 4), st.sampled_from([2, 4])),
-        n_heads=st.sampled_from([1, 2]),
         n_classes=st.integers(2, 6),
     ), seed=st.integers(0, 2**32))
-    @example(config=ModelConfig((2, 16, 16), (3, 2, 4), n_heads=2, n_classes=5), seed=7)
+    @example(config=ModelConfig((2, 16, 16), (3, 2, 4), n_classes=5), seed=7)
     def test_any_config_round_trips_exactly(self, tmp_path_factory, config, seed):
         model = StagedModel(config, seed=seed)
         gen = np.random.default_rng(seed)
@@ -590,6 +585,14 @@ def _cut_first_weight(raw: bytes) -> bytes:
     return magic + b"\n" + header + b"\n" + payload[4:]
 
 
+def _set_first_weight(value):
+    def edit(raw: bytes) -> bytes:
+        magic, header, payload = raw.split(b"\n", 2)
+        return magic + b"\n" + header + b"\n" + np.float32(value).tobytes() + payload[4:]
+
+    return edit
+
+
 def _config(key, value):
     def edit(doc):
         doc["config"][key] = value
@@ -621,16 +624,23 @@ MALFORMED_MODELS = {
                          f"payload of {PAYLOAD - 4} bytes, the blocks need {PAYLOAD}$"),
     "trailing_bytes": (lambda raw: raw + b"\0" * 4,
                        f"payload of {PAYLOAD + 4} bytes, the blocks need {PAYLOAD}$"),
-    "fractional_heads": (_config("n_heads", 1.9), r"config\.n_heads: expected int"),
-    "boolean_heads": (_config("n_heads", True), r"config\.n_heads: expected int"),
+    "fractional_classes": (_config("n_classes", 1.9), r"config\.n_classes: expected int"),
+    "boolean_classes": (_config("n_classes", True), r"config\.n_classes: expected int"),
     "string_classes": (_config("n_classes", "3"), r"config\.n_classes: expected int"),
     "fractional_seed": (lambda raw: _edit_header(raw, lambda doc: doc.update(seed=2.5)),
                         "seed: expected int"),
-    "absent_field": (lambda raw: _edit_header(raw, lambda doc: doc["config"].pop("n_heads")),
-                     "config lacks n_heads"),
+    "absent_field": (lambda raw: _edit_header(raw, lambda doc: doc["config"].pop("n_classes")),
+                     "config lacks n_classes"),
     "classes_above_ceiling": (_config("n_classes", 65537),
                               "65537 classes exceed the ceiling of 65536"),
     "unknown_config_field": (_config("n_layers", 9), r"unknown fields config\.n_layers"),
+    # a checkpoint written while the model config had a head count
+    "retired_head_count": (_config("n_heads", 1),
+                           r"line 2: malformed header: unknown fields config\.n_heads$"),
+    "nan_last_weight": (lambda raw: raw[:-4] + np.float32(np.nan).tobytes(),
+                        r"block 22 'head\.b2' holds nan, not a finite float32$"),
+    "infinite_first_weight": (_set_first_weight(np.inf),
+                              r"block 0 'input_mean' holds inf, not a finite float32$"),
     "unknown_header_key": (lambda raw: _edit_header(raw, lambda doc: doc.update(extra="x")),
                            "unknown fields extra"),
 }
@@ -672,8 +682,7 @@ class TestCheckpointRejections:
 
     def test_header_only_file_with_two_million_classes(self, tmp_path, monkeypatch):
         header = {"blocks": [], "seed": 0, "config": {
-            "input_shape": [1, 8, 8], "conv_channels": [4, 8, 16], "n_heads": 1,
-            "n_classes": 2_000_000}}
+            "input_shape": [1, 8, 8], "conv_channels": [4, 8, 16], "n_classes": 2_000_000}}
         path = tmp_path / "model.bin"
         path.write_bytes(b"mclab-model v1\n" + json.dumps(header).encode("ascii") + b"\n")
         monkeypatch.setattr(basemodel, "StagedModel", _never_built)
@@ -684,7 +693,7 @@ class TestCheckpointRejections:
     @pytest.mark.parametrize("config", [
         SMALL,
         ModelConfig(),
-        ModelConfig(input_shape=(3, 16, 8), conv_channels=(5, 6, 8), n_heads=4, n_classes=11),
+        ModelConfig(input_shape=(3, 16, 8), conv_channels=(5, 6, 8), n_classes=11),
     ], ids=["small", "default", "wide"])
     def test_block_shapes_are_the_models(self, config):
         model = StagedModel(config, seed=0)

@@ -136,7 +136,7 @@ class TestExitCodes:
         code = main(["train", "--config", path, "--set", "dataset.kind=images",
                      "--set", "dataset.image.side=16", "--set", "model.input_shape=[4,8,8]"])
         assert code == 1
-        assert "(channels, side, side) = [1, 16, 16]" in capsys.readouterr().err
+        assert "(1, side, side) = [1, 16, 16]" in capsys.readouterr().err
 
     def test_unknown_command_fails_at_parse(self):
         assert main(["mystery"]) == 1
@@ -419,10 +419,14 @@ class TestSweepReport:
                                                               capsys):
         # every manifest written while the document held excluded_class has it,
         # null unless a run set it; every one written while GbdtConfig held
-        # subsample has gbdt.subsample
+        # subsample has gbdt.subsample, and every one written while the model
+        # had a head count and images a channel count has both, set to 1
         _, _, root = cli_sweep
         for path, edit in (("excluded_class", lambda config: config.update(excluded_class=None)),
-                           ("gbdt.subsample", lambda config: config["gbdt"].update(subsample=1.0))):
+                           ("gbdt.subsample", lambda config: config["gbdt"].update(subsample=1.0)),
+                           ("model.n_heads", lambda config: config["model"].update(n_heads=1)),
+                           ("dataset.image.channels",
+                            lambda config: config["dataset"]["image"].update(channels=1))):
             copy = tmp_path / path
             shutil.copytree(root, copy)
             manifest = copy / "manifest.json"

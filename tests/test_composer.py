@@ -64,7 +64,7 @@ def small_world():
     feats = gen.standard_normal((40, 64)).astype(np.float32)
     labels = gen.integers(0, 3, size=40)
     data = LabeledDataset(feats, labels, 3)
-    model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 1, 3), seed=6)
+    model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 3), seed=6)
     _, latents, layout = forward_latents(model, data)
     return model, data, latents, layout
 
@@ -423,6 +423,14 @@ MALFORMED_LOGS = {
     "bad_int": (lambda ls: _set_cell(ls, 2, 2, "x"), 2, "base 'x' is not an int"),
     "bad_float": (lambda ls: _set_cell(ls, 3, 5, "high"), 3, "base_conf 'high' is not a float"),
     "overridden_flag": (lambda ls: _set_cell(ls, 2, 4, "2"), 2, "overridden 2, expected 0 or 1"),
+    # row 1 keeps its base label 2, row 3 changes 0 to 2
+    "override_without_change": (lambda ls: _set_cell(ls, 3, 4, "1"), 3,
+                                "overridden 1 with base 2 and corrected 2$"),
+    "change_without_override": (lambda ls: _set_cell(ls, 5, 4, "0"), 5,
+                                "overridden 0 with base 0 and corrected 2$"),
+    "nan_confidence": (lambda ls: _set_cell(ls, 4, 5, "nan"), 4, r"base_conf nan outside \[0, 1\]"),
+    "confidence_above_one": (lambda ls: _set_cell(ls, 2, 6, "7.5"), 2,
+                             r"corr_conf 7\.5 outside \[0, 1\]"),
     "empty": (lambda ls: [], 0, "empty prediction log"),
     "true_out_of_range": (lambda ls: _set_cell(ls, 3, 1, "3"), 3, r"true 3 outside \[0, 3\)"),
     "base_negative": (lambda ls: _set_cell(ls, 2, 2, "-1"), 2, r"base -1 outside \[0, 3\)"),

@@ -10,7 +10,7 @@ import hashlib
 import json
 import math
 import shutil
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
 from pathlib import Path
 from types import NoneType
 from typing import get_args, get_type_hints
@@ -89,12 +89,11 @@ def _generable(dataset: dict) -> bool:
 
 def _fit_model(doc: dict) -> dict:
     """Give the model the feature shape the drawn dataset generates: a
-    Gaussian profile's dim as (dim / 64, 8, 8), images as (channels, side,
-    side)."""
+    Gaussian profile's dim as (dim / 64, 8, 8), images as (1, side, side)."""
     dataset = doc.get("dataset", {})
     if dataset.get("kind") == "images":
-        image = dataset.get("image", {})
-        shape = [image.get("channels", 1), image.get("side", 8), image.get("side", 8)]
+        side = dataset.get("image", {}).get("side", 8)
+        shape = [1, side, side]
     else:
         shape = [dataset.get("profile", {}).get("dim", 64) // 64, 8, 8]
     if shape != [1, 8, 8]:
@@ -116,7 +115,7 @@ VALID_OVERRIDES = _section(
             close_pair=st.sampled_from([[3, 6], [0, 1], [6, 2]]),
             close_distance=st.floats(0.0, 10.0),
         ),
-        image=_section(side=st.integers(8, 64), channels=st.integers(1, 4)),
+        image=_section(side=st.integers(8, 64)),
     ).filter(_generable),
     split=_section(stratified=st.booleans()),
     train=_section(
@@ -166,6 +165,16 @@ class TestNormalizeConfig:
     def test_default_dict_round_trips(self):
         assert normalize_config(default_config_dict()).to_dict() == default_config_dict()
 
+    def test_each_section_defaults_to_its_class_default(self):
+        # so a document's part alone builds each nested section
+        sections = [ExperimentConfig]
+        while sections:
+            cls = sections.pop()
+            for name, hint in get_type_hints(cls).items():
+                if is_dataclass(hint):
+                    assert getattr(cls(), name) == hint(), f"{cls.__name__}.{name}"
+                    sections.append(hint)
+
     @settings(max_examples=60, deadline=None)
     @given(doc=VALID_OVERRIDES)
     def test_valid_documents_round_trip(self, doc):
@@ -175,10 +184,10 @@ class TestNormalizeConfig:
     def test_config_bytes_are_pinned(self):
         # the input is pure JSON, so these digests hold on every host
         assert config_sha256(normalize_config({})) == (
-            "8d6229e37a36ae2a521c9705337b4ca5e63a1254b846d775e9cc74e477a4ee88"
+            "ed81a7a753c9b5f7d2387dfc96d4deea0c9ba95a6ad3c90cbaac8fa0d593002c"
         )
         assert config_sha256(mini_config("runs")) == (
-            "9213ff7c59d3926b3311a178b7ba8a5768cd30ae2d4b837104187fbf6de8fbcc"
+            "abe26898d882d45e77b9693296fef4d355af4ca2fdd7331eeed5d83b782111f4"
         )
 
     def test_readme_default_block_is_the_default_config(self):
@@ -233,12 +242,15 @@ class TestNormalizeConfig:
             ({"dataset": {"n_total": 29}}, "dataset.n_total"),
             ({"dataset": {"profile": {"covariance_scale": 0.0}}},
              "dataset.profile.covariance_scale"),
-            ({"model": {"n_heads": 0}}, "model"),
+            ({"model": {"conv_channels": [4, 8, 0]}}, "model"),
             # a generated feature shape the model cannot take
             ({"dataset": {"profile": {"dim": 32}}}, "model.input_shape"),
             ({"model": {"input_shape": [1, 16, 16]}}, "model.input_shape"),
             ({"dataset": {"kind": "images", "image": {"side": 16}},
               "model": {"input_shape": [4, 8, 8]}}, "model.input_shape"),
+            # the shape knobs deleted since: attention has one head, images one channel
+            ({"model": {"n_heads": 1}}, "model.n_heads"),
+            ({"dataset": {"image": {"channels": 1}}}, "dataset.image.channels"),
         ],
     )
     def test_rejections_name_the_field(self, tmp_path, patch, path):

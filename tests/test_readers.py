@@ -29,7 +29,7 @@ READERS = {
 def valid_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("readers")
     gen = np.random.default_rng(0)
-    config = ModelConfig(input_shape=(1, 8, 8), conv_channels=(1, 1, 2), n_heads=1, n_classes=3)
+    config = ModelConfig(input_shape=(1, 8, 8), conv_channels=(1, 1, 2), n_classes=3)
     save_model(StagedModel(config, seed=3), root / "model.bin")
     x, labels = gen.normal(size=(30, 4)), np.arange(30) % 3
     save_ensemble(fit(x, labels, GbdtConfig(n_rounds=2, max_depth=2), n_classes=3),

@@ -359,36 +359,98 @@ class TestAttentionStage:
     def test_gradients_match_finite_differences(self):
         for seed in range(10):
             gen = np.random.default_rng(seed)
-            stage = AttentionStage(4, 1, gen)
-            self._check(stage, gen.standard_normal((2, 3, 4)), seed)
-
-    def test_two_head_gradients_match_finite_differences(self):
-        for seed in range(3):
-            gen = np.random.default_rng(200 + seed)
-            stage = AttentionStage(4, 2, gen)
+            stage = AttentionStage(4, gen)
             self._check(stage, gen.standard_normal((2, 3, 4)), seed)
 
     def test_attention_rows_sum_to_one(self):
-        for heads in (1, 2):
-            for seed in range(5):
-                gen = np.random.default_rng(seed)
-                stage = AttentionStage(8, heads, gen)
-                _, cache = stage.forward(gen.standard_normal((3, 5, 8)))
-                attn = cache[4]
-                assert attn.shape == (3, heads, 5, 5)
-                np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-6)
+        for seed in range(5):
+            gen = np.random.default_rng(seed)
+            stage = AttentionStage(8, gen)
+            _, cache = stage.forward(gen.standard_normal((3, 5, 8)))
+            attn = cache[4]
+            assert attn.shape == (3, 5, 5)
+            np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_single_position_weight_is_exactly_one(self):
         gen = np.random.default_rng(3)
-        stage = AttentionStage(4, 1, gen)
+        stage = AttentionStage(4, gen)
         _, cache = stage.forward(gen.standard_normal((2, 1, 4)))
         attn = cache[4]
-        assert attn.shape == (2, 1, 1, 1)
+        assert attn.shape == (2, 1, 1)
         assert np.all(attn == 1.0)
 
-    def test_rejects_indivisible_head_count(self):
-        with pytest.raises(ValueError, match="divisible"):
-            AttentionStage(6, 4, np.random.default_rng(0))
+
+# The attention stage as it was when it took a head count, at one head: the
+# (B, T, D) projections are viewed as (B, 1, T, D) for the products and
+# copied back to (B, T, D) after them. The single-head stage must match it
+# bit for bit, so trained weights do not move.
+
+
+def _split_heads(x: np.ndarray) -> np.ndarray:
+    b_n, t_len, d = x.shape
+    return x.reshape(b_n, t_len, 1, d).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    b_n, _, t_len, d = x.shape
+    return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(b_n, t_len, d)
+
+
+def reference_attention_forward(stage: AttentionStage, hs: np.ndarray):
+    q = _split_heads(hs @ stage.wq + stage.bq)
+    k = _split_heads(hs @ stage.wk + stage.bk)
+    v = _split_heads(hs @ stage.wv + stage.bv)
+    scores = (q @ k.transpose(0, 1, 3, 2)) / np.sqrt(stage.width)
+    attn = softmax(scores, axis=-1)
+    ctx = _merge_heads(attn @ v)
+    return ctx @ stage.wo + stage.bo, (hs, q, k, v, attn, ctx)
+
+
+def reference_attention_backward(stage: AttentionStage, dout: np.ndarray, cache: tuple):
+    hs, q, k, v, attn, ctx = cache
+    flat = lambda a: a.reshape(-1, a.shape[-1])
+    dwo = flat(ctx).T @ flat(dout)
+    dbo = dout.sum(axis=(0, 1))
+    dctx = _split_heads(dout @ stage.wo.T)
+    dattn = dctx @ v.transpose(0, 1, 3, 2)
+    dv = attn.transpose(0, 1, 3, 2) @ dctx
+    dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+    dscores /= np.sqrt(stage.width)
+    dq = _merge_heads(dscores @ k)
+    dk = _merge_heads(dscores.transpose(0, 1, 3, 2) @ q)
+    dv = _merge_heads(dv)
+    grads = {
+        "attn.wq": flat(hs).T @ flat(dq), "attn.bq": dq.sum(axis=(0, 1)),
+        "attn.wk": flat(hs).T @ flat(dk), "attn.bk": dk.sum(axis=(0, 1)),
+        "attn.wv": flat(hs).T @ flat(dv), "attn.bv": dv.sum(axis=(0, 1)),
+        "attn.wo": dwo, "attn.bo": dbo,
+    }
+    return dq @ stage.wq.T + dk @ stage.wk.T + dv @ stage.wv.T, grads
+
+
+class TestAttentionBitIdentity:
+    # T = 1 is the default model's sequence; 256 is the inference chunk
+    @pytest.mark.parametrize("t_len", [1, 4, 9])
+    @pytest.mark.parametrize("batch", [1, 2, 17, 64, 256])
+    @pytest.mark.parametrize("width", [8, 16])
+    def test_matches_the_head_split_attention_bit_for_bit(self, batch, t_len, width):
+        gen = np.random.default_rng(100 * batch + 10 * t_len + width)
+        stage = AttentionStage(width, gen)
+        for name, param in stage.params():
+            if name.startswith("attn.b"):
+                param[:] = 0.1 * gen.standard_normal(param.shape)
+        hs = gen.standard_normal((batch, t_len, width))
+        out, cache = stage.forward(hs)
+        ref_out, ref_cache = reference_attention_forward(stage, hs)
+        assert same_bytes(out, ref_out)
+        assert same_bytes(cache[4], ref_cache[4].reshape(cache[4].shape))
+        r = gen.standard_normal(out.shape)
+        dx, grads = stage.backward(r, cache)
+        ref_dx, ref_grads = reference_attention_backward(stage, r, ref_cache)
+        assert same_bytes(dx, ref_dx)
+        assert list(grads) == [name for name, _ in stage.params()]
+        for name in grads:
+            assert same_bytes(grads[name], ref_grads[name]), name
 
 
 class TestHeadStage:
