@@ -2,26 +2,31 @@
 
 One-vs-all softmax boosting with Newton (second-order) leaf estimates: each
 round fits K regression trees to the class gradients g_i = p_i - y_i with
-hessians h_i = p_i (1 - p_i). Split search is exact greedy over every feature
-and threshold, maximizing
+hessians h_i = p_i (1 - p_i). A split maximizes ``split_gain``,
 
-    gain = 1/2 * (G_L^2/(H_L+lambda) + G_R^2/(H_R+lambda) - G^2/(H+lambda))
+    gain = 1/2 * (G_L^2/(H_L+lambda) + G_R^2/(H_R+lambda) - G^2/(H+lambda)),
 
-with ties broken toward the lower feature index, then the lower threshold.
-Leaf values are -G/(H+lambda) * learning_rate. Thresholds are the left
-neighbor's feature value with an ``x <= t`` routing rule, so partitions are
-exact on float data.
+over the boundaries whose two children are non-empty and each hold a
+hessian sum of at least min_child_weight (mcw), with ties broken toward the
+lower feature index, then the lower threshold. Leaf values are
+-G/(H+lambda) * learning_rate, added to the margins of the leaf's rows where
+the leaf is made.
 
-A fit sorts every feature once and carries each node's row order and its
-sorted values down the tree: a split moves both into its children with one
-index list per child, so no node sorts or gathers feature values, and the
-children of the last split level get only feature 0's order, the one a
-leaf sums over. The search writes its cumulative sums, gain terms and masks
-into buffers allocated once per fit, with the same operations on the same
-operands in the same order as a plain expression, so the trees do not
-depend on the buffers. A node whose hessian sum H (the end of feature 0's
-cumulative sum) has H - mcw < mcw in float64 is a leaf without a search:
-rounding is monotone, so every boundary with H_L >= mcw has H_R < mcw.
+The candidate boundaries are those of a histogram (LightGBM; Ke et al.,
+NeurIPS 2017) over quantile bins (Chen & Guestrin, XGBoost, KDD 2016). A fit
+bins each feature once. A feature with at most MAX_BINS distinct values gets
+one bin per value; any other gets the upper edges of its sorted values at
+ranks floor(i*n/MAX_BINS) - 1, i = 1..MAX_BINS, duplicates removed. A value's
+bin is the first whose edge is >= it, with NaN sorted last; no split uses the
+last bin, as it would leave the right child empty. Every edge is a training
+value, so for every other bin b, ``bin <= b`` holds exactly when
+``x <= edges[b]``: a split at bin b writes the threshold edges[b], and the
+``x <= t`` rule below routes every training row as the fit did. A node sums
+its row count, g and h per (feature, bin) with one bincount each, in row
+order, and scores every boundary from their cumulative sums over the bins.
+A node whose hessian sum H is below 2*mcw is a leaf without a histogram: a
+boundary with H_L >= mcw leaves H_R = H - H_L <= H - mcw < mcw, since
+rounding is monotone.
 
 Evaluation packs the trees into flat arrays and scores them as leaf
 bitmasks, after QuickScorer (Lucchese et al., SIGIR 2015). A tree's leaves
@@ -70,6 +75,9 @@ GBDT_MAGIC = "mclab-gbdt v1"
 # is at least 32, below which per-block overhead dominates.
 EVAL_BLOCK_ELEMENTS = 1 << 16
 
+# A fit bins each feature into at most this many bins (see the module notes).
+MAX_BINS = 32
+
 
 @dataclass(frozen=True)
 class GbdtConfig:
@@ -93,9 +101,11 @@ class GbdtConfig:
 
 
 def split_gain(
-    g_left: float, h_left: float, g_right: float, h_right: float, lambda_l2: float
-) -> float:
-    """Exact split gain for candidate child gradient/hessian sums."""
+    g_left: float | np.ndarray, h_left: float | np.ndarray,
+    g_right: float | np.ndarray, h_right: float | np.ndarray, lambda_l2: float,
+) -> float | np.ndarray:
+    """Split gain for the child gradient/hessian sums: floats, or arrays of
+    candidates."""
     g_tot = g_left + g_right
     h_tot = h_left + h_right
     return 0.5 * (
@@ -264,127 +274,68 @@ def _add_leaf_values(forest: PackedForest, x: np.ndarray, margins: np.ndarray) -
         margins[block] = np.add.accumulate(vals, axis=0)[-1].T
 
 
-def _presort(x: np.ndarray) -> np.ndarray:
-    """(d, n) per-feature ascending row orders; stable so equal values keep
-    row order. Computed once per fit and filtered down the tree, which
-    replaces a per-node argsort with a partition."""
-    return np.ascontiguousarray(np.argsort(x, axis=0, kind="stable").T)
-
-
-class _Scratch:
-    """The split search's buffers, allocated once per fit of an (n, d) matrix.
-
-    A node of m rows views the first d*m elements of each buffer as a
-    contiguous (d, m) array, so no search allocates.
-    """
-
-    def __init__(self, n: int, d: int):
-        self.gl, self.hl, self.gr, self.hr = np.empty((4, d * n))
-        self.masks = np.empty((2, d * n), dtype=bool)
-        self.member = np.empty(n, dtype=bool)
-
-
-def _best_split(
-    rows: np.ndarray, vals: np.ndarray, g: np.ndarray, h: np.ndarray,
-    cfg: GbdtConfig, s: _Scratch,
-) -> tuple[int, int, float] | None:
-    """Best (feature, boundary position, gain) over all features, or None.
-
-    rows (d, m) holds the node's rows in each feature's ascending order and
-    vals (d, m) their values, m >= 2. Every boundary between distinct
-    neighbor values is scored; ties take the lowest feature index, then the
-    lowest threshold.
-    """
-    d, m = rows.shape
-    size = d * m
-    mcw, lam = cfg.min_child_weight, cfg.lambda_l2
-    hl = s.hl[:size].reshape(d, m)
-    # mode="clip" (the indices are in range) keeps take from buffering its out
-    np.take(h, rows[0], out=hl[0], mode="clip")
-    np.cumsum(hl[0], out=hl[0])
-    h_tot = float(hl[0, -1])
-    # a left child with hl >= mcw leaves hr = h_tot - hl <= h_tot - mcw, and
-    # rounding is monotone, so no boundary is valid: the search would find none
-    if h_tot - mcw < mcw:
-        return None
-    np.take(h, rows[1:], out=hl[1:], mode="clip")
-    np.cumsum(hl[1:], axis=1, out=hl[1:])
-    gl = s.gl[:size].reshape(d, m)
-    np.take(g, rows, out=gl, mode="clip")
-    np.cumsum(gl, axis=1, out=gl)
-    g_tot = float(gl[0, -1])
-    # every (d, m) term below is contiguous, so each runs as one flat pass;
-    # column m-1 (the whole node on the left) is scored too, then masked
-    gl, hl = gl.ravel(), hl.ravel()
-    gr = np.subtract(g_tot, gl, out=s.gr[:size])
-    hr = np.subtract(h_tot, hl, out=s.hr[:size])
-    valid, spare = s.masks[:, :size]
-    flat_vals = vals.ravel()
-    np.less(flat_vals[:-1], flat_vals[1:], out=valid[:-1])
-    valid[m - 1::m] = False
-    valid &= np.greater_equal(hl, mcw, out=spare)
-    valid &= np.greater_equal(hr, mcw, out=spare)
-    hr[m - 1::m] = 1.0  # hr is 0 in column m-1: no 0/0 there when lambda is 0
-    # gain = 1/2 * (gl*gl/(hl+lam) + gr*gr/(hr+lam) - parent), in this order
-    parent = g_tot * g_tot / (h_tot + lam)
-    np.divide(np.multiply(gl, gl, out=gl), np.add(hl, lam, out=hl), out=gl)
-    np.divide(np.multiply(gr, gr, out=gr), np.add(hr, lam, out=hr), out=gr)
-    gain = np.multiply(0.5, np.subtract(np.add(gl, gr, out=gl), parent, out=gl), out=gl)
-    np.copyto(gain, -np.inf, where=np.logical_not(valid, out=spare))
-    flat = int(np.argmax(gain))  # row-major first max: lowest feature, threshold
-    best_gain = float(gain[flat])
-    if not np.isfinite(best_gain) or best_gain <= 0.0:
-        return None
-    feat, pos = divmod(flat, m)
-    return feat, pos, best_gain
+def _bin(x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The (n, d) bin codes of ``x``, offset by MAX_BINS per feature so that
+    one bincount covers every (feature, bin), and each feature's bin edges
+    (see the module notes)."""
+    n, d = x.shape
+    ranks = np.arange(1, MAX_BINS + 1) * n // MAX_BINS - 1
+    edges = []
+    for column in x.T:
+        values = np.unique(column)
+        if values.size > MAX_BINS:
+            values = np.unique(np.sort(column)[ranks])
+        edges.append(values)
+    codes = np.column_stack([np.searchsorted(e, column) for e, column in zip(edges, x.T)])
+    return codes + np.arange(d) * MAX_BINS, edges
 
 
 def _build_tree(
     g: np.ndarray,
     h: np.ndarray,
     margin: np.ndarray,
-    order: np.ndarray,
-    ordered_vals: np.ndarray,
+    codes: np.ndarray,
+    edges: list[np.ndarray],
     cfg: GbdtConfig,
     importance: np.ndarray,
-    s: _Scratch,
 ) -> Tree:
-    """Grow one tree; each leaf adds its value to its rows of ``margin`` (n,)."""
+    """Grow one tree on the binned rows (``_bin``); each leaf adds its value
+    to its rows of ``margin`` (n,)."""
     tree = Tree()
+    d = len(edges)
+    mcw, lam = cfg.min_child_weight, cfg.lambda_l2
 
-    def grow(rows: np.ndarray, vals: np.ndarray | None, depth: int) -> int:
-        found = None
-        if depth < cfg.max_depth and rows.shape[1] >= 2:
-            found = _best_split(rows, vals, g, h, cfg, s)
-        if found is None:
-            node_rows = rows[0]
-            g_sum = float(g[node_rows].sum())
-            h_sum = float(h[node_rows].sum())
-            value = -g_sum / (h_sum + cfg.lambda_l2) * cfg.learning_rate
-            margin[node_rows] += value
+    def grow(rows: np.ndarray, depth: int) -> int:
+        g_node, h_node = g[rows], h[rows]
+        g_sum, h_sum = float(g_node.sum()), float(h_node.sum())
+        best, gain = 0, -np.inf
+        if depth < cfg.max_depth and h_sum >= 2 * mcw:
+            # per (feature, bin), summed in row order, then cumulated over bins:
+            # the rows, gradient and hessian left of each boundary
+            idx = codes[rows].ravel()
+            count_l, g_l, h_l = (
+                np.bincount(idx, w, d * MAX_BINS).reshape(d, MAX_BINS).cumsum(axis=1)
+                for w in (None, np.repeat(g_node, d), np.repeat(h_node, d)))
+            h_r = h_sum - h_l
+            with np.errstate(divide="ignore", invalid="ignore"):  # cells masked below
+                gains = split_gain(g_l, h_l, g_sum - g_l, h_r, lam)
+            valid = (count_l > 0) & (count_l < rows.size) & (h_l >= mcw) & (h_r >= mcw)
+            gains = np.where(valid, gains, -np.inf)
+            best = int(np.argmax(gains))  # row-major first max: lowest feature, bin
+            gain = float(gains.flat[best])
+        if not (np.isfinite(gain) and gain > 0.0):
+            value = -g_sum / (h_sum + lam) * cfg.learning_rate
+            margin[rows] += value
             return tree.add_leaf(value)
-        feat, pos, gain = found
+        feat, b = divmod(best, MAX_BINS)
         importance[feat] += gain
-        node = tree.add_split(feat, float(vals[feat, pos]))
-        # rows <= the threshold are exactly the first pos+1 entries of feat's order
-        s.member[:] = False
-        s.member[rows[feat, : pos + 1]] = True
-        if depth + 1 == cfg.max_depth:
-            rows, vals = rows[:1], None  # a leaf reads only feature 0's order
-        # flat index lists move rows and values faster than boolean masks
-        in_left, in_right = s.masks[:, : rows.size]
-        np.take(s.member, rows.ravel(), out=in_left, mode="clip")
-        np.logical_not(in_left, out=in_right)
-        children = []
-        for index in (np.flatnonzero(in_left), np.flatnonzero(in_right)):
-            child_rows = rows.ravel().take(index).reshape(rows.shape[0], -1)
-            child_vals = None if vals is None else vals.ravel().take(index).reshape(child_rows.shape)
-            children.append((child_rows, child_vals))
-        tree.left[node] = grow(*children[0], depth + 1)
-        tree.right[node] = grow(*children[1], depth + 1)
+        node = tree.add_split(feat, edges[feat][b])
+        left = codes[rows, feat] <= best  # bin <= b, that is x <= edges[feat][b]
+        tree.left[node] = grow(rows[left], depth + 1)
+        tree.right[node] = grow(rows[~left], depth + 1)
         return node
 
-    grow(order, ordered_vals, 0)
+    grow(np.arange(codes.shape[0]), 0)
     return tree
 
 
@@ -462,18 +413,23 @@ def fit(
     non-increasing.
     """
     x = np.asarray(x, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if x.ndim != 2 or x.shape[0] == 0:
+    labels = np.asarray(labels)
+    if x.ndim != 2 or 0 in x.shape:
         raise ValueError("empty input")
     if layout is not None and layout.total != x.shape[1]:
         raise ValueError(f"layout covers {layout.total} columns, the matrix has {x.shape[1]}")
     if labels.shape != (x.shape[0],):
         raise ValueError("labels must align with latents")
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
+    if n_classes is not None and not isinstance(n_classes, (int, np.integer)):
+        raise ValueError(f"n_classes must be an integer, got {n_classes!r}")
     k = int(n_classes) if n_classes is not None else int(labels.max()) + 1
     if k < 2:
         raise ValueError("single-class input: need a label space of at least 2")
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"labels must lie in [0, {k})")
+    labels = labels.astype(np.intp)
 
     n = x.shape[0]
     priors = np.maximum(np.bincount(labels, minlength=k) / n, 1e-12)
@@ -484,9 +440,7 @@ def fit(
     trees: list[list[Tree]] = []
     probs = softmax(margins, axis=-1)
     curve = [_log_loss(probs, labels)]
-    order = _presort(x)  # shared by every tree: x never changes
-    ordered_vals = np.take_along_axis(np.ascontiguousarray(x.T), order, axis=1)
-    scratch = _Scratch(n, x.shape[1])
+    codes, edges = _bin(x)  # shared by every tree: x never changes
     for _ in range(config.n_rounds):
         grad = probs - y
         hess = probs * (1.0 - probs)
@@ -494,8 +448,8 @@ def fit(
         # leaf values to its class's margins as it grows, and every row gets
         # one add per tree
         trees.append([
-            _build_tree(grad[:, cls], hess[:, cls], margins[:, cls], order, ordered_vals,
-                        config, importance, scratch)
+            _build_tree(grad[:, cls], hess[:, cls], margins[:, cls], codes, edges, config,
+                        importance)
             for cls in range(k)
         ])
         probs = softmax(margins, axis=-1)

@@ -3,7 +3,9 @@ determinism, importance bookkeeping, and the text checkpoint format.
 
 Hand-computable cases are derived in comments; the packed leaf-bitmask
 evaluation is cross-checked bit for bit by an independent per-row tree walk,
-and fit against a checkpoint pinned before evaluation was packed.
+fit byte for byte by a plain binned reference grower and against a pinned
+checkpoint, and fit's trees against the exact greedy search on features with
+few distinct values.
 """
 
 from __future__ import annotations
@@ -220,6 +222,29 @@ class TestFit:
             fit(x, np.zeros(7, dtype=int), GbdtConfig(n_rounds=1))
         with pytest.raises(ValueError, match="lie in"):
             fit(x, np.full(10, 5), GbdtConfig(n_rounds=1), n_classes=3)
+        with pytest.raises(ValueError, match="empty"):
+            fit(x[:, :0], np.array([0, 1] * 5), GbdtConfig(n_rounds=1))
+
+    def test_rejects_labels_and_class_counts_that_are_not_integers(self):
+        # neither is truncated: labels 0..1.9 would fit classes 0 and 1
+        x = np.random.default_rng(0).standard_normal((20, 2))
+        with pytest.raises(ValueError, match="labels must be integers, got dtype float64"):
+            fit(x, np.linspace(0, 1.9, 20), GbdtConfig(n_rounds=1))
+        with pytest.raises(ValueError, match="n_classes must be an integer, got 2.9"):
+            fit(x, np.array([0, 1] * 10), GbdtConfig(n_rounds=1), n_classes=2.9)
+        fit(x, np.array([0, 1] * 10, dtype=np.uint8), GbdtConfig(n_rounds=1),
+            n_classes=np.int64(3))
+
+    def test_read_only_input_is_left_unchanged(self):
+        x, labels = oracle_data(7, 80, 6, 3, special_columns=True)
+        x.setflags(write=False)
+        labels.setflags(write=False)
+        x_before, labels_before = x.copy(), labels.copy()
+        ens = fit(x, labels, GbdtConfig(n_rounds=3))
+        assert np.array_equal(x, x_before, equal_nan=True)
+        assert np.array_equal(labels, labels_before)
+        assert checkpoint_bytes(ens) == checkpoint_bytes(
+            fit(x_before, labels_before, GbdtConfig(n_rounds=3)))
 
 
 class TestPredict:
@@ -426,8 +451,8 @@ PINNED = json.loads((Path(__file__).parent / "fixtures" / "gbdt_pinned.json").re
 
 
 class TestPinnedFit:
-    """fit writes the checkpoint it wrote before evaluation was packed, less the
-    removed config fields of its line 3."""
+    """fit writes the checkpoint pinned when its split search became a
+    histogram."""
 
     @pytest.mark.parametrize("case,n,config", [
         ("b", 240, GbdtConfig(n_rounds=2, max_depth=7, min_child_weight=0.05,
@@ -600,10 +625,83 @@ class TestCheckpointRejections:
         assert len(load_ensemble(path).trees) == 2
 
 
-# ---- reference grower: the plain split search and tree growth (a fresh array
-# per term, a full search at every node, every feature partitioned) and a
-# per-row tree walk, the oracle for fit's scratch, carried values, early exit,
-# leaf partition and leaf adds ----
+# ---- reference growers. The binned one is the plain rule of the module notes:
+# edges and bins in Python, histograms as loops over rows in row order, a full
+# search at every node above max_depth, and rows routed by ``x <= t``. It is
+# the oracle for fit's bincounts, masks, early exit and leaf adds. The exact
+# one scores every boundary between distinct neighbour values (the search fit
+# ran before it binned); with at most MAX_BINS distinct values per feature and
+# no NaN it has the binned search's candidates. ----
+
+MAX_BINS = corrector_module.MAX_BINS
+
+
+def reference_bins(column: np.ndarray) -> tuple[list[float], list[int]]:
+    """A feature's bin edges and each row's bin, by the rule of the module notes."""
+    ordered = np.sort(column).tolist()  # NaN last
+
+    def distinct(values):
+        out = []
+        for v in values:
+            if not out or not (v == out[-1] or (math.isnan(v) and math.isnan(out[-1]))):
+                out.append(v)
+        return out
+
+    edges = distinct(ordered)
+    if len(edges) > MAX_BINS:
+        n = len(ordered)
+        edges = distinct([ordered[i * n // MAX_BINS - 1] for i in range(1, MAX_BINS + 1)])
+    bins = [next(b for b, e in enumerate(edges) if v <= e or math.isnan(e))
+            for v in column.tolist()]
+    return edges, bins
+
+
+def reference_binned_split(bins, rows, g, h, cfg):
+    """(feature, bin, gain) of the best boundary of the node ``rows``, or None."""
+    m = len(rows)
+    g_sum, h_sum = float(g[rows].sum()), float(h[rows].sum())
+    best = None
+    for feat, feature_bins in enumerate(bins):
+        count, g_hist, h_hist = [0] * MAX_BINS, [0.0] * MAX_BINS, [0.0] * MAX_BINS
+        for r in rows.tolist():
+            b = feature_bins[r]
+            count[b] += 1
+            g_hist[b] += float(g[r])
+            h_hist[b] += float(h[r])
+        c_l = g_l = h_l = 0.0
+        for b in range(MAX_BINS):
+            c_l, g_l, h_l = c_l + count[b], g_l + g_hist[b], h_l + h_hist[b]
+            h_r = h_sum - h_l
+            if 0 < c_l < m and h_l >= cfg.min_child_weight and h_r >= cfg.min_child_weight:
+                gain = split_gain(g_l, h_l, g_sum - g_l, h_r, cfg.lambda_l2)
+                if best is None or gain > best[2]:
+                    best = (feat, b, gain)
+    if best is None or not (math.isfinite(best[2]) and best[2] > 0.0):
+        return None
+    return best
+
+
+def reference_binned_tree(x, g, h, cfg, importance):
+    binned = [reference_bins(column) for column in x.T]
+    bins = [feature_bins for _, feature_bins in binned]
+    tree = Tree()
+
+    def grow(rows, depth):
+        found = reference_binned_split(bins, rows, g, h, cfg) if depth < cfg.max_depth else None
+        if found is None:
+            value = -float(g[rows].sum()) / (float(h[rows].sum()) + cfg.lambda_l2)
+            return tree.add_leaf(value * cfg.learning_rate)
+        feat, b, gain = found
+        importance[feat] += gain
+        threshold = binned[feat][0][b]
+        node = tree.add_split(feat, threshold)
+        left = np.array([x[r, feat] <= threshold for r in rows], dtype=bool)
+        tree.left[node] = grow(rows[left], depth + 1)
+        tree.right[node] = grow(rows[~left], depth + 1)
+        return node
+
+    grow(np.arange(x.shape[0]), 0)
+    return tree
 
 
 def reference_best_split(xt, sorted_rows, g, h, cfg):
@@ -636,10 +734,11 @@ def reference_best_split(xt, sorted_rows, g, h, cfg):
     return feat, pos, best_gain
 
 
-def reference_build_tree(xt, g, h, sorted_root, cfg, importance):
+def reference_exact_tree(x, g, h, cfg, importance):
+    xt = np.ascontiguousarray(x.T)
+    sorted_root = np.argsort(xt, axis=1, kind="stable")
     tree = Tree()
-    n = xt.shape[1]
-    member = np.empty(n, dtype=bool)
+    member = np.empty(x.shape[0], dtype=bool)
 
     def grow(sorted_rows, depth):
         node_rows = sorted_rows[0]
@@ -673,19 +772,19 @@ def checkpoint_bytes(ens: CorrectorEnsemble) -> bytes:
         return (Path(tmp) / "corrector.txt").read_bytes()
 
 
-def reference_fit(x, labels, config, n_classes=None):
-    """fit with every tree grown by the reference grower, and each row's leaf
-    value added by walking the tree; the boosting loop around the trees is
-    fit's own."""
-    xt = np.ascontiguousarray(np.asarray(x, dtype=np.float64).T)
+def reference_fit(x, labels, config, n_classes=None, grower=reference_binned_tree):
+    """fit with every tree grown by ``grower`` from ``x`` itself, and each row's
+    leaf value added by walking the tree; the boosting loop around the trees
+    is fit's own."""
+    x = np.asarray(x, dtype=np.float64)
 
-    def grower(g, h, margin, order, ordered_vals, cfg, importance, scratch):
-        tree = reference_build_tree(xt, g, h, order, cfg, importance)
-        for i, row in enumerate(xt.T):
+    def build_tree(g, h, margin, codes, edges, cfg, importance):
+        tree = grower(x, g, h, cfg, importance)
+        for i, row in enumerate(x):
             margin[i] += walk(tree, row)
         return tree
 
-    with patch.object(corrector_module, "_build_tree", grower):
+    with patch.object(corrector_module, "_build_tree", build_tree):
         return fit(x, labels, config, n_classes=n_classes)
 
 
@@ -706,11 +805,9 @@ def oracle_data(seed: int, n: int, d: int, k: int, special_columns: bool):
 
 
 class TestReferenceGrower:
-    """fit grows the trees the reference grower grows, byte for byte, on any
-    host: both run on the same numpy, so only the code differs."""
+    """fit grows the trees the binned reference grower grows, byte for byte,
+    on any host: both run on the same numpy, so only the code differs."""
 
-    # the search scores a column the reference skips; it must not warn there
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=80, deadline=10_000)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -730,6 +827,50 @@ class TestReferenceGrower:
                             min_child_weight=min_child_weight, lambda_l2=lambda_l2)
         want = checkpoint_bytes(reference_fit(x, labels, config, n_classes=k))
         assert checkpoint_bytes(fit(x, labels, config, n_classes=k)) == want
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_edges_are_training_values_that_route_as_the_bins(self, seed):
+        # n = 200 gives quantile edges to the wider columns; -0.0 and 0.0 tie
+        x, _ = oracle_data(seed, 200, 6, 2, special_columns=True)
+        x[seed::7, 1] = -0.0
+        codes, edges = corrector_module._bin(x)
+        assert codes.shape == x.shape
+        for feat, column in enumerate(x.T):
+            want_edges, want_bins = reference_bins(column)
+            assert np.array_equal(edges[feat], want_edges, equal_nan=True)
+            assert np.signbit(edges[feat]).tolist() == np.signbit(want_edges).tolist()
+            assert (codes[:, feat] - feat * MAX_BINS).tolist() == want_bins
+            assert edges[feat].size <= MAX_BINS
+            for b, edge in enumerate(edges[feat][:-1]):  # the last bin is never split
+                assert np.any(column == edge)
+                assert np.array_equal(codes[:, feat] - feat * MAX_BINS <= b, column <= edge)
+
+    @pytest.mark.parametrize("max_depth", [4, 6])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_tree_matches_the_exact_search_on_few_values(self, seed, max_depth):
+        # <= MAX_BINS distinct values per feature and no NaN: the binned search
+        # scores the exact search's candidates, so the trees agree; only the
+        # order of the sums differs, which rounds the leaf values differently.
+        # The gradients are continuous: the class-constant gradients of a
+        # first round tie distinct partitions exactly, and rounding in either
+        # order may break such a tie either way.
+        gen = np.random.default_rng(seed)
+        x = gen.integers(-12, 13, size=(300, 5)) / 4.0
+        x[:, 3] = np.maximum(x[:, 3], 0.0)
+        x[gen.random(300) < 0.05, 4] = np.inf
+        x[gen.random(300) < 0.05, 2] = -np.inf
+        g = gen.standard_normal(300) + x[:, 0] * x[:, 1]
+        h = gen.uniform(0.05, 0.25, 300)
+        cfg = GbdtConfig(max_depth=max_depth, min_child_weight=0.5)
+        got_importance, want_importance = np.zeros(5), np.zeros(5)
+        got = corrector_module._build_tree(g, h, np.zeros(300), *corrector_module._bin(x),
+                                           cfg, got_importance)
+        want = reference_exact_tree(x, g, h, cfg, want_importance)
+        assert got.n_nodes > 7
+        assert (got.feature, got.threshold, got.left, got.right) == (
+            want.feature, want.threshold, want.left, want.right)
+        np.testing.assert_allclose(got.value, want.value, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got_importance, want_importance, rtol=1e-9)
 
     @pytest.mark.parametrize("max_depth", [1, 3, 7])
     @pytest.mark.parametrize("seed", range(3))
@@ -757,53 +898,28 @@ class TestReferenceGrower:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("below", [False, True])
     def test_random_node_at_twice_min_child_weight(self, seed, below):
-        # min_child_weight is half of the feature-0 hessian sum, or one ulp
+        # min_child_weight is half of the node's hessian sum, or one ulp
         # above that half, so the sum is exactly 2*mcw or one ulp below it
         gen = np.random.default_rng(seed)
         x = gen.standard_normal((40, 4))
         x[:, 3] = np.round(x[:, 3])
         g, h = gen.standard_normal(40), gen.random(40)
-        h_tot = float(np.cumsum(h[np.argsort(x[:, 0], kind="stable")])[-1])
-        mcw = h_tot / 2
+        mcw = float(h.sum()) / 2
         if below:
             mcw = float(np.nextafter(mcw, np.inf))
-        self.check_node(x.T, g, h, mcw, found=False if below else None)
+        self.check_node(x, g, h, mcw, found=False if below else None)
 
     @staticmethod
-    def check_node(xt, g, h, min_child_weight, found):
-        """The node of every row of xt: the search finds what the reference
-        finds, and a split exactly when ``found`` says (None: either)."""
-        cfg = GbdtConfig(min_child_weight=min_child_weight)
-        rows = corrector_module._presort(xt.T)
-        vals = np.take_along_axis(xt, rows, axis=1)
-        scratch = corrector_module._Scratch(*xt.shape[::-1])
-        got = corrector_module._best_split(rows, vals, g, h, cfg, scratch)
-        assert got == reference_best_split(xt, rows, g, h, cfg)
+    def check_node(x, g, h, min_child_weight, found):
+        """The root node of every row of x: fit's grower splits it as the
+        reference does, and splits exactly when ``found`` says (None: either)."""
+        cfg = GbdtConfig(max_depth=1, min_child_weight=min_child_weight)
+        got_importance, want_importance = np.zeros(x.shape[1]), np.zeros(x.shape[1])
+        got = corrector_module._build_tree(g, h, np.zeros(x.shape[0]),
+                                           *corrector_module._bin(x), cfg, got_importance)
+        want = reference_binned_tree(x, g, h, cfg, want_importance)
+        assert (got.feature, got.threshold, got.value) == (want.feature, want.threshold,
+                                                            want.value)
+        assert got_importance.tolist() == want_importance.tolist()
         if found is not None:
-            assert (got is not None) == found
-
-
-class TestScratchReuse:
-    def test_fits_of_other_shapes_in_between_change_no_byte(self):
-        problems = [(60, 5), (200, 9), (31, 2), (120, 12), (2, 1)]
-        cases = [oracle_data(i, n, d, 3, special_columns=True)
-                 + (GbdtConfig(n_rounds=4, min_child_weight=0.1),)
-                 for i, (n, d) in enumerate(problems)]
-        forward = [checkpoint_bytes(fit(x, labels, cfg, n_classes=3))
-                   for x, labels, cfg in cases]
-        backward = [checkpoint_bytes(fit(x, labels, cfg, n_classes=3))
-                    for x, labels, cfg in reversed(cases)]
-        assert forward == backward[::-1]
-        for (x, labels, cfg), got in zip(cases, forward):
-            assert checkpoint_bytes(reference_fit(x, labels, cfg, n_classes=3)) == got
-
-    def test_read_only_input_is_left_unchanged(self):
-        x, labels = oracle_data(7, 80, 6, 3, special_columns=True)
-        x.setflags(write=False)
-        labels.setflags(write=False)
-        x_before, labels_before = x.copy(), labels.copy()
-        ens = fit(x, labels, GbdtConfig(n_rounds=3))
-        assert np.array_equal(x, x_before, equal_nan=True)
-        assert np.array_equal(labels, labels_before)
-        assert checkpoint_bytes(ens) == checkpoint_bytes(
-            fit(x_before, labels_before, GbdtConfig(n_rounds=3)))
+            assert (got.n_nodes == 3) == found
