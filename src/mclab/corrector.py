@@ -274,10 +274,11 @@ def _add_leaf_values(forest: PackedForest, x: np.ndarray, margins: np.ndarray) -
         margins[block] = np.add.accumulate(vals, axis=0)[-1].T
 
 
-def _bin(x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+def _bin(x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     """The (n, d) bin codes of ``x``, offset by MAX_BINS per feature so that
-    one bincount covers every (feature, bin), and each feature's bin edges
-    (see the module notes)."""
+    one bincount covers every (feature, bin); each feature's bin edges (see
+    the module notes); and the (d, MAX_BINS) row count of every bin, which
+    is the count histogram of every tree's root."""
     n, d = x.shape
     ranks = np.arange(1, MAX_BINS + 1) * n // MAX_BINS - 1
     edges = []
@@ -287,7 +288,8 @@ def _bin(x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
             values = np.unique(np.sort(column)[ranks])
         edges.append(values)
     codes = np.column_stack([np.searchsorted(e, column) for e, column in zip(edges, x.T)])
-    return codes + np.arange(d) * MAX_BINS, edges
+    codes += np.arange(d) * MAX_BINS
+    return codes, edges, np.bincount(codes.ravel(), None, d * MAX_BINS).reshape(d, MAX_BINS)
 
 
 def _build_tree(
@@ -296,26 +298,30 @@ def _build_tree(
     margin: np.ndarray,
     codes: np.ndarray,
     edges: list[np.ndarray],
+    counts: np.ndarray,
     cfg: GbdtConfig,
     importance: np.ndarray,
 ) -> Tree:
-    """Grow one tree on the binned rows (``_bin``); each leaf adds its value
-    to its rows of ``margin`` (n,)."""
+    """Grow one tree on the binned rows (``_bin``: codes, edges and the
+    root's row counts); each leaf adds its value to its rows of ``margin``
+    (n,)."""
     tree = Tree()
     d = len(edges)
     mcw, lam = cfg.min_child_weight, cfg.lambda_l2
 
-    def grow(rows: np.ndarray, depth: int) -> int:
+    def grow(rows: np.ndarray, depth: int, idx: np.ndarray | None, count: np.ndarray | None) -> int:
         g_node, h_node = g[rows], h[rows]
         g_sum, h_sum = float(g_node.sum()), float(h_node.sum())
         best, gain = 0, -np.inf
         if depth < cfg.max_depth and h_sum >= 2 * mcw:
             # per (feature, bin), summed in row order, then cumulated over bins:
             # the rows, gradient and hessian left of each boundary
-            idx = codes[rows].ravel()
-            count_l, g_l, h_l = (
-                np.bincount(idx, w, d * MAX_BINS).reshape(d, MAX_BINS).cumsum(axis=1)
-                for w in (None, np.repeat(g_node, d), np.repeat(h_node, d)))
+            if idx is None:
+                idx = codes[rows].ravel()
+                count = np.bincount(idx, None, d * MAX_BINS).reshape(d, MAX_BINS)
+            count_l, g_l, h_l = (a.cumsum(axis=1) for a in (count, *(
+                np.bincount(idx, np.repeat(w, d), d * MAX_BINS).reshape(d, MAX_BINS)
+                for w in (g_node, h_node))))
             h_r = h_sum - h_l
             with np.errstate(divide="ignore", invalid="ignore"):  # cells masked below
                 gains = split_gain(g_l, h_l, g_sum - g_l, h_r, lam)
@@ -331,11 +337,11 @@ def _build_tree(
         importance[feat] += gain
         node = tree.add_split(feat, edges[feat][b])
         left = codes[rows, feat] <= best  # bin <= b, that is x <= edges[feat][b]
-        tree.left[node] = grow(rows[left], depth + 1)
-        tree.right[node] = grow(rows[~left], depth + 1)
+        tree.left[node] = grow(rows[left], depth + 1, None, None)
+        tree.right[node] = grow(rows[~left], depth + 1, None, None)
         return node
 
-    grow(np.arange(codes.shape[0]), 0)
+    grow(np.arange(codes.shape[0]), 0, codes.ravel(), counts)  # the fit's root index
     return tree
 
 
@@ -440,7 +446,7 @@ def fit(
     trees: list[list[Tree]] = []
     probs = softmax(margins, axis=-1)
     curve = [_log_loss(probs, labels)]
-    codes, edges = _bin(x)  # shared by every tree: x never changes
+    binned = _bin(x)  # shared by every tree: x never changes
     for _ in range(config.n_rounds):
         grad = probs - y
         hess = probs * (1.0 - probs)
@@ -448,8 +454,7 @@ def fit(
         # leaf values to its class's margins as it grows, and every row gets
         # one add per tree
         trees.append([
-            _build_tree(grad[:, cls], hess[:, cls], margins[:, cls], codes, edges, config,
-                        importance)
+            _build_tree(grad[:, cls], hess[:, cls], margins[:, cls], *binned, config, importance)
             for cls in range(k)
         ])
         probs = softmax(margins, axis=-1)

@@ -778,7 +778,7 @@ def reference_fit(x, labels, config, n_classes=None, grower=reference_binned_tre
     is fit's own."""
     x = np.asarray(x, dtype=np.float64)
 
-    def build_tree(g, h, margin, codes, edges, cfg, importance):
+    def build_tree(g, h, margin, codes, edges, counts, cfg, importance):
         tree = grower(x, g, h, cfg, importance)
         for i, row in enumerate(x):
             margin[i] += walk(tree, row)
@@ -833,13 +833,15 @@ class TestReferenceGrower:
         # n = 200 gives quantile edges to the wider columns; -0.0 and 0.0 tie
         x, _ = oracle_data(seed, 200, 6, 2, special_columns=True)
         x[seed::7, 1] = -0.0
-        codes, edges = corrector_module._bin(x)
+        codes, edges, counts = corrector_module._bin(x)
         assert codes.shape == x.shape
+        assert counts.shape == (6, MAX_BINS)
         for feat, column in enumerate(x.T):
             want_edges, want_bins = reference_bins(column)
             assert np.array_equal(edges[feat], want_edges, equal_nan=True)
             assert np.signbit(edges[feat]).tolist() == np.signbit(want_edges).tolist()
             assert (codes[:, feat] - feat * MAX_BINS).tolist() == want_bins
+            assert counts[feat].tolist() == [want_bins.count(b) for b in range(MAX_BINS)]
             assert edges[feat].size <= MAX_BINS
             for b, edge in enumerate(edges[feat][:-1]):  # the last bin is never split
                 assert np.any(column == edge)
