@@ -21,12 +21,18 @@ bin is the first whose edge is >= it, with NaN sorted last; no split uses the
 last bin, as it would leave the right child empty. Every edge is a training
 value, so for every other bin b, ``bin <= b`` holds exactly when
 ``x <= edges[b]``: a split at bin b writes the threshold edges[b], and the
-``x <= t`` rule below routes every training row as the fit did. A node sums
-its row count, g and h per (feature, bin) with one bincount each, in row
-order, and scores every boundary from their cumulative sums over the bins.
-A node whose hessian sum H is below 2*mcw is a leaf without a histogram: a
-boundary with H_L >= mcw leaves H_R = H - H_L <= H - mcw < mcw, since
-rounding is monotone.
+``x <= t`` rule below routes every training row as the fit did.
+
+A node's histogram holds its row count, g and h per (feature, bin), and the
+node scores every boundary from their cumulative sums over the bins. Only a
+node above max_depth whose hessian sum H is at least 2*mcw may split; any
+other is a leaf without a histogram, as a boundary with H_L >= mcw leaves
+H_R = H - H_L <= H - mcw < mcw (rounding is monotone). The root's histogram
+is three bincounts over all rows in row order; its index and counts are made
+once per fit. When a node splits and either child may split, the child with
+fewer rows (the left on a tie) gets three bincounts over its rows in row
+order, and the other's histogram is the parent's minus it, cell by cell
+(histogram subtraction, as in LightGBM); the integer counts stay exact.
 
 Evaluation packs the trees into flat arrays and scores them as leaf
 bitmasks, after QuickScorer (Lucchese et al., SIGIR 2015). A tree's leaves
@@ -303,25 +309,28 @@ def _build_tree(
     importance: np.ndarray,
 ) -> Tree:
     """Grow one tree on the binned rows (``_bin``: codes, edges and the
-    root's row counts); each leaf adds its value to its rows of ``margin``
-    (n,)."""
+    root's row counts), one histogram per split (see the module notes); each
+    leaf adds its value to its rows of ``margin`` (n,)."""
     tree = Tree()
     d = len(edges)
     mcw, lam = cfg.min_child_weight, cfg.lambda_l2
 
-    def grow(rows: np.ndarray, depth: int, idx: np.ndarray | None, count: np.ndarray | None) -> int:
-        g_node, h_node = g[rows], h[rows]
-        g_sum, h_sum = float(g_node.sum()), float(h_node.sum())
+    def histogram(rows: np.ndarray, idx: np.ndarray, count: np.ndarray | None = None) -> tuple:
+        """The count, g and h of ``rows`` per (feature, bin), summed in row order."""
+        if count is None:
+            count = np.bincount(idx, None, d * MAX_BINS).reshape(d, MAX_BINS)
+        return count, *(np.bincount(idx, np.repeat(w[rows], d), d * MAX_BINS).reshape(d, MAX_BINS)
+                        for w in (g, h))
+
+    def may_split(depth: int, h_sum: float) -> bool:
+        return depth < cfg.max_depth and h_sum >= 2 * mcw
+
+    def grow(rows: np.ndarray, depth: int, h_sum: float, hist: tuple | None) -> int:
+        g_sum = float(g[rows].sum())
         best, gain = 0, -np.inf
-        if depth < cfg.max_depth and h_sum >= 2 * mcw:
-            # per (feature, bin), summed in row order, then cumulated over bins:
-            # the rows, gradient and hessian left of each boundary
-            if idx is None:
-                idx = codes[rows].ravel()
-                count = np.bincount(idx, None, d * MAX_BINS).reshape(d, MAX_BINS)
-            count_l, g_l, h_l = (a.cumsum(axis=1) for a in (count, *(
-                np.bincount(idx, np.repeat(w, d), d * MAX_BINS).reshape(d, MAX_BINS)
-                for w in (g_node, h_node))))
+        if hist is not None and may_split(depth, h_sum):
+            # cumulated over bins: the rows, gradient and hessian left of each boundary
+            count_l, g_l, h_l = (a.cumsum(axis=1) for a in hist)
             h_r = h_sum - h_l
             with np.errstate(divide="ignore", invalid="ignore"):  # cells masked below
                 gains = split_gain(g_l, h_l, g_sum - g_l, h_r, lam)
@@ -337,11 +346,20 @@ def _build_tree(
         importance[feat] += gain
         node = tree.add_split(feat, edges[feat][b])
         left = codes[rows, feat] <= best  # bin <= b, that is x <= edges[feat][b]
-        tree.left[node] = grow(rows[left], depth + 1, None, None)
-        tree.right[node] = grow(rows[~left], depth + 1, None, None)
+        kids = rows[left], rows[~left]
+        sums = [float(h[kid].sum()) for kid in kids]
+        hists = [None, None]
+        if may_split(depth + 1, max(sums)):
+            small = int(kids[1].size < kids[0].size)  # the left child on a tie
+            hists[small] = histogram(kids[small], codes[kids[small]].ravel())
+            hists[1 - small] = tuple(p - s for p, s in zip(hist, hists[small]))
+        for side, kid, kid_sum, kid_hist in zip((tree.left, tree.right), kids, sums, hists):
+            side[node] = grow(kid, depth + 1, kid_sum, kid_hist)
         return node
 
-    grow(np.arange(codes.shape[0]), 0, codes.ravel(), counts)  # the fit's root index
+    rows = np.arange(codes.shape[0])
+    h_sum = float(h[rows].sum())
+    grow(rows, 0, h_sum, histogram(rows, codes.ravel(), counts) if may_split(0, h_sum) else None)
     return tree
 
 

@@ -272,6 +272,34 @@ class TestComposedGradients:
         for name in grads:
             assert grads[name].tobytes() == full_grads[name].tobytes(), name
 
+    def test_default_geometry_leaves_1840_parameters_untrained(self):
+        # the default 8x8 input pools down to T = 1 position. The one key gets
+        # attention weight 1, so the query and key weights and biases get no
+        # gradient; the one LSTM step starts from a zero state with a zero
+        # cell, so lstm.wh and the forget gate's blocks of lstm.wx and lstm.b
+        # get none either. README names these 1,840 of the 5,095 parameters.
+        model = StagedModel(ModelConfig(), seed=0)
+        assert model.config.conv_out_shape[1:] == (1, 1)
+        gen = np.random.default_rng(0)
+        x = gen.standard_normal((64, 1, 8, 8))
+        y = gen.integers(0, 7, size=64)
+        _, grads = model.loss_and_grads(x, y, gen.uniform(0.5, 40.0, size=7), 0.5, gen)
+        forget = np.arange(model.config.width, 2 * model.config.width)
+        untrained = {name: grads[name]
+                     for name in ("attn.wq", "attn.bq", "attn.wk", "attn.bk", "lstm.wh")}
+        untrained["lstm.wx forget gate"] = grads["lstm.wx"][:, forget]
+        untrained["lstm.b forget gate"] = grads["lstm.b"][forget]
+        for name, grad in untrained.items():
+            assert not grad.any(), name
+        assert sum(grad.size for grad in untrained.values()) == 1840
+        assert sum(param.size for _, param in model.params()) == 5095
+        # every other block trains
+        trained = {name: grad for name, grad in grads.items() if name not in untrained}
+        trained["lstm.wx"] = np.delete(grads["lstm.wx"], forget, axis=1)
+        trained["lstm.b"] = np.delete(grads["lstm.b"], forget)
+        for name, grad in trained.items():
+            assert grad.any(), name
+
     def test_zero_model_head_bias_gradient_closed_form(self):
         model = StagedModel(SMALL, seed=0)
         for _, param in model.params():

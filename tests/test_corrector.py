@@ -4,8 +4,9 @@ determinism, importance bookkeeping, and the text checkpoint format.
 Hand-computable cases are derived in comments; the packed leaf-bitmask
 evaluation is cross-checked bit for bit by an independent per-row tree walk,
 fit byte for byte by a plain binned reference grower and against a pinned
-checkpoint, and fit's trees against the exact greedy search on features with
-few distinct values.
+checkpoint, fit's trees against the exact greedy search on features with
+few distinct values, and against the grower with a direct histogram at every
+node on gradients whose sums are exact.
 """
 
 from __future__ import annotations
@@ -451,8 +452,8 @@ PINNED = json.loads((Path(__file__).parent / "fixtures" / "gbdt_pinned.json").re
 
 
 class TestPinnedFit:
-    """fit writes the checkpoint pinned when its split search became a
-    histogram."""
+    """fit writes the checkpoint pinned when each split began to histogram
+    one child and subtract it from its parent for the other."""
 
     @pytest.mark.parametrize("case,n,config", [
         ("b", 240, GbdtConfig(n_rounds=2, max_depth=7, min_child_weight=0.05,
@@ -626,9 +627,12 @@ class TestCheckpointRejections:
 
 
 # ---- reference growers. The binned one is the plain rule of the module notes:
-# edges and bins in Python, histograms as loops over rows in row order, a full
-# search at every node above max_depth, and rows routed by ``x <= t``. It is
-# the oracle for fit's bincounts, masks, early exit and leaf adds. The exact
+# edges and bins in Python, histograms as loops over rows in row order (the
+# root's, and each split's child with fewer rows), the other child's as its
+# parent's minus its sibling's, a full search at every node above max_depth,
+# and rows routed by ``x <= t``. It is the oracle for fit's bincounts,
+# subtractions, masks, early exit and leaf adds. The direct one is fit's
+# grower before the subtraction: one bincount histogram per node. The exact
 # one scores every boundary between distinct neighbour values (the search fit
 # ran before it binned); with at most MAX_BINS distinct values per feature and
 # no NaN it has the binned search's candidates. ----
@@ -656,18 +660,24 @@ def reference_bins(column: np.ndarray) -> tuple[list[float], list[int]]:
     return edges, bins
 
 
-def reference_binned_split(bins, rows, g, h, cfg):
-    """(feature, bin, gain) of the best boundary of the node ``rows``, or None."""
-    m = len(rows)
-    g_sum, h_sum = float(g[rows].sum()), float(h[rows].sum())
-    best = None
-    for feat, feature_bins in enumerate(bins):
+def reference_histogram(bins, rows, g, h):
+    """Per feature: the count, g and h of each bin over ``rows``, summed in row order."""
+    hist = []
+    for feature_bins in bins:
         count, g_hist, h_hist = [0] * MAX_BINS, [0.0] * MAX_BINS, [0.0] * MAX_BINS
         for r in rows.tolist():
             b = feature_bins[r]
             count[b] += 1
             g_hist[b] += float(g[r])
             h_hist[b] += float(h[r])
+        hist.append((count, g_hist, h_hist))
+    return hist
+
+
+def reference_binned_split(hist, m, g_sum, h_sum, cfg):
+    """(feature, bin, gain) of the best boundary of a node of ``m`` rows, or None."""
+    best = None
+    for feat, (count, g_hist, h_hist) in enumerate(hist):
         c_l = g_l = h_l = 0.0
         for b in range(MAX_BINS):
             c_l, g_l, h_l = c_l + count[b], g_l + g_hist[b], h_l + h_hist[b]
@@ -686,21 +696,71 @@ def reference_binned_tree(x, g, h, cfg, importance):
     bins = [feature_bins for _, feature_bins in binned]
     tree = Tree()
 
-    def grow(rows, depth):
-        found = reference_binned_split(bins, rows, g, h, cfg) if depth < cfg.max_depth else None
+    def grow(rows, depth, hist):
+        g_sum, h_sum = float(g[rows].sum()), float(h[rows].sum())
+        found = (reference_binned_split(hist, len(rows), g_sum, h_sum, cfg)
+                 if depth < cfg.max_depth else None)
         if found is None:
-            value = -float(g[rows].sum()) / (float(h[rows].sum()) + cfg.lambda_l2)
-            return tree.add_leaf(value * cfg.learning_rate)
+            return tree.add_leaf(-g_sum / (h_sum + cfg.lambda_l2) * cfg.learning_rate)
         feat, b, gain = found
         importance[feat] += gain
         threshold = binned[feat][0][b]
         node = tree.add_split(feat, threshold)
         left = np.array([x[r, feat] <= threshold for r in rows], dtype=bool)
+        kids = [rows[left], rows[~left]]
+        hists = [None, None]
+        if depth + 1 < cfg.max_depth:
+            small = 1 if len(kids[1]) < len(kids[0]) else 0
+            hists[small] = reference_histogram(bins, kids[small], g, h)
+            hists[1 - small] = [
+                tuple([p - q for p, q in zip(parent, sibling)]
+                      for parent, sibling in zip(parent_feature, sibling_feature))
+                for parent_feature, sibling_feature in zip(hist, hists[small])]
+        tree.left[node] = grow(kids[0], depth + 1, hists[0])
+        tree.right[node] = grow(kids[1], depth + 1, hists[1])
+        return node
+
+    root = np.arange(x.shape[0])
+    grow(root, 0, reference_histogram(bins, root, g, h))
+    return tree
+
+
+def direct_binned_tree(g, h, margin, codes, edges, counts, cfg, importance):
+    """fit's grower before the subtraction: every node that may split makes
+    its own count, g and h histograms with one bincount each."""
+    tree = Tree()
+    d = len(edges)
+    mcw, lam = cfg.min_child_weight, cfg.lambda_l2
+
+    def grow(rows, depth):
+        g_node, h_node = g[rows], h[rows]
+        g_sum, h_sum = float(g_node.sum()), float(h_node.sum())
+        best, gain = 0, -np.inf
+        if depth < cfg.max_depth and h_sum >= 2 * mcw:
+            idx = codes[rows].ravel()
+            count_l, g_l, h_l = (
+                np.bincount(idx, w, d * MAX_BINS).reshape(d, MAX_BINS).cumsum(axis=1)
+                for w in (None, np.repeat(g_node, d), np.repeat(h_node, d)))
+            h_r = h_sum - h_l
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gains = split_gain(g_l, h_l, g_sum - g_l, h_r, lam)
+            valid = (count_l > 0) & (count_l < rows.size) & (h_l >= mcw) & (h_r >= mcw)
+            gains = np.where(valid, gains, -np.inf)
+            best = int(np.argmax(gains))
+            gain = float(gains.flat[best])
+        if not (np.isfinite(gain) and gain > 0.0):
+            value = -g_sum / (h_sum + lam) * cfg.learning_rate
+            margin[rows] += value
+            return tree.add_leaf(value)
+        feat, b = divmod(best, MAX_BINS)
+        importance[feat] += gain
+        node = tree.add_split(feat, edges[feat][b])
+        left = codes[rows, feat] <= best
         tree.left[node] = grow(rows[left], depth + 1)
         tree.right[node] = grow(rows[~left], depth + 1)
         return node
 
-    grow(np.arange(x.shape[0]), 0)
+    grow(np.arange(codes.shape[0]), 0)
     return tree
 
 
@@ -827,6 +887,37 @@ class TestReferenceGrower:
                             min_child_weight=min_child_weight, lambda_l2=lambda_l2)
         want = checkpoint_bytes(reference_fit(x, labels, config, n_classes=k))
         assert checkpoint_bytes(fit(x, labels, config, n_classes=k)) == want
+
+    @settings(max_examples=60, deadline=10_000)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 200),
+        d=st.integers(1, 6),
+        special_columns=st.booleans(),
+        max_depth=st.integers(1, 7),
+        min_child_weight=st.sampled_from([0.0, 0.25, 1.0, 2.5]),
+        lambda_l2=st.sampled_from([0.0, 1.0]),
+    )
+    def test_subtraction_is_exact_on_dyadic_gradients(self, seed, n, d, special_columns,
+                                                      max_depth, min_child_weight, lambda_l2):
+        # g and h are multiples of 1/8 with few bits, so every sum and
+        # difference of them is exact in any order: the subtracted histograms
+        # equal the direct ones, and so do the trees, bit for bit
+        x, _ = oracle_data(seed, n, d, 2, special_columns)
+        gen = np.random.default_rng(seed)
+        g = gen.integers(-16, 17, size=n) / 8.0
+        h = gen.integers(1, 9, size=n) / 8.0
+        cfg = GbdtConfig(max_depth=max_depth, min_child_weight=min_child_weight,
+                         lambda_l2=lambda_l2)
+        got_margin, want_margin = np.zeros(n), np.zeros(n)
+        got_importance, want_importance = np.zeros(d), np.zeros(d)
+        binned = corrector_module._bin(x)
+        got = corrector_module._build_tree(g, h, got_margin, *binned, cfg, got_importance)
+        want = direct_binned_tree(g, h, want_margin, *binned, cfg, want_importance)
+        assert got == want
+        for a, b in ((got.value, want.value), (got_margin, want_margin),
+                     (got_importance, want_importance)):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_edges_are_training_values_that_route_as_the_bins(self, seed):
