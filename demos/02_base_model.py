@@ -38,7 +38,8 @@ def main() -> None:
     model, history = train(
         model, fit_set, val_set, weights,
         TrainConfig(learning_rate=0.05, batch_size=32, max_epochs=45,
-                    patience=10, dropout_p=0.1, seed=3),
+                    patience=10, dropout_p=0.1),
+        seed=3,  # draws the shuffles and dropout masks
     )
 
     print(f"{'epoch':>6}{'train loss':>12}{'val acc':>9}")

@@ -1,26 +1,32 @@
 """Blind a base model to one class, then bolt on a corrector that sees it.
 
 The base model trains with class 2 removed, so it cannot ever predict it.
-A gradient-boosted corrector trained on the base model's own latent
+Its run is set up and trained by the harness stages (``plan_run``,
+``train_run``) from a small config document, exactly as ``run_single`` would
+train it. A gradient-boosted corrector trained on the base model's own latent
 activations (from a split the base never trained on) learns the missing
 class. The paper's decision rule arbitrates between the two: the corrector
 overrides only when it names the excluded class with probability at least
-tau. The demo varies tau and the new-class sentinel.
+tau. The demo varies tau and the new-class sentinel on the one base model.
 """
 
 import numpy as np
 
-from mclab.basemodel import (
-    ModelConfig, StagedModel, TrainConfig, forward_latents, train,
-)
+from mclab.basemodel import forward_latents
 from mclab.composer import NEW_CLASS, DecisionPolicy, compose_batch
-from mclab.core import (
-    Rng, SplitSpec, class_weights, exclude_class, split_dataset, validation_slice,
-)
 from mclab.corrector import GbdtConfig, fit
-from mclab.datagen import ProfileConfig, generate_gaussian
+from mclab.harness import normalize_config, plan_run, train_run
 
 EXCLUDED = 2
+CONFIG = {
+    "seed": 7,
+    "dataset": {"n_total": 1200, "profile": {
+        "proportions": [0.5, 0.3, 0.2], "names": ["A", "B", "C"],
+        "close_pair": [0, 2], "close_distance": 6.0}},
+    "model": {"conv_channels": [2, 4, 8], "n_classes": 3},
+    "train": {"learning_rate": 0.08, "batch_size": 32, "max_epochs": 30,
+              "patience": 8, "dropout_p": 0.1},
+}
 
 
 def summarize(tag, preds, true_labels):
@@ -37,34 +43,15 @@ def summarize(tag, preds, true_labels):
 
 
 def main() -> None:
-    spec = ProfileConfig(
-        dim=64, proportions=(0.5, 0.3, 0.2), names=("A", "B", "C"),
-        close_pair=(0, 2), close_distance=6.0,
-    ).to_cluster_spec()
-    data = generate_gaussian(spec, 1200, Rng.from_seed(7).derive("data"))
-    train_set, correct_set, test_set = split_dataset(data, SplitSpec(seed=7))
-
-    # early stopping validates on a slice of the train split, blind too
-    fit_set, val_set = validation_slice(train_set, split_seed=7)
-    blind = exclude_class(fit_set, EXCLUDED)
-    blind_val = exclude_class(val_set, EXCLUDED)
-    print(f"train split: {train_set.labels.size} samples -> "
-          f"{fit_set.labels.size} to fit + {val_set.labels.size} to validate "
-          f"-> {blind.labels.size} + {blind_val.labels.size} after removing "
-          f"class {EXCLUDED}")
-
-    model = StagedModel(
-        ModelConfig(input_shape=(1, 8, 8), conv_channels=(2, 4, 8), n_classes=3),
-        seed=7,
-    )
-    weights = class_weights(blind, excluded={EXCLUDED})
-    model, history = train(
-        model, blind, blind_val, weights,
-        TrainConfig(learning_rate=0.08, batch_size=32, max_epochs=30,
-                    patience=8, dropout_p=0.1, seed=7),
-    )
+    # data, split, validation slice, exclusion and seeds: the run's set-up stage
+    plan = plan_run(normalize_config(CONFIG), EXCLUDED)
+    print(f"train split: {plan.train_set.labels.size} samples -> "
+          f"{plan.fit_set.labels.size} to fit + {plan.val_set.labels.size} to "
+          f"validate early stopping, both without class {EXCLUDED}")
+    model, history = train_run(plan)
     print(f"base model val accuracy {history.best_val_acc:.3f} on the slice "
           f"without class {EXCLUDED} (it can never say '{EXCLUDED}')")
+    correct_set, test_set = plan.correct_set, plan.test_set
 
     _, latents, layout = forward_latents(model, correct_set)
     ensemble = fit(latents, correct_set.labels,

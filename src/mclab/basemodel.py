@@ -91,7 +91,6 @@ class TrainConfig:
     max_epochs: int = 60
     patience: int = 10
     dropout_p: float = 0.5
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.learning_rate >= 0:
@@ -102,7 +101,6 @@ class TrainConfig:
             raise ValueError("patience must be >= 0")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError("dropout_p must be in [0, 1)")
-        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -391,14 +389,16 @@ def train(
     val_set: LabeledDataset,
     weights: np.ndarray,
     config: TrainConfig,
+    seed: int,
 ) -> tuple[StagedModel, TrainingHistory]:
     """SGD with a fixed learning rate and accuracy-based early stopping.
 
     Zero-weight (masked) samples are dropped before shuffling, so masking a
     class is bit-identical to deleting its samples. The best-validation
     parameters are restored before returning; if train loss rose at the
-    checkpoint epoch, a warning is logged.
+    checkpoint epoch, a warning is logged. ``seed`` draws the shuffles and dropout.
     """
+    _check_seed(seed)
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (model.config.n_classes,) or np.any(weights < 0):
         raise ValueError("weights must be a non-negative length-K vector")
@@ -410,7 +410,7 @@ def train(
         raise ValueError("empty validation set")
 
     model.set_input_stats(active)
-    gen = Rng.from_seed(config.seed).derive("train").generator()
+    gen = Rng.from_seed(seed).derive("train").generator()
     x_all = active.features
     y_all = active.labels
     n = len(active)

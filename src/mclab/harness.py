@@ -1,13 +1,13 @@
 """Class-exclusion experiment harness.
 
-One run: drop a class from the train split, train the base model with that
-class masked, fit the corrector on the (complete) correct split's latents,
-compose on the test split, evaluate. Early stopping validates on a stratified
-slice of the train split (``core.validation_slice``) that the base model does
-not fit on, with the excluded class removed from it too. Neither the correct
-nor the test split takes part in training or model selection; the test split
-is only scored. A sweep repeats this for every class plus one no-exclusion
-baseline, then renders cross-run tables:
+One run is three stages. ``plan_run`` splits the data, carves the
+early-stopping slice off the train split (``core.validation_slice``), drops
+the excluded class from both parts and derives the run's seeds, all held in
+a frozen ``RunPlan``. ``train_run`` trains the base model on the plan, and
+``score_run`` fits the corrector on the correct split's latents and scores
+the test split; neither split takes part in training or model selection.
+``run_single`` chains the stages and persists. A sweep repeats this for every class plus
+one no-exclusion baseline, then renders cross-run tables:
 
     table3: retention and harm of each true class under each corrector
     table4: per-corrector macro delta-FPR and excluded-class gain
@@ -26,8 +26,8 @@ The experiment config is a tree of frozen dataclasses rooted at
 ``ExperimentConfig``. Each checks its own fields when it is built, whether
 from a document (``normalize_config``) or in code with ``replace``, so a run
 never starts from an invalid config. The master seed is the only seed it
-holds, and the class a run excludes is not in it: that is ``run_single``'s
-argument, range-checked there. Its ``root`` names the sweep directory after
+holds, and the class a run excludes is not in it: that is ``plan_run``'s
+argument, checked there. Its ``root`` names the sweep directory after
 ``name``, or after the seed (``sweep_seed<seed>``) when ``name`` is empty.
 """
 
@@ -95,15 +95,19 @@ __all__ = [
     "ConfigError",
     "DatasetConfig",
     "ExperimentConfig",
+    "RunPlan",
     "RunResult",
     "StageError",
     "SweepResult",
     "default_config_dict",
     "load_sweep",
     "normalize_config",
+    "plan_run",
     "render_report",
     "run_single",
     "run_sweep",
+    "score_run",
+    "train_run",
 ]
 
 
@@ -156,8 +160,8 @@ class DatasetConfig:
                 raise ConfigError(field, str(exc)) from None
 
 
-# (section, field) pairs run_single sets per run; never in the config document
-_RUN_TIME_FIELDS = (("split", "seed"), ("train", "seed"), ("policy", "excluded_label"))
+# (section, field) pairs a run sets (plan_run, score_run); never in the config document
+_RUN_TIME_FIELDS = (("split", "seed"), ("policy", "excluded_label"))
 # the "artifact" tag of a sweep manifest.json
 MANIFEST_ARTIFACT = "mclab-sweep v1"
 
@@ -167,11 +171,10 @@ class ExperimentConfig:
     """The whole experiment; its fields, types and defaults are the schema of
     the config document. ``root`` is the sweep directory, ``sweep_seed<seed>``
     when ``name`` is empty, so a replay at another seed gets its own.
-    ``run_single`` sets the per-run fields (the two stage seeds and
-    ``policy.excluded_label``) from its excluded class, so a config cannot
-    set them. Each section checks its own fields when it is built; this class
-    checks the master seed, the per-run fields and the rules that span
-    sections: for generated data, the class count and feature shape the
+    A run sets the per-run fields (``split.seed`` and ``policy.excluded_label``),
+    so a config cannot. Each section checks its own fields when it is built;
+    this class checks the master seed, the per-run fields and the rules that
+    span sections: for generated data, the class count and feature shape the
     model must take."""
 
     name: str = ""
@@ -329,23 +332,31 @@ def build_dataset(config: ExperimentConfig) -> LabeledDataset:
     return data
 
 
-def run_single(
-    config: ExperimentConfig,
-    excluded: int | None,
-    base_only: bool = False,
-) -> RunResult:
-    """One exclusion run (or the no-exclusion baseline when excluded is None).
+@dataclass(frozen=True)
+class RunPlan:
+    """A run as ``plan_run`` sets it up: its splits, weights and training seeds."""
 
-    Each stage's failure raises StageError naming it. The run directory gets
-    model.bin and history.csv, plus corrector.txt (exclusion runs),
-    preds.csv and metrics.csv. With ``base_only`` the pipeline stops after
-    base-model training: no corrector, composition or metrics, so only
-    model.bin and history.csv are written.
-    """
+    config: ExperimentConfig
+    excluded: int | None
+    train_set: LabeledDataset
+    correct_set: LabeledDataset
+    test_set: LabeledDataset
+    fit_set: LabeledDataset  # the train split minus the validation slice, and
+    val_set: LabeledDataset  # that slice; neither holds the excluded class
+    weights: np.ndarray
+    init_rng: Rng
+    train_seed: int
+
+
+def plan_run(config: ExperimentConfig, excluded: int | None) -> RunPlan:
+    """Stages ``data``, ``split`` and ``exclude``, and the one place a run's seeds are derived."""
     k = config.model.n_classes
+    if isinstance(excluded, bool) or not isinstance(excluded, (int, np.integer, type(None))):
+        raise StageError("exclude", f"excluded class {excluded!r} is not an int")
     if excluded is not None and not 0 <= excluded < k:
         raise StageError("exclude", f"excluded class {excluded} outside [0, {k})")
-    run_word = "baseline" if excluded is None else f"class{excluded}"
+    excluded = None if excluded is None else int(excluded)
+    word = "baseline" if excluded is None else f"class{excluded}"
 
     with _stage("data"):
         data = build_dataset(config)
@@ -356,46 +367,61 @@ def run_single(
     with _stage("exclude"):
         if excluded is not None:
             if not np.any(correct_set.labels == excluded):
-                raise ValueError(
-                    f"correct split contains no samples of excluded class {excluded}"
-                )
-            fit_set = exclude_class(fit_set, excluded)
-            val_set = exclude_class(val_set, excluded)
+                raise ValueError(f"correct split contains no samples of excluded class {excluded}")
+            fit_set, val_set = exclude_class(fit_set, excluded), exclude_class(val_set, excluded)
         weights = class_weights(fit_set, excluded=() if excluded is None else (excluded,))
+    return RunPlan(config, excluded, train_set, correct_set, test_set, fit_set, val_set,
+                   weights, Rng.from_seed(config.seed).derive("run", word, "init"),
+                   derived_seed(config.seed, "run", word, "train"))
+
+
+def train_run(plan: RunPlan) -> tuple[StagedModel, TrainingHistory]:
+    """Stage ``train``: the base model, blind to the excluded class."""
     with _stage("train"):
-        init_rng = Rng.from_seed(config.seed).derive("run", run_word, "init")
-        model = StagedModel(config.model, rng=init_rng, seed=config.seed)
-        train_config = replace(config.train,
-                               seed=derived_seed(config.seed, "run", run_word, "train"))
-        model, history = train(model, fit_set, val_set, weights, train_config)
+        model = StagedModel(plan.config.model, rng=plan.init_rng, seed=plan.config.seed)
+        return train(model, plan.fit_set, plan.val_set, plan.weights, plan.config.train,
+                     plan.train_seed)
 
-    ensemble = report = None
-    if not base_only:
-        if excluded is not None:
-            with _stage("latents"):
-                _, latents, layout = forward_latents(model, correct_set)
-            with _stage("corrector"):
-                ensemble = fit_corrector(latents, correct_set.labels, config.gbdt,
-                                         n_classes=k, layout=layout)
-        with _stage("compose"):
-            if ensemble is None:
-                _, base_probs = predict_batch(model, test_set)
-                preds = decide_batch(base_probs, np.zeros_like(base_probs), None)
-            else:
-                policy = replace(config.policy, excluded_label=excluded)
-                preds = compose_batch(model, ensemble, policy, test_set)
-        with _stage("metrics"):
-            report = evaluate(PairedPredictions(
-                test_set.labels, preds.base_labels, preds.corrected_labels, k))
 
-    run_dir = config.root / _dir_tag(excluded)
+def score_run(plan: RunPlan, model: StagedModel) -> tuple:
+    """Stages ``latents``, ``corrector``, ``compose`` and ``metrics``: the corrector fit on
+    the correct split (None for the baseline), the test split's ``Predictions`` and report."""
+    config, k, ensemble = plan.config, plan.config.model.n_classes, None
+    if plan.excluded is not None:
+        with _stage("latents"):
+            _, latents, layout = forward_latents(model, plan.correct_set)
+        with _stage("corrector"):
+            ensemble = fit_corrector(latents, plan.correct_set.labels, config.gbdt,
+                                     n_classes=k, layout=layout)
+    with _stage("compose"):
+        if ensemble is None:
+            _, base_probs = predict_batch(model, plan.test_set)
+            preds = decide_batch(base_probs, np.zeros_like(base_probs), None)
+        else:
+            policy = replace(config.policy, excluded_label=plan.excluded)
+            preds = compose_batch(model, ensemble, policy, plan.test_set)
+    with _stage("metrics"):
+        report = evaluate(PairedPredictions(
+            plan.test_set.labels, preds.base_labels, preds.corrected_labels, k))
+    return ensemble, preds, report
+
+
+def run_single(config: ExperimentConfig, excluded: int | None,
+               base_only: bool = False) -> RunResult:
+    """One exclusion run (the baseline when excluded is None): ``plan_run``, ``train_run``,
+    ``score_run`` unless ``base_only``, and stage ``persist``, which writes model.bin,
+    history.csv and what was scored. A failing stage raises StageError naming it."""
+    plan = plan_run(config, excluded)
+    model, history = train_run(plan)
+    ensemble, preds, report = (None, None, None) if base_only else score_run(plan, model)
+    k, run_dir = config.model.n_classes, config.root / _dir_tag(plan.excluded)
     with _stage("persist"):
         run_dir.mkdir(parents=True, exist_ok=True)
         save_model(model, run_dir / "model.bin")
         if ensemble is not None:
             save_ensemble(ensemble, run_dir / "corrector.txt")
         if report is not None:
-            write_prediction_log(preds, test_set.labels, k, run_dir / "preds.csv")
+            write_prediction_log(preds, plan.test_set.labels, k, run_dir / "preds.csv")
             (run_dir / "metrics.csv").write_text(report_to_csv(report), encoding="ascii")
         history.write(run_dir / "history.csv")
     return RunResult(str(run_dir), report, history)

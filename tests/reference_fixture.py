@@ -20,13 +20,12 @@ import json
 import platform
 import tempfile
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from mclab.core import LabeledDataset, derived_seed, split_dataset
-from mclab.harness import build_dataset, normalize_config, run_sweep
+from mclab.core import LabeledDataset
+from mclab.harness import build_dataset, normalize_config, plan_run, run_sweep
 
 FIXTURE = Path(__file__).parent / "fixtures" / "reference_toy.json"
 SPLIT_PARTS = ("train", "correct", "test")
@@ -78,10 +77,10 @@ def dataset_sha256(data: LabeledDataset) -> str:
 
 def stage_checksums(config) -> dict:
     """Checksums of the stages that do no float rounding that varies by host."""
-    data = build_dataset(config)
-    parts = split_dataset(data, replace(config.split, seed=derived_seed(config.seed, "split")))
+    plan = plan_run(config, None)
+    parts = (plan.train_set, plan.correct_set, plan.test_set)
     return {
-        "dataset": dataset_sha256(data),
+        "dataset": dataset_sha256(build_dataset(config)),
         "split": {name: dataset_sha256(p) for name, p in zip(SPLIT_PARTS, parts)},
     }
 

@@ -4,7 +4,8 @@ mclab resolve too, so a removed name fails here, not only in a benchmark run,
 and one compose_infer pass passes its own check.
 Only ``core``'s line reader decodes a file's text or names a fault's line,
 the package defines two exception types, no config has a ``validate``
-method, and no rule has a second copy."""
+method, no rule has a second copy, and only ``harness.plan_run`` derives a
+run's seeds."""
 
 import ast
 import builtins
@@ -126,7 +127,49 @@ def test_each_rule_is_stated_once():
     assert found == []
 
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run_seed_paths(tree: ast.AST) -> list[tuple[int, str]]:
+    """Calls that derive a seed on a run's path: ``derived_seed`` with a
+    ``"split"`` or ``"run"`` word, or ``.derive`` with a ``"run"`` word."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = ast.unparse(node.func)
+        words = {a.value for a in node.args if isinstance(a, ast.Constant)}
+        if (name.endswith("derived_seed") and words & {"split", "run"}
+                or name.endswith(".derive") and "run" in words):
+            found.append((node.lineno, name))
+    return found
+
+
+def test_a_runs_seed_paths_are_written_once():
+    """``harness.plan_run`` is the one place a run's split seed and its
+    ``"run"`` seeds are derived. Every other module, the demos and the
+    reference fixture take them from a ``RunPlan``, so no hand copy can drift
+    from the run it means to replay."""
+    sources = sorted(Path(mclab.__file__).parent.glob("*.py"))
+    sources += sorted((ROOT / "demos").glob("*.py")) + [ROOT / "tests" / "reference_fixture.py"]
+    found = []
+    for source in sources:
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        if source.name == "harness.py":
+            tree.body = [node for node in tree.body
+                         if not (isinstance(node, ast.FunctionDef) and node.name == "plan_run")]
+        found += [f"{source.name}:{line}: {name}(" for line, name in _run_seed_paths(tree)]
+    assert found == []
+
+
+def test_the_seed_path_guard_sees_each_form():
+    source = ("derived_seed(s, 'split')\ncore.derived_seed(s, 'run', w, 'train')\n"
+              "Rng.from_seed(s).derive('run', w, 'init')\nderived_seed(s, 'heldout')\n"
+              "Rng.from_seed(s).derive('split')\n")
+    assert [line for line, _ in _run_seed_paths(ast.parse(source))] == [1, 2, 3]
+
+
+PERFBENCH = ROOT / "perfbench"
 BENCH = sorted(PERFBENCH.glob("*.py"))
 
 

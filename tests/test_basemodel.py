@@ -64,10 +64,10 @@ def two_class_data():
 def trained_two_class(two_class_data):
     model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 2), seed=0)
     cfg = TrainConfig(learning_rate=0.05, batch_size=16, max_epochs=8, patience=10,
-                      dropout_p=0.0, seed=0)
+                      dropout_p=0.0)
     val = two_class_data.subset(np.arange(0, 120, 4))
     tr = two_class_data.subset(np.setdiff1d(np.arange(120), np.arange(0, 120, 4)))
-    model, history = train(model, tr, val, np.ones(2), cfg)
+    model, history = train(model, tr, val, np.ones(2), cfg, 0)
     return model, history, tr
 
 
@@ -336,8 +336,8 @@ class TestTrain:
     def test_patience_zero_stops_one_epoch_after_first(self, two_class_data):
         model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 2), seed=0)
         cfg = TrainConfig(learning_rate=0.0, batch_size=16, max_epochs=10, patience=0,
-                          dropout_p=0.0, seed=0)
-        _, history = train(model, two_class_data, two_class_data, np.ones(2), cfg)
+                          dropout_p=0.0)
+        _, history = train(model, two_class_data, two_class_data, np.ones(2), cfg, 0)
         assert len(history.rows) == 2
         assert history.stopped_early
         assert history.best_epoch == 1
@@ -345,8 +345,8 @@ class TestTrain:
     def test_runs_to_max_epochs_when_patience_never_triggers(self, two_class_data):
         model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 2), seed=0)
         cfg = TrainConfig(learning_rate=0.05, batch_size=16, max_epochs=5, patience=10,
-                          dropout_p=0.0, seed=0)
-        _, history = train(model, two_class_data, two_class_data, np.ones(2), cfg)
+                          dropout_p=0.0)
+        _, history = train(model, two_class_data, two_class_data, np.ones(2), cfg, 0)
         assert len(history.rows) == 5
         assert not history.stopped_early
 
@@ -354,7 +354,7 @@ class TestTrain:
         data = generate_gaussian(ProfileConfig().to_cluster_spec(), 1000, Rng.from_seed(0))
         tr, val, _ = split_dataset(data, SplitSpec(fractions=(0.7, 0.15, 0.15), seed=0))
         model = StagedModel(ModelConfig(), seed=0)
-        _, history = train(model, tr, val, class_weights(tr), TrainConfig())
+        _, history = train(model, tr, val, class_weights(tr), TrainConfig(), 0)
         assert history.best_val_acc >= 0.90
 
     def test_masking_a_class_equals_deleting_its_samples(self):
@@ -366,12 +366,12 @@ class TestTrain:
         weights = class_weights(data, excluded=(1,))
         deleted = data.subset(np.nonzero(data.labels != 1)[0])
         cfg = TrainConfig(learning_rate=0.05, batch_size=16, max_epochs=2, patience=10,
-                          dropout_p=0.5, seed=4)
+                          dropout_p=0.5)
 
         model_a = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 3), seed=5)
         model_b = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 3), seed=5)
-        _, hist_a = train(model_a, data, val, weights, cfg)
-        _, hist_b = train(model_b, deleted, val, weights, cfg)
+        _, hist_a = train(model_a, data, val, weights, cfg, 4)
+        _, hist_b = train(model_b, deleted, val, weights, cfg, 4)
 
         assert hist_a.rows == hist_b.rows
         for (name, pa), (_, pb) in zip(model_a.params(), model_b.params()):
@@ -380,17 +380,18 @@ class TestTrain:
     def test_rejects_empty_effective_train_set(self, two_class_data):
         model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 2), seed=0)
         with pytest.raises(ValueError, match="empty train"):
-            train(model, two_class_data, two_class_data, np.zeros(2), TrainConfig())
+            train(model, two_class_data, two_class_data, np.zeros(2), TrainConfig(), 0)
 
     def test_rejects_bad_weight_vector(self, two_class_data):
         model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 2), seed=0)
         with pytest.raises(ValueError, match="length-K"):
-            train(model, two_class_data, two_class_data, np.ones(5), TrainConfig())
+            train(model, two_class_data, two_class_data, np.ones(5), TrainConfig(), 0)
 
-    def test_rejects_unresolved_seed(self):
-        # a seed is resolved before a config exists, so None cannot be built
+    def test_rejects_unresolved_seed(self, two_class_data):
+        # the run's train seed is train's argument, resolved before it is called
+        model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 2), seed=0)
         with pytest.raises(ValueError, match="^seed: must be a 64-bit non-negative integer, not None$"):
-            TrainConfig(seed=None)
+            train(model, two_class_data, two_class_data, np.ones(2), TrainConfig(), None)
 
     def test_history_csv_shape(self, trained_two_class):
         _, history, _ = trained_two_class

@@ -20,10 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mclab.basemodel import ModelConfig, TrainConfig, TrainingHistory
-from mclab.composer import DecisionPolicy
-from mclab.core import NEW_CLASS, LabeledDataset, SplitSpec, derived_seed, split_dataset
-from mclab.corrector import GbdtConfig, load_ensemble
+from mclab.basemodel import (
+    ModelConfig, StagedModel, TrainConfig, TrainingHistory, save_model, train,
+)
+from mclab.composer import DecisionPolicy, write_prediction_log
+from mclab.core import NEW_CLASS, LabeledDataset, SplitSpec
+from mclab.corrector import GbdtConfig, load_ensemble, save_ensemble
 from mclab.datagen import ProfileConfig, SequenceImageSpec, save_dataset
 from mclab.harness import (
     ConfigError,
@@ -36,11 +38,14 @@ from mclab.harness import (
     default_config_dict,
     load_sweep,
     normalize_config,
+    plan_run,
     render_report,
     run_single,
     run_sweep,
+    score_run,
+    train_run,
 )
-from mclab.metrics import PairedPredictions, evaluate
+from mclab.metrics import PairedPredictions, evaluate, report_to_csv
 import mclab.harness as harness_mod
 from reference_fixture import host_fingerprint
 
@@ -305,6 +310,14 @@ def _numeric(hint) -> bool:
     return all(a in (int, float) for a in args)
 
 
+def _train_at_seed(seed):
+    """``basemodel.train`` for one epoch on a tiny three-class set."""
+    data = LabeledDataset(np.random.default_rng(0).normal(size=(12, 64)).astype(np.float32),
+                          np.arange(12) % 3, 3)
+    model = StagedModel(ModelConfig(conv_channels=(2, 2, 4), n_classes=3))
+    return train(model, data, data, np.ones(3), TrainConfig(max_epochs=1), seed)
+
+
 NUMERIC_FIELDS = [
     pytest.param(cls, name, id=f"{cls.__name__}.{name}")
     for cls in (ModelConfig, TrainConfig, GbdtConfig, SplitSpec, ProfileConfig,
@@ -335,18 +348,15 @@ class TestConstructionChecks:
                      id="experiment_n_classes"),
         pytest.param(ExperimentConfig, {"seed": -1}, "seed", id="experiment_seed"),
         pytest.param(SplitSpec, {"seed": -3}, "seed", id="split_seed"),
-        pytest.param(TrainConfig, {"seed": -1}, "seed", id="train_seed"),
         pytest.param(ExperimentConfig, {"model": ModelConfig(input_shape=(1, 16, 16))},
                      "model.input_shape", id="experiment_gaussian_shape"),
         pytest.param(ExperimentConfig, {"dataset": DatasetConfig(kind="images",
                                                                  image=SequenceImageSpec(16)),
                                         "model": ModelConfig(input_shape=(4, 8, 8))},
                      "model.input_shape", id="experiment_image_shape"),
-        # the per-run fields keep their defaults; run_single sets them
+        # the per-run fields keep their defaults; a run's stages set them
         pytest.param(ExperimentConfig, {"split": SplitSpec(seed=3)}, "split.seed",
                      id="experiment_split_seed"),
-        pytest.param(ExperimentConfig, {"train": TrainConfig(seed=3)}, "train.seed",
-                     id="experiment_train_seed"),
         pytest.param(ExperimentConfig, {"policy": DecisionPolicy(excluded_label=np.int64(2))},
                      "policy.excluded_label", id="experiment_excluded_label"),
     ])
@@ -356,7 +366,8 @@ class TestConstructionChecks:
         if path is not None:
             assert isinstance(err.value, ConfigError) and err.value.path == path
 
-    @pytest.mark.parametrize("cls", [ExperimentConfig, SplitSpec, TrainConfig])
+    @pytest.mark.parametrize("cls", [ExperimentConfig, SplitSpec,
+                                     pytest.param(_train_at_seed, id="train")])
     @pytest.mark.parametrize("seed", [1.5, 1.0, True, False, np.int64(3), "3", None],
                              ids=repr)
     def test_a_seed_is_a_plain_int(self, cls, seed):
@@ -385,7 +396,7 @@ class TestConstructionChecks:
             replace(cfg.dataset, kind="gaussain")
         assert err.value.path == "kind"
         with pytest.raises(ConfigError) as err:
-            replace(cfg, split=replace(cfg.split, seed=derived_seed(cfg.seed, "split")))
+            replace(cfg, split=replace(cfg.split, seed=7))
         assert err.value.path == "split.seed"
 
 
@@ -466,26 +477,27 @@ class TestRunSingle:
         seen = {}
         real = harness_mod.train
 
-        def spy(model, fit_set, val_set, weights, config):
+        def spy(model, fit_set, val_set, weights, config, seed):
             seen["fit"], seen["val"] = fit_set, val_set
-            return real(model, fit_set, val_set, weights, config)
+            return real(model, fit_set, val_set, weights, config, seed)
 
         monkeypatch.setattr(harness_mod, "train", spy)
         run_single(cfg, excluded=1, base_only=True)
+        plan = plan_run(cfg, 1)
         data = harness_mod.build_dataset(cfg)
-        train_set, correct_set, test_set = split_dataset(
-            data, replace(cfg.split, seed=derived_seed(cfg.seed, "split"))
-        )
 
         def rows(d):
             return {r.tobytes() for r in d.features}
 
         assert len(rows(data)) == len(data)  # rows identify samples
+        parts = [rows(plan.train_set), rows(plan.correct_set), rows(plan.test_set)]
+        assert set.union(*parts) == rows(data) and sum(map(len, parts)) == len(data)
         fit, val = rows(seen["fit"]), rows(seen["val"])
-        assert val and val <= rows(train_set) and fit <= rows(train_set)
+        assert (fit, val) == (rows(plan.fit_set), rows(plan.val_set))
+        assert val and val <= parts[0] and fit <= parts[0]
         assert not val & fit
-        assert not val & rows(correct_set)
-        assert not val & rows(test_set)
+        assert not val & parts[1]
+        assert not val & parts[2]
         assert 1 not in seen["val"].labels and 1 not in seen["fit"].labels
 
     @pytest.mark.parametrize("stage,callee", [
@@ -547,6 +559,64 @@ class TestRunSingle:
         assert agg.gain_macro is None and agg.gain_weighted is None
         lines = (Path(result.run_dir) / "metrics.csv").read_text().splitlines()
         assert "gain_macro," in lines and "gain_weighted," in lines
+
+
+class TestStages:
+    """``run_single`` is ``plan_run``, ``train_run``, ``score_run`` (not with
+    ``base_only``) and persist, so a study can call the stages itself."""
+
+    @pytest.mark.parametrize("excluded", [None, 1])
+    def test_the_stages_write_what_run_single_writes(self, single_run, tmp_path, excluded):
+        cfg, result = single_run
+        if excluded is None:
+            result = run_single(replace(cfg, output_dir=str(tmp_path / "runs")), None)
+        plan = plan_run(cfg, excluded)
+        model, history = train_run(plan)
+        ensemble, preds, report = score_run(plan, model)
+        assert (ensemble is None) == (excluded is None)
+        assert report == result.report
+        out = tmp_path / "stages"
+        out.mkdir()
+        save_model(model, out / "model.bin")
+        history.write(out / "history.csv")
+        if ensemble is not None:
+            save_ensemble(ensemble, out / "corrector.txt")
+        write_prediction_log(preds, plan.test_set.labels, 3, out / "preds.csv")
+        (out / "metrics.csv").write_text(report_to_csv(report), encoding="ascii")
+        assert_trees_identical(Path(result.run_dir), out)
+
+    def test_base_only_stops_after_the_training_stage(self, tmp_path):
+        cfg = mini_config(str(tmp_path / "runs"))
+        result = run_single(cfg, 2, base_only=True)
+        model, history = train_run(plan_run(cfg, 2))
+        out = tmp_path / "stages"
+        out.mkdir()
+        save_model(model, out / "model.bin")
+        history.write(out / "history.csv")
+        assert_trees_identical(Path(result.run_dir), out)
+        assert result.history.rows == history.rows
+
+    def test_a_plan_trains_the_same_model_again(self, tmp_path):
+        plan = plan_run(mini_config(str(tmp_path)), 0)
+        (a, _), (b, _) = train_run(plan), train_run(plan)
+        for (name, pa), (_, pb) in zip(a.params(), b.params()):
+            assert pa.tobytes() == pb.tobytes(), name
+
+    @pytest.mark.parametrize("excluded", [True, False, 1.0, 1.5, "1", np.float64(1)], ids=repr)
+    def test_the_excluded_class_is_an_int(self, tmp_path, excluded):
+        # a bool or a float once passed the range check and ran as "classTrue"
+        with pytest.raises(StageError, match="is not an int") as err:
+            run_single(mini_config(str(tmp_path)), excluded, base_only=True)
+        assert err.value.stage == "exclude"
+        assert not any(tmp_path.iterdir())
+
+    def test_a_numpy_integer_runs_as_its_int(self, single_run, tmp_path):
+        cfg, result = single_run
+        again = run_single(replace(cfg, output_dir=str(tmp_path / "runs")), np.int64(1))
+        assert Path(again.run_dir).name == "excl_1"
+        assert_trees_identical(Path(result.run_dir), Path(again.run_dir))
+        excluded = plan_run(cfg, np.uint8(1)).excluded
+        assert type(excluded) is int and excluded == 1
 
 
 @pytest.fixture(scope="module")
