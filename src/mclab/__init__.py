@@ -4,152 +4,7 @@ A staged neural base classifier with extractable intermediate latents, a
 from-scratch gradient-boosted corrector trained on held-out data, the
 paper's decision rule composing the two, a retention/harm/gain metric
 calculus, and a class-exclusion experiment harness that ties them together
-reproducibly.
+reproducibly. Each public name lives in its module, as ``mclab.harness.run_sweep``.
 """
 
 __version__ = "0.1.0"
-
-from .basemodel import (
-    LatentLayout,
-    ModelConfig,
-    StagedModel,
-    TrainConfig,
-    TrainingHistory,
-    forward_latents,
-    load_model,
-    predict_batch,
-    save_model,
-    train,
-    weighted_ce_loss,
-)
-from .composer import (
-    CorrectedPrediction,
-    DecisionPolicy,
-    Predictions,
-    compose_batch,
-    decide_batch,
-    read_prediction_log,
-    write_prediction_log,
-)
-from .core import (
-    NEW_CLASS,
-    LabeledDataset,
-    Rng,
-    SplitSpec,
-    class_weights,
-    datasets_equal,
-    default_names,
-    derived_seed,
-    exclude_class,
-    largest_remainder,
-    split_dataset,
-    validation_slice,
-)
-from .corrector import (
-    CorrectorEnsemble,
-    GbdtConfig,
-    load_ensemble,
-    save_ensemble,
-    split_gain,
-)
-from .corrector import fit as fit_corrector
-from .datagen import (
-    ClusterSpec,
-    ProfileConfig,
-    SequenceImageSpec,
-    generate_gaussian,
-    generate_toy_images,
-    load_dataset,
-    save_dataset,
-)
-from .harness import (
-    ConfigError,
-    DatasetConfig,
-    ExperimentConfig,
-    RunResult,
-    StageError,
-    SweepResult,
-    default_config_dict,
-    load_sweep,
-    normalize_config,
-    render_report,
-    run_single,
-    run_sweep,
-)
-from .metrics import (
-    AggregateMetrics,
-    ClassMetrics,
-    EvalReport,
-    PairedPredictions,
-    brute_force_oracle,
-    evaluate,
-    report_to_csv,
-    report_to_text,
-)
-
-__all__ = [
-    "AggregateMetrics",
-    "ClassMetrics",
-    "ClusterSpec",
-    "ConfigError",
-    "CorrectedPrediction",
-    "CorrectorEnsemble",
-    "DatasetConfig",
-    "DecisionPolicy",
-    "EvalReport",
-    "ExperimentConfig",
-    "GbdtConfig",
-    "LabeledDataset",
-    "LatentLayout",
-    "ModelConfig",
-    "NEW_CLASS",
-    "PairedPredictions",
-    "Predictions",
-    "ProfileConfig",
-    "Rng",
-    "RunResult",
-    "SequenceImageSpec",
-    "SplitSpec",
-    "StageError",
-    "StagedModel",
-    "SweepResult",
-    "TrainConfig",
-    "TrainingHistory",
-    "brute_force_oracle",
-    "class_weights",
-    "compose_batch",
-    "datasets_equal",
-    "decide_batch",
-    "default_config_dict",
-    "default_names",
-    "derived_seed",
-    "evaluate",
-    "exclude_class",
-    "fit_corrector",
-    "forward_latents",
-    "generate_gaussian",
-    "generate_toy_images",
-    "largest_remainder",
-    "load_dataset",
-    "load_ensemble",
-    "load_model",
-    "load_sweep",
-    "normalize_config",
-    "predict_batch",
-    "read_prediction_log",
-    "render_report",
-    "report_to_csv",
-    "report_to_text",
-    "run_single",
-    "run_sweep",
-    "save_dataset",
-    "save_ensemble",
-    "save_model",
-    "split_dataset",
-    "split_gain",
-    "train",
-    "validation_slice",
-    "weighted_ce_loss",
-    "write_prediction_log",
-    "__version__",
-]

@@ -393,8 +393,8 @@ def train(
 ) -> tuple[StagedModel, TrainingHistory]:
     """SGD with a fixed learning rate and accuracy-based early stopping.
 
-    Zero-weight (masked) samples are dropped before shuffling, so masking a
-    class is bit-identical to deleting its samples. The best-validation
+    A class left out of training has weight 0 and no samples in ``train_set``
+    (``core.exclude_class`` deletes them). The best-validation
     parameters are restored before returning; if train loss rose at the
     checkpoint epoch, a warning is logged. ``seed`` draws the shuffles and dropout.
     """
@@ -402,18 +402,20 @@ def train(
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (model.config.n_classes,) or np.any(weights < 0):
         raise ValueError("weights must be a non-negative length-K vector")
-    keep = weights[train_set.labels] > 0
-    active = train_set.subset(np.nonzero(keep)[0]) if not keep.all() else train_set
-    if len(active) == 0:
+    unweighted = train_set.labels[weights[train_set.labels] == 0]
+    if unweighted.size:
+        raise ValueError(f"class {int(unweighted.min())} has weight 0 but samples in the "
+                         "train set")
+    if len(train_set) == 0:
         raise ValueError("empty train set")
     if len(val_set) == 0:
         raise ValueError("empty validation set")
 
-    model.set_input_stats(active)
+    model.set_input_stats(train_set)
     gen = Rng.from_seed(seed).derive("train").generator()
-    x_all = active.features
-    y_all = active.labels
-    n = len(active)
+    x_all = train_set.features
+    y_all = train_set.labels
+    n = len(train_set)
     history = TrainingHistory()
     best_params = [p.copy() for _, p in model.params()]
     best_acc = -np.inf

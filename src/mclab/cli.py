@@ -187,7 +187,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise StageError("metrics", str(exc)) from exc
     if args.out:
-        Path(args.out).write_text(report_to_csv(report), encoding="ascii")
+        with _stage("metrics"):
+            Path(args.out).write_text(report_to_csv(report), encoding="ascii")
         print(f"wrote metrics to {args.out}")
     else:
         print(report_to_text(report), end="")

@@ -33,7 +33,6 @@ from .corrector import CorrectorEnsemble
 from .metrics import PairedPredictions
 
 __all__ = [
-    "NEW_CLASS",
     "CorrectedPrediction",
     "DecisionPolicy",
     "Predictions",

@@ -442,9 +442,10 @@ def exclude_class(data: LabeledDataset, excluded: int) -> LabeledDataset:
 def class_weights(data: LabeledDataset, excluded: Iterable[int] = ()) -> np.ndarray:
     """Inverse-frequency weights w_i = N / n_i (float64, length K).
 
-    N counts only samples of non-excluded classes, so masking a class and
-    deleting its samples yield identical weights. Excluded classes get 0;
-    any other empty class is an error.
+    N counts only samples of non-excluded classes, so the weights do not
+    depend on whether ``data`` still holds an excluded class's samples.
+    Excluded classes get 0, and ``basemodel.train`` rejects samples of a
+    zero-weight class; any other empty class is an error.
     """
     excl = {int(e) for e in excluded}
     for cls in excl:

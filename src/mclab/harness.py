@@ -92,7 +92,6 @@ from .datagen import (
 from .metrics import EvalReport, PairedPredictions, _cell, evaluate, report_to_csv
 
 __all__ = [
-    "ConfigError",
     "DatasetConfig",
     "ExperimentConfig",
     "RunPlan",
@@ -531,29 +530,32 @@ def _sha256(path: Path) -> str:
 
 
 def render_report(sweep: SweepResult) -> None:
-    """Write table3/4/5 CSV + text and the manifest under the sweep root."""
-    root = sweep.root
-    root.mkdir(parents=True, exist_ok=True)
-    tables = list(_report_tables(sweep))
-    for table in tables:
-        _write_table(root, *table)
-    runs = {}
-    for result in [sweep.baseline] + [sweep.runs[c] for c in sorted(sweep.runs)]:
-        run_dir = Path(result.run_dir)
-        runs[run_dir.name] = {p.name: _sha256(p) for p in sorted(run_dir.iterdir()) if p.is_file()}
-    manifest = {
-        "artifact": MANIFEST_ARTIFACT,
-        "package_version": __version__,
-        "master_seed": sweep.config.seed,
-        "config": sweep.config.to_dict(),
-        "config_sha256": config_sha256(sweep.config),
-        "runs": runs,
-        "tables": {tag + ext: _sha256(root / (tag + ext))
-                   for tag, *_ in tables for ext in (".csv", ".txt")},
-    }
-    (root / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="ascii"
-    )
+    """Write table3/4/5 CSV + text and the manifest under the sweep root; a failed write
+    raises ``StageError('report', ...)`` naming the file."""
+    with _stage("report"):
+        root = sweep.root
+        root.mkdir(parents=True, exist_ok=True)
+        tables = list(_report_tables(sweep))
+        for table in tables:
+            _write_table(root, *table)
+        runs = {}
+        for result in [sweep.baseline] + [sweep.runs[c] for c in sorted(sweep.runs)]:
+            run_dir = Path(result.run_dir)
+            runs[run_dir.name] = {p.name: _sha256(p) for p in sorted(run_dir.iterdir())
+                                  if p.is_file()}
+        manifest = {
+            "artifact": MANIFEST_ARTIFACT,
+            "package_version": __version__,
+            "master_seed": sweep.config.seed,
+            "config": sweep.config.to_dict(),
+            "config_sha256": config_sha256(sweep.config),
+            "runs": runs,
+            "tables": {tag + ext: _sha256(root / (tag + ext))
+                       for tag, *_ in tables for ext in (".csv", ".txt")},
+        }
+        (root / "manifest.json").write_text(
+            json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="ascii"
+        )
 
 
 def load_sweep(root: str | Path) -> SweepResult:

@@ -1,7 +1,8 @@
-"""The hand-written export lists: every listed name exists, and the package
-list matches what ``mclab/__init__.py`` imports. The benchmark's calls into
-mclab resolve too, so a removed name fails here, not only in a benchmark run,
-and one compose_infer pass passes its own check.
+"""The hand-written export lists: the package binds only ``__version__``,
+and every name a module lists exists and is defined in that module, so each
+public name has one home. The benchmark's calls into mclab resolve too, so a
+removed name fails here, not only in a benchmark run, and one compose_infer
+pass passes its own check.
 Only ``core``'s line reader decodes a file's text or names a fault's line,
 the package defines two exception types, no config has a ``validate``
 method, no rule has a second copy, and only ``harness.plan_run`` derives a
@@ -11,6 +12,7 @@ import ast
 import builtins
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 import sys
 from pathlib import Path
@@ -22,9 +24,14 @@ import mclab
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(mclab.__path__))
 
 
-def test_package_exports_resolve():
-    missing = [name for name in mclab.__all__ if not hasattr(mclab, name)]
-    assert missing == []
+def test_package_binds_only_its_version():
+    """``mclab/__init__.py`` is its docstring and ``__version__``: callers
+    import each name from its module, so no second list of them can drift."""
+    body = ast.parse(Path(mclab.__file__).read_text(encoding="utf-8")).body
+    assert [type(node) for node in body] == [ast.Expr, ast.Assign]
+    assert isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str)
+    assert [ast.unparse(t) for t in body[1].targets] == ["__version__"]
+    assert isinstance(body[1].value, ast.Constant) and isinstance(body[1].value.value, str)
 
 
 @pytest.mark.parametrize("module", SUBMODULES)
@@ -34,18 +41,27 @@ def test_submodule_exports_resolve(module):
     assert missing == []
 
 
-def test_package_exports_are_what_init_binds():
-    tree = ast.parse(Path(mclab.__file__).read_text(encoding="utf-8"))
-    bound = set()
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom):
-            bound.update(alias.asname or alias.name for alias in node.names)
-        elif isinstance(node, ast.Assign):
-            bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
-    public = {n for n in bound - {"__all__"}
-              if not n.startswith("_") or n.startswith("__") and n.endswith("__")}
-    assert len(mclab.__all__) == len(set(mclab.__all__))
-    assert set(mclab.__all__) == public
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_submodule_exports_are_defined_there(module):
+    """A module lists only what it defines: a class or function by its
+    ``__module__``, any other value by a top-level assignment in its file."""
+    mod = importlib.import_module(f"mclab.{module}")
+    assigned = set()
+    for node in ast.parse(Path(mod.__file__).read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign):
+            assigned.update(ast.unparse(target) for target in node.targets)
+        elif isinstance(node, ast.AnnAssign):
+            assigned.add(ast.unparse(node.target))
+    foreign = []
+    for name in mod.__all__:
+        value = getattr(mod, name, None)
+        if isinstance(value, type) or inspect.isfunction(value):
+            if value.__module__ != mod.__name__:
+                foreign.append(f"{name} from {value.__module__}")
+        elif name not in assigned:
+            foreign.append(name)
+    assert len(mod.__all__) == len(set(mod.__all__))
+    assert foreign == []
 
 
 def test_one_line_reader():

@@ -357,30 +357,17 @@ class TestTrain:
         _, history = train(model, tr, val, class_weights(tr), TrainConfig(), 0)
         assert history.best_val_acc >= 0.90
 
-    def test_masking_a_class_equals_deleting_its_samples(self):
-        centers = np.zeros((3, 64))
-        centers[1, 1] = 8.0
-        centers[2, 2] = 8.0
-        data = blob_dataset(30, centers, seed=3)
-        val = data.subset(np.arange(0, 90, 9))
-        weights = class_weights(data, excluded=(1,))
-        deleted = data.subset(np.nonzero(data.labels != 1)[0])
-        cfg = TrainConfig(learning_rate=0.05, batch_size=16, max_epochs=2, patience=10,
-                          dropout_p=0.5)
-
-        model_a = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 3), seed=5)
-        model_b = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 3), seed=5)
-        _, hist_a = train(model_a, data, val, weights, cfg, 4)
-        _, hist_b = train(model_b, deleted, val, weights, cfg, 4)
-
-        assert hist_a.rows == hist_b.rows
-        for (name, pa), (_, pb) in zip(model_a.params(), model_b.params()):
-            np.testing.assert_array_equal(pa, pb, err_msg=name)
-
-    def test_rejects_empty_effective_train_set(self, two_class_data):
+    def test_rejects_samples_of_a_zero_weight_class(self, two_class_data):
+        # an excluded class is deleted from the train set, not masked by its weight
         model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 2), seed=0)
-        with pytest.raises(ValueError, match="empty train"):
-            train(model, two_class_data, two_class_data, np.zeros(2), TrainConfig(), 0)
+        with pytest.raises(ValueError, match="^class 1 has weight 0 but samples in the train"):
+            train(model, two_class_data, two_class_data, np.array([1.0, 0.0]), TrainConfig(), 0)
+
+    def test_rejects_empty_train_set(self, two_class_data):
+        model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 2), seed=0)
+        empty = two_class_data.subset(np.arange(0))
+        with pytest.raises(ValueError, match="^empty train set$"):
+            train(model, empty, two_class_data, np.ones(2), TrainConfig(), 0)
 
     def test_rejects_bad_weight_vector(self, two_class_data):
         model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 2), seed=0)

@@ -161,6 +161,23 @@ class TestExitCodes:
         assert main(["eval", "--preds", str(tmp_path)]) == 2
         assert f"cannot read prediction log {tmp_path}" in capsys.readouterr().err
 
+    def test_eval_that_cannot_write_its_out_file_is_exit_2(self, cli_run, tmp_path, capsys):
+        _, run_dir = cli_run
+        out = str(tmp_path / "absent" / "m.csv")
+        assert main(["eval", "--preds", str(run_dir / "preds.csv"), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "error: stage 'metrics' failed: " in err and out in err
+
+    def test_report_that_cannot_write_a_table_is_exit_2(self, cli_sweep, tmp_path, capsys):
+        _, _, root = cli_sweep
+        copy = tmp_path / "cli"
+        shutil.copytree(root, copy)
+        (copy / "table4.txt").unlink()
+        (copy / "table4.txt").mkdir()
+        assert main(["report", "--run", str(copy)]) == 2
+        err = capsys.readouterr().err
+        assert "error: stage 'report' failed: " in err and str(copy / "table4.txt") in err
+
     def test_correct_needs_an_excluded_class(self, tmp_path, capsys):
         path = write_doc(tmp_path, mini_doc(str(tmp_path / "runs")))
         assert main(["correct", "--config", path]) == 1
