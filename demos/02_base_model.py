@@ -65,9 +65,11 @@ def main() -> None:
         path = Path(tmp) / "model.bin"
         save_model(model, path)
         clone = load_model(path)
-        relabels, _ = predict_batch(clone, test_set)
-        print(f"\ncheckpoint round trip: {path.stat().st_size} bytes, "
-              f"predictions identical: {bool(np.array_equal(labels, relabels))}")
+        relabels, reprobs = predict_batch(clone, test_set)
+        # model.bin holds the float64 weights, so the reload is the model itself
+        assert np.array_equal(labels, relabels) and reprobs.tobytes() == probs.tobytes()
+        print(f"\ncheckpoint round trip: {path.stat().st_size} bytes, the reloaded "
+              f"model's test probabilities equal the trained model's bit for bit")
 
 
 if __name__ == "__main__":

@@ -48,7 +48,7 @@ __all__ = [
 logger = logging.getLogger("mclab")
 
 LOG_CLAMP = 1e-12
-MODEL_MAGIC = "mclab-model v1"
+MODEL_MAGIC = "mclab-model v2"
 
 LATENT_STAGES = ("conv_out", "lstm_out", "attn_out", "fc_out", "logits")
 
@@ -186,7 +186,7 @@ class StagedModel:
 
     def __init__(self, config: ModelConfig, rng: Rng | None = None, seed: int = 0):
         _check_seed(seed)
-        self.config, self.seed = config, seed
+        self.config = config
         gen = (rng if rng is not None else Rng.from_seed(seed).derive("init")).generator()
         c0 = config.input_shape[0]
         self.conv = ConvStage(c0, config.conv_channels, gen)
@@ -466,18 +466,17 @@ def train(
 
 
 def save_model(model: StagedModel, path: str | Path) -> None:
-    """Versioned binary checkpoint: text header, then float32 blocks."""
+    """Versioned binary checkpoint: text header, then float64 blocks (a load is exact)."""
     blocks = model.buffers() + model.params()
     header = {
         "config": asdict(model.config),
-        "seed": model.seed,
         "blocks": [[name, list(arr.shape)] for name, arr in blocks],
     }
     buf = io.BytesIO()
     buf.write((MODEL_MAGIC + "\n").encode("ascii"))
     buf.write((json.dumps(header, sort_keys=True) + "\n").encode("ascii"))
     for _, arr in blocks:
-        buf.write(np.asarray(arr, dtype="<f4").tobytes())
+        buf.write(np.asarray(arr, dtype="<f8").tobytes())
     Path(path).write_bytes(buf.getvalue())
 
 
@@ -499,23 +498,25 @@ def load_model(path: str | Path) -> StagedModel:
     """Read a checkpoint written by ``save_model``.
 
     A malformed file raises ValueError naming the path, and the line for a
-    fault in the text header: a non-ASCII byte in it, a header that does not
-    parse or has no newline, an unknown header key or config field, a config
-    field that is missing or of the wrong type, an invalid config or more
-    than ``MAX_CLASSES`` classes, a seed that is not an integer in [0, 2^64),
-    or a block list other than ``_block_shapes`` of the config (the message
-    names the first entry that differs, as the file has it and as the config
-    implies it). With no line, it names a float32 payload that is not
-    exactly 4 bytes per weight, or the first block that holds a NaN or an
-    infinity. All of this is checked before the model is built, so a model
-    is built only for a file that holds every one of its weights, each
-    finite, in the order its parameters take them.
+    fault in the text header: another checkpoint version (a float32 v1 file)
+    or no checkpoint, a non-ASCII byte, a header that does not parse or has
+    no newline, an unknown header key or config field, a config field that
+    is missing or of the wrong type, an invalid config or more than
+    ``MAX_CLASSES`` classes, or a block list other than ``_block_shapes`` of
+    the config (the message names the first entry that differs, as the file
+    has it and as the config implies it). With no line, it names a float64
+    payload that is not exactly 8 bytes per weight, or the first block that
+    holds a NaN or an infinity. All of this is checked before the model is
+    built, so a model is built only for a file that holds every one of its
+    weights, each finite, in the order its parameters take them.
     """
     raw = Path(path).read_bytes()
     end = raw.find(b"\n", raw.find(b"\n") + 1) + 1  # past the two header lines; 0 if cut short
     lines = _LineReader(path, raw[:end or len(raw)])
-    if lines.next() != MODEL_MAGIC:
-        lines.fail("not a model checkpoint")
+    magic = lines.next()
+    if magic != MODEL_MAGIC:
+        lines.fail(f"checkpoint {magic!r}, this loader reads {MODEL_MAGIC!r} only"
+                   if magic.startswith("mclab-model ") else "not a model checkpoint")
     text = lines.next()
     if not end:
         lines.fail("header line has no newline")
@@ -523,7 +524,7 @@ def load_model(path: str | Path) -> StagedModel:
         header = json.loads(text)
         doc = header["config"]
         hints = get_type_hints(ModelConfig)
-        unknown = [key for key in header if key not in ("blocks", "config", "seed")]
+        unknown = [key for key in header if key not in ("blocks", "config")]
         unknown += [f"config.{name}" for name in doc if name not in hints]
         if unknown:
             raise ValueError(f"unknown fields {', '.join(unknown)}")
@@ -534,8 +535,6 @@ def load_model(path: str | Path) -> StagedModel:
                              for name, hint in hints.items()})
         if cfg.n_classes > MAX_CLASSES:
             raise ValueError(f"{cfg.n_classes} classes exceed the ceiling of {MAX_CLASSES}")
-        seed = _value(int, header["seed"], "seed")
-        _check_seed(seed)
         blocks = [_value(tuple[str, tuple[int, ...]], block, "blocks")
                   for block in header["blocks"]]
     except (ValueError, KeyError, TypeError) as exc:
@@ -548,16 +547,16 @@ def load_model(path: str | Path) -> StagedModel:
                       else "no block" for entries in (blocks, expected))
         lines.fail(f"block {i}: the file has {have}, the config implies {want}")
     size = sum(math.prod(shape) for _, shape in expected)
-    if len(raw) - end != 4 * size:
+    if len(raw) - end != 8 * size:
         raise ValueError(f"{path}: payload of {len(raw) - end} bytes, "
-                         f"the blocks need {4 * size}")
-    weights = np.split(np.frombuffer(raw, dtype="<f4", offset=end),
+                         f"the blocks need {8 * size}")
+    weights = np.split(np.frombuffer(raw, dtype="<f8", offset=end),
                        np.cumsum([math.prod(shape) for _, shape in expected])[:-1])
     for i, ((name, _), block) in enumerate(zip(expected, weights)):
         bad = block[~np.isfinite(block)]
         if bad.size:
-            raise ValueError(f"{path}: block {i} {name!r} holds {bad[0]}, not a finite float32")
-    model = StagedModel(cfg, seed=seed)
+            raise ValueError(f"{path}: block {i} {name!r} holds {bad[0]}, not a finite float64")
+    model = StagedModel(cfg)
     for (_, arr), block in zip(model.buffers() + model.params(), weights):
         arr[...] = block.reshape(arr.shape)
     return model

@@ -377,7 +377,7 @@ def plan_run(config: ExperimentConfig, excluded: int | None) -> RunPlan:
 def train_run(plan: RunPlan) -> tuple[StagedModel, TrainingHistory]:
     """Stage ``train``: the base model, blind to the excluded class."""
     with _stage("train"):
-        model = StagedModel(plan.config.model, rng=plan.init_rng, seed=plan.config.seed)
+        model = StagedModel(plan.config.model, rng=plan.init_rng)
         return train(model, plan.fit_set, plan.val_set, plan.weights, plan.config.train,
                      plan.train_seed)
 
@@ -561,9 +561,10 @@ def render_report(sweep: SweepResult) -> None:
 def load_sweep(root: str | Path) -> SweepResult:
     """Rebuild a SweepResult from persisted run artifacts (for re-rendering).
 
-    Each ``preds.csv`` is checked against its sha256 in ``manifest.json``
-    before it is read. A manifest that does not parse or holds no valid
-    config, and a log that is missing or does not match its sha256, raise
+    Every file of each run directory is checked against its sha256 in
+    ``manifest.json`` before any log is read. A manifest that does not parse
+    or holds no valid config, a run file the manifest does not list, a listed
+    file that is missing, and a file that does not match its sha256 raise
     ``StageError`` naming the file.
     """
     root = Path(root)
@@ -577,23 +578,28 @@ def load_sweep(root: str | Path) -> SweepResult:
         config = normalize_config(manifest["config"])
     except ValueError as exc:  # also bad bytes, bad JSON and ConfigError
         raise StageError("report", f"{manifest_path}: {exc}") from None
+    run_dirs = [root / _dir_tag(c) for c in [None, *range(config.model.n_classes)]]
 
-    def rebuild(excluded: int | None) -> RunResult:
-        run_dir = root / _dir_tag(excluded)
-        preds_path = run_dir / "preds.csv"
+    for run_dir in run_dirs:
         try:
-            want = manifest["runs"][run_dir.name]["preds.csv"]
-        except (KeyError, TypeError):
-            raise StageError("report", f"manifest lists no sha256 for {preds_path}") from None
-        try:
-            digest = _sha256(preds_path)
-        except OSError as exc:
-            raise StageError("report", f"cannot read {preds_path}: {exc.strerror}") from None
-        if digest != want:
-            raise StageError("report", f"{preds_path} does not match its sha256 in the manifest")
-        report = evaluate(read_prediction_log(preds_path))
-        return RunResult(str(run_dir), report, TrainingHistory())
+            listed = dict(manifest["runs"][run_dir.name])
+        except (KeyError, TypeError, ValueError):  # no listing, or not a JSON object
+            listed = {}
+        held = {p.name for p in run_dir.glob("*") if p.is_file()}
+        # the log the report reads first, then every other file held or listed
+        for name in ["preds.csv", *sorted((held | set(listed)) - {"preds.csv"})]:
+            path = run_dir / name
+            if name not in listed:
+                raise StageError("report", f"manifest lists no sha256 for {path}")
+            if name not in held:  # missing, or a listed name such as '../table3.csv'
+                raise StageError("report", f"cannot read {path}: no such file in {run_dir}")
+            try:
+                digest = _sha256(path)
+            except OSError as exc:
+                raise StageError("report", f"cannot read {path}: {exc.strerror}") from None
+            if digest != listed[name]:
+                raise StageError("report", f"{path} does not match its sha256 in the manifest")
 
-    baseline = rebuild(None)
-    runs = {c: rebuild(c) for c in range(config.model.n_classes)}
-    return SweepResult(config=config, root=root, baseline=baseline, runs=runs)
+    baseline, *runs = (RunResult(str(d), evaluate(read_prediction_log(d / "preds.csv")),
+                                 TrainingHistory()) for d in run_dirs)
+    return SweepResult(config=config, root=root, baseline=baseline, runs=dict(enumerate(runs)))

@@ -1,20 +1,31 @@
-"""The reference fixture of the acceptance gate: what it holds and how to
-record it.
+"""The two recorded sweeps of the test suite: what they hold and how to
+record them.
 
-``fixtures/reference_toy.json`` holds the outcome of the default exclusion
-sweep, the sha256 checksums of the dataset and of the three split parts that
-sweep uses, and the fingerprint of the host it was recorded on. The checksums
-hold on every host; the sweep numbers only on a host with the same
-fingerprint. Re-record it from the repository root with
+``fixtures/reference_toy.json``, the reference fixture of the acceptance
+gate, holds the outcome of the default exclusion sweep, the sha256 checksums
+of the dataset and of the three split parts that sweep uses, and the
+fingerprint of the host it was recorded on. The checksums hold on every
+host; the sweep numbers only on a host with the same fingerprint. Re-record
+it from the repository root with
 
     PYTHONPATH=src python tests/reference_fixture.py
 
 which runs the default sweep with one worker and rewrites every field of the
 fixture except its ``thresholds`` block.
+
+``fixtures/mini_sweep_pinned.json`` pins the sha256 of every file the
+``mini_sweep`` config (``mini_sweep_config``, a small 3-class world) writes,
+on the host its ``host`` names. Re-record it with
+
+    PYTHONPATH=src python tests/reference_fixture.py --mini-sweep
+
+which refuses to run on another host, runs that sweep with one worker,
+rewrites only the ``files`` map and prints every digest that changed.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import platform
@@ -25,9 +36,10 @@ from pathlib import Path
 import numpy as np
 
 from mclab.core import LabeledDataset
-from mclab.harness import build_dataset, normalize_config, plan_run, run_sweep
+from mclab.harness import ExperimentConfig, build_dataset, normalize_config, plan_run, run_sweep
 
 FIXTURE = Path(__file__).parent / "fixtures" / "reference_toy.json"
+MINI_SWEEP_PIN = FIXTURE.parent / "mini_sweep_pinned.json"
 SPLIT_PARTS = ("train", "correct", "test")
 
 COMMENT = (
@@ -48,6 +60,41 @@ COMMENT = (
     "but 'thresholds'. Re-record only after a change that is meant to move "
     "the numbers, and say why in CHANGES.md."
 )
+
+
+def mini_doc(out_dir: str, name: str = "mini", seed: int = 11) -> dict:
+    """The config document of a small 3-class world, quick to train."""
+    return {
+        "name": name,
+        "seed": seed,
+        "output_dir": out_dir,
+        "dataset": {
+            "n_total": 600,
+            "profile": {
+                "proportions": [0.5, 0.3, 0.2],
+                "names": ["A", "B", "C"],
+                "close_pair": [0, 2],
+                "close_distance": 6.0,
+            },
+        },
+        "model": {"conv_channels": [2, 4, 8], "n_classes": 3},
+        "train": {"max_epochs": 15, "patience": 5, "batch_size": 32,
+                  "dropout_p": 0.1, "learning_rate": 0.05},
+        "gbdt": {"n_rounds": 20, "max_depth": 3},
+    }
+
+
+def mini_sweep_config(out_dir: str) -> ExperimentConfig:
+    """The sweep that ``fixtures/mini_sweep_pinned.json`` pins."""
+    return normalize_config(mini_doc(out_dir, name="sweepA"))
+
+
+def sweep_digests(root: Path) -> dict[str, str]:
+    """sha256 of every file under a sweep root except its manifest.json, which
+    holds the config's ``output_dir``."""
+    return {path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(root.rglob("*"))
+            if path.is_file() and path.name != "manifest.json"}
 
 
 def host_fingerprint() -> dict:
@@ -129,5 +176,28 @@ def record() -> dict:
     return fixture
 
 
+def record_mini_sweep() -> list[str]:
+    """Rewrite the ``files`` map of the mini_sweep pin; returns one line per
+    digest that changed (``-`` for a file that was not there)."""
+    pin = json.loads(MINI_SWEEP_PIN.read_text())
+    if host_fingerprint() != pin["host"]:
+        raise SystemExit(f"{MINI_SWEEP_PIN}: this host is not the pinned host "
+                         f"{pin['host']}, so its digests would not hold there")
+    with tempfile.TemporaryDirectory() as tmp:
+        files = sweep_digests(run_sweep(mini_sweep_config(tmp), jobs=1).root)
+    changed = [f"{name}: {pin['files'].get(name, '-')} -> {files.get(name, '-')}"
+               for name in sorted(set(pin["files"]) | set(files))
+               if pin["files"].get(name) != files.get(name)]
+    pin["files"] = files
+    MINI_SWEEP_PIN.write_text(json.dumps(pin, indent=2) + "\n")
+    return changed
+
+
 if __name__ == "__main__":
-    print(json.dumps(record()["derived"]["runs"], indent=2))
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--mini-sweep", action="store_true",
+                        help="re-record fixtures/mini_sweep_pinned.json instead")
+    if parser.parse_args().mini_sweep:
+        print("\n".join(record_mini_sweep()) or "no digest changed")
+    else:
+        print(json.dumps(record()["derived"]["runs"], indent=2))

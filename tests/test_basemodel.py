@@ -181,8 +181,7 @@ class TestForward:
 
     @pytest.mark.parametrize("seed", [1.5, True, -1, 2**64, np.int64(3)], ids=repr)
     def test_model_seed_is_a_plain_int(self, seed):
-        # the checkpoint header stores the seed, and load_model reads back
-        # only an int in [0, 2^64)
+        # the seed is checked even where the rng given in its place draws the weights
         with pytest.raises(ValueError, match="^seed: must be a 64-bit non-negative integer"):
             StagedModel(ModelConfig(), rng=Rng.from_seed(0), seed=seed)
 
@@ -521,15 +520,13 @@ class TestCheckpoint:
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.config == model.config
-        for (name, a), (_, b) in zip(model.params(), loaded.params()):
-            np.testing.assert_allclose(b, a, rtol=1e-6, atol=1e-6, err_msg=name)
-        for (name, a), (_, b) in zip(model.buffers(), loaded.buffers()):
-            np.testing.assert_allclose(b, a, rtol=1e-6, atol=1e-6, err_msg=name)
-        # float32 storage: outputs agree to single precision, not bitwise
-        x = tr.features[:8]
-        np.testing.assert_allclose(
-            loaded.forward_batch(x)["probs"], model.forward_batch(x)["probs"], atol=1e-4
-        )
+        for (name, a), (_, b) in zip(model.buffers() + model.params(),
+                                     loaded.buffers() + loaded.params(), strict=True):
+            assert b.dtype == np.float64 and b.tobytes() == a.tobytes(), name
+        # float64 storage: the reload predicts bit for bit what the model predicts
+        _, want = predict_batch(model, tr)
+        _, got = predict_batch(loaded, tr)
+        assert got.tobytes() == want.tobytes()
 
     def test_second_save_is_byte_identical(self, trained_two_class, tmp_path):
         model, _, _ = trained_two_class
@@ -555,11 +552,12 @@ class TestCheckpoint:
         path = tmp_path_factory.mktemp("ckpt") / "model.bin"
         save_model(model, path)
         loaded = load_model(path)
-        assert (loaded.config, loaded.seed) == (config, seed)
+        assert loaded.config == config
         for (name, a), (name_b, b) in zip(model.buffers() + model.params(),
                                           loaded.buffers() + loaded.params(), strict=True):
             assert name == name_b
-            np.testing.assert_array_equal(b, a.astype(np.float32), err_msg=name)
+            assert b.dtype == a.dtype == np.float64, name
+            np.testing.assert_array_equal(b, a, err_msg=name)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -598,15 +596,24 @@ def _swap_first_two(blocks):
 
 def _cut_first_weight(raw: bytes) -> bytes:
     magic, header, payload = raw.split(b"\n", 2)
-    return magic + b"\n" + header + b"\n" + payload[4:]
+    return magic + b"\n" + header + b"\n" + payload[8:]
 
 
 def _set_first_weight(value):
     def edit(raw: bytes) -> bytes:
         magic, header, payload = raw.split(b"\n", 2)
-        return magic + b"\n" + header + b"\n" + np.float32(value).tobytes() + payload[4:]
+        return magic + b"\n" + header + b"\n" + np.float64(value).tobytes() + payload[8:]
 
     return edit
+
+
+def _as_v1(raw: bytes) -> bytes:
+    """The checkpoint as format v1 wrote it: its magic, a master seed in the
+    header, and float32 weights."""
+    magic, header, payload = raw.split(b"\n", 2)
+    doc = dict(json.loads(header), seed=12)
+    weights = np.frombuffer(payload, dtype="<f8").astype("<f4")
+    return b"mclab-model v1\n" + json.dumps(doc).encode("ascii") + b"\n" + weights.tobytes()
 
 
 def _config(key, value):
@@ -616,8 +623,8 @@ def _config(key, value):
     return lambda raw: _edit_header(raw, edit)
 
 
-# the float32 payload of a SMALL checkpoint, in bytes
-PAYLOAD = 4 * sum(math.prod(shape) for _, shape in basemodel._block_shapes(SMALL))
+# the float64 payload of a SMALL checkpoint, in bytes
+PAYLOAD = 8 * sum(math.prod(shape) for _, shape in basemodel._block_shapes(SMALL))
 
 # edits of a saved checkpoint, and the message each must be rejected with
 MALFORMED_MODELS = {
@@ -634,17 +641,21 @@ MALFORMED_MODELS = {
                                            r"the config implies 'input_mean' \[1\]"),
     "reordered_blocks": (_blocks(_swap_first_two), r"block 0: the file has 'input_std' \[1\], "
                                                    r"the config implies 'input_mean' \[1\]"),
-    "short_buffer": (lambda raw: raw[:-4],
-                     f"payload of {PAYLOAD - 4} bytes, the blocks need {PAYLOAD}$"),
+    "short_buffer": (lambda raw: raw[:-8],
+                     f"payload of {PAYLOAD - 8} bytes, the blocks need {PAYLOAD}$"),
     "first_weight_cut": (_cut_first_weight,
-                         f"payload of {PAYLOAD - 4} bytes, the blocks need {PAYLOAD}$"),
-    "trailing_bytes": (lambda raw: raw + b"\0" * 4,
-                       f"payload of {PAYLOAD + 4} bytes, the blocks need {PAYLOAD}$"),
+                         f"payload of {PAYLOAD - 8} bytes, the blocks need {PAYLOAD}$"),
+    "trailing_bytes": (lambda raw: raw + b"\0" * 8,
+                       f"payload of {PAYLOAD + 8} bytes, the blocks need {PAYLOAD}$"),
     "fractional_classes": (_config("n_classes", 1.9), r"config\.n_classes: expected int"),
     "boolean_classes": (_config("n_classes", True), r"config\.n_classes: expected int"),
     "string_classes": (_config("n_classes", "3"), r"config\.n_classes: expected int"),
-    "fractional_seed": (lambda raw: _edit_header(raw, lambda doc: doc.update(seed=2.5)),
-                        "seed: expected int"),
+    # format v2 dropped the header's seed: it was the master seed, not the
+    # stream that drew the weights
+    "retired_seed": (lambda raw: _edit_header(raw, lambda doc: doc.update(seed=0)),
+                     r"line 2: malformed header: unknown fields seed$"),
+    "v1_checkpoint": (_as_v1, r"line 1: checkpoint 'mclab-model v1', "
+                              r"this loader reads 'mclab-model v2' only$"),
     "absent_field": (lambda raw: _edit_header(raw, lambda doc: doc["config"].pop("n_classes")),
                      "config lacks n_classes"),
     "classes_above_ceiling": (_config("n_classes", 65537),
@@ -653,10 +664,10 @@ MALFORMED_MODELS = {
     # a checkpoint written while the model config had a head count
     "retired_head_count": (_config("n_heads", 1),
                            r"line 2: malformed header: unknown fields config\.n_heads$"),
-    "nan_last_weight": (lambda raw: raw[:-4] + np.float32(np.nan).tobytes(),
-                        r"block 22 'head\.b2' holds nan, not a finite float32$"),
+    "nan_last_weight": (lambda raw: raw[:-8] + np.float64(np.nan).tobytes(),
+                        r"block 22 'head\.b2' holds nan, not a finite float64$"),
     "infinite_first_weight": (_set_first_weight(np.inf),
-                              r"block 0 'input_mean' holds inf, not a finite float32$"),
+                              r"block 0 'input_mean' holds inf, not a finite float64$"),
     "unknown_header_key": (lambda raw: _edit_header(raw, lambda doc: doc.update(extra="x")),
                            "unknown fields extra"),
 }
@@ -697,10 +708,10 @@ class TestCheckpointRejections:
             load_model(path)
 
     def test_header_only_file_with_two_million_classes(self, tmp_path, monkeypatch):
-        header = {"blocks": [], "seed": 0, "config": {
+        header = {"blocks": [], "config": {
             "input_shape": [1, 8, 8], "conv_channels": [4, 8, 16], "n_classes": 2_000_000}}
         path = tmp_path / "model.bin"
-        path.write_bytes(b"mclab-model v1\n" + json.dumps(header).encode("ascii") + b"\n")
+        path.write_bytes(b"mclab-model v2\n" + json.dumps(header).encode("ascii") + b"\n")
         monkeypatch.setattr(basemodel, "StagedModel", _never_built)
         with pytest.raises(ValueError, match="2000000 classes exceed the ceiling") as err:
             load_model(path)

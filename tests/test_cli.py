@@ -455,6 +455,27 @@ class TestSweepReport:
             assert main(["sweep", "--config", str(manifest)]) == 1
             assert f"config error: {path}: unknown field" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,edit,message", [
+        ("excl_1/model.bin", lambda path: path.write_bytes(path.read_bytes()[:-8]),
+         "{path} does not match its sha256 in the manifest"),
+        ("excl_2/corrector.txt", lambda path: path.write_text("garbage\n"),
+         "{path} does not match its sha256 in the manifest"),
+        ("excl_2/metrics.csv", lambda path: path.unlink(), "cannot read {path}"),
+        ("excl_0/notes.txt", lambda path: path.write_text("x\n"),
+         "manifest lists no sha256 for {path}"),
+    ], ids=["cut_model", "garbage_corrector", "deleted_metrics", "extra_file"])
+    def test_report_of_a_changed_run_tree_keeps_the_manifest(self, cli_sweep, tmp_path, capsys,
+                                                             name, edit, message):
+        # a changed tree once exited 0 and rewrote the manifest to vouch for it
+        _, _, root = cli_sweep
+        copy = tmp_path / "cli"
+        shutil.copytree(root, copy)
+        manifest = (copy / "manifest.json").read_bytes()
+        edit(copy / name)
+        assert main(["report", "--run", str(copy)]) == 2
+        assert message.format(path=copy / name) in capsys.readouterr().err
+        assert (copy / "manifest.json").read_bytes() == manifest
+
     def test_report_of_a_missing_log_names_it(self, cli_sweep, tmp_path, capsys):
         _, _, root = cli_sweep
         copy = tmp_path / "cli"

@@ -9,6 +9,7 @@ import concurrent.futures
 import hashlib
 import json
 import math
+import re
 import shutil
 from dataclasses import is_dataclass, replace
 from pathlib import Path
@@ -21,9 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mclab.basemodel import (
-    ModelConfig, StagedModel, TrainConfig, TrainingHistory, save_model, train,
+    ModelConfig, StagedModel, TrainConfig, TrainingHistory, load_model, predict_batch,
+    save_model, train,
 )
-from mclab.composer import DecisionPolicy, write_prediction_log
+from mclab.composer import DecisionPolicy, compose_batch, decide_batch, write_prediction_log
 from mclab.core import NEW_CLASS, LabeledDataset, SplitSpec
 from mclab.corrector import GbdtConfig, load_ensemble, save_ensemble
 from mclab.datagen import ProfileConfig, SequenceImageSpec, save_dataset
@@ -47,31 +49,12 @@ from mclab.harness import (
 )
 from mclab.metrics import PairedPredictions, evaluate, report_to_csv
 import mclab.harness as harness_mod
-from reference_fixture import host_fingerprint
+import reference_fixture
+from reference_fixture import (
+    MINI_SWEEP_PIN, host_fingerprint, mini_doc, mini_sweep_config, sweep_digests,
+)
 
-PINNED_SWEEP = json.loads(
-    (Path(__file__).parent / "fixtures" / "mini_sweep_pinned.json").read_text())
-
-
-def mini_doc(out_dir: str, name: str = "mini", seed: int = 11) -> dict:
-    return {
-        "name": name,
-        "seed": seed,
-        "output_dir": out_dir,
-        "dataset": {
-            "n_total": 600,
-            "profile": {
-                "proportions": [0.5, 0.3, 0.2],
-                "names": ["A", "B", "C"],
-                "close_pair": [0, 2],
-                "close_distance": 6.0,
-            },
-        },
-        "model": {"conv_channels": [2, 4, 8], "n_classes": 3},
-        "train": {"max_epochs": 15, "patience": 5, "batch_size": 32,
-                  "dropout_p": 0.1, "learning_rate": 0.05},
-        "gbdt": {"n_rounds": 20, "max_depth": 3},
-    }
+PINNED_SWEEP = json.loads(MINI_SWEEP_PIN.read_text())
 
 
 def mini_config(out_dir: str, **kwargs) -> ExperimentConfig:
@@ -139,6 +122,10 @@ VALID_OVERRIDES = _section(
     ),
     policy=_section(tau=UNIT, as_new_class=st.booleans()),
 ).map(_fit_model)
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("called")
 
 
 def tree_files(root: Path) -> list[Path]:
@@ -622,7 +609,7 @@ class TestStages:
 @pytest.fixture(scope="module")
 def mini_sweep(tmp_path_factory):
     out = tmp_path_factory.mktemp("sweep")
-    cfg = mini_config(str(out / "runs"), name="sweepA")
+    cfg = mini_sweep_config(str(out / "runs"))
     sweep = run_sweep(cfg, jobs=1)
     return cfg, sweep
 
@@ -642,11 +629,7 @@ class TestSweep:
 
     def test_tree_matches_the_pinned_digests(self, mini_sweep):
         _, sweep = mini_sweep
-        got = {
-            path.relative_to(sweep.root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(sweep.root.rglob("*"))
-            if path.is_file() and path.name != "manifest.json"
-        }
+        got = sweep_digests(sweep.root)
         if host_fingerprint() == PINNED_SWEEP["host"]:
             assert got == PINNED_SWEEP["files"]
         else:  # training rounds differently on another numpy build or CPU
@@ -757,6 +740,84 @@ class TestSweep:
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(StageError, match=r"no sha256 for .*excl_0/preds\.csv"):
             load_sweep(copy)
+
+    @pytest.mark.parametrize("name,edit", [
+        ("excl_1/model.bin", lambda blob: blob[:-8]),  # its last weight cut off
+        ("excl_2/corrector.txt", lambda blob: b"garbage\n"),
+        ("excl_0/metrics.csv", lambda blob: blob + b"\n"),
+        ("excl_none/history.csv", lambda blob: blob.replace(b"0", b"1", 1)),
+    ], ids=["model", "corrector", "metrics", "history"])
+    def test_reload_rejects_a_changed_run_file(self, mini_sweep, tmp_path, name, edit):
+        # not only the logs it reads: the report vouches for every run file
+        _, sweep = mini_sweep
+        copy = tmp_path / "copy"
+        shutil.copytree(sweep.root, copy)
+        target = copy / name
+        target.write_bytes(edit(target.read_bytes()))
+        with pytest.raises(StageError, match=re.escape(
+                f"{target} does not match its sha256 in the manifest")) as err:
+            load_sweep(copy)
+        assert err.value.stage == "report"
+
+    def test_reload_rejects_a_missing_run_file(self, mini_sweep, tmp_path):
+        _, sweep = mini_sweep
+        copy = tmp_path / "copy"
+        shutil.copytree(sweep.root, copy)
+        (copy / "excl_2" / "metrics.csv").unlink()
+        with pytest.raises(StageError, match=re.escape(
+                f"cannot read {copy / 'excl_2' / 'metrics.csv'}: no such file in")):
+            load_sweep(copy)
+
+    def test_reload_reads_only_files_of_the_run_directory(self, mini_sweep, tmp_path):
+        # a listed name that leads out of the run directory is not a run file
+        _, sweep = mini_sweep
+        copy = tmp_path / "copy"
+        shutil.copytree(sweep.root, copy)
+        manifest = json.loads((copy / "manifest.json").read_text())
+        manifest["runs"]["excl_0"]["../table3.csv"] = manifest["tables"]["table3.csv"]
+        (copy / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StageError, match=re.escape(
+                f"cannot read {copy / 'excl_0' / '../table3.csv'}: no such file in")):
+            load_sweep(copy)
+
+    def test_reload_rejects_an_unlisted_run_file(self, mini_sweep, tmp_path):
+        _, sweep = mini_sweep
+        copy = tmp_path / "copy"
+        shutil.copytree(sweep.root, copy)
+        (copy / "excl_0" / "notes.txt").write_text("added later\n")
+        with pytest.raises(StageError, match=re.escape(
+                f"manifest lists no sha256 for {copy / 'excl_0' / 'notes.txt'}")):
+            load_sweep(copy)
+
+    @pytest.mark.parametrize("excluded", [None, 0, 1, 2])
+    def test_a_run_replays_from_its_checkpoints(self, mini_sweep, tmp_path, excluded):
+        # model.bin (and corrector.txt) alone recompose the test split into the
+        # very preds.csv and metrics.csv the run wrote
+        cfg, sweep = mini_sweep
+        run_dir = sweep.root / ("excl_none" if excluded is None else f"excl_{excluded}")
+        plan = plan_run(cfg, excluded)
+        model = load_model(run_dir / "model.bin")
+        if excluded is None:
+            _, base_probs = predict_batch(model, plan.test_set)
+            preds = decide_batch(base_probs, np.zeros_like(base_probs), None)
+        else:
+            policy = replace(cfg.policy, excluded_label=excluded)
+            preds = compose_batch(model, load_ensemble(run_dir / "corrector.txt"), policy,
+                                  plan.test_set)
+        report = evaluate(PairedPredictions(
+            plan.test_set.labels, preds.base_labels, preds.corrected_labels, 3))
+        write_prediction_log(preds, plan.test_set.labels, 3, tmp_path / "preds.csv")
+        (tmp_path / "metrics.csv").write_text(report_to_csv(report), encoding="ascii")
+        for name in ("preds.csv", "metrics.csv"):
+            assert (tmp_path / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+    def test_the_pin_recorder_refuses_another_host(self, monkeypatch):
+        monkeypatch.setattr(reference_fixture, "host_fingerprint", lambda: {"machine": "other"})
+        monkeypatch.setattr(reference_fixture, "run_sweep", _never_called)
+        before = MINI_SWEEP_PIN.read_bytes()
+        with pytest.raises(SystemExit, match="is not the pinned host"):
+            reference_fixture.record_mini_sweep()
+        assert MINI_SWEEP_PIN.read_bytes() == before
 
     def test_reload_needs_manifest(self, tmp_path):
         with pytest.raises(StageError, match="manifest"):
