@@ -1,9 +1,11 @@
 """Train the staged base classifier and peek at its internal stages.
 
 A small conv -> one-way LSTM -> attention -> fc network trained with weighted
-cross-entropy and early stopping. Every stage's activations are exposed as
-one latent matrix whose column blocks are named by stage, which is what the
-corrector consumes downstream.
+cross-entropy and early stopping. The baseline run (no class excluded) is set
+up and trained by the harness stages (``plan_run``, ``train_run``) from a small
+config document, exactly as ``run_single`` would train it. Every stage's
+activations are exposed as one latent matrix whose column blocks are named by
+stage, which is what the corrector consumes downstream.
 """
 
 import tempfile
@@ -11,36 +13,27 @@ from pathlib import Path
 
 import numpy as np
 
-from mclab.basemodel import (
-    ModelConfig, StagedModel, TrainConfig, forward_latents, load_model,
-    predict_batch, save_model, train,
-)
-from mclab.core import (
-    Rng, SplitSpec, class_weights, split_dataset, validation_slice,
-)
-from mclab.datagen import ProfileConfig, generate_gaussian
+from mclab.basemodel import forward_latents, load_model, predict_batch, save_model
+from mclab.harness import normalize_config, plan_run, train_run
+
+CONFIG = {
+    "seed": 0,
+    "dataset": {"n_total": 900, "profile": {
+        "proportions": [0.5, 0.3, 0.2], "names": ["A", "B", "C"],
+        "close_pair": [0, 2], "close_distance": 6.0}},
+    "model": {"conv_channels": [2, 4, 8], "n_classes": 3},
+    "train": {"learning_rate": 0.05, "batch_size": 32, "max_epochs": 45,
+              "patience": 10, "dropout_p": 0.1},
+}
 
 
 def main() -> None:
-    spec = ProfileConfig(
-        dim=64, proportions=(0.5, 0.3, 0.2), names=("A", "B", "C"),
-        close_pair=(0, 2), close_distance=6.0,
-    ).to_cluster_spec()
-    data = generate_gaussian(spec, 900, Rng.from_seed(3).derive("data"))
-    train_set, _, test_set = split_dataset(data, SplitSpec(seed=3))
-    # early stopping validates on a slice of the train split; the test split
-    # is only scored
-    fit_set, val_set = validation_slice(train_set, split_seed=3)
-
-    config = ModelConfig(input_shape=(1, 8, 8), conv_channels=(2, 4, 8), n_classes=3)
-    model = StagedModel(config, seed=3)
-    weights = class_weights(fit_set)
-    model, history = train(
-        model, fit_set, val_set, weights,
-        TrainConfig(learning_rate=0.05, batch_size=32, max_epochs=45,
-                    patience=10, dropout_p=0.1),
-        seed=3,  # draws the shuffles and dropout masks
-    )
+    # data, split, validation slice, class weights and the init and train
+    # streams: the run's set-up stage. Early stopping validates on a slice of
+    # the train split; the test split is only scored
+    plan = plan_run(normalize_config(CONFIG), None)
+    model, history = train_run(plan)
+    test_set = plan.test_set
 
     print(f"{'epoch':>6}{'train loss':>12}{'val acc':>9}")
     for epoch, loss, acc in history.rows:

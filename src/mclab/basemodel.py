@@ -25,7 +25,7 @@ from typing import Sequence, get_type_hints
 
 import numpy as np
 
-from .core import MAX_CLASSES, LabeledDataset, Rng, _check_seed, _LineReader, _value
+from .core import MAX_CLASSES, LabeledDataset, Rng, _LineReader, _value
 from .stages import AttentionStage, ConvStage, HeadStage, LstmStage, softmax
 
 __all__ = [
@@ -180,14 +180,13 @@ def weighted_ce_loss(probs: np.ndarray, label: int, weights: np.ndarray) -> floa
 class StagedModel:
     """Conv -> LSTM -> attention -> head classifier over small image tensors.
 
-    Flat feature vectors whose length equals prod(input_shape) are reshaped
-    transparently, so Gaussian-cluster datasets feed the conv front end too.
+    Flat feature vectors whose length equals prod(input_shape) are reshaped transparently,
+    so Gaussian-cluster datasets feed the conv front end too; ``rng`` draws the weights.
     """
 
-    def __init__(self, config: ModelConfig, rng: Rng | None = None, seed: int = 0):
-        _check_seed(seed)
+    def __init__(self, config: ModelConfig, rng: Rng):
         self.config = config
-        gen = (rng if rng is not None else Rng.from_seed(seed).derive("init")).generator()
+        gen = rng.generator()
         c0 = config.input_shape[0]
         self.conv = ConvStage(c0, config.conv_channels, gen)
         self.lstm = LstmStage(config.width, config.width, gen)
@@ -389,16 +388,15 @@ def train(
     val_set: LabeledDataset,
     weights: np.ndarray,
     config: TrainConfig,
-    seed: int,
+    rng: Rng,
 ) -> tuple[StagedModel, TrainingHistory]:
     """SGD with a fixed learning rate and accuracy-based early stopping.
 
     A class left out of training has weight 0 and no samples in ``train_set``
     (``core.exclude_class`` deletes them). The best-validation
     parameters are restored before returning; if train loss rose at the
-    checkpoint epoch, a warning is logged. ``seed`` draws the shuffles and dropout.
+    checkpoint epoch, a warning is logged. ``rng`` draws the shuffles and dropout masks.
     """
-    _check_seed(seed)
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (model.config.n_classes,) or np.any(weights < 0):
         raise ValueError("weights must be a non-negative length-K vector")
@@ -412,7 +410,7 @@ def train(
         raise ValueError("empty validation set")
 
     model.set_input_stats(train_set)
-    gen = Rng.from_seed(seed).derive("train").generator()
+    gen = rng.generator()
     x_all = train_set.features
     y_all = train_set.labels
     n = len(train_set)
@@ -556,7 +554,7 @@ def load_model(path: str | Path) -> StagedModel:
         bad = block[~np.isfinite(block)]
         if bad.size:
             raise ValueError(f"{path}: block {i} {name!r} holds {bad[0]}, not a finite float64")
-    model = StagedModel(cfg)
+    model = StagedModel(cfg, Rng.from_seed(0))  # every weight it draws is overwritten below
     for (_, arr), block in zip(model.buffers() + model.params(), weights):
         arr[...] = block.reshape(arr.shape)
     return model

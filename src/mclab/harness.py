@@ -2,9 +2,9 @@
 
 One run is three stages. ``plan_run`` splits the data, carves the
 early-stopping slice off the train split (``core.validation_slice``), drops
-the excluded class from both parts and derives the run's seeds, all held in
-a frozen ``RunPlan``. ``train_run`` trains the base model on the plan, and
-``score_run`` fits the corrector on the correct split's latents and scores
+the excluded class from both parts and derives the run's random streams,
+all held in a frozen ``RunPlan``. ``train_run`` trains the base model on the
+plan, and ``score_run`` fits the corrector on the correct split's latents and scores
 the test split; neither split takes part in training or model selection.
 ``run_single`` chains the stages and persists. A sweep repeats this for every class plus
 one no-exclusion baseline, then renders cross-run tables:
@@ -15,12 +15,13 @@ one no-exclusion baseline, then renders cross-run tables:
 
 Every run derives its seeds from (master seed, excluded class), so single
 runs replay sweep entries exactly and whole sweeps are byte-reproducible on
-one host, with any number of worker processes. Across hosts only the dataset
-and the split are meant to be byte-stable (counter-based RNG streams and
-exact IEEE arithmetic); the acceptance gate checks their checksums on every
-host. Training goes through BLAS matrix products and numpy's SIMD
-``exp``/``tanh``, whose rounding depends on the numpy build and the CPU, so
-trained weights and every number downstream of them may differ across hosts.
+one host, with any number of worker processes. Across hosts only the
+dataset, the split and the initial weights are meant to be byte-stable
+(counter-based RNG streams and exact IEEE arithmetic); the acceptance gate
+checks their checksums on every host. Training goes through BLAS matrix
+products and numpy's SIMD ``exp``/``tanh``, whose rounding depends on the
+numpy build, the BLAS kernel and the CPU, so trained weights and every
+number downstream of them may differ across hosts.
 
 The experiment config is a tree of frozen dataclasses rooted at
 ``ExperimentConfig``. Each checks its own fields when it is built, whether
@@ -333,7 +334,8 @@ def build_dataset(config: ExperimentConfig) -> LabeledDataset:
 
 @dataclass(frozen=True)
 class RunPlan:
-    """A run as ``plan_run`` sets it up: its splits, weights and training seeds."""
+    """A run as ``plan_run`` sets it up: its splits, class weights and the streams of its
+    initial weights (``init_rng``) and of its shuffles and dropout (``train_rng``)."""
 
     config: ExperimentConfig
     excluded: int | None
@@ -344,7 +346,7 @@ class RunPlan:
     val_set: LabeledDataset  # that slice; neither holds the excluded class
     weights: np.ndarray
     init_rng: Rng
-    train_seed: int
+    train_rng: Rng
 
 
 def plan_run(config: ExperimentConfig, excluded: int | None) -> RunPlan:
@@ -371,15 +373,15 @@ def plan_run(config: ExperimentConfig, excluded: int | None) -> RunPlan:
         weights = class_weights(fit_set, excluded=() if excluded is None else (excluded,))
     return RunPlan(config, excluded, train_set, correct_set, test_set, fit_set, val_set,
                    weights, Rng.from_seed(config.seed).derive("run", word, "init"),
-                   derived_seed(config.seed, "run", word, "train"))
+                   Rng.from_seed(derived_seed(config.seed, "run", word, "train")).derive("train"))
 
 
 def train_run(plan: RunPlan) -> tuple[StagedModel, TrainingHistory]:
     """Stage ``train``: the base model, blind to the excluded class."""
     with _stage("train"):
-        model = StagedModel(plan.config.model, rng=plan.init_rng)
+        model = StagedModel(plan.config.model, plan.init_rng)
         return train(model, plan.fit_set, plan.val_set, plan.weights, plan.config.train,
-                     plan.train_seed)
+                     plan.train_rng)
 
 
 def score_run(plan: RunPlan, model: StagedModel) -> tuple:
@@ -437,29 +439,17 @@ class SweepResult:
 def run_sweep(config: ExperimentConfig, jobs: int = 1) -> SweepResult:
     """Run the baseline plus every exclusion, then render the report tables.
 
-    ``jobs`` > 1 runs them in worker processes, at most one per run."""
-    k = config.model.n_classes
-    entries: list[int | None] = [None] + list(range(k))
-    results: dict[int | None, RunResult] = {}
+    ``jobs`` > 1 runs them in worker processes, at most one per run. The first run to fail,
+    in entry order, is raised, and the runs not yet started are cancelled."""
+    entries = [None, *range(config.model.n_classes)]
+    run = partial(run_single, config)
     if jobs <= 1:
-        for entry in entries:
-            results[entry] = run_single(config, excluded=entry)
+        baseline, *runs = map(run, entries)
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(entries))) as pool:
-            futures = {pool.submit(run_single, config, entry): entry for entry in entries}
-            try:
-                for fut in concurrent.futures.as_completed(futures):
-                    results[futures[fut]] = fut.result()
-            except BaseException:
-                for fut in futures:
-                    fut.cancel()
-                raise
-    sweep = SweepResult(
-        config=config,
-        root=config.root,
-        baseline=results[None],
-        runs={c: results[c] for c in range(k)},
-    )
+            baseline, *runs = pool.map(run, entries)
+    sweep = SweepResult(config=config, root=config.root, baseline=baseline,
+                        runs=dict(enumerate(runs)))
     render_report(sweep)
     return sweep
 

@@ -3,10 +3,10 @@ record them.
 
 ``fixtures/reference_toy.json``, the reference fixture of the acceptance
 gate, holds the outcome of the default exclusion sweep, the sha256 checksums
-of the dataset and of the three split parts that sweep uses, and the
-fingerprint of the host it was recorded on. The checksums hold on every
-host; the sweep numbers only on a host with the same fingerprint. Re-record
-it from the repository root with
+of the dataset, of the three split parts that sweep uses and of each of its
+runs' initial weights, and the fingerprint of the host it was recorded on.
+The checksums hold on every host; the sweep numbers only on a host with the
+same fingerprint. Re-record it from the repository root with
 
     PYTHONPATH=src python tests/reference_fixture.py
 
@@ -26,6 +26,7 @@ rewrites only the ``files`` map and prints every digest that changed.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import platform
@@ -35,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
+from mclab.basemodel import StagedModel
 from mclab.core import LabeledDataset
 from mclab.harness import ExperimentConfig, build_dataset, normalize_config, plan_run, run_sweep
 
@@ -47,8 +49,9 @@ COMMENT = (
     "n_total=7000, 7 classes, master seed 0, one worker). Criterion 6 of "
     "tests/test_acceptance.py re-runs that sweep. 'thresholds' holds its hard "
     "quality gates, which it applies on every host, and 'fixture_drift'. "
-    "'checksums' (sha256 of the dataset and of the train/correct/test split "
-    "parts) hold across hosts and are compared exactly on every host. "
+    "'checksums' (sha256 of the dataset, of the train/correct/test split "
+    "parts and of the initial weights of the baseline and of each exclusion "
+    "run) hold across hosts and are compared exactly on every host. "
     "'derived' (the baseline and per-corrector numbers) and "
     "'recorded.elapsed_seconds_single_thread' hold only on the recording host: "
     "base training goes through BLAS and numpy's SIMD exp/tanh, whose rounding "
@@ -97,9 +100,21 @@ def sweep_digests(root: Path) -> dict[str, str]:
             if path.is_file() and path.name != "manifest.json"}
 
 
+def blas_kernel() -> str | None:
+    """The kernel numpy's bundled OpenBLAS picked when it loaded (it follows the
+    CPU, or ``OPENBLAS_CORETYPE``), or None where that library has no such symbol."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode("ascii")
+    return None
+
+
 def host_fingerprint() -> dict:
     """What decides float rounding in training: interpreter, numpy build,
-    BLAS, the SIMD paths numpy dispatches to, and the CPU architecture."""
+    BLAS and the kernel it runs, the SIMD paths numpy dispatches to, and the
+    CPU architecture."""
     try:
         info = np.show_config(mode="dicts")
     except TypeError:  # numpy before 1.25 only prints its config
@@ -109,6 +124,7 @@ def host_fingerprint() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas_kernel": blas_kernel(),
         "cpu_dispatch": sorted(info.get("SIMD Extensions", {}).get("found", [])),
         "machine": platform.machine(),
     }
@@ -122,13 +138,27 @@ def dataset_sha256(data: LabeledDataset) -> str:
     return h.hexdigest()
 
 
+def weights_sha256(model: StagedModel) -> str:
+    """sha256 of a model's parameters as ``<f8`` bytes, in ``params()`` order."""
+    h = hashlib.sha256()
+    for _, arr in model.params():
+        h.update(arr.astype("<f8").tobytes())
+    return h.hexdigest()
+
+
 def stage_checksums(config) -> dict:
-    """Checksums of the stages that do no float rounding that varies by host."""
-    plan = plan_run(config, None)
-    parts = (plan.train_set, plan.correct_set, plan.test_set)
+    """Checksums of the stages that do no float rounding that varies by host:
+    the dataset, the split, and the initial weights of the baseline and of
+    each exclusion run, drawn from the plan's init stream and not trained."""
+    runs = {"baseline": None, **{str(c): c for c in range(config.model.n_classes)}}
+    plans = {name: plan_run(config, c) for name, c in runs.items()}
+    base = plans["baseline"]
+    parts = (base.train_set, base.correct_set, base.test_set)
     return {
         "dataset": dataset_sha256(build_dataset(config)),
         "split": {name: dataset_sha256(p) for name, p in zip(SPLIT_PARTS, parts)},
+        "initial_weights": {name: weights_sha256(StagedModel(config.model, plan.init_rng))
+                            for name, plan in plans.items()},
     }
 
 

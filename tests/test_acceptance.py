@@ -30,7 +30,7 @@ from mclab.metrics import (
 )
 
 from reference_fixture import FIXTURE, SPLIT_PARTS, host_fingerprint, stage_checksums
-from test_basemodel import SMALL
+from test_basemodel import SMALL, init_rng
 from test_corrector import xor_dataset
 from test_harness import mini_config, tree_files
 from test_metrics import REF_HARM, REF_RETENTION, random_pair
@@ -122,7 +122,7 @@ def test_criterion_3_full_model_gradients():
     seeds = 10
     for seed in range(seeds):
         gen = np.random.default_rng(seed)
-        model = StagedModel(SMALL, seed=seed)
+        model = StagedModel(SMALL, init_rng(seed))
         x = gen.standard_normal((3, 1, 8, 8))
         y = gen.integers(0, 3, size=3)
         w = np.array([0.5, 1.0, 2.0])
@@ -190,13 +190,17 @@ def test_criterion_6_exclusion_sweep_quality(reference_sweep):
     tpr_max, drift = t["tpr_base_excluded_max"], t["fixture_drift"]
     failures = []
 
-    # Cross-host tier: the dataset and the split are exact on every host.
+    # Cross-host tier: the dataset, the split and the initial weights are
+    # exact on every host.
     sums = stage_checksums(cfg)
     if sums["dataset"] != fixture["checksums"]["dataset"]:
         failures.append("dataset checksum differs from fixture")
     for part in SPLIT_PARTS:
         if sums["split"][part] != fixture["checksums"]["split"][part]:
             failures.append(f"{part} split checksum differs from fixture")
+    for run, digest in fixture["checksums"]["initial_weights"].items():
+        if sums["initial_weights"][run] != digest:
+            failures.append(f"run {run}: initial weights checksum differs from fixture")
 
     # Recording-host tier: trained numbers drift only by float order elsewhere.
     same_host = host_fingerprint() == fixture["recorded"]["host"]
@@ -246,8 +250,8 @@ def test_criterion_6_exclusion_sweep_quality(reference_sweep):
         ok,
         f"7000-sample 7-class sweep: min retention_macro {worst_ret:.3f} >= "
         f"{ret_min}, min excluded gain {worst_gain:.3f} > {gain_min}, max "
-        f"excluded base TPR {worst_tpr:.3f} <= {tpr_max}, dataset and split "
-        f"checksums exact, {tier} ({elapsed:.0f}s < 900s)"
+        f"excluded base TPR {worst_tpr:.3f} <= {tpr_max}, dataset, split and "
+        f"initial weights checksums exact, {tier} ({elapsed:.0f}s < 900s)"
         + (f"; {'; '.join(failures)}" if failures else ""),
     )
     assert ok, line

@@ -5,8 +5,8 @@ removed name fails here, not only in a benchmark run, and one compose_infer
 pass passes its own check.
 Only ``core``'s line reader decodes a file's text or names a fault's line,
 the package defines two exception types, no config has a ``validate``
-method, no rule has a second copy, and only ``harness.plan_run`` derives a
-run's seeds."""
+method, no rule has a second copy, only ``harness.plan_run`` derives a
+run's seeds, and ``basemodel`` derives no stream of its own."""
 
 import ast
 import builtins
@@ -178,11 +178,28 @@ def test_a_runs_seed_paths_are_written_once():
     assert found == []
 
 
+def _derivations(tree: ast.AST) -> list[tuple[int, str]]:
+    """Every ``derived_seed`` or ``.derive`` call, whatever its words."""
+    return [(node.lineno, ast.unparse(node.func)) for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func).endswith(("derived_seed", ".derive"))]
+
+
+def test_the_model_derives_no_stream():
+    """``StagedModel`` and ``train`` draw from the ``Rng`` they are given (a run's
+    come from its ``RunPlan``), so no model has a seed path of its own."""
+    source = Path(mclab.__file__).parent / "basemodel.py"
+    assert _derivations(ast.parse(source.read_text(encoding="utf-8"))) == []
+
+
 def test_the_seed_path_guard_sees_each_form():
     source = ("derived_seed(s, 'split')\ncore.derived_seed(s, 'run', w, 'train')\n"
               "Rng.from_seed(s).derive('run', w, 'init')\nderived_seed(s, 'heldout')\n"
-              "Rng.from_seed(s).derive('split')\n")
-    assert [line for line, _ in _run_seed_paths(ast.parse(source))] == [1, 2, 3]
+              "Rng.from_seed(s).derive('split')\nrng.derive('train')\n"
+              "Rng.from_seed(0).generator()\n")
+    tree = ast.parse(source)
+    assert [line for line, _ in _run_seed_paths(tree)] == [1, 2, 3]
+    assert sorted(line for line, _ in _derivations(tree)) == [1, 2, 3, 4, 5, 6]
 
 
 PERFBENCH = ROOT / "perfbench"

@@ -8,6 +8,7 @@ oracle as the stage tests.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 
@@ -41,6 +42,16 @@ SMALL = ModelConfig(input_shape=(1, 8, 8), conv_channels=(2, 2, 4), n_classes=3)
 FEAR_WEIGHT = 7669 / 166  # majority-to-minority count ratio of the reference corpus
 
 
+def init_rng(seed: int) -> Rng:
+    """The stream of a test model's initial weights, one per test seed."""
+    return Rng.from_seed(seed).derive("init")
+
+
+def train_rng(seed: int) -> Rng:
+    """The stream of a test training run's shuffles and dropout masks."""
+    return Rng.from_seed(seed).derive("train")
+
+
 def blob_dataset(n_per: int, centers: np.ndarray, seed: int, scale: float = 0.5) -> LabeledDataset:
     """K well-separated Gaussian blobs in dimension 64, shuffled."""
     gen = np.random.default_rng(seed)
@@ -62,12 +73,12 @@ def two_class_data():
 
 @pytest.fixture(scope="module")
 def trained_two_class(two_class_data):
-    model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 2), seed=0)
+    model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 2), init_rng(0))
     cfg = TrainConfig(learning_rate=0.05, batch_size=16, max_epochs=8, patience=10,
                       dropout_p=0.0)
     val = two_class_data.subset(np.arange(0, 120, 4))
     tr = two_class_data.subset(np.setdiff1d(np.arange(120), np.arange(0, 120, 4)))
-    model, history = train(model, tr, val, np.ones(2), cfg, 0)
+    model, history = train(model, tr, val, np.ones(2), cfg, train_rng(0))
     return model, history, tr
 
 
@@ -129,7 +140,7 @@ class TestWeightedCeLoss:
         # the loss training minimises divides the weighted sum by the batch
         # size, not by the sum of the picked weights
         gen = np.random.default_rng(31)
-        model = StagedModel(ModelConfig(n_classes=7), seed=4)
+        model = StagedModel(ModelConfig(n_classes=7), init_rng(4))
         x = gen.standard_normal((37, 1, 8, 8))
         y = gen.integers(0, 7, size=37)
         w = np.array([0.0, 0.4, 1.0, 2.5, 7.0, 15.0, 40.0])
@@ -145,48 +156,51 @@ class TestForward:
         # 1000 fresh random parameter sets, one random input each
         gen = np.random.default_rng(42)
         for seed in range(1000):
-            model = StagedModel(SMALL, seed=seed)
+            model = StagedModel(SMALL, init_rng(seed))
             fwd = model.forward_batch(gen.standard_normal((1, 1, 8, 8)))
             p = fwd["probs"]
             assert np.all(p >= 0)
             assert float(p.sum()) == pytest.approx(1.0, abs=1e-6)
 
     def test_zero_parameters_give_uniform_probabilities(self):
-        model = StagedModel(ModelConfig(), seed=0)
+        model = StagedModel(ModelConfig(), init_rng(0))
         for _, param in model.params():
             param[...] = 0.0
         fwd = model.forward_batch(np.random.default_rng(0).standard_normal((3, 1, 8, 8)))
         np.testing.assert_array_equal(fwd["probs"], np.full((3, 7), 1.0 / 7.0))
 
     def test_single_position_attention_weight_is_one(self):
-        model = StagedModel(ModelConfig(), seed=1)
+        model = StagedModel(ModelConfig(), init_rng(1))
         fwd = model.forward_batch(np.random.default_rng(1).standard_normal((2, 1, 8, 8)))
         attn = fwd["caches"][2][4]
         assert attn.shape == (2, 1, 1)
         assert np.all(attn == 1.0)
 
     def test_forward_is_deterministic_without_dropout(self):
-        model = StagedModel(SMALL, seed=2)
+        model = StagedModel(SMALL, init_rng(2))
         x = np.random.default_rng(2).standard_normal((4, 1, 8, 8))
         a = model.forward_batch(x)["probs"]
         b = model.forward_batch(x)["probs"]
         np.testing.assert_array_equal(a, b)
 
     def test_flat_features_reshape_when_sizes_match(self):
-        model = StagedModel(SMALL, seed=3)
+        model = StagedModel(SMALL, init_rng(3))
         x = np.random.default_rng(3).standard_normal((2, 64))
         a = model.forward_batch(x)["probs"]
         b = model.forward_batch(x.reshape(2, 1, 8, 8))["probs"]
         np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize("seed", [1.5, True, -1, 2**64, np.int64(3)], ids=repr)
-    def test_model_seed_is_a_plain_int(self, seed):
-        # the seed is checked even where the rng given in its place draws the weights
-        with pytest.raises(ValueError, match="^seed: must be a 64-bit non-negative integer"):
-            StagedModel(ModelConfig(), rng=Rng.from_seed(0), seed=seed)
+    def test_the_rng_is_the_only_source_of_weights(self):
+        # no seed argument that a given rng would silently override, and no default stream
+        with pytest.raises(TypeError):
+            StagedModel(SMALL, rng=init_rng(0), seed=5)
+        with pytest.raises(TypeError):
+            StagedModel(SMALL)
+        a, b = StagedModel(SMALL, init_rng(3)), StagedModel(SMALL, init_rng(3))
+        assert all(np.array_equal(p, q) for (_, p), (_, q) in zip(a.params(), b.params()))
 
     def test_rejects_incompatible_shape(self):
-        model = StagedModel(SMALL, seed=0)
+        model = StagedModel(SMALL, init_rng(0))
         with pytest.raises(ValueError, match="incompatible"):
             model.forward_batch(np.zeros((2, 63)))
 
@@ -203,7 +217,7 @@ class TestComposedGradients:
         # default-shaped input: the conv stack pools 8x8 down to one position
         for seed in range(10):
             gen = np.random.default_rng(seed)
-            model = StagedModel(SMALL, seed=seed)
+            model = StagedModel(SMALL, init_rng(seed))
             x = gen.standard_normal((3, 1, 8, 8))
             y = gen.integers(0, 3, size=3)
             w = np.array([0.5, 1.0, 2.0])
@@ -226,7 +240,7 @@ class TestComposedGradients:
         cfg = ModelConfig((1, 16, 16), (2, 2, 4), 3)
         for seed in (0, 3):
             gen = np.random.default_rng(50 + seed)
-            model = StagedModel(cfg, seed=seed)
+            model = StagedModel(cfg, init_rng(seed))
             x = gen.standard_normal((2, 1, 16, 16))
             y = gen.integers(0, 3, size=2)
             w = np.ones(3)
@@ -248,7 +262,7 @@ class TestComposedGradients:
         # loss_and_grads asks the conv stage for no input gradient; the same
         # step with the full conv backward (input gradient computed and
         # discarded) must give the same bytes for the loss and every gradient
-        model = StagedModel(ModelConfig(), seed=batch)
+        model = StagedModel(ModelConfig(), init_rng(batch))
         gen = np.random.default_rng(batch)
         x = gen.standard_normal((batch, 1, 8, 8))
         y = gen.integers(0, 7, size=batch)
@@ -277,7 +291,7 @@ class TestComposedGradients:
         # gradient; the one LSTM step starts from a zero state with a zero
         # cell, so lstm.wh and the forget gate's blocks of lstm.wx and lstm.b
         # get none either. README names these 1,840 of the 5,095 parameters.
-        model = StagedModel(ModelConfig(), seed=0)
+        model = StagedModel(ModelConfig(), init_rng(0))
         assert model.config.conv_out_shape[1:] == (1, 1)
         gen = np.random.default_rng(0)
         x = gen.standard_normal((64, 1, 8, 8))
@@ -300,7 +314,7 @@ class TestComposedGradients:
             assert grad.any(), name
 
     def test_zero_model_head_bias_gradient_closed_form(self):
-        model = StagedModel(SMALL, seed=0)
+        model = StagedModel(SMALL, init_rng(0))
         for _, param in model.params():
             param[...] = 0.0
         gen = np.random.default_rng(9)
@@ -318,7 +332,7 @@ class TestComposedGradients:
                 assert np.all(grads[name] == 0.0), name
 
     def test_loss_decreases_on_separable_toy(self, two_class_data):
-        model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 2), seed=1)
+        model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 2), init_rng(1))
         x = two_class_data.features[:32]
         y = two_class_data.labels[:32]
         w = np.ones(2)
@@ -333,51 +347,59 @@ class TestComposedGradients:
 
 class TestTrain:
     def test_patience_zero_stops_one_epoch_after_first(self, two_class_data):
-        model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 2), seed=0)
+        model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 2), init_rng(0))
         cfg = TrainConfig(learning_rate=0.0, batch_size=16, max_epochs=10, patience=0,
                           dropout_p=0.0)
-        _, history = train(model, two_class_data, two_class_data, np.ones(2), cfg, 0)
+        _, history = train(model, two_class_data, two_class_data, np.ones(2), cfg, train_rng(0))
         assert len(history.rows) == 2
         assert history.stopped_early
         assert history.best_epoch == 1
 
     def test_runs_to_max_epochs_when_patience_never_triggers(self, two_class_data):
-        model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 2), seed=0)
+        model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 2), init_rng(0))
         cfg = TrainConfig(learning_rate=0.05, batch_size=16, max_epochs=5, patience=10,
                           dropout_p=0.0)
-        _, history = train(model, two_class_data, two_class_data, np.ones(2), cfg, 0)
+        _, history = train(model, two_class_data, two_class_data, np.ones(2), cfg, train_rng(0))
         assert len(history.rows) == 5
         assert not history.stopped_early
 
     def test_seven_class_toy_reaches_high_validation_accuracy(self):
         data = generate_gaussian(ProfileConfig().to_cluster_spec(), 1000, Rng.from_seed(0))
         tr, val, _ = split_dataset(data, SplitSpec(fractions=(0.7, 0.15, 0.15), seed=0))
-        model = StagedModel(ModelConfig(), seed=0)
-        _, history = train(model, tr, val, class_weights(tr), TrainConfig(), 0)
+        model = StagedModel(ModelConfig(), init_rng(0))
+        _, history = train(model, tr, val, class_weights(tr), TrainConfig(), train_rng(0))
         assert history.best_val_acc >= 0.90
 
     def test_rejects_samples_of_a_zero_weight_class(self, two_class_data):
         # an excluded class is deleted from the train set, not masked by its weight
-        model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 2), seed=0)
+        model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 2), init_rng(0))
         with pytest.raises(ValueError, match="^class 1 has weight 0 but samples in the train"):
-            train(model, two_class_data, two_class_data, np.array([1.0, 0.0]), TrainConfig(), 0)
+            train(model, two_class_data, two_class_data, np.array([1.0, 0.0]), TrainConfig(),
+                  train_rng(0))
 
     def test_rejects_empty_train_set(self, two_class_data):
-        model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 2), seed=0)
+        model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 2), init_rng(0))
         empty = two_class_data.subset(np.arange(0))
         with pytest.raises(ValueError, match="^empty train set$"):
-            train(model, empty, two_class_data, np.ones(2), TrainConfig(), 0)
+            train(model, empty, two_class_data, np.ones(2), TrainConfig(), train_rng(0))
 
     def test_rejects_bad_weight_vector(self, two_class_data):
-        model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 2), seed=0)
+        model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 2), init_rng(0))
         with pytest.raises(ValueError, match="length-K"):
-            train(model, two_class_data, two_class_data, np.ones(5), TrainConfig(), 0)
+            train(model, two_class_data, two_class_data, np.ones(5), TrainConfig(), train_rng(0))
 
-    def test_rejects_unresolved_seed(self, two_class_data):
-        # the run's train seed is train's argument, resolved before it is called
-        model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 2), seed=0)
-        with pytest.raises(ValueError, match="^seed: must be a 64-bit non-negative integer, not None$"):
-            train(model, two_class_data, two_class_data, np.ones(2), TrainConfig(), None)
+    def test_the_rng_draws_every_shuffle_and_mask(self, two_class_data):
+        # train takes its stream and no seed: one rng trains the same model twice
+        params = list(inspect.signature(train).parameters)
+        assert params[-1] == "rng" and "seed" not in params
+        cfg = TrainConfig(max_epochs=2, batch_size=16, dropout_p=0.5)
+        runs = [train(StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 2), init_rng(0)),
+                      two_class_data, two_class_data, np.ones(2), cfg, train_rng(s))
+                for s in (1, 1, 2)]
+        (a, ha), (b, hb), (c, _) = runs
+        assert ha.rows == hb.rows
+        assert all(np.array_equal(p, q) for (_, p), (_, q) in zip(a.params(), b.params()))
+        assert not all(np.array_equal(p, q) for (_, p), (_, q) in zip(a.params(), c.params()))
 
     def test_history_csv_shape(self, trained_two_class):
         _, history, _ = trained_two_class
@@ -397,7 +419,7 @@ class TestTrain:
 
 class TestPredictBatch:
     def test_tie_breaks_toward_lowest_label(self):
-        model = StagedModel(SMALL, seed=0)
+        model = StagedModel(SMALL, init_rng(0))
         for _, param in model.params():
             param[...] = 0.0
         labels, probs = predict_batch(model, np.random.default_rng(0).standard_normal((5, 1, 8, 8)))
@@ -406,7 +428,7 @@ class TestPredictBatch:
 
     def test_matches_per_sample_brute_force(self, monkeypatch):
         monkeypatch.setattr(basemodel, "FORWARD_CHUNK", 7)
-        model = StagedModel(SMALL, seed=6)
+        model = StagedModel(SMALL, init_rng(6))
         gen = np.random.default_rng(6)
         x = gen.standard_normal((50, 1, 8, 8))
         labels, probs = predict_batch(model, x)
@@ -416,7 +438,7 @@ class TestPredictBatch:
             assert labels[i] == int(np.argmax(fwd["probs"][0]))
 
     def test_chunk_size_does_not_change_results(self, monkeypatch):
-        model = StagedModel(SMALL, seed=7)
+        model = StagedModel(SMALL, init_rng(7))
         x = np.random.default_rng(7).standard_normal((23, 1, 8, 8))
         monkeypatch.setattr(basemodel, "FORWARD_CHUNK", 5)
         l1, p1 = predict_batch(model, x)
@@ -435,7 +457,7 @@ class TestPredictBatch:
 
 class TestLatents:
     def test_record_length_is_layout_total(self):
-        model = StagedModel(ModelConfig(), seed=0)
+        model = StagedModel(ModelConfig(), init_rng(0))
         layout = model.latent_layout()
         assert layout.total == 16 + 16 + 16 + 16 + 7 == 71
         assert layout.offsets == (0, 16, 32, 48, 64)
@@ -455,7 +477,7 @@ class TestLatents:
         assert layout.block_slice("b") == slice(2, 5)
 
     def test_extraction_is_deterministic(self):
-        model = StagedModel(SMALL, seed=8)
+        model = StagedModel(SMALL, init_rng(8))
         x = np.random.default_rng(8).standard_normal((4, 1, 8, 8))
         a, la = stack_latents(extract_latents(model, x))
         b, lb = stack_latents(extract_latents(model, x))
@@ -463,7 +485,7 @@ class TestLatents:
         assert la == lb
 
     def test_latent_logits_match_plain_forward(self):
-        model = StagedModel(SMALL, seed=9)
+        model = StagedModel(SMALL, init_rng(9))
         x = np.random.default_rng(9).standard_normal((4, 1, 8, 8))
         recs = extract_latents(model, x)
         fwd = model.forward_batch(x)
@@ -472,7 +494,7 @@ class TestLatents:
 
     def test_forward_latents_equals_the_two_pass_path(self):
         # 300 rows cross the 256-row chunk boundary
-        model = StagedModel(SMALL, seed=10)
+        model = StagedModel(SMALL, init_rng(10))
         x = np.random.default_rng(10).standard_normal((300, 1, 8, 8))
         probs, matrix, layout = forward_latents(model, x)
         _, want_probs = predict_batch(model, x)
@@ -487,7 +509,7 @@ class TestLatents:
         assert matrix.shape == (300, layout.total)
 
     def test_forward_latents_blocks_hold_stage_outputs(self):
-        model = StagedModel(SMALL, seed=11)
+        model = StagedModel(SMALL, init_rng(11))
         x = np.random.default_rng(11).standard_normal((5, 1, 8, 8))
         probs, matrix, layout = forward_latents(model, x)
         fwd = model.forward_batch(x)
@@ -545,7 +567,7 @@ class TestCheckpoint:
     ), seed=st.integers(0, 2**32))
     @example(config=ModelConfig((2, 16, 16), (3, 2, 4), n_classes=5), seed=7)
     def test_any_config_round_trips_exactly(self, tmp_path_factory, config, seed):
-        model = StagedModel(config, seed=seed)
+        model = StagedModel(config, init_rng(seed))
         gen = np.random.default_rng(seed)
         model.input_mean = gen.standard_normal(config.input_shape[0])
         model.input_std = gen.uniform(0.5, 2.0, config.input_shape[0])
@@ -681,7 +703,7 @@ class TestCheckpointRejections:
     @pytest.fixture(scope="class")
     def raw(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("model") / "model.bin"
-        save_model(StagedModel(SMALL, seed=12), path)
+        save_model(StagedModel(SMALL, init_rng(12)), path)
         return path.read_bytes()
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
@@ -723,6 +745,6 @@ class TestCheckpointRejections:
         ModelConfig(input_shape=(3, 16, 8), conv_channels=(5, 6, 8), n_classes=11),
     ], ids=["small", "default", "wide"])
     def test_block_shapes_are_the_models(self, config):
-        model = StagedModel(config, seed=0)
+        model = StagedModel(config, init_rng(0))
         assert basemodel._block_shapes(config) == [
             (name, arr.shape) for name, arr in model.buffers() + model.params()]

@@ -33,6 +33,8 @@ from mclab.core import MAX_CLASSES
 from mclab.corrector import CorrectorEnsemble, GbdtConfig, fit
 from mclab.harness import ConfigError, normalize_config
 
+from test_basemodel import init_rng
+
 
 def stub_ensemble(probs) -> CorrectorEnsemble:
     """Treeless ensemble that emits a fixed posterior for every input.
@@ -64,7 +66,7 @@ def small_world():
     feats = gen.standard_normal((40, 64)).astype(np.float32)
     labels = gen.integers(0, 3, size=40)
     data = LabeledDataset(feats, labels, 3)
-    model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 3), seed=6)
+    model = StagedModel(ModelConfig((1, 8, 8), (2, 2, 4), 3), init_rng(6))
     _, latents, layout = forward_latents(model, data)
     return model, data, latents, layout
 

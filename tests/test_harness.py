@@ -9,8 +9,11 @@ import concurrent.futures
 import hashlib
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import is_dataclass, replace
 from pathlib import Path
 from types import NoneType
@@ -22,8 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mclab.basemodel import (
-    ModelConfig, StagedModel, TrainConfig, TrainingHistory, load_model, predict_batch,
-    save_model, train,
+    ModelConfig, TrainConfig, TrainingHistory, load_model, predict_batch, save_model,
 )
 from mclab.composer import DecisionPolicy, compose_batch, decide_batch, write_prediction_log
 from mclab.core import NEW_CLASS, LabeledDataset, SplitSpec
@@ -55,6 +57,7 @@ from reference_fixture import (
 )
 
 PINNED_SWEEP = json.loads(MINI_SWEEP_PIN.read_text())
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def mini_config(out_dir: str, **kwargs) -> ExperimentConfig:
@@ -297,14 +300,6 @@ def _numeric(hint) -> bool:
     return all(a in (int, float) for a in args)
 
 
-def _train_at_seed(seed):
-    """``basemodel.train`` for one epoch on a tiny three-class set."""
-    data = LabeledDataset(np.random.default_rng(0).normal(size=(12, 64)).astype(np.float32),
-                          np.arange(12) % 3, 3)
-    model = StagedModel(ModelConfig(conv_channels=(2, 2, 4), n_classes=3))
-    return train(model, data, data, np.ones(3), TrainConfig(max_epochs=1), seed)
-
-
 NUMERIC_FIELDS = [
     pytest.param(cls, name, id=f"{cls.__name__}.{name}")
     for cls in (ModelConfig, TrainConfig, GbdtConfig, SplitSpec, ProfileConfig,
@@ -353,8 +348,7 @@ class TestConstructionChecks:
         if path is not None:
             assert isinstance(err.value, ConfigError) and err.value.path == path
 
-    @pytest.mark.parametrize("cls", [ExperimentConfig, SplitSpec,
-                                     pytest.param(_train_at_seed, id="train")])
+    @pytest.mark.parametrize("cls", [ExperimentConfig, SplitSpec])
     @pytest.mark.parametrize("seed", [1.5, 1.0, True, False, np.int64(3), "3", None],
                              ids=repr)
     def test_a_seed_is_a_plain_int(self, cls, seed):
@@ -464,9 +458,9 @@ class TestRunSingle:
         seen = {}
         real = harness_mod.train
 
-        def spy(model, fit_set, val_set, weights, config, seed):
+        def spy(model, fit_set, val_set, weights, config, rng):
             seen["fit"], seen["val"] = fit_set, val_set
-            return real(model, fit_set, val_set, weights, config, seed)
+            return real(model, fit_set, val_set, weights, config, rng)
 
         monkeypatch.setattr(harness_mod, "train", spy)
         run_single(cfg, excluded=1, base_only=True)
@@ -604,6 +598,30 @@ class TestStages:
         assert_trees_identical(Path(result.run_dir), Path(again.run_dir))
         excluded = plan_run(cfg, np.uint8(1)).excluded
         assert type(excluded) is int and excluded == 1
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Puts a pool in place of ``ProcessPoolExecutor`` that runs each call in this
+    process, in entry order, so a monkeypatched ``run_single`` runs in it too; gives
+    the worker counts asked of it."""
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return [fn(*args) for args in zip(*iterables)]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return asked
 
 
 @pytest.fixture(scope="module")
@@ -842,37 +860,21 @@ class TestSweep:
         assert a["runs"] == b["runs"]
         assert a["tables"] == b["tables"]
 
-    def test_workers_are_capped_at_the_run_count(self, mini_sweep, tmp_path, monkeypatch):
+    def test_workers_are_capped_at_the_run_count(self, mini_sweep, tmp_path, in_process_pool):
         cfg, sweep = mini_sweep
-        asked = []
-
-        class InProcessPool:
-            """Records the worker count asked for; runs each call at submit."""
-
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         par = run_sweep(replace(cfg, output_dir=str(tmp_path / "runs")), jobs=10**6)
-        assert asked == [len(sweep.runs) + 1]
+        assert in_process_pool == [len(sweep.runs) + 1]
         assert_trees_identical(sweep.root, par.root, skip=("manifest.json",))
         a = json.loads((sweep.root / "manifest.json").read_text())
         b = json.loads((par.root / "manifest.json").read_text())
         assert a["runs"] == b["runs"]
         assert a["tables"] == b["tables"]
 
-    def test_failed_run_keeps_earlier_artifacts(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_run_keeps_earlier_artifacts(self, tmp_path, monkeypatch, in_process_pool,
+                                                jobs):
+        # jobs=2 maps through the in-process pool: a monkeypatched run_single
+        # cannot be pickled into a worker process
         cfg = mini_config(str(tmp_path / "runs"), name="partial")
         real = harness_mod.run_single
 
@@ -883,11 +885,30 @@ class TestSweep:
 
         monkeypatch.setattr(harness_mod, "run_single", flaky)
         with pytest.raises(StageError, match="corrector"):
-            run_sweep(cfg, jobs=1)
+            run_sweep(cfg, jobs=jobs)
+        assert in_process_pool == ([] if jobs == 1 else [jobs])
         root = tmp_path / "runs" / "partial"
         for tag in ("excl_none", "excl_0", "excl_1"):
             assert (root / tag / "history.csv").is_file(), tag
         assert not (root / "table3.csv").exists()
+
+
+def test_the_host_key_sees_the_blas_kernel():
+    # another OpenBLAS kernel rounds the first gradient differently, so a host
+    # that runs one must not pass for the host a pin was recorded on
+    parent = host_fingerprint()
+    other = "Nehalem" if parent["blas_kernel"] == "Sandybridge" else "Sandybridge"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OPENBLAS_CORETYPE=other,
+               PYTHONPATH=os.pathsep.join(str(ROOT / d) for d in ("src", "tests")))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import json, reference_fixture; print(json.dumps(reference_fixture.host_fingerprint()))"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    child = json.loads(done.stdout)
+    if parent["blas_kernel"] is None:  # numpy's OpenBLAS does not name its kernel
+        assert child["blas_kernel"] is None
+    else:
+        assert child["blas_kernel"] == other and child != parent
 
 
 # a hand-made 11-class sweep: class 4 has no test samples, the base model

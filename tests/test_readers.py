@@ -15,6 +15,7 @@ from mclab.core import NEW_CLASS, Rng
 from mclab.corrector import GbdtConfig, fit, load_ensemble, save_ensemble
 from mclab.datagen import generate_gaussian, load_dataset, save_dataset
 
+from test_basemodel import init_rng
 from test_datagen import two_cluster_spec
 
 READERS = {
@@ -30,7 +31,7 @@ def valid_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("readers")
     gen = np.random.default_rng(0)
     config = ModelConfig(input_shape=(1, 8, 8), conv_channels=(1, 1, 2), n_classes=3)
-    save_model(StagedModel(config, seed=3), root / "model.bin")
+    save_model(StagedModel(config, init_rng(3)), root / "model.bin")
     x, labels = gen.normal(size=(30, 4)), np.arange(30) % 3
     save_ensemble(fit(x, labels, GbdtConfig(n_rounds=2, max_depth=2), n_classes=3),
                   root / "corrector.txt")
